@@ -19,12 +19,10 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from .audio import AudioBuffer, read_wav, resample_48k_to_16k, write_wav
 from .config import (PipelineConfig, parse_config, parse_scene_file,
                      write_scene_file)
-from .errors import ArraySepError, AudioIOError, ConfigError
+from .errors import ArraySepError, ConfigError
 from .features import extract_features, write_features_binary, write_features_csv
 from .metrics import QualityReport, measure_quality
 from .pipeline import bench_pipeline, run_pipeline

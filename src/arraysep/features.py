@@ -13,7 +13,6 @@ regression deltas.
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 
@@ -168,56 +167,81 @@ def extract_features(audio: AudioBuffer, bank: MelFilterbank | None = None,
 # --------------------------------------------------------------------------
 # Feature files: CSV and a packed little-endian binary variant.
 #
-# Binary layout: magic b"MELF", u32 version(=1), u32 frame count,
-# u16 static count, u16 delta count; then per frame: u32 frame index,
-# u8 has_delta, 3 pad bytes, f32[static], f32[delta].
+# Binary layout: one _FEATURE_HEADER, then one _FEATURE_FRAME record per frame.
 # --------------------------------------------------------------------------
 
 _FEATURE_MAGIC = b"MELF"
 _FEATURE_VERSION = 1
+_FEATURE_HEADER = np.dtype([("magic", "S4"), ("version", "<u4"), ("count", "<u4"),
+                            ("n_static", "<u2"), ("n_delta", "<u2")])
+_FEATURE_FRAME = np.dtype([("index", "<u4"), ("has_delta", "u1"), ("pad", "V3"),
+                           ("static", "<f4", (NUM_BANDS,)), ("delta", "<f4", (NUM_BANDS,))])
+
+
+def _write_records(path: str, header: np.ndarray, records: np.ndarray, kind: str) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(header.tobytes() + records.tobytes())
+    except OSError as exc:
+        raise AudioIOError(f"cannot write {kind} file {path}: {exc}") from exc
+
+
+def _read_records(path: str, header: np.dtype, magic: bytes, version: int, kind: str,
+                  frame) -> tuple[np.void, np.ndarray]:
+    """Check a header-plus-records file and view its body as ``frame(header)`` records."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise AudioIOError(f"cannot read {kind} file {path}: {exc}") from exc
+    if data[:4] != magic:
+        raise AudioIOError(f"{path}: not a {kind} file")
+    if len(data) < header.itemsize:
+        raise AudioIOError(f"{path}: truncated {kind} file header")
+    head = np.frombuffer(data, header, count=1)[0]
+    if head["version"] != version:
+        raise AudioIOError(f"{path}: unsupported {kind} file version {head['version']}")
+    record = frame(head)
+    count = int(head["count"])
+    if len(data) != header.itemsize + count * record.itemsize:
+        raise AudioIOError(f"{path}: {len(data)} bytes do not hold {count} {kind} frames")
+    return head, np.frombuffer(data, record, count=count, offset=header.itemsize)
+
+
+def _write_csv(path: str, header: str, table: np.ndarray, fmt: list[str], kind: str) -> None:
+    try:
+        np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
+    except OSError as exc:
+        raise AudioIOError(f"cannot write {kind} file {path}: {exc}") from exc
 
 
 def write_features_csv(path: str, features: list[FeatureVector]) -> None:
-    try:
-        with open(path, "w") as fh:
-            names = [f"static_{i}" for i in range(NUM_BANDS)] + [f"delta_{i}" for i in range(NUM_BANDS)]
-            fh.write("frame,has_delta," + ",".join(names) + "\n")
-            for vec in features:
-                values = np.concatenate([vec.static, vec.delta])
-                fh.write(f"{vec.frame_index},{int(vec.has_delta)},"
-                         + ",".join(f"{v:.9e}" for v in values) + "\n")
-    except OSError as exc:
-        raise AudioIOError(f"cannot write feature file {path}: {exc}") from exc
+    names = [f"static_{i}" for i in range(NUM_BANDS)] + [f"delta_{i}" for i in range(NUM_BANDS)]
+    table = np.array([np.concatenate(([vec.frame_index, vec.has_delta], vec.static, vec.delta))
+                      for vec in features]).reshape(len(features), 2 + 2 * NUM_BANDS)
+    _write_csv(path, "frame,has_delta," + ",".join(names), table,
+               ["%d", "%d"] + ["%.9e"] * (2 * NUM_BANDS), "feature")
 
 
 def write_features_binary(path: str, features: list[FeatureVector]) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_FEATURE_MAGIC)
-            fh.write(struct.pack("<IIHH", _FEATURE_VERSION, len(features), NUM_BANDS, NUM_BANDS))
-            for vec in features:
-                fh.write(struct.pack("<IB3x", vec.frame_index, int(vec.has_delta)))
-                fh.write(vec.static.astype("<f4").tobytes())
-                fh.write(vec.delta.astype("<f4").tobytes())
-    except OSError as exc:
-        raise AudioIOError(f"cannot write feature file {path}: {exc}") from exc
+    header = np.array((_FEATURE_MAGIC, _FEATURE_VERSION, len(features), NUM_BANDS, NUM_BANDS),
+                      _FEATURE_HEADER)
+    records = np.zeros(len(features), _FEATURE_FRAME)
+    if features:
+        records["index"] = [vec.frame_index for vec in features]
+        records["has_delta"] = [vec.has_delta for vec in features]
+        records["static"] = [vec.static for vec in features]
+        records["delta"] = [vec.delta for vec in features]
+    _write_records(path, header, records, "feature")
 
 
 def read_features_binary(path: str) -> list[FeatureVector]:
-    try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _FEATURE_MAGIC:
-                raise AudioIOError(f"{path}: not a feature file")
-            version, count, n_static, n_delta = struct.unpack("<IIHH", fh.read(12))
-            if version != _FEATURE_VERSION:
-                raise AudioIOError(f"{path}: unsupported feature file version {version}")
-            out = []
-            for _ in range(count):
-                index, has_delta = struct.unpack("<IB3x", fh.read(8))
-                static = np.frombuffer(fh.read(4 * n_static), dtype="<f4").astype(np.float64)
-                delta = np.frombuffer(fh.read(4 * n_delta), dtype="<f4").astype(np.float64)
-                out.append(FeatureVector(index, static, delta, bool(has_delta)))
-            return out
-    except OSError as exc:
-        raise AudioIOError(f"cannot read feature file {path}: {exc}") from exc
+    head, records = _read_records(path, _FEATURE_HEADER, _FEATURE_MAGIC, _FEATURE_VERSION,
+                                  "feature", lambda head: _FEATURE_FRAME)
+    if (head["n_static"], head["n_delta"]) != (NUM_BANDS, NUM_BANDS):
+        raise AudioIOError(f"{path}: {head['n_static']}+{head['n_delta']} values per frame, "
+                           f"expected {NUM_BANDS}+{NUM_BANDS}")
+    static = records["static"].astype(np.float64)
+    delta = records["delta"].astype(np.float64)
+    return [FeatureVector(int(index), s, d, bool(has_delta))
+            for index, has_delta, s, d in zip(records["index"], records["has_delta"], static, delta)]

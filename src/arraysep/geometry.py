@@ -82,12 +82,6 @@ class SourceSet:
     def ids(self) -> list[str]:
         return [s.id for s in self.sources]
 
-    def index_of(self, source_id: str) -> int:
-        for i, s in enumerate(self.sources):
-            if s.id == source_id:
-                return i
-        raise KeyError(source_id)
-
 
 def far_field_delay(geometry: ArrayGeometry, mic: int, direction: np.ndarray) -> float:
     """Arrival delay in samples at one microphone, relative to the centroid.
@@ -132,25 +126,6 @@ class SteeringMatrix:
     @property
     def num_sources(self) -> int:
         return self.values.shape[2]
-
-    def with_source(self, source: Source) -> "SteeringMatrix":
-        """Steering extended with one more source column; existing columns unchanged."""
-        if self.num_sources + 1 > self.geometry.num_mics:
-            raise OverDeterminedSceneError(
-                f"{self.num_sources + 1} sources exceed {self.geometry.num_mics} microphones"
-            )
-        new_sources = SourceSet(self.sources.sources + (source,))
-        delays, column = _steering_column(self.geometry, source, self.fft_size)
-        values = np.concatenate([self.values, column[:, :, np.newaxis]], axis=2)
-        all_delays = np.concatenate([self.delays, delays[:, np.newaxis]], axis=1)
-        return SteeringMatrix(values, all_delays, self.fft_size, self.geometry, new_sources)
-
-    def without_source(self, source_id: str) -> "SteeringMatrix":
-        index = self.sources.index_of(source_id)
-        remaining = SourceSet(tuple(s for s in self.sources.sources if s.id != source_id))
-        values = np.delete(self.values, index, axis=2)
-        delays = np.delete(self.delays, index, axis=1)
-        return SteeringMatrix(values, delays, self.fft_size, self.geometry, remaining)
 
 
 def steering_matrix(geometry: ArrayGeometry, sources: SourceSet, fft_size: int) -> SteeringMatrix:

@@ -9,7 +9,6 @@ ever compared between models under the same mask.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np

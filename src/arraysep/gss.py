@@ -9,13 +9,12 @@ single-source state is a delay-and-sum beamformer and stays there.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OverDeterminedSceneError, StreamError
-from .geometry import SteeringMatrix, Source
+from .errors import StreamError
+from .geometry import SteeringMatrix
 from .stft import SpectralFrame
 
 DEFAULT_STEP_SIZE = 0.01
@@ -155,26 +154,3 @@ def adapt(state: SeparationState, frame: SpectralFrame) -> SeparationState:
         )
     return state
 
-
-def add_source(state: SeparationState, source: Source) -> SeparationState:
-    """Insert a source mid-stream; its row starts at the delay-and-sum solution."""
-    if state.num_sources + 1 > state.num_mics:
-        raise OverDeterminedSceneError(
-            f"{state.num_sources + 1} sources exceed {state.num_mics} microphones"
-        )
-    steering = state.steering.with_source(source)
-    new_row = steering.values[:, :, -1].conj()[:, np.newaxis, :] / state.num_mics
-    demix = np.concatenate([state.demix, new_row], axis=1)
-    return SeparationState(steering, demix, state.step_size, state.power_floor)
-
-
-def remove_source(state: SeparationState, source_id: str) -> SeparationState:
-    """Drop a source row; unknown ids warn and leave the state untouched."""
-    try:
-        index = state.steering.sources.index_of(source_id)
-    except KeyError:
-        warnings.warn(f"remove_source: unknown source id {source_id!r}, ignoring")
-        return state
-    steering = state.steering.without_source(source_id)
-    demix = np.delete(state.demix, index, axis=1)
-    return SeparationState(steering, demix, state.step_size, state.power_floor)

@@ -9,13 +9,13 @@ features agree band-wise without a second analysis pass.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AudioIOError, ConfigError
-from .features import NUM_BANDS, MelFilterbank, mel_energies
+from .errors import ConfigError
+from .features import (NUM_BANDS, MelFilterbank, _read_records, _write_csv, _write_records,
+                       mel_energies)
 from .postfilter import PostFilterRecord
 
 DEFAULT_THRESHOLD = 0.25
@@ -120,67 +120,48 @@ def align_to_feature_frames(mask: MaskMatrix, num_feature_frames: int,
 # --------------------------------------------------------------------------
 # Mask files: CSV and a packed little-endian binary variant.
 #
-# Binary layout: magic b"MASK", u32 version(=1), u32 frame count, u16 band
-# count, 2 pad bytes; then per frame: u32 frame index, f32[bands]
-# continuous, u32 static bitmask, u32 delta bitmask (bit i = band i).
+# Binary layout: one _MASK_HEADER, then one _mask_frame(bands) record per
+# frame; bit i of the static/delta words is band i.
 # --------------------------------------------------------------------------
 
 _MASK_MAGIC = b"MASK"
 _MASK_VERSION = 1
+_MASK_HEADER = np.dtype([("magic", "S4"), ("version", "<u4"), ("count", "<u4"),
+                         ("bands", "<u2"), ("pad", "V2")])
 
 
-def _pack_bits(row: np.ndarray) -> int:
-    return int(sum(1 << i for i, bit in enumerate(row) if bit))
+def _mask_frame(bands: int) -> np.dtype:
+    return np.dtype([("index", "<u4"), ("continuous", "<f4", (bands,)),
+                     ("static", "<u4"), ("delta", "<u4")])
 
 
 def write_mask_csv(path: str, mask: MaskMatrix) -> None:
-    try:
-        with open(path, "w") as fh:
-            bands = mask.continuous.shape[1]
-            names = ([f"m_{i}" for i in range(bands)]
-                     + [f"static_{i}" for i in range(bands)]
-                     + [f"delta_{i}" for i in range(bands)])
-            fh.write("frame," + ",".join(names) + "\n")
-            for t in range(mask.num_frames):
-                row = ([f"{v:.9e}" for v in mask.continuous[t]]
-                       + [str(int(v)) for v in mask.static[t]]
-                       + [str(int(v)) for v in mask.delta[t]])
-                fh.write(f"{t}," + ",".join(row) + "\n")
-    except OSError as exc:
-        raise AudioIOError(f"cannot write mask file {path}: {exc}") from exc
+    bands = mask.continuous.shape[1]
+    names = ([f"m_{i}" for i in range(bands)]
+             + [f"static_{i}" for i in range(bands)]
+             + [f"delta_{i}" for i in range(bands)])
+    table = np.hstack([np.arange(mask.num_frames)[:, np.newaxis], mask.continuous,
+                       mask.static, mask.delta])
+    _write_csv(path, "frame," + ",".join(names), table,
+               ["%d"] + ["%.9e"] * bands + ["%d"] * (2 * bands), "mask")
 
 
 def write_mask_binary(path: str, mask: MaskMatrix) -> None:
-    try:
-        with open(path, "wb") as fh:
-            bands = mask.continuous.shape[1]
-            fh.write(_MASK_MAGIC)
-            fh.write(struct.pack("<IIH2x", _MASK_VERSION, mask.num_frames, bands))
-            for t in range(mask.num_frames):
-                fh.write(struct.pack("<I", t))
-                fh.write(mask.continuous[t].astype("<f4").tobytes())
-                fh.write(struct.pack("<II", _pack_bits(mask.static[t]), _pack_bits(mask.delta[t])))
-    except OSError as exc:
-        raise AudioIOError(f"cannot write mask file {path}: {exc}") from exc
+    bands = mask.continuous.shape[1]
+    header = np.array((_MASK_MAGIC, _MASK_VERSION, mask.num_frames, bands, b""), _MASK_HEADER)
+    records = np.zeros(mask.num_frames, _mask_frame(bands))
+    weights = 1 << np.arange(bands)
+    records["index"] = np.arange(mask.num_frames)
+    records["continuous"] = mask.continuous
+    records["static"] = mask.static @ weights
+    records["delta"] = mask.delta @ weights
+    _write_records(path, header, records, "mask")
 
 
 def read_mask_binary(path: str) -> MaskMatrix:
-    try:
-        with open(path, "rb") as fh:
-            if fh.read(4) != _MASK_MAGIC:
-                raise AudioIOError(f"{path}: not a mask file")
-            version, count, bands = struct.unpack("<IIH2x", fh.read(12))
-            if version != _MASK_VERSION:
-                raise AudioIOError(f"{path}: unsupported mask file version {version}")
-            continuous = np.zeros((count, bands))
-            static = np.zeros((count, bands), dtype=bool)
-            delta = np.zeros((count, bands), dtype=bool)
-            for t in range(count):
-                struct.unpack("<I", fh.read(4))
-                continuous[t] = np.frombuffer(fh.read(4 * bands), dtype="<f4")
-                static_bits, delta_bits = struct.unpack("<II", fh.read(8))
-                static[t] = [(static_bits >> i) & 1 for i in range(bands)]
-                delta[t] = [(delta_bits >> i) & 1 for i in range(bands)]
-            return MaskMatrix(continuous, static, delta, DEFAULT_THRESHOLD)
-    except OSError as exc:
-        raise AudioIOError(f"cannot read mask file {path}: {exc}") from exc
+    head, records = _read_records(path, _MASK_HEADER, _MASK_MAGIC, _MASK_VERSION, "mask",
+                                  lambda head: _mask_frame(int(head["bands"])))
+    weights = 1 << np.arange(int(head["bands"]))
+    static = (records["static"][:, np.newaxis] & weights) != 0
+    delta = (records["delta"][:, np.newaxis] & weights) != 0
+    return MaskMatrix(records["continuous"].astype(np.float64), static, delta, DEFAULT_THRESHOLD)

@@ -21,8 +21,8 @@ from .config import PipelineConfig, serialize_config
 from .errors import StreamError
 from .features import extract_features, write_features_binary, write_features_csv
 from .geometry import steering_matrix
-from .masks import (align_to_feature_frames, compute_mask, mask_filterbank,
-                    masks_from_records, write_mask_binary, write_mask_csv)
+from .masks import (align_to_feature_frames, mask_filterbank, masks_from_records,
+                    write_mask_binary, write_mask_csv)
 from .metrics import QualityReport, measure_quality
 from .postfilter import PostFilter, PostFilterRecord
 from .stft import SpectralFrame, stft_analyze, stft_synthesize
@@ -223,35 +223,14 @@ class BenchReport:
 
 
 def bench_pipeline(mixture: AudioBuffer, config: PipelineConfig) -> BenchReport:
-    """Time the separation + post-filter + mask-band stages, excluding file I/O."""
-    geometry = config.geometry()
-    sources = config.source_set()
-    steering = steering_matrix(geometry, sources, config.fft_size)
+    """Time the separation + post-filter + mask stages, excluding file I/O."""
     bank48 = mask_filterbank(config.fft_size, config.rate)
-
-    state = gss.init_delay_and_sum(steering, config.step_size)
-    postfilter = PostFilter(sources.num_sources, config.fft_size // 2 + 1,
-                            config.postfilter_config())
-    frames = 0
-    band_rows = []
     start = time.perf_counter()
-    for frame in stft_analyze(mixture, config.fft_size, config.shift):
-        separated = gss.separate(state, frame)
-        if config.stages.adapt:
-            gss.adapt(state, frame)
-        if config.stages.postfilter:
-            separated, record = postfilter.process(separated)
-            band_rows.append([
-                compute_mask(
-                    record.input_power[m] @ bank48.weights.T,
-                    record.output_power[m] @ bank48.weights.T,
-                    record.noise_stat[m] @ bank48.weights.T,
-                    config.mask_threshold,
-                )
-                for m in range(record.input_power.shape[0])
-            ])
-        frames += 1
+    output = run_stages(mixture, config)
+    for m in range(output.state.num_sources):
+        masks_from_records(output.records, m, bank48, config.mask_threshold)
     wall = time.perf_counter() - start
+    frames = len(output.frames)
     duration = mixture.duration
     rtf = (wall / duration) if frames else None
     return BenchReport(duration, wall, frames, rtf)

@@ -160,29 +160,6 @@ class NoiseState:
         return self.total
 
 
-def _kummer_series(a: float, c: float, x: float, rtol: float = 1e-12, max_terms: int = 200) -> float:
-    # Plain power series; callers guarantee x >= 0 so every term is positive.
-    term = 1.0
-    total = 1.0
-    for n in range(max_terms):
-        term *= (a + n) * x / ((c + n) * (n + 1.0))
-        total += term
-        if abs(term) <= rtol * abs(total):
-            break
-    return total
-
-
-def confluent_m(a: float, c: float, x: float) -> float:
-    """Truncated-series confluent hypergeometric M(a; c; x).
-
-    Negative arguments go through the Kummer transform so the summed series
-    has positive terms only.
-    """
-    if x < 0:
-        return math.exp(x) * _kummer_series(c - a, c, -x)
-    return _kummer_series(a, c, x)
-
-
 def _gain_core(snr_prior: np.ndarray, snr_post: np.ndarray, exponent: float,
                gain_max: float, fault_gain: float) -> tuple[np.ndarray, int]:
     xi = np.asarray(snr_prior, dtype=np.float64)
@@ -204,15 +181,10 @@ def _gain_core(snr_prior: np.ndarray, snr_post: np.ndarray, exponent: float,
             # The series truncates: M(-1; 1; -u) = 1 + u.
             gain[active] = np.sqrt(u) / g * np.sqrt(1.0 + u)
         else:
-            scale = special.gamma(1.0 + exponent / 2.0)
-            values = np.empty_like(u)
-            for i, ui in enumerate(u):
-                if ui > 600.0:
-                    # Large-argument limit of the bracket is sqrt(u): Wiener-like gain.
-                    values[i] = math.sqrt(ui)
-                else:
-                    values[i] = (scale * confluent_m(-exponent / 2.0, 1.0, -ui)) ** (1.0 / exponent)
-            gain[active] = np.sqrt(u) / g * values
+            # M(-b/2; 1; -u) grows like u^(b/2) / Gamma(1 + b/2), so
+            # bracket^(1/b) tends to sqrt(u): a Wiener-like gain at high SNR.
+            bracket = special.gamma(1.0 + exponent / 2.0) * special.hyp1f1(-exponent / 2.0, 1.0, -u)
+            gain[active] = np.sqrt(u) / g * bracket ** (1.0 / exponent)
 
     bad = ~np.isfinite(gain)
     faults = int(np.count_nonzero(bad))

@@ -1,5 +1,7 @@
 """Mel filterbank and the log-mel feature pipeline."""
 
+import struct
+
 import numpy as np
 import pytest
 from scipy import fft as sfft
@@ -160,6 +162,36 @@ class TestLifterAndDeltas:
         np.testing.assert_allclose(deltas[valid], 1.0)
 
 
+def hand_built_features():
+    rng = np.random.default_rng(11)
+    static = rng.standard_normal((3, 24)) * 10.0 ** rng.integers(-20, 20, (3, 24))
+    static[0, 5] = -0.0
+    delta = rng.standard_normal((3, 24))
+    delta[2, 0] = 1.0 / 3.0
+    return [FeatureVector(0, static[0], np.zeros(24), False),
+            FeatureVector(7, static[1], delta[1], True),
+            FeatureVector(2**32 - 1, static[2], delta[2], True)]
+
+
+def feature_file_bytes(features):
+    """MELF layout: b"MELF", u32 version 1, u32 count, u16 24, u16 24; per frame
+    u32 index, u8 has_delta, 3 pad bytes, f32[24] static, f32[24] delta."""
+    out = b"MELF" + struct.pack("<IIHH", 1, len(features), 24, 24)
+    for vec in features:
+        out += struct.pack("<IB3x", vec.frame_index, vec.has_delta)
+        out += struct.pack("<48f", *vec.static, *vec.delta)
+    return out
+
+
+def feature_csv_text(features):
+    names = [f"static_{i}" for i in range(24)] + [f"delta_{i}" for i in range(24)]
+    lines = ["frame,has_delta," + ",".join(names)]
+    for vec in features:
+        values = ",".join(f"{v:.9e}" for v in [*vec.static, *vec.delta])
+        lines.append(f"{vec.frame_index},{int(vec.has_delta)},{values}")
+    return "".join(line + "\n" for line in lines)
+
+
 class TestFeatureFiles:
     def test_binary_round_trip(self, tmp_path):
         features = extract_features(noise_utterance(9, seconds=0.5))
@@ -173,6 +205,18 @@ class TestFeatureFiles:
             np.testing.assert_allclose(a.static, b.static, rtol=1e-6, atol=1e-6)
             np.testing.assert_allclose(a.delta, b.delta, rtol=1e-6, atol=1e-6)
 
+        for features in (hand_built_features(), []):
+            write_features_binary(path, features)
+            assert open(path, "rb").read() == feature_file_bytes(features)
+            loaded = read_features_binary(path)
+            assert len(loaded) == len(features)
+            for a, b in zip(features, loaded):
+                assert (b.frame_index, b.has_delta) == (a.frame_index, a.has_delta)
+                for want, got in ((a.static, b.static), (a.delta, b.delta)):
+                    want32 = want.astype(np.float32).astype(np.float64)
+                    np.testing.assert_array_equal(got, want32)
+                    np.testing.assert_array_equal(np.signbit(got), np.signbit(want32))
+
     def test_csv_header_and_rows(self, tmp_path):
         features = extract_features(noise_utterance(10, seconds=0.5))
         path = str(tmp_path / "f.csv")
@@ -181,3 +225,7 @@ class TestFeatureFiles:
         assert lines[0].startswith("frame,has_delta,static_0")
         assert len(lines) == len(features) + 1
         assert len(lines[1].split(",")) == 2 + 48
+
+        for features in (hand_built_features(), []):
+            write_features_csv(path, features)
+            assert open(path, "rb").read() == feature_csv_text(features).encode()

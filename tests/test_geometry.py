@@ -83,16 +83,6 @@ class TestSteering:
         with pytest.raises(OverDeterminedSceneError):
             steering_matrix(geom, sources, 1024)
 
-    def test_add_remove_columns(self):
-        geom = ArrayGeometry(np.random.default_rng(1).uniform(-0.2, 0.2, (4, 3)), 48000)
-        sources = SourceSet((Source("a", 0.3), Source("b", -1.1)))
-        sm = steering_matrix(geom, sources, 256)
-        grown = sm.with_source(Source("c", 2.0))
-        assert grown.num_sources == 3
-        np.testing.assert_array_equal(grown.values[:, :, :2], sm.values)
-        back = grown.without_source("c")
-        np.testing.assert_array_equal(back.values, sm.values)
-
 
 class TestValidation:
     def test_single_mic_rejected(self):

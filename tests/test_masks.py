@@ -1,9 +1,12 @@
 """Reliability mask computation, invariants and file formats."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from arraysep.errors import ConfigError
+from arraysep.errors import AudioIOError, ConfigError
+from arraysep.features import FeatureVector, read_features_binary, write_features_binary
 from arraysep.masks import (MaskMatrix, align_to_feature_frames, compute_mask,
                             delta_mask, mask_filterbank, masks_from_records,
                             read_mask_binary, write_mask_binary, write_mask_csv)
@@ -128,6 +131,44 @@ class TestMaskMatrix:
         assert mask.continuous.shape[1] == bank.num_bands == 24
 
 
+def hand_built_mask():
+    rng = np.random.default_rng(12)
+    continuous = rng.random((4, 24)) * 10.0 ** rng.integers(-10, 10, (4, 24))
+    continuous[1, 3] = -0.0
+    static = rng.random((4, 24)) > 0.5
+    static[2] = True  # every bit, band 23 included
+    delta = np.zeros_like(static)
+    delta[3, [0, 23]] = True
+    return MaskMatrix(continuous, static, delta, 0.25)
+
+
+def mask_file_bytes(mask):
+    """MASK layout: b"MASK", u32 version 1, u32 count, u16 bands, 2 pad bytes; per
+    frame u32 index, f32[bands] continuous, u32 static bits, u32 delta bits."""
+    frames, bands = mask.continuous.shape
+    out = b"MASK" + struct.pack("<IIH2x", 1, frames, bands)
+    for t in range(frames):
+        words = [sum(1 << i for i in range(bands) if bits[t, i]) for bits in (mask.static, mask.delta)]
+        out += struct.pack(f"<I{bands}fII", t, *mask.continuous[t], *words)
+    return out
+
+
+def mask_csv_text(mask):
+    frames, bands = mask.continuous.shape
+    names = ([f"m_{i}" for i in range(bands)] + [f"static_{i}" for i in range(bands)]
+             + [f"delta_{i}" for i in range(bands)])
+    lines = ["frame," + ",".join(names)]
+    for t in range(frames):
+        values = [f"{v:.9e}" for v in mask.continuous[t]]
+        values += [str(int(v)) for v in [*mask.static[t], *mask.delta[t]]]
+        lines.append(f"{t}," + ",".join(values))
+    return "".join(line + "\n" for line in lines)
+
+
+def empty_mask():
+    return MaskMatrix(np.zeros((0, 24)), np.zeros((0, 24), bool), np.zeros((0, 24), bool), 0.25)
+
+
 class TestMaskFiles:
     def test_binary_round_trip(self, tmp_path):
         mask = masks_from_records(synthetic_records(num_frames=9, seed=5), 0)
@@ -139,6 +180,30 @@ class TestMaskFiles:
         np.testing.assert_array_equal(loaded.delta, mask.delta)
         np.testing.assert_allclose(loaded.continuous, mask.continuous, rtol=1e-6, atol=1e-6)
 
+        for mask in (hand_built_mask(), empty_mask()):
+            write_mask_binary(path, mask)
+            assert open(path, "rb").read() == mask_file_bytes(mask)
+            loaded = read_mask_binary(path)
+            want32 = mask.continuous.astype(np.float32).astype(np.float64)
+            np.testing.assert_array_equal(loaded.continuous, want32)
+            np.testing.assert_array_equal(np.signbit(loaded.continuous), np.signbit(want32))
+            np.testing.assert_array_equal(loaded.static, mask.static)
+            np.testing.assert_array_equal(loaded.delta, mask.delta)
+
+    def test_damaged_binary_files_rejected(self, tmp_path):
+        features = [FeatureVector(0, np.ones(24), np.zeros(24), False)]
+        formats = [(write_features_binary, read_features_binary, features),
+                   (write_mask_binary, read_mask_binary, hand_built_mask())]
+        for write, read, content in formats:
+            path = tmp_path / "good.bin"
+            write(str(path), content)
+            good = path.read_bytes()
+            bad_version = good[:4] + struct.pack("<I", 2) + good[8:]
+            for damaged in (good[:10], good[:-1], good + b"\0", bad_version, b"RIFF" + good[4:]):
+                path.write_bytes(damaged)
+                with pytest.raises(AudioIOError):
+                    read(str(path))
+
     def test_csv_shape(self, tmp_path):
         mask = masks_from_records(synthetic_records(num_frames=6, seed=6), 0)
         path = str(tmp_path / "m.csv")
@@ -146,3 +211,7 @@ class TestMaskFiles:
         lines = open(path).read().splitlines()
         assert len(lines) == 7
         assert len(lines[1].split(",")) == 1 + 3 * 24
+
+        for mask in (hand_built_mask(), empty_mask()):
+            write_mask_csv(path, mask)
+            assert open(path, "rb").read() == mask_csv_text(mask).encode()

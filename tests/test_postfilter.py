@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, special
 
 from arraysep.postfilter import (GainState, McraConfig, McraEstimator, NoiseState,
-                                 PostFilter, PostFilterConfig, confluent_m,
+                                 PostFilter, PostFilterConfig,
                                  decision_directed_snr, mmse_gain,
                                  speech_absence_prior, speech_presence_prob)
 from arraysep.stft import SpectralFrame
@@ -139,14 +139,22 @@ class TestGain:
             u = gamma * xi / (1 + xi)
             impl = mmse_gain(np.array([xi]), np.array([gamma]), 1.0, gain_max=1e9)[0]
             series = (math.sqrt(u) / gamma
-                      * special.gamma(1.5) * confluent_m(-0.5, 1.0, -u))
+                      * special.gamma(1.5) * special.hyp1f1(-0.5, 1.0, -u))
             assert impl == pytest.approx(series, rel=1e-8)
 
-    def test_confluent_m_against_scipy(self):
-        for a, c in [(-0.5, 1.0), (-1.0, 1.0), (-0.75, 1.0), (0.3, 1.2)]:
-            for x in [-25.0, -3.0, -0.1, 0.5, 4.0]:
-                assert confluent_m(a, c, x) == pytest.approx(
-                    float(special.hyp1f1(a, c, x)), rel=1e-9)
+    @pytest.mark.parametrize("exponent", [0.5, 1.5])
+    def test_general_exponent_at_large_upsilon(self, exponent):
+        # the range where a truncated power series for M collapses the gain to 0
+        xi = 1e3
+        upsilon = np.linspace(100.0, 600.0, 51)
+        gamma = upsilon * (1.0 + xi) / xi
+        got = mmse_gain(np.full_like(gamma, xi), gamma, exponent, gain_max=1e9)
+        bracket = (special.gamma(1.0 + exponent / 2.0)
+                   * special.hyp1f1(-exponent / 2.0, 1.0, -upsilon))
+        np.testing.assert_allclose(got, np.sqrt(upsilon) / gamma * bracket ** (1.0 / exponent),
+                                   rtol=1e-9)
+        # M(-b/2; 1; -u) ~ u^(b/2) / Gamma(1 + b/2), so the gain tends to upsilon / gamma
+        np.testing.assert_allclose(got, upsilon / gamma, rtol=1e-2)
 
     def test_monotone_in_prior_snr(self):
         gamma = np.full(200, 3.0)
