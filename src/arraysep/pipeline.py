@@ -19,7 +19,7 @@ from . import gss
 from .audio import AudioBuffer, read_wav, resample_48k_to_16k, write_wav
 from .config import PipelineConfig, serialize_config
 from .errors import StreamError
-from .features import extract_features, write_features_binary, write_features_csv
+from .features import _write_csv, extract_features, write_features_binary, write_features_csv
 from .geometry import steering_matrix
 from .masks import (align_to_feature_frames, mask_filterbank, masks_from_records,
                     write_mask_binary, write_mask_csv)
@@ -68,6 +68,8 @@ def run_stages(mixture: AudioBuffer, config: PipelineConfig) -> StreamOutput:
             separated, record = postfilter.process(separated)
             records.append(record)
         frames.append(separated)
+    logger.info("stages: %d frames, %d post-filter gain faults", len(frames),
+                postfilter.gains.fault_count if postfilter is not None else 0)
     return StreamOutput(frames, records, state)
 
 
@@ -96,13 +98,11 @@ def _log_run_header(config: PipelineConfig) -> None:
 
 
 def _dump_gss_state(path: str, state: gss.SeparationState) -> None:
-    with open(path, "w") as fh:
-        ids = state.source_ids
-        header = ["bin"] + [f"w_{s}_{n}" for s in ids for n in range(state.num_mics)]
-        fh.write(",".join(header) + "\n")
-        magnitude = np.abs(state.demix)
-        for k in range(magnitude.shape[0]):
-            fh.write(f"{k}," + ",".join(f"{v:.6e}" for v in magnitude[k].ravel()) + "\n")
+    header = ["bin"] + [f"w_{s}_{n}" for s in state.source_ids for n in range(state.num_mics)]
+    magnitude = np.abs(state.demix).reshape(state.demix.shape[0], -1)
+    table = np.column_stack((np.arange(magnitude.shape[0]), magnitude))
+    _write_csv(path, ",".join(header), table, ["%d"] + ["%.6e"] * magnitude.shape[1],
+               "diagnostic")
 
 
 def _dump_postfilter_records(path: str, records: list[PostFilterRecord], source: int) -> None:
@@ -111,12 +111,15 @@ def _dump_postfilter_records(path: str, records: list[PostFilterRecord], source:
         for record in records:
             if record.gain is None:
                 continue
-            for k in range(record.input_power.shape[1]):
-                fh.write(
-                    f"{record.frame_index},{k},{record.noise_stat[source, k]:.6e},"
-                    f"{record.noise_leak[source, k]:.6e},{record.snr_prior[source, k]:.6e},"
-                    f"{record.presence[source, k]:.6e},{record.gain[source, k]:.6e}\n"
-                )
+            num_bins = record.input_power.shape[1]
+            table = np.column_stack((
+                np.full(num_bins, record.frame_index), np.arange(num_bins),
+                record.noise_stat[source], record.noise_leak[source],
+                record.snr_prior[source], record.presence[source], record.gain[source],
+            ))
+            # one format call per frame: a whole-file string would hold every frame
+            rows = "%d,%d,%.6e,%.6e,%.6e,%.6e,%.6e\n" * num_bins
+            fh.write(rows % tuple(table.ravel().tolist()))
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
+from scipy import ndimage, special
 
 from .errors import StreamError
 from .stft import SpectralFrame
@@ -58,7 +58,7 @@ class PostFilterConfig:
 
 
 class McraEstimator:
-    """Stationary noise floor tracker for one source.
+    """Stationary noise floor tracker, elementwise over (sources, bins) or bins.
 
     Smoothed power is compared against its tracked minimum; a ratio above
     the onset threshold freezes the noise recursion instantly, and the
@@ -67,13 +67,13 @@ class McraEstimator:
     converges within a couple of tracking windows.
     """
 
-    def __init__(self, num_bins: int, config: McraConfig | None = None):
+    def __init__(self, shape: int | tuple[int, ...], config: McraConfig | None = None):
         self.config = config or McraConfig()
-        self.noise = np.zeros(num_bins)
-        self._smoothed = np.zeros(num_bins)
-        self._minimum = np.zeros(num_bins)
-        self._scratch = np.zeros(num_bins)
-        self._presence = np.zeros(num_bins)
+        self.noise = np.zeros(shape)
+        self._smoothed = np.zeros(shape)
+        self._minimum = np.zeros(shape)
+        self._scratch = np.zeros(shape)
+        self._presence = np.zeros(shape)
         self._frames_seen = 0
 
     def update(self, power: np.ndarray) -> np.ndarray:
@@ -112,7 +112,9 @@ class NoiseState:
     Leakage couples the sources through their smoothed spectra, so a frame
     update refreshes every smoothed spectrum before any leakage estimate
     is read (the update order within one frame is: smooth all, track all,
-    then sum leakage).
+    then sum leakage).  Each source's leakage is a direct sum over the
+    other rows, never a total minus the row itself: that difference
+    cancels when one source is many orders of magnitude louder.
     """
 
     def __init__(self, num_sources: int, num_bins: int, leak_factor: float = 0.25,
@@ -123,26 +125,10 @@ class NoiseState:
         self.stationary = np.zeros((num_sources, num_bins))
         self.leakage = np.zeros((num_sources, num_bins))
         self.total = np.zeros((num_sources, num_bins))
-        self._mcra = [McraEstimator(num_bins, mcra) for _ in range(num_sources)]
-
-    @property
-    def num_sources(self) -> int:
-        return self.smoothed.shape[0]
-
-    def smooth_spectrum(self, source: int, power: np.ndarray) -> np.ndarray:
-        a = self.spectrum_smoothing
-        self.smoothed[source] = a * self.smoothed[source] + (1.0 - a) * power
-        return self.smoothed[source]
-
-    def mcra_update(self, source: int, power: np.ndarray) -> np.ndarray:
-        self.stationary[source] = self._mcra[source].update(power)
-        return self.stationary[source]
-
-    def leakage_estimate(self, source: int) -> np.ndarray:
-        others = [i for i in range(self.num_sources) if i != source]
-        if not others:
-            return np.zeros_like(self.smoothed[source])
-        return self.leak_factor * np.sum(self.smoothed[others], axis=0)
+        self._mcra = McraEstimator((num_sources, num_bins), mcra)
+        # row m lists every source except m, in order: (M, M - 1)
+        others = [[j for j in range(num_sources) if j != m] for m in range(num_sources)]
+        self._others = np.array(others, dtype=np.intp).reshape(num_sources, num_sources - 1)
 
     def update(self, power: np.ndarray) -> np.ndarray:
         """Advance one frame; ``power`` is (num_sources, num_bins).  Returns total."""
@@ -150,12 +136,10 @@ class NoiseState:
             raise StreamError(
                 f"noise update expects {self.smoothed.shape}, got {power.shape}"
             )
-        for m in range(self.num_sources):
-            self.smooth_spectrum(m, power[m])
-        for m in range(self.num_sources):
-            self.mcra_update(m, power[m])
-        for m in range(self.num_sources):
-            self.leakage[m] = self.leakage_estimate(m)
+        a = self.spectrum_smoothing
+        self.smoothed = a * self.smoothed + (1.0 - a) * power
+        self.stationary = self._mcra.update(power)
+        self.leakage = self.leak_factor * np.sum(self.smoothed[self._others], axis=1)
         self.total = self.stationary + self.leakage
         return self.total
 
@@ -175,7 +159,7 @@ def _gain_core(snr_prior: np.ndarray, snr_post: np.ndarray, exponent: float,
             # Scaled-Bessel evaluation of the spectral-amplitude estimator:
             # Gamma(1.5) * (sqrt(u)/g) * exp(-u/2) * ((1+u) I0(u/2) + u I1(u/2)),
             # stable for arbitrarily large u.
-            bessel = (1.0 + u) * special.ive(0, u / 2.0) + u * special.ive(1, u / 2.0)
+            bessel = (1.0 + u) * special.i0e(u / 2.0) + u * special.i1e(u / 2.0)
             gain[active] = (math.sqrt(math.pi) / 2.0) * np.sqrt(u) / g * bessel
         elif exponent == 2.0:
             # The series truncates: M(-1; 1; -u) = 1 + u.
@@ -183,8 +167,11 @@ def _gain_core(snr_prior: np.ndarray, snr_post: np.ndarray, exponent: float,
         else:
             # M(-b/2; 1; -u) grows like u^(b/2) / Gamma(1 + b/2), so
             # bracket^(1/b) tends to sqrt(u): a Wiener-like gain at high SNR.
+            # hyp1f1 overflows to inf far out (from u ~ 1e190 at b = 1.5),
+            # where that limit is exact to rounding, so it stands in there.
             bracket = special.gamma(1.0 + exponent / 2.0) * special.hyp1f1(-exponent / 2.0, 1.0, -u)
-            gain[active] = np.sqrt(u) / g * bracket ** (1.0 / exponent)
+            root = np.where(np.isfinite(bracket), bracket ** (1.0 / exponent), np.sqrt(u))
+            gain[active] = np.sqrt(u) / g * root
 
     bad = ~np.isfinite(gain)
     faults = int(np.count_nonzero(bad))
@@ -212,11 +199,14 @@ def decision_directed_snr(prev_gain: np.ndarray, prev_snr_post: np.ndarray,
 
 
 def _window_mean(values: np.ndarray, halfwidth: int) -> np.ndarray:
+    """Mean over the +-halfwidth bins inside the row, along the last axis."""
     if halfwidth <= 0:
         return values.copy()
-    kernel = np.ones(2 * halfwidth + 1)
-    num = np.convolve(values, kernel, mode="same")
-    den = np.convolve(np.ones_like(values), kernel, mode="same")
+    # direct window sums: differences of cumulative sums cancel on spectra
+    # spanning many decades
+    num = ndimage.correlate1d(values, np.ones(2 * halfwidth + 1), axis=-1, mode="constant")
+    k = np.arange(values.shape[-1])
+    den = np.minimum(k, halfwidth) + np.minimum(k[::-1], halfwidth) + 1.0
     return num / den
 
 
@@ -232,12 +222,13 @@ def speech_absence_prior(snr_prior: np.ndarray, config: PostFilterConfig | None 
     Three prior-SNR aggregates (local +-1 bin, broad +-15 bins, whole frame)
     each pass through a dB-linear ramp; their product is the presence
     evidence and the prior is its complement, kept inside
-    [q_floor, q_ceiling].
+    [q_floor, q_ceiling].  Bins run along the last axis, so a
+    (num_sources, num_bins) array gives each source its own prior.
     """
     cfg = config or PostFilterConfig()
     local = _snr_ramp(_window_mean(snr_prior, 1), cfg.q_low_db, cfg.q_high_db)
     broad = _snr_ramp(_window_mean(snr_prior, 15), cfg.q_low_db, cfg.q_high_db)
-    frame = _snr_ramp(np.full_like(snr_prior, np.mean(snr_prior)), cfg.q_low_db, cfg.q_high_db)
+    frame = _snr_ramp(np.mean(snr_prior, axis=-1, keepdims=True), cfg.q_low_db, cfg.q_high_db)
     q = 1.0 - local * broad * frame
     return np.clip(q, cfg.q_floor, cfg.q_ceiling)
 
@@ -314,10 +305,8 @@ class PostFilter:
         )
         self.gains.fault_count += faults
 
-        presence = np.empty_like(gain_h1)
-        for m in range(bins.shape[0]):  # absence prior aggregates bins per source
-            q = speech_absence_prior(snr_prior[m], cfg)
-            presence[m] = speech_presence_prob(q, snr_prior[m], upsilon[m], cfg.upsilon_max)
+        q = speech_absence_prior(snr_prior, cfg)
+        presence = speech_presence_prob(q, snr_prior, upsilon, cfg.upsilon_max)
 
         gain = np.clip(
             presence ** (1.0 / cfg.spectral_exponent) * gain_h1, cfg.gain_floor, cfg.gain_max

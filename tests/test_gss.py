@@ -188,6 +188,41 @@ class TestAdapt:
         np.testing.assert_allclose(state.demix[0], expected[0], atol=1e-12)
         np.testing.assert_allclose(state.demix[1], expected[1], atol=1e-12)
 
+    def test_step_matches_correlation_and_residual_forms(self):
+        # oracle per bin: the full instantaneous-correlation form of the
+        # decorrelation gradient and the residual form (W A - I) A^H of the
+        # geometric one, with the inverse-squared-power scaling
+        rng = np.random.default_rng(15)
+        for num_mics, num_sources in [(2, 1), (3, 1), (4, 2), (4, 4), (8, 3)]:
+            num_bins = 6
+            state = random_state(rng, num_mics, num_sources, num_bins=num_bins)
+            state.step_size = 0.05
+            shape = (num_mics, num_bins)
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            x[:, 1] *= 1e-7  # below the power floor: geometric term only
+            x[:, 2] *= 1e3
+            before = state.demix.copy()
+            gss.adapt(state, frame_for(state, x))
+            for k in range(num_bins):
+                w, a, xk = before[k], state.steering.values[k], x[:, k]
+                y = w @ xk
+                corr = np.outer(y, y.conj())
+                corr[np.arange(num_sources), np.arange(num_sources)] = 0.0
+                grad_dec = 4.0 * corr @ w @ np.outer(xk, xk.conj())
+                grad_geo = 2.0 * (w @ a - np.eye(num_sources)) @ a.conj().T
+                power = np.sum(np.abs(xk) ** 2)
+                scale = power ** -2.0 if power >= state.power_floor else 0.0
+                expected = w - state.step_size * (scale * grad_dec + grad_geo)
+                np.testing.assert_allclose(state.demix[k], expected, rtol=1e-12, atol=0)
+
+    def test_divergence_raises(self):
+        rng = np.random.default_rng(16)
+        state = random_state(rng, 3, 2, num_bins=4)
+        state.step_size = 1e308
+        x = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StreamError, match="diverged"):
+            gss.adapt(state, frame_for(state, x))
+
     def test_finite_after_bounded_input(self):
         rng = np.random.default_rng(13)
         state = random_state(rng, 4, 3, num_bins=8, scale=0.2)

@@ -1,5 +1,6 @@
 """End-to-end pipeline runs and the command-line interface."""
 
+import logging
 import os
 import time
 
@@ -10,9 +11,11 @@ from arraysep import gss
 from arraysep.audio import AudioBuffer, read_wav, write_wav
 from arraysep.cli import main
 from arraysep.config import PipelineConfig, SourceDirection
-from arraysep.geometry import steering_matrix
+from arraysep.geometry import Source, SourceSet, SteeringMatrix, steering_matrix
 from arraysep.metrics import interference_ratio_db
-from arraysep.pipeline import bench_pipeline, run_pipeline, run_stages
+from arraysep.pipeline import (_dump_gss_state, _dump_postfilter_records, bench_pipeline,
+                               run_pipeline, run_stages)
+from arraysep.postfilter import PostFilter, PostFilterRecord
 from arraysep.simulate import (SceneSource, SceneSpec, SignalSpec, box_array_geometry,
                                synthesize, three_speaker_scene)
 from arraysep.stft import SpectralFrame, stft_analyze, stft_synthesize
@@ -143,6 +146,79 @@ class TestRunPipeline:
         assert os.path.exists(dump)
         header = open(dump).readline().strip()
         assert header == "frame,bin,noise_stat,noise_leak,snr_prior,presence,gain"
+
+
+    def test_run_stages_logs_frame_and_gain_fault_counts(self, caplog):
+        # after silence the stationary floor holds at zero, so a huge impulse
+        # overflows the posterior SNR and every gain it reaches is a fault
+        spec = SceneSpec(box_array_geometry(), (SceneSource("s", 25.0),), duration_s=0.5)
+        samples = np.zeros((8, 24000))
+        samples[:, 12000] = 1e70
+        mixture = AudioBuffer(samples, 48000)
+        config = pipeline_config_for_scene(spec, adapt=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with caplog.at_level(logging.INFO, logger="arraysep.pipeline"):
+                output = run_stages(mixture, config)
+            separated = run_stages(mixture, pipeline_config_for_scene(spec, adapt=False,
+                                                                      postfilter=False))
+            reference = PostFilter(1, config.fft_size // 2 + 1, config.postfilter_config())
+            for frame in separated.frames:
+                reference.process(frame)
+        assert reference.gains.fault_count > 0
+        assert (f"stages: {len(output.frames)} frames, "
+                f"{reference.gains.fault_count} post-filter gain faults") in caplog.messages
+
+
+class TestDiagnosticDumps:
+    """Dump files against text built element by element with f-strings."""
+
+    special = [-0.0, np.inf, np.nan, 5e-324, 1.5e300, -2.25, 0.1]
+
+    def test_postfilter_records_golden(self, tmp_path):
+        rng = np.random.default_rng(40)
+
+        def record(index, with_diagnostics):
+            fields = {name: rng.permutation(self.special * 2).reshape(2, 7)
+                      for name in ("noise_stat", "noise_leak", "snr_prior", "presence", "gain")}
+            if not with_diagnostics:
+                fields = {"noise_stat": fields["noise_stat"]}
+            return PostFilterRecord(index, np.zeros((2, 7)), np.zeros((2, 7)), **fields)
+
+        records = [record(0, True), record(1, False), record(4294967295, True)]
+        for source in range(2):
+            path = tmp_path / f"{source}.csv"
+            _dump_postfilter_records(str(path), records, source)
+            expected = "frame,bin,noise_stat,noise_leak,snr_prior,presence,gain\n"
+            for rec in records:
+                if rec.gain is None:
+                    continue
+                for k in range(7):
+                    expected += (f"{rec.frame_index},{k},{rec.noise_stat[source, k]:.6e},"
+                                 f"{rec.noise_leak[source, k]:.6e},{rec.snr_prior[source, k]:.6e},"
+                                 f"{rec.presence[source, k]:.6e},{rec.gain[source, k]:.6e}\n")
+            assert path.read_text() == expected
+
+    def test_postfilter_records_without_diagnostics(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        record = PostFilterRecord(0, np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 3)))
+        _dump_postfilter_records(str(path), [record], 0)
+        assert path.read_text() == "frame,bin,noise_stat,noise_leak,snr_prior,presence,gain\n"
+
+    def test_gss_state_golden(self, tmp_path):
+        values = np.array(self.special * 6).reshape(3, 2, 7)[:, :, :2]
+        demix = values.astype(complex)  # (3 bins, 2 sources, 2 mics)
+        demix.imag = values[:, :, ::-1]
+        sources = SourceSet((Source("a", 0.0), Source("b", 1.0)))
+        steering = SteeringMatrix(np.ones((3, 2, 2), dtype=complex), np.zeros((2, 2)), 4,
+                                  None, sources)
+        path = tmp_path / "gss_state.csv"
+        with np.errstate(invalid="ignore"):
+            _dump_gss_state(str(path), gss.SeparationState(steering, demix))
+            magnitude = np.abs(demix)
+        expected = "bin,w_a_0,w_a_1,w_b_0,w_b_1\n"
+        for k in range(3):
+            expected += f"{k}," + ",".join(f"{v:.6e}" for v in magnitude[k].ravel()) + "\n"
+        assert path.read_text() == expected
 
 
 class TestBench:

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate, special
 
 from arraysep.postfilter import (GainState, McraConfig, McraEstimator, NoiseState,
-                                 PostFilter, PostFilterConfig,
+                                 PostFilter, PostFilterConfig, _gain_core, _window_mean,
                                  decision_directed_snr, mmse_gain,
                                  speech_absence_prior, speech_presence_prob)
 from arraysep.stft import SpectralFrame
@@ -17,15 +17,15 @@ class TestSmoothedSpectrum:
     def test_constant_input_converges_geometrically(self):
         noise = NoiseState(1, 4, spectrum_smoothing=0.7)
         for _ in range(100):
-            noise.smooth_spectrum(0, np.full(4, 3.0))
+            noise.update(np.full((1, 4), 3.0))
         np.testing.assert_allclose(noise.smoothed[0], 3.0, rtol=1e-10)
 
     def test_impulse_decay(self):
         noise = NoiseState(1, 1, spectrum_smoothing=0.7)
-        noise.smooth_spectrum(0, np.ones(1))
+        noise.update(np.ones((1, 1)))
         assert noise.smoothed[0, 0] == pytest.approx(0.3)
         for expected in [0.3 * 0.7, 0.3 * 0.49]:
-            noise.smooth_spectrum(0, np.zeros(1))
+            noise.update(np.zeros((1, 1)))
             assert noise.smoothed[0, 0] == pytest.approx(expected)
 
     def test_matches_reference_recursion_bitwise(self):
@@ -34,7 +34,7 @@ class TestSmoothedSpectrum:
         reference = np.zeros(8)
         for _ in range(50):
             power = rng.random(8)
-            noise.smooth_spectrum(0, power)
+            noise.update(power[np.newaxis])
             reference = 0.7 * reference + (1.0 - 0.7) * power
             np.testing.assert_array_equal(noise.smoothed[0], reference)
 
@@ -52,10 +52,12 @@ class TestLeakage:
         assert np.all(noise.leakage == 0.0)
 
     def test_direct_sum_example(self):
-        noise = NoiseState(3, 1, leak_factor=0.25, spectrum_smoothing=0.7)
-        noise.smoothed = np.array([[2.0], [4.0], [6.0]])
-        assert noise.leakage_estimate(0)[0] == pytest.approx(2.5)
-        assert noise.leakage_estimate(1)[0] == pytest.approx(0.25 * 8.0)
+        # no smoothing: the smoothed spectra are this frame's powers
+        noise = NoiseState(3, 1, leak_factor=0.25, spectrum_smoothing=0.0)
+        noise.update(np.array([[2.0], [4.0], [6.0]]))
+        assert noise.leakage[0, 0] == pytest.approx(2.5)
+        assert noise.leakage[1, 0] == pytest.approx(0.25 * 8.0)
+        assert noise.leakage[2, 0] == pytest.approx(0.25 * 6.0)
 
     def test_decomposition_exact(self):
         rng = np.random.default_rng(2)
@@ -63,6 +65,70 @@ class TestLeakage:
         for _ in range(20):
             noise.update(rng.random((3, 16)))
             np.testing.assert_array_equal(noise.total, noise.stationary + noise.leakage)
+
+
+def wide_range_rows(rng, rows, bins):
+    """Values spanning 1e-12..1e8, each row with a quiet run beside loud bins.
+
+    The quiet run is wider than the broadest window, so some windows hold
+    only quiet bins while the running sum of the row is already large.
+    """
+    values = 10.0 ** rng.uniform(-12.0, 8.0, (rows, bins))
+    for m in range(rows):
+        start = int(rng.integers(10, bins - 50))
+        values[m, start - 10 : start] = 10.0 ** rng.uniform(7.0, 8.0, 10)
+        values[m, start : start + 40] = 10.0 ** rng.uniform(-12.0, -10.0, 40)
+    return values
+
+
+class TestCrossSource:
+    """Whole-array passes against per-row oracles."""
+
+    @pytest.mark.parametrize("halfwidth", [1, 15])
+    def test_window_mean_matches_per_row_convolution(self, halfwidth):
+        values = wide_range_rows(np.random.default_rng(20), 4, 257)
+        kernel = np.ones(2 * halfwidth + 1)
+        got = _window_mean(values, halfwidth)
+        den = np.convolve(np.ones(values.shape[1]), kernel, mode="same")
+        for m in range(values.shape[0]):
+            expected = np.convolve(values[m], kernel, mode="same") / den
+            np.testing.assert_allclose(got[m], expected, rtol=1e-12, atol=0)
+
+    def test_absence_prior_matches_per_row_oracle(self):
+        cfg = PostFilterConfig()
+        snr_prior = wide_range_rows(np.random.default_rng(21), 3, 513)
+        snr_prior[:, 100:140] = 0.0  # zero prior SNR: the dB ramp's -inf end
+        got = speech_absence_prior(snr_prior, cfg)
+
+        def ramp(v):
+            with np.errstate(divide="ignore"):
+                db = 10.0 * np.log10(v)
+            return np.clip((db - cfg.q_low_db) / (cfg.q_high_db - cfg.q_low_db), 0.0, 1.0)
+
+        for m in range(snr_prior.shape[0]):
+            row = snr_prior[m]
+            means = []
+            for h in (1, 15):
+                kernel = np.ones(2 * h + 1)
+                means.append(np.convolve(row, kernel, mode="same")
+                             / np.convolve(np.ones_like(row), kernel, mode="same"))
+            evidence = ramp(means[0]) * ramp(means[1]) * ramp(np.mean(row))
+            expected = np.clip(1.0 - evidence, cfg.q_floor, cfg.q_ceiling)
+            np.testing.assert_allclose(got[m], expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("num_sources", [2, 3, 5])
+    def test_leakage_is_direct_sum_of_other_rows(self, num_sources):
+        rng = np.random.default_rng(22)
+        noise = NoiseState(num_sources, 64, leak_factor=0.3, spectrum_smoothing=0.7)
+        smoothed = np.zeros((num_sources, 64))
+        for _ in range(6):
+            power = wide_range_rows(rng, num_sources, 64)
+            power[0] = 1e8  # one source far louder than every other
+            noise.update(power)
+            smoothed = 0.7 * smoothed + 0.3 * power
+            for m in range(num_sources):
+                others = sum(smoothed[j] for j in range(num_sources) if j != m)
+                np.testing.assert_allclose(noise.leakage[m], 0.3 * others, rtol=1e-12, atol=0)
 
 
 class TestMcra:
@@ -155,6 +221,16 @@ class TestGain:
                                    rtol=1e-9)
         # M(-b/2; 1; -u) ~ u^(b/2) / Gamma(1 + b/2), so the gain tends to upsilon / gamma
         np.testing.assert_allclose(got, upsilon / gamma, rtol=1e-2)
+
+    @pytest.mark.parametrize("exponent", [0.5, 1.5])
+    def test_general_exponent_beyond_hyp1f1_range(self, exponent):
+        # hyp1f1 overflows here; the gain must take its large-upsilon limit
+        upsilon = np.repeat([1e200, 1e250, 1e300], 2)
+        xi = np.tile([1.0, 1e3], 3)
+        gamma = upsilon * (1.0 + xi) / xi
+        gain, faults = _gain_core(xi, gamma, exponent, gain_max=0.9, fault_gain=0.001)
+        assert faults == 0
+        np.testing.assert_allclose(gain, np.minimum(upsilon / gamma, 0.9), rtol=1e-12)
 
     def test_monotone_in_prior_snr(self):
         gamma = np.full(200, 3.0)
