@@ -17,6 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
 
 from .audio import AudioBuffer
@@ -122,10 +123,9 @@ def delta_features(static: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = static.shape[0]
     deltas = np.zeros_like(static)
     valid = np.zeros(n, dtype=bool)
-    for t in range(2, n - 2):
-        window = static[t - 2 : t + 3]
-        deltas[t] = _DELTA_WEIGHTS @ window
-        valid[t] = True
+    if n >= 5:
+        deltas[2:-2] = sliding_window_view(static, 5, axis=0) @ _DELTA_WEIGHTS
+        valid[2:-2] = True
     return deltas, valid
 
 

@@ -2,21 +2,23 @@
 
 A band is reliable when the post-filter kept most of its energy or when
 the stationary-noise estimate explains it (silence stays reliable).  The
-band powers come from the separation-side 48 kHz/1024 grid, integrated by
-the same 0-8 kHz mel bands the feature pipeline uses, so masks and
-features agree band-wise without a second analysis pass.
+post-filter integrates its separation-grid (48 kHz/1024) powers over
+``mask_filterbank``, the same 0-8 kHz mel bands the feature pipeline uses,
+so masks and features agree band-wise without a second analysis pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError
-from .features import (NUM_BANDS, MelFilterbank, _read_records, _write_csv, _write_records,
-                       mel_energies)
-from .postfilter import PostFilterRecord
+from .features import NUM_BANDS, MelFilterbank, _read_records, _write_csv, _write_records
+
+if TYPE_CHECKING:
+    from .postfilter import PostFilterRecord
 
 DEFAULT_THRESHOLD = 0.25
 # Bands carrying less than this fraction of the frame's total band energy
@@ -32,7 +34,7 @@ def mask_filterbank(fft_size: int = 1024, rate: int = 48000) -> MelFilterbank:
 def compute_mask(band_in: np.ndarray, band_out: np.ndarray, band_noise: np.ndarray,
                  threshold: float = DEFAULT_THRESHOLD,
                  silence_floor: float = SILENCE_FLOOR) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous and binary reliability for one frame of band energies.
+    """Continuous and binary reliability of band energies; bands run along the last axis.
 
     The continuous value is (output + stationary noise) / input; the binary
     mask is its comparison against ``threshold``.  Bands whose input energy
@@ -40,23 +42,12 @@ def compute_mask(band_in: np.ndarray, band_out: np.ndarray, band_noise: np.ndarr
     with a continuous value of 1.
     """
     band_in = np.asarray(band_in, dtype=np.float64)
-    floor = silence_floor * band_in.sum()
+    floor = silence_floor * band_in.sum(axis=-1, keepdims=True)
     silent = band_in <= floor
     safe_in = np.where(silent, 1.0, band_in)
     continuous = np.where(silent, 1.0, (band_out + band_noise) / safe_in)
     binary = continuous > threshold
     return continuous, binary
-
-
-def delta_mask(static_rows: np.ndarray) -> np.ndarray:
-    """Reliability of a regression delta: all five contributing frames reliable.
-
-    ``static_rows`` is (5, bands) centered on the frame of interest.
-    """
-    rows = np.asarray(static_rows)
-    if rows.shape[0] != 5:
-        raise ConfigError(f"delta mask needs 5 consecutive rows, got {rows.shape[0]}")
-    return np.prod(rows.astype(np.uint8), axis=0).astype(bool)
 
 
 @dataclass
@@ -74,23 +65,17 @@ class MaskMatrix:
 
 
 def masks_from_records(records: list[PostFilterRecord], source: int,
-                       bank: MelFilterbank | None = None,
                        threshold: float = DEFAULT_THRESHOLD) -> MaskMatrix:
-    """Build the mask matrix for one separated source from post-filter records."""
-    if bank is None:
-        bank = mask_filterbank()
-    n_frames = len(records)
-    continuous = np.ones((n_frames, bank.num_bands))
-    static = np.ones((n_frames, bank.num_bands), dtype=bool)
-    for t, record in enumerate(records):
-        band_in = mel_energies(record.input_power[source], bank)
-        band_out = mel_energies(record.output_power[source], bank)
-        band_noise = mel_energies(record.noise_stat[source], bank)
-        continuous[t], static[t] = compute_mask(band_in, band_out, band_noise, threshold)
+    """Build the mask matrix for one separated source from post-filter records.
 
+    A delta bit is reliable when all five frames its regression spans are;
+    the two frames at each end, which lack that context, keep delta = 0.
+    """
+    bands = np.array([record.bands[:, source] for record in records]).reshape(-1, 3, NUM_BANDS)
+    continuous, static = compute_mask(bands[:, 0], bands[:, 1], bands[:, 2], threshold)
     delta = np.zeros_like(static)
-    for t in range(2, n_frames - 2):  # boundary frames keep delta = 0
-        delta[t] = delta_mask(static[t - 2 : t + 3])
+    if len(records) >= 5:
+        delta[2:-2] = sliding_window_view(static, 5, axis=0).all(axis=-1)
     return MaskMatrix(continuous, static, delta, threshold)
 
 

@@ -21,8 +21,7 @@ from .config import PipelineConfig, serialize_config
 from .errors import StreamError
 from .features import _write_csv, extract_features, write_features_binary, write_features_csv
 from .geometry import steering_matrix
-from .masks import (align_to_feature_frames, mask_filterbank, masks_from_records,
-                    write_mask_binary, write_mask_csv)
+from .masks import align_to_feature_frames, masks_from_records, write_mask_binary, write_mask_csv
 from .metrics import QualityReport, measure_quality
 from .postfilter import PostFilter, PostFilterRecord
 from .stft import SpectralFrame, stft_analyze, stft_synthesize
@@ -111,7 +110,7 @@ def _dump_postfilter_records(path: str, records: list[PostFilterRecord], source:
         for record in records:
             if record.gain is None:
                 continue
-            num_bins = record.input_power.shape[1]
+            num_bins = record.gain.shape[1]
             table = np.column_stack((
                 np.full(num_bins, record.frame_index), np.arange(num_bins),
                 record.noise_stat[source], record.noise_leak[source],
@@ -162,7 +161,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         result.separated_16k[source_id] = path16
 
     if config.stages.features and separated is not None:
-        bank48 = mask_filterbank(config.fft_size, config.rate)
         for m, source_id in enumerate(ids):
             features = extract_features(per_source_16k[source_id],
                                         fft_size=config.feature_fft_size,
@@ -174,7 +172,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             result.feature_files[source_id] = {"csv": csv_path, "binary": bin_path}
 
             if output.records:
-                mask = masks_from_records(output.records, m, bank48, config.mask_threshold)
+                mask = masks_from_records(output.records, m, config.mask_threshold)
                 aligned = align_to_feature_frames(
                     mask, len(features),
                     feature_shift=config.feature_shift, feature_size=config.feature_fft_size,
@@ -227,11 +225,10 @@ class BenchReport:
 
 def bench_pipeline(mixture: AudioBuffer, config: PipelineConfig) -> BenchReport:
     """Time the separation + post-filter + mask stages, excluding file I/O."""
-    bank48 = mask_filterbank(config.fft_size, config.rate)
     start = time.perf_counter()
     output = run_stages(mixture, config)
     for m in range(output.state.num_sources):
-        masks_from_records(output.records, m, bank48, config.mask_threshold)
+        masks_from_records(output.records, m, config.mask_threshold)
     wall = time.perf_counter() - start
     frames = len(output.frames)
     duration = mixture.duration

@@ -7,8 +7,9 @@ spectral-amplitude gain, weighted by a per-bin speech presence
 probability, is then applied.  With one source, or a zero leak factor,
 each channel reduces exactly to an independent single-channel suppressor.
 
-Per-bin input power, output power and stationary-noise level are recorded
-each frame; the mask stage consumes them without recomputing any gains.
+Each frame records the input power, output power and stationary-noise
+level integrated over the 24 mask bands, (3, sources, 24); the mask stage
+consumes them without recomputing any gains.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import numpy as np
 from scipy import ndimage, special
 
 from .errors import StreamError
+from .features import mel_energies
+from .masks import mask_filterbank
 from .stft import SpectralFrame
 
 _TINY = 1e-30
@@ -144,12 +147,8 @@ class NoiseState:
         return self.total
 
 
-def _gain_core(snr_prior: np.ndarray, snr_post: np.ndarray, exponent: float,
+def _gain_core(upsilon: np.ndarray, gamma: np.ndarray, exponent: float,
                gain_max: float, fault_gain: float) -> tuple[np.ndarray, int]:
-    xi = np.asarray(snr_prior, dtype=np.float64)
-    gamma = np.asarray(snr_post, dtype=np.float64)
-    upsilon = gamma * xi / (1.0 + xi)
-
     gain = np.zeros_like(upsilon)
     active = upsilon > 0
     if np.any(active):
@@ -187,7 +186,10 @@ def mmse_gain(snr_prior: np.ndarray, snr_post: np.ndarray, exponent: float = 1.0
     Non-finite intermediates fall back to ``fault_gain``; use PostFilter for
     incident counting.
     """
-    return _gain_core(snr_prior, snr_post, exponent, gain_max, fault_gain)[0]
+    xi = np.asarray(snr_prior, dtype=np.float64)
+    gamma = np.asarray(snr_post, dtype=np.float64)
+    upsilon = gamma * xi / (1.0 + xi)
+    return _gain_core(upsilon, gamma, exponent, gain_max, fault_gain)[0]
 
 
 def decision_directed_snr(prev_gain: np.ndarray, prev_snr_post: np.ndarray,
@@ -246,12 +248,16 @@ def speech_presence_prob(absence_prior: np.ndarray, snr_prior: np.ndarray,
 
 @dataclass
 class PostFilterRecord:
-    """Per-frame bookkeeping consumed by the mask stage and diagnostics."""
+    """Per-frame bookkeeping consumed by the mask stage and diagnostics.
+
+    ``bands`` holds input, output and stationary-noise power integrated
+    over the mask bands, (3, M, 24).  The per-bin fields are kept only for
+    diagnostics.
+    """
 
     frame_index: int
-    input_power: np.ndarray   # (M, n_bins)
-    output_power: np.ndarray
-    noise_stat: np.ndarray
+    bands: np.ndarray
+    noise_stat: np.ndarray | None = None   # (M, n_bins)
     noise_leak: np.ndarray | None = None
     snr_prior: np.ndarray | None = None
     presence: np.ndarray | None = None
@@ -261,8 +267,7 @@ class PostFilterRecord:
 class GainState:
     """Previous-frame gain and posterior SNR, per source and bin."""
 
-    def __init__(self, num_sources: int, num_bins: int, config: PostFilterConfig):
-        self.config = config
+    def __init__(self, num_sources: int, num_bins: int):
         self.prev_gain = np.zeros((num_sources, num_bins))
         self.prev_snr_post = np.zeros((num_sources, num_bins))
         self.fault_count = 0
@@ -280,8 +285,9 @@ class PostFilter:
             spectrum_smoothing=self.config.spectrum_smoothing,
             mcra=self.config.mcra,
         )
-        self.gains = GainState(num_sources, num_bins, self.config)
+        self.gains = GainState(num_sources, num_bins)
         self.keep_diagnostics = keep_diagnostics
+        self._bank = mask_filterbank(2 * (num_bins - 1))
 
     def process(self, frame: SpectralFrame) -> tuple[SpectralFrame, PostFilterRecord]:
         cfg = self.config
@@ -301,7 +307,7 @@ class PostFilter:
         upsilon = snr_post * snr_prior / (1.0 + snr_prior)
 
         gain_h1, faults = _gain_core(
-            snr_prior, snr_post, cfg.spectral_exponent, cfg.gain_max, cfg.gain_floor
+            upsilon, snr_post, cfg.spectral_exponent, cfg.gain_max, cfg.gain_floor
         )
         self.gains.fault_count += faults
 
@@ -316,13 +322,10 @@ class PostFilter:
         self.gains.prev_gain = gain_h1
         self.gains.prev_snr_post = snr_post
 
-        record = PostFilterRecord(
-            frame_index=frame.frame_index,
-            input_power=power,
-            output_power=np.abs(out_bins) ** 2,
-            noise_stat=self.noise.stationary.copy(),
-        )
+        powers = np.stack((power, np.abs(out_bins) ** 2, self.noise.stationary))
+        record = PostFilterRecord(frame.frame_index, mel_energies(powers, self._bank))
         if self.keep_diagnostics:
+            record.noise_stat = self.noise.stationary.copy()
             record.noise_leak = self.noise.leakage.copy()
             record.snr_prior = snr_prior
             record.presence = presence

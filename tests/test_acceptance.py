@@ -225,7 +225,7 @@ class TestCriterion5MaskBehavior:
             mask = masks_from_records(records, m)
             target = np.stack(target_bands[m])
             rival = np.stack(rival_bands[m])
-            floor = np.stack([mel_energies(r.noise_stat[m], bank) for r in records])
+            floor = np.stack([r.bands[2, m] for r in records])
             steady = slice(40, mask.num_frames)
             dominated = ((rival[steady] > 10.0 * np.maximum(target[steady], 1e-18))
                          & (rival[steady] > 4.0 * floor[steady]))

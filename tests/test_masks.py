@@ -5,12 +5,17 @@ import struct
 import numpy as np
 import pytest
 
-from arraysep.errors import AudioIOError, ConfigError
-from arraysep.features import FeatureVector, read_features_binary, write_features_binary
+from arraysep import gss
+from arraysep.errors import AudioIOError
+from arraysep.features import (FeatureVector, mel_energies, read_features_binary,
+                               write_features_binary)
+from arraysep.geometry import steering_matrix
 from arraysep.masks import (MaskMatrix, align_to_feature_frames, compute_mask,
-                            delta_mask, mask_filterbank, masks_from_records,
+                            mask_filterbank, masks_from_records,
                             read_mask_binary, write_mask_binary, write_mask_csv)
-from arraysep.postfilter import PostFilterRecord
+from arraysep.postfilter import PostFilter, PostFilterRecord
+from arraysep.simulate import SceneSource, SceneSpec, box_array_geometry, synthesize
+from arraysep.stft import stft_analyze
 
 
 class TestComputeMask:
@@ -32,6 +37,19 @@ class TestComputeMask:
         m, bits = compute_mask(band_in, np.zeros(2), np.zeros(2))
         assert not bits[0]          # active band, fully suppressed
         assert bits[1] and m[1] == 1.0  # silent band forced reliable
+
+    def test_frames_along_first_axis_are_independent(self):
+        # frame totals span 20 decades; a band is silent only relative to its own frame
+        rng = np.random.default_rng(9)
+        scale = 10.0 ** rng.uniform(-12, 8, (40, 1))
+        band_in = rng.random((40, 24)) * scale * 10.0 ** rng.integers(-14, 1, (40, 24))
+        band_out = rng.random((40, 24)) * band_in
+        noise = rng.random((40, 24)) * 0.1 * band_in
+        m, bits = compute_mask(band_in, band_out, noise)
+        for t in range(40):
+            m_t, bits_t = compute_mask(band_in[t], band_out[t], noise[t])
+            np.testing.assert_array_equal(m[t], m_t)
+            np.testing.assert_array_equal(bits[t], bits_t)
 
     def test_binary_follows_continuous_threshold(self):
         rng = np.random.default_rng(0)
@@ -65,42 +83,102 @@ class TestComputeMask:
         assert np.all(bits_big | ~bits_small)
 
 
+def records_with_static(bits):
+    """One-source records whose static mask is ``bits`` (frames, 24): output 1 or 0 of input 1."""
+    return [PostFilterRecord(t, np.stack([np.ones(24), row, np.zeros(24)])[:, np.newaxis])
+            for t, row in enumerate(np.asarray(bits, dtype=float))]
+
+
 class TestDeltaMask:
+    """A delta bit is reliable when all five frames of its regression window are."""
+
     def test_all_reliable(self):
-        rows = np.ones((5, 24), dtype=bool)
-        assert np.all(delta_mask(rows))
+        mask = masks_from_records(records_with_static(np.ones((5, 24))), 0)
+        assert np.all(mask.delta[2])
 
     def test_any_zero_breaks(self):
         rows = np.ones((5, 24), dtype=bool)
         rows[3, 7] = False
-        out = delta_mask(rows)
+        out = masks_from_records(records_with_static(rows), 0).delta[2]
         assert not out[7]
         assert np.all(np.delete(out, 7))
 
     def test_matches_product_oracle(self):
         rng = np.random.default_rng(3)
-        rows = rng.random((5, 24)) > 0.4
-        oracle = rows[0] & rows[1] & rows[2] & rows[3] & rows[4]
-        np.testing.assert_array_equal(delta_mask(rows), oracle)
+        rows = rng.random((9, 24)) > 0.2
+        delta = masks_from_records(records_with_static(rows), 0).delta
+        for t in range(2, 7):
+            oracle = rows[t - 2] & rows[t - 1] & rows[t] & rows[t + 1] & rows[t + 2]
+            np.testing.assert_array_equal(delta[t], oracle)
 
     def test_needs_five_rows(self):
-        with pytest.raises(ConfigError):
-            delta_mask(np.ones((4, 24), dtype=bool))
+        # a stream shorter than the window has no delta context: all bits 0, no error
+        for n in (0, 1, 4, 5, 6):
+            mask = masks_from_records(records_with_static(np.ones((n, 24))), 0)
+            expected = np.zeros((n, 24), dtype=bool)
+            expected[2 : n - 2] = True
+            np.testing.assert_array_equal(mask.delta, expected)
 
 
-def synthetic_records(num_frames=12, bins=513, sources=1, seed=4):
+def synthetic_records(num_frames=12, sources=1, seed=4):
     rng = np.random.default_rng(seed)
     records = []
     for t in range(num_frames):
-        power = rng.random((sources, bins)) + 0.01
-        gain = rng.random((sources, bins))
-        records.append(PostFilterRecord(
-            frame_index=t,
-            input_power=power,
-            output_power=gain * power,
-            noise_stat=0.05 * rng.random((sources, bins)),
-        ))
+        band_in = rng.random((sources, 24)) + 0.01
+        gain = rng.random((sources, 24))
+        noise = 0.05 * rng.random((sources, 24))
+        records.append(PostFilterRecord(t, np.stack([band_in, gain * band_in, noise])))
     return records
+
+
+@pytest.fixture(scope="module")
+def postfilter_run():
+    """Separated frames, post-filtered frames and records of a short two-talker scene."""
+    spec = SceneSpec(box_array_geometry(),
+                     (SceneSource("a", 30.0, onset_s=0.15), SceneSource("b", -30.0)),
+                     duration_s=0.6, noise_level_db=-40.0, seed=3)
+    render = synthesize(spec)
+    state = gss.init_delay_and_sum(steering_matrix(spec.geometry, spec.source_set(), 1024))
+    postfilter = PostFilter(2, 513, keep_diagnostics=True)
+    inputs, outputs, records = [], [], []
+    for frame in stft_analyze(render.mixture, 1024, 512):
+        separated = gss.separate(state, frame)
+        gss.adapt(state, frame)
+        out, record = postfilter.process(separated)
+        inputs.append(separated.bins)
+        outputs.append(out.bins)
+        records.append(record)
+    return inputs, outputs, records
+
+
+def per_frame_masks(inputs, outputs, records, source, threshold):
+    """Masks rebuilt frame by frame from per-bin powers, deltas as products of static rows."""
+    bank = mask_filterbank()
+    continuous = np.ones((len(records), 24))
+    static = np.ones((len(records), 24), dtype=bool)
+    for t, (x, y, record) in enumerate(zip(inputs, outputs, records)):
+        continuous[t], static[t] = compute_mask(
+            mel_energies(np.abs(x[source]) ** 2, bank), mel_energies(np.abs(y[source]) ** 2, bank),
+            mel_energies(record.noise_stat[source], bank), threshold)
+    delta = np.zeros_like(static)
+    for t in range(2, len(records) - 2):
+        delta[t] = np.prod(static[t - 2 : t + 3].astype(np.uint8), axis=0).astype(bool)
+    return continuous, static, delta
+
+
+class TestMasksFromPostFilter:
+    @pytest.mark.parametrize("frames", [0, 1, 4, 5, 6, None])
+    @pytest.mark.parametrize("source", [0, 1])
+    def test_matches_per_frame_oracle(self, postfilter_run, frames, source):
+        inputs, outputs, records = (part[:frames] for part in postfilter_run)
+        mask = masks_from_records(records, source, threshold=0.3)
+        continuous, static, delta = per_frame_masks(inputs, outputs, records, source, 0.3)
+        assert mask.continuous.shape == (len(records), 24)
+        np.testing.assert_allclose(mask.continuous, continuous, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(mask.static, static)
+        np.testing.assert_array_equal(mask.delta, delta)
+        if frames is None:
+            assert static.any() and not static.all() and delta.any()
 
 
 class TestMaskMatrix:
@@ -125,10 +203,9 @@ class TestMaskMatrix:
             row = np.argmin(np.abs(mask_centers - feature_centers[t]))
             np.testing.assert_array_equal(aligned.static[t], mask.static[row])
 
-    def test_band_count_matches_filterbank(self):
-        bank = mask_filterbank()
-        mask = masks_from_records(synthetic_records(), 0, bank)
-        assert mask.continuous.shape[1] == bank.num_bands == 24
+    def test_band_count_matches_filterbank(self, postfilter_run):
+        mask = masks_from_records(postfilter_run[2], 0)
+        assert mask.continuous.shape[1] == mask_filterbank().num_bands == 24
 
 
 def hand_built_mask():

@@ -180,9 +180,7 @@ class TestDiagnosticDumps:
         def record(index, with_diagnostics):
             fields = {name: rng.permutation(self.special * 2).reshape(2, 7)
                       for name in ("noise_stat", "noise_leak", "snr_prior", "presence", "gain")}
-            if not with_diagnostics:
-                fields = {"noise_stat": fields["noise_stat"]}
-            return PostFilterRecord(index, np.zeros((2, 7)), np.zeros((2, 7)), **fields)
+            return PostFilterRecord(index, np.zeros((3, 2, 24)), **(fields if with_diagnostics else {}))
 
         records = [record(0, True), record(1, False), record(4294967295, True)]
         for source in range(2):
@@ -200,7 +198,7 @@ class TestDiagnosticDumps:
 
     def test_postfilter_records_without_diagnostics(self, tmp_path):
         path = tmp_path / "empty.csv"
-        record = PostFilterRecord(0, np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 3)))
+        record = PostFilterRecord(0, np.zeros((3, 1, 24)))
         _dump_postfilter_records(str(path), [record], 0)
         assert path.read_text() == "frame,bin,noise_stat,noise_leak,snr_prior,presence,gain\n"
 

@@ -1,12 +1,15 @@
 """Noise tracking, MMSE gains, speech presence and the per-source suppressor."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from arraysep.postfilter import (GainState, McraConfig, McraEstimator, NoiseState,
+from arraysep.features import mel_energies
+from arraysep.masks import mask_filterbank
+from arraysep.postfilter import (McraConfig, McraEstimator, NoiseState,
                                  PostFilter, PostFilterConfig, _gain_core, _window_mean,
                                  decision_directed_snr, mmse_gain,
                                  speech_absence_prior, speech_presence_prob)
@@ -228,7 +231,7 @@ class TestGain:
         upsilon = np.repeat([1e200, 1e250, 1e300], 2)
         xi = np.tile([1.0, 1e3], 3)
         gamma = upsilon * (1.0 + xi) / xi
-        gain, faults = _gain_core(xi, gamma, exponent, gain_max=0.9, fault_gain=0.001)
+        gain, faults = _gain_core(upsilon, gamma, exponent, gain_max=0.9, fault_gain=0.001)
         assert faults == 0
         np.testing.assert_allclose(gain, np.minimum(upsilon / gamma, 0.9), rtol=1e-12)
 
@@ -332,10 +335,23 @@ class TestPostFilter:
                 pf.noise.total, pf.noise.stationary + pf.noise.leakage)
 
     def test_record_holds_mask_inputs(self):
-        rng = np.random.default_rng(8)
-        pf = PostFilter(2, 33)
-        bins = random_frames(rng, 1, 2, 33)[0]
-        out, record = pf.process(SpectralFrame(bins, 0, 64, 48000))
-        np.testing.assert_array_equal(record.input_power, np.abs(bins) ** 2)
-        np.testing.assert_array_equal(record.output_power, np.abs(out.bins) ** 2)
-        assert record.noise_stat.shape == (2, 33)
+        bank = mask_filterbank(64)
+        for keep_diagnostics in (False, True):
+            rng = np.random.default_rng(8)
+            pf = PostFilter(2, 33, keep_diagnostics=keep_diagnostics)
+            for t, bins in enumerate(random_frames(rng, 3, 2, 33)):
+                out, record = pf.process(SpectralFrame(bins, t, 64, 48000))
+                per_bin = [np.abs(bins) ** 2, np.abs(out.bins) ** 2, pf.noise.stationary]
+                assert record.bands.shape == (3, 2, 24)
+                for k in range(3):
+                    for m in range(2):
+                        np.testing.assert_allclose(record.bands[k, m],
+                                                   mel_energies(per_bin[k][m], bank),
+                                                   rtol=1e-12, atol=0.0)
+            held = [f.name for f in dataclasses.fields(record)
+                    if getattr(record, f.name) is not None]
+            if keep_diagnostics:
+                assert len(held) == len(dataclasses.fields(record))
+                np.testing.assert_array_equal(record.noise_stat, pf.noise.stationary)
+            else:
+                assert held == ["frame_index", "bands"]
