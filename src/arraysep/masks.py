@@ -127,7 +127,7 @@ def write_mask_csv(path: str, mask: MaskMatrix) -> None:
              + [f"delta_{i}" for i in range(bands)])
     table = np.hstack([np.arange(mask.num_frames)[:, np.newaxis], mask.continuous,
                        mask.static, mask.delta])
-    _write_csv(path, "frame," + ",".join(names), table,
+    _write_csv(path, "frame," + ",".join(names), [table],
                ["%d"] + ["%.9e"] * bands + ["%d"] * (2 * bands), "mask")
 
 

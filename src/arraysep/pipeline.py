@@ -100,25 +100,18 @@ def _dump_gss_state(path: str, state: gss.SeparationState) -> None:
     header = ["bin"] + [f"w_{s}_{n}" for s in state.source_ids for n in range(state.num_mics)]
     magnitude = np.abs(state.demix).reshape(state.demix.shape[0], -1)
     table = np.column_stack((np.arange(magnitude.shape[0]), magnitude))
-    _write_csv(path, ",".join(header), table, ["%d"] + ["%.6e"] * magnitude.shape[1],
+    _write_csv(path, ",".join(header), [table], ["%d"] + ["%.6e"] * magnitude.shape[1],
                "diagnostic")
 
 
 def _dump_postfilter_records(path: str, records: list[PostFilterRecord], source: int) -> None:
-    with open(path, "w") as fh:
-        fh.write("frame,bin,noise_stat,noise_leak,snr_prior,presence,gain\n")
-        for record in records:
-            if record.gain is None:
-                continue
-            num_bins = record.gain.shape[1]
-            table = np.column_stack((
-                np.full(num_bins, record.frame_index), np.arange(num_bins),
-                record.noise_stat[source], record.noise_leak[source],
-                record.snr_prior[source], record.presence[source], record.gain[source],
-            ))
-            # one format call per frame: a whole-file string would hold every frame
-            rows = "%d,%d,%.6e,%.6e,%.6e,%.6e,%.6e\n" * num_bins
-            fh.write(rows % tuple(table.ravel().tolist()))
+    tables = (np.column_stack((
+        np.full(record.gain.shape[1], record.frame_index), np.arange(record.gain.shape[1]),
+        record.noise_stat[source], record.noise_leak[source],
+        record.snr_prior[source], record.presence[source], record.gain[source],
+    )) for record in records if record.gain is not None)
+    _write_csv(path, "frame,bin,noise_stat,noise_leak,snr_prior,presence,gain", tables,
+               ["%d", "%d"] + ["%.6e"] * 5, "diagnostic")
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:

@@ -303,6 +303,21 @@ class TestCli:
         assert main(["separate", "--config", str(config_path)]) == 3
         assert not (tmp_path / "out").exists()
 
+    def test_unwritable_diagnostic_dump_exit_code(self, tmp_path):
+        scene_out = tmp_path / "scene"
+        assert main(["simulate", "--preset", "trio-90deg", "--duration", "0.5",
+                     "--seed", "7", "--output-dir", str(scene_out)]) == 0
+        config = pipeline_config_for_scene(three_speaker_scene(90.0, duration_s=0.5, seed=7),
+                                           dump_diagnostics=True)
+        config.input_wav = str(scene_out / "mixture.wav")
+        config.output_dir = str(tmp_path / "sep")
+        config_path = tmp_path / "cfg.yaml"
+        from arraysep.config import serialize_config
+
+        serialize_config(config, str(config_path))
+        os.makedirs(tmp_path / "sep" / "center_postfilter.csv")
+        assert main(["separate", "--config", str(config_path)]) == 3
+
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("not: [valid")
