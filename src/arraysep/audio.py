@@ -56,7 +56,7 @@ class AudioBuffer:
 
 
 def read_wav(path: str) -> AudioBuffer:
-    """Read a RIFF WAV file (PCM16 or float32, 1-8 channels)."""
+    """Read a RIFF WAV file (PCM16, int32, float32 or float64, 1-8 channels)."""
     if not os.path.isfile(path):
         raise AudioIOError(f"input file not found: {path}")
     try:
@@ -78,17 +78,10 @@ def read_wav(path: str) -> AudioBuffer:
     return AudioBuffer(samples.T, rate)
 
 
-def write_wav(path: str, audio: AudioBuffer, sample_format: str = "float32") -> None:
-    """Write ``audio`` as little-endian RIFF WAV, float32 or 16-bit PCM."""
-    data = audio.samples.T
+def write_wav(path: str, audio: AudioBuffer) -> None:
+    """Write ``audio`` as little-endian float32 RIFF WAV."""
     try:
-        if sample_format == "float32":
-            wavfile.write(path, audio.rate, data.astype(np.float32))
-        elif sample_format == "pcm16":
-            clipped = np.clip(data, -1.0, 32767.0 / 32768.0)
-            wavfile.write(path, audio.rate, np.round(clipped * 32768.0).astype(np.int16))
-        else:
-            raise ConfigError(f"unknown sample format {sample_format!r}")
+        wavfile.write(path, audio.rate, audio.samples.T.astype(np.float32))
     except OSError as exc:
         raise AudioIOError(f"cannot write WAV file {path}: {exc}") from exc
 

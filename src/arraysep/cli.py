@@ -22,7 +22,7 @@ import sys
 from .audio import AudioBuffer, read_wav, resample_48k_to_16k, write_wav
 from .config import (PipelineConfig, parse_config, parse_scene_file,
                      write_scene_file)
-from .errors import ArraySepError, ConfigError
+from .errors import ArraySepError, AudioIOError, ConfigError
 from .features import extract_features, write_features_binary, write_features_csv
 from .metrics import QualityReport, measure_quality
 from .pipeline import bench_pipeline, run_pipeline
@@ -206,6 +206,9 @@ def main(argv=None) -> int:
     except ArraySepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:  # an output location that cannot be created or written
+        print(f"error: {exc}", file=sys.stderr)
+        return AudioIOError.exit_code
 
 
 if __name__ == "__main__":

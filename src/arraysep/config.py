@@ -77,6 +77,9 @@ class PipelineConfig:
             raise ConfigError("separation pipeline runs at 48000 Hz")
         if self.fft_size % 2 or not 0 < self.shift <= self.fft_size:
             raise ConfigError("invalid separation fft_size/shift")
+        if self.feature_fft_size % 2 or not 0 < self.feature_shift <= self.feature_fft_size:
+            raise ConfigError("feature_fft_size must be even and 0 < feature_shift <= "
+                              "feature_fft_size")
         if self.step_size < 0:
             raise ConfigError("step_size must be non-negative")
         if not 0.0 <= self.leak_factor <= 1.0:
@@ -87,6 +90,13 @@ class PipelineConfig:
             raise ConfigError("snr_smoothing must be within [0, 1)")
         if not 0.0 < self.spectrum_smoothing < 1.0:
             raise ConfigError("spectrum_smoothing must be within (0, 1)")
+        if self.mcra_window_length < 1:
+            raise ConfigError("mcra_window_length must be at least 1")
+        for name in ("mcra_power_smoothing", "mcra_presence_smoothing"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be within [0, 1)")
+        if self.mcra_onset_threshold <= 0:
+            raise ConfigError("mcra_onset_threshold must be positive")
         if self.mask_threshold <= 0:
             raise ConfigError("mask_threshold must be positive")
         if self.reference_wavs and len(self.reference_wavs) != len(self.sources):

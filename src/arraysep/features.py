@@ -48,55 +48,33 @@ def hz_from_mel(mel):
     return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
 
 
-@dataclass(frozen=True)
-class MelFilterbank:
-    """Triangular mel-band weights on one FFT grid; ``weights`` is (num_bands, n_bins)."""
+def mel_filterbank(fft_size: int = FEATURE_FFT_SIZE, rate: int = FEATURE_RATE) -> np.ndarray:
+    """Triangular weights, (NUM_BANDS, fft_size // 2 + 1), equally mel-spaced up to 8 kHz.
 
-    weights: np.ndarray
-    fft_size: int
-    rate: int
-    low_hz: float
-    high_hz: float
-
-    @property
-    def num_bands(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def num_bins(self) -> int:
-        return self.weights.shape[1]
-
-    @classmethod
-    def build(cls, num_bands: int = NUM_BANDS, fft_size: int = FEATURE_FFT_SIZE,
-              rate: int = FEATURE_RATE, low_hz: float = 0.0,
-              high_hz: float = BAND_HIGH_HZ) -> "MelFilterbank":
-        """Equally mel-spaced triangles between ``low_hz`` and ``high_hz``.
-
-        Works on any grid: the same band edges evaluated on a 48 kHz/1024
-        grid give band-aligned energies for the mask stage.
-        """
-        if high_hz > rate / 2:
-            raise ConfigError(f"band edge {high_hz} Hz above Nyquist for rate {rate}")
-        edges_hz = hz_from_mel(np.linspace(mel_from_hz(low_hz), mel_from_hz(high_hz), num_bands + 2))
-        n_bins = fft_size // 2 + 1
-        bin_hz = np.arange(n_bins) * rate / fft_size
-        weights = np.zeros((num_bands, n_bins))
-        for i in range(num_bands):
-            lo, mid, hi = edges_hz[i], edges_hz[i + 1], edges_hz[i + 2]
-            rising = (bin_hz - lo) / (mid - lo)
-            falling = (hi - bin_hz) / (hi - mid)
-            weights[i] = np.maximum(0.0, np.minimum(rising, falling))
-        return cls(weights, fft_size, rate, low_hz, high_hz)
+    Works on any grid: the same band edges evaluated on a 48 kHz/1024 grid
+    give band-aligned energies for the mask stage.
+    """
+    if BAND_HIGH_HZ > rate / 2:
+        raise ConfigError(f"band edge {BAND_HIGH_HZ} Hz above Nyquist for rate {rate}")
+    edges_hz = hz_from_mel(np.linspace(0.0, mel_from_hz(BAND_HIGH_HZ), NUM_BANDS + 2))
+    bin_hz = np.arange(fft_size // 2 + 1) * rate / fft_size
+    weights = np.zeros((NUM_BANDS, len(bin_hz)))
+    for i in range(NUM_BANDS):
+        lo, mid, hi = edges_hz[i], edges_hz[i + 1], edges_hz[i + 2]
+        rising = (bin_hz - lo) / (mid - lo)
+        falling = (hi - bin_hz) / (hi - mid)
+        weights[i] = np.maximum(0.0, np.minimum(rising, falling))
+    return weights
 
 
-def mel_energies(power_spectrum: np.ndarray, bank: MelFilterbank) -> np.ndarray:
+def mel_energies(power_spectrum: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Band energies from a half-spectrum power vector (or a stack of them)."""
     spectrum = np.asarray(power_spectrum, dtype=np.float64)
-    if spectrum.shape[-1] != bank.num_bins:
+    if spectrum.shape[-1] != weights.shape[1]:
         raise ConfigError(
-            f"spectrum has {spectrum.shape[-1]} bins, filterbank expects {bank.num_bins}"
+            f"spectrum has {spectrum.shape[-1]} bins, filterbank expects {weights.shape[1]}"
         )
-    return spectrum @ bank.weights.T
+    return spectrum @ weights.T
 
 
 def zero_lifter(cepstra: np.ndarray) -> np.ndarray:
@@ -129,22 +107,20 @@ def delta_features(static: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return deltas, valid
 
 
-def extract_features(audio: AudioBuffer, bank: MelFilterbank | None = None,
-                     fft_size: int = FEATURE_FFT_SIZE, shift: int = FEATURE_SHIFT,
-                     lifter: bool = True, mean_subtract: bool = True) -> list[FeatureVector]:
+def extract_features(audio: AudioBuffer, fft_size: int = FEATURE_FFT_SIZE,
+                     shift: int = FEATURE_SHIFT, lifter: bool = True,
+                     mean_subtract: bool = True) -> list[FeatureVector]:
     """Run the full feature pipeline on a mono 16 kHz utterance."""
     if audio.rate != FEATURE_RATE:
         raise ConfigError(f"feature pipeline expects {FEATURE_RATE} Hz input, got {audio.rate}")
     if audio.num_channels != 1:
         raise ConfigError("feature pipeline expects a mono buffer")
-    if bank is None:
-        bank = MelFilterbank.build(fft_size=fft_size, rate=audio.rate)
 
     frames = list(stft_analyze(audio, fft_size, shift))
     if not frames:
         return []
     power = np.stack([np.abs(f.bins[0]) ** 2 for f in frames])
-    energies = mel_energies(power, bank)
+    energies = mel_energies(power, mel_filterbank(fft_size, audio.rate))
     floor = max(float(energies.max()) * RELATIVE_FLOOR, _LOG_FLOOR)
     log_mel = np.log(np.maximum(energies, floor))
 

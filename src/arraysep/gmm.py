@@ -17,6 +17,9 @@ from scipy.special import logsumexp
 from .errors import AudioIOError
 
 VARIANCE_FLOOR = 1e-4
+EM_TOL = 1e-5         # stop once the log-likelihood gain per frame falls below this
+EM_MAX_ITER = 200
+KMEANS_ITERATIONS = 25
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
@@ -98,9 +101,9 @@ def marginal_log_likelihood(model: GmmModel, x: np.ndarray,
     return float(marginal_log_likelihoods(model, np.atleast_2d(x), masks)[0])
 
 
-def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, iterations: int = 25) -> np.ndarray:
+def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = x[rng.choice(x.shape[0], size=k, replace=False)]
-    for _ in range(iterations):
+    for _ in range(KMEANS_ITERATIONS):
         distances = np.sum((x[:, np.newaxis, :] - centers[np.newaxis, :, :]) ** 2, axis=2)
         assignment = np.argmin(distances, axis=1)
         for j in range(k):
@@ -112,22 +115,20 @@ def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator, iterations: int = 2
     return centers
 
 
-def _fit_single_class(x: np.ndarray, num_components: int, rng: np.random.Generator,
-                      variance_floor: float, tol: float, max_iter: int) -> GmmModel:
+def _fit_single_class(x: np.ndarray, num_components: int, rng: np.random.Generator) -> GmmModel:
     n, dims = x.shape
     if np.all(x.var(axis=0) < 1e-12):  # constant features: one component is all there is
         num_components = 1
     if num_components == 1:
-        variance = np.maximum(x.var(axis=0), variance_floor)
+        variance = np.maximum(x.var(axis=0), VARIANCE_FLOOR)
         return GmmModel(np.ones(1), x.mean(axis=0, keepdims=True), variance[np.newaxis, :])
 
     means = _kmeans(x, num_components, rng)
-    variances = np.tile(np.maximum(x.var(axis=0), variance_floor), (num_components, 1))
+    variances = np.tile(np.maximum(x.var(axis=0), VARIANCE_FLOOR), (num_components, 1))
     priors = np.full(num_components, 1.0 / num_components)
 
     previous = -np.inf
-    for _ in range(max_iter):
-        model = GmmModel(priors, means, variances)
+    for _ in range(EM_MAX_ITER):
         diff = x[:, np.newaxis, :] - means[np.newaxis, :, :]
         log_dim = -0.5 * (_LOG_2PI + np.log(variances)[np.newaxis, :, :]
                           + diff * diff / variances[np.newaxis, :, :])
@@ -141,17 +142,16 @@ def _fit_single_class(x: np.ndarray, num_components: int, rng: np.random.Generat
         priors = counts / counts.sum()
         means = (responsibility.T @ x) / counts[:, np.newaxis]
         second = (responsibility.T @ (x * x)) / counts[:, np.newaxis]
-        variances = np.maximum(second - means * means, variance_floor)
+        variances = np.maximum(second - means * means, VARIANCE_FLOOR)
 
-        if total - previous < tol * n and np.isfinite(previous):
+        if total - previous < EM_TOL * n and np.isfinite(previous):
             break
         previous = total
     return GmmModel(priors, means, variances)
 
 
-def train_gmm(dataset: LabeledFeatureSet, num_components: int, seed: int,
-              variance_floor: float = VARIANCE_FLOOR, tol: float = 1e-5,
-              max_iter: int = 200) -> dict[str, GmmModel]:
+def train_gmm(dataset: LabeledFeatureSet, num_components: int,
+              seed: int) -> dict[str, GmmModel]:
     """EM-fit one mixture per class; deterministic for a fixed seed.
 
     Training uses the clean feature rows only (masks are ignored here; they
@@ -168,7 +168,7 @@ def train_gmm(dataset: LabeledFeatureSet, num_components: int, seed: int,
                 f"needs at least {10 * num_components} for {num_components} components"
             )
         rng = np.random.default_rng(class_seed)
-        models[name] = _fit_single_class(rows, num_components, rng, variance_floor, tol, max_iter)
+        models[name] = _fit_single_class(rows, num_components, rng)
     return models
 
 

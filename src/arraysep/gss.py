@@ -31,7 +31,6 @@ class SeparationState:
     steering: SteeringMatrix
     demix: np.ndarray
     step_size: float = DEFAULT_STEP_SIZE
-    power_floor: float = POWER_FLOOR
 
     @property
     def num_sources(self) -> int:
@@ -152,7 +151,7 @@ def adapt(state: SeparationState, frame: SpectralFrame) -> SeparationState:
 
     xpow = np.sum(np.abs(x) ** 2, axis=0)  # (n_bins,)
     scale = np.zeros_like(xpow)
-    active = xpow >= state.power_floor
+    active = xpow >= POWER_FLOOR
     scale[active] = xpow[active] ** -2.0
 
     state.demix -= state.step_size * (scale[:, np.newaxis, np.newaxis] * grad_dec + grad_geo)

@@ -15,7 +15,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .features import NUM_BANDS, MelFilterbank, _read_records, _write_csv, _write_records
+from .features import (FEATURE_FFT_SIZE, FEATURE_RATE, FEATURE_SHIFT, NUM_BANDS,
+                       _read_records, _write_csv, _write_records, mel_filterbank)
 
 if TYPE_CHECKING:
     from .postfilter import PostFilterRecord
@@ -24,25 +25,25 @@ DEFAULT_THRESHOLD = 0.25
 # Bands carrying less than this fraction of the frame's total band energy
 # count as silence and stay reliable.
 SILENCE_FLOOR = 1e-10
+MASK_RATE = 48000  # the separation grid
 
 
-def mask_filterbank(fft_size: int = 1024, rate: int = 48000) -> MelFilterbank:
-    """The feature mel bands evaluated on the separation FFT grid."""
-    return MelFilterbank.build(num_bands=NUM_BANDS, fft_size=fft_size, rate=rate)
+def mask_filterbank(fft_size: int = 1024) -> np.ndarray:
+    """The feature mel bands evaluated on the separation FFT grid, (24, n_bins)."""
+    return mel_filterbank(fft_size, MASK_RATE)
 
 
 def compute_mask(band_in: np.ndarray, band_out: np.ndarray, band_noise: np.ndarray,
-                 threshold: float = DEFAULT_THRESHOLD,
-                 silence_floor: float = SILENCE_FLOOR) -> tuple[np.ndarray, np.ndarray]:
+                 threshold: float = DEFAULT_THRESHOLD) -> tuple[np.ndarray, np.ndarray]:
     """Continuous and binary reliability of band energies; bands run along the last axis.
 
     The continuous value is (output + stationary noise) / input; the binary
     mask is its comparison against ``threshold``.  Bands whose input energy
-    falls under ``silence_floor`` times the frame total are forced reliable
+    falls under SILENCE_FLOOR times the frame total are forced reliable
     with a continuous value of 1.
     """
     band_in = np.asarray(band_in, dtype=np.float64)
-    floor = silence_floor * band_in.sum(axis=-1, keepdims=True)
+    floor = SILENCE_FLOOR * band_in.sum(axis=-1, keepdims=True)
     silent = band_in <= floor
     safe_in = np.where(silent, 1.0, band_in)
     continuous = np.where(silent, 1.0, (band_out + band_noise) / safe_in)
@@ -57,7 +58,6 @@ class MaskMatrix:
     continuous: np.ndarray  # (n_frames, bands) float
     static: np.ndarray      # (n_frames, bands) bool
     delta: np.ndarray       # (n_frames, bands) bool
-    threshold: float
 
     @property
     def num_frames(self) -> int:
@@ -76,13 +76,13 @@ def masks_from_records(records: list[PostFilterRecord], source: int,
     delta = np.zeros_like(static)
     if len(records) >= 5:
         delta[2:-2] = sliding_window_view(static, 5, axis=0).all(axis=-1)
-    return MaskMatrix(continuous, static, delta, threshold)
+    return MaskMatrix(continuous, static, delta)
 
 
 def align_to_feature_frames(mask: MaskMatrix, num_feature_frames: int,
-                            feature_shift: int = 160, feature_size: int = 400,
-                            feature_rate: int = 16000, mask_shift: int = 512,
-                            mask_size: int = 1024, mask_rate: int = 48000) -> MaskMatrix:
+                            feature_shift: int = FEATURE_SHIFT,
+                            feature_size: int = FEATURE_FFT_SIZE, mask_shift: int = 512,
+                            mask_size: int = 1024) -> MaskMatrix:
     """Resample mask rows onto the feature frame grid by nearest center time.
 
     The separation and feature pipelines run at slightly different frame
@@ -91,15 +91,15 @@ def align_to_feature_frames(mask: MaskMatrix, num_feature_frames: int,
     """
     if mask.num_frames == 0:
         empty = np.zeros((0, mask.continuous.shape[1]))
-        return MaskMatrix(empty, empty.astype(bool), empty.astype(bool), mask.threshold)
-    feature_centers = (np.arange(num_feature_frames) * feature_shift + feature_size / 2) / feature_rate
-    mask_centers = (np.arange(mask.num_frames) * mask_shift + mask_size / 2) / mask_rate
+        return MaskMatrix(empty, empty.astype(bool), empty.astype(bool))
+    feature_centers = (np.arange(num_feature_frames) * feature_shift + feature_size / 2) / FEATURE_RATE
+    mask_centers = (np.arange(mask.num_frames) * mask_shift + mask_size / 2) / MASK_RATE
     nearest = np.searchsorted(mask_centers, feature_centers)
     nearest = np.clip(nearest, 0, mask.num_frames - 1)
     left = np.maximum(nearest - 1, 0)
     use_left = np.abs(mask_centers[left] - feature_centers) <= np.abs(mask_centers[nearest] - feature_centers)
     rows = np.where(use_left, left, nearest)
-    return MaskMatrix(mask.continuous[rows], mask.static[rows], mask.delta[rows], mask.threshold)
+    return MaskMatrix(mask.continuous[rows], mask.static[rows], mask.delta[rows])
 
 
 # --------------------------------------------------------------------------
@@ -149,4 +149,4 @@ def read_mask_binary(path: str) -> MaskMatrix:
     weights = 1 << np.arange(int(head["bands"]))
     static = (records["static"][:, np.newaxis] & weights) != 0
     delta = (records["delta"][:, np.newaxis] & weights) != 0
-    return MaskMatrix(records["continuous"].astype(np.float64), static, delta, DEFAULT_THRESHOLD)
+    return MaskMatrix(records["continuous"].astype(np.float64), static, delta)

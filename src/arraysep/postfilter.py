@@ -26,22 +26,29 @@ from .masks import mask_filterbank
 from .stft import SpectralFrame
 
 _TINY = 1e-30
+GAIN_FLOOR = 0.001   # final gain floor; also replaces non-finite gains
+GAIN_MAX = 1.0
+Q_LOW_DB = -10.0     # absence-prior ramp endpoints on prior SNR
+Q_HIGH_DB = 5.0
+Q_FLOOR = 0.02       # absence-prior bounds
+Q_CEILING = 0.98
+UPSILON_MAX = 30.0   # clamp inside exp(-upsilon)
+# The minimum tracker's input smoother, faster than the noise recursion so
+# the tracked minimum decays to the floor within sub-second speech pauses.
+TRACKING_SMOOTHING = 0.8
 
 
 @dataclass
 class McraConfig:
-    """Minima-controlled recursive averaging constants (all tunable).
+    """Minima-controlled recursive averaging constants.
 
-    ``power_smoothing`` governs the noise recursion itself;
-    ``tracking_smoothing`` is the faster smoother feeding the minimum
-    tracker, which must decay to the floor within sub-second speech pauses.
+    ``power_smoothing`` governs the noise recursion itself.
     """
 
     power_smoothing: float = 0.95
     window_length: int = 150
     presence_smoothing: float = 0.95
     onset_threshold: float = 5.0
-    tracking_smoothing: float = 0.8
 
 
 @dataclass
@@ -50,13 +57,6 @@ class PostFilterConfig:
     spectral_exponent: float = 1.0   # amplitude power the MMSE estimator optimizes
     snr_smoothing: float = 0.98      # decision-directed weight on the previous frame
     spectrum_smoothing: float = 0.7  # leakage reference smoother
-    gain_floor: float = 0.001
-    gain_max: float = 1.0
-    q_low_db: float = -10.0          # absence-prior ramp endpoints on prior SNR
-    q_high_db: float = 5.0
-    q_floor: float = 0.02
-    q_ceiling: float = 0.98
-    upsilon_max: float = 30.0        # clamp inside exp(-upsilon)
     mcra: McraConfig = field(default_factory=McraConfig)
 
 
@@ -90,7 +90,7 @@ class McraEstimator:
             return self.noise
 
         a = cfg.power_smoothing
-        at = cfg.tracking_smoothing
+        at = TRACKING_SMOOTHING
         self._smoothed = at * self._smoothed + (1.0 - at) * power
         if self._frames_seen % cfg.window_length == 0:
             self._minimum = np.minimum(self._scratch, self._smoothed)
@@ -147,8 +147,12 @@ class NoiseState:
         return self.total
 
 
-def _gain_core(upsilon: np.ndarray, gamma: np.ndarray, exponent: float,
-               gain_max: float, fault_gain: float) -> tuple[np.ndarray, int]:
+def _gain_core(upsilon: np.ndarray, gamma: np.ndarray,
+               exponent: float) -> tuple[np.ndarray, int]:
+    """Unclamped speech-present gain and its fault count, gamma the posterior SNR.
+
+    Non-finite gains count as faults and are replaced by GAIN_FLOOR.
+    """
     gain = np.zeros_like(upsilon)
     active = upsilon > 0
     if np.any(active):
@@ -175,21 +179,8 @@ def _gain_core(upsilon: np.ndarray, gamma: np.ndarray, exponent: float,
     bad = ~np.isfinite(gain)
     faults = int(np.count_nonzero(bad))
     if faults:
-        gain = np.where(bad, fault_gain, gain)
-    return np.clip(gain, 0.0, gain_max), faults
-
-
-def mmse_gain(snr_prior: np.ndarray, snr_post: np.ndarray, exponent: float = 1.0,
-              gain_max: float = 1.0, fault_gain: float = 0.001) -> np.ndarray:
-    """Spectral gain under the speech-present hypothesis, clamped to [0, gain_max].
-
-    Non-finite intermediates fall back to ``fault_gain``; use PostFilter for
-    incident counting.
-    """
-    xi = np.asarray(snr_prior, dtype=np.float64)
-    gamma = np.asarray(snr_post, dtype=np.float64)
-    upsilon = gamma * xi / (1.0 + xi)
-    return _gain_core(upsilon, gamma, exponent, gain_max, fault_gain)[0]
+        gain = np.where(bad, GAIN_FLOOR, gain)
+    return gain, faults
 
 
 def decision_directed_snr(prev_gain: np.ndarray, prev_snr_post: np.ndarray,
@@ -212,37 +203,36 @@ def _window_mean(values: np.ndarray, halfwidth: int) -> np.ndarray:
     return num / den
 
 
-def _snr_ramp(snr: np.ndarray, low_db: float, high_db: float) -> np.ndarray:
+def _snr_ramp(snr: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         snr_db = 10.0 * np.log10(np.maximum(snr, 0.0))
-    return np.clip((snr_db - low_db) / (high_db - low_db), 0.0, 1.0)
+    return np.clip((snr_db - Q_LOW_DB) / (Q_HIGH_DB - Q_LOW_DB), 0.0, 1.0)
 
 
-def speech_absence_prior(snr_prior: np.ndarray, config: PostFilterConfig | None = None) -> np.ndarray:
+def speech_absence_prior(snr_prior: np.ndarray) -> np.ndarray:
     """A-priori probability that speech is absent, per bin.
 
     Three prior-SNR aggregates (local +-1 bin, broad +-15 bins, whole frame)
     each pass through a dB-linear ramp; their product is the presence
     evidence and the prior is its complement, kept inside
-    [q_floor, q_ceiling].  Bins run along the last axis, so a
+    [Q_FLOOR, Q_CEILING].  Bins run along the last axis, so a
     (num_sources, num_bins) array gives each source its own prior.
     """
-    cfg = config or PostFilterConfig()
-    local = _snr_ramp(_window_mean(snr_prior, 1), cfg.q_low_db, cfg.q_high_db)
-    broad = _snr_ramp(_window_mean(snr_prior, 15), cfg.q_low_db, cfg.q_high_db)
-    frame = _snr_ramp(np.mean(snr_prior, axis=-1, keepdims=True), cfg.q_low_db, cfg.q_high_db)
+    local = _snr_ramp(_window_mean(snr_prior, 1))
+    broad = _snr_ramp(_window_mean(snr_prior, 15))
+    frame = _snr_ramp(np.mean(snr_prior, axis=-1, keepdims=True))
     q = 1.0 - local * broad * frame
-    return np.clip(q, cfg.q_floor, cfg.q_ceiling)
+    return np.clip(q, Q_FLOOR, Q_CEILING)
 
 
 def speech_presence_prob(absence_prior: np.ndarray, snr_prior: np.ndarray,
-                         upsilon: np.ndarray, upsilon_max: float = 30.0) -> np.ndarray:
+                         upsilon: np.ndarray) -> np.ndarray:
     """Per-bin posterior speech presence; an absence prior of 1 maps to 0."""
     q = np.asarray(absence_prior, dtype=np.float64)
     certain_absent = q >= 1.0
     q_safe = np.where(certain_absent, 0.5, q)
     odds = q_safe / (1.0 - q_safe)
-    p = 1.0 / (1.0 + odds * (1.0 + snr_prior) * np.exp(-np.minimum(upsilon, upsilon_max)))
+    p = 1.0 / (1.0 + odds * (1.0 + snr_prior) * np.exp(-np.minimum(upsilon, UPSILON_MAX)))
     return np.where(certain_absent, 0.0, p)
 
 
@@ -306,17 +296,14 @@ class PostFilter:
         )
         upsilon = snr_post * snr_prior / (1.0 + snr_prior)
 
-        gain_h1, faults = _gain_core(
-            upsilon, snr_post, cfg.spectral_exponent, cfg.gain_max, cfg.gain_floor
-        )
+        gain_h1, faults = _gain_core(upsilon, snr_post, cfg.spectral_exponent)
+        gain_h1 = np.clip(gain_h1, 0.0, GAIN_MAX)
         self.gains.fault_count += faults
 
-        q = speech_absence_prior(snr_prior, cfg)
-        presence = speech_presence_prob(q, snr_prior, upsilon, cfg.upsilon_max)
+        q = speech_absence_prior(snr_prior)
+        presence = speech_presence_prob(q, snr_prior, upsilon)
 
-        gain = np.clip(
-            presence ** (1.0 / cfg.spectral_exponent) * gain_h1, cfg.gain_floor, cfg.gain_max
-        )
+        gain = np.clip(presence ** (1.0 / cfg.spectral_exponent) * gain_h1, GAIN_FLOOR, GAIN_MAX)
         out_bins = gain * bins
 
         self.gains.prev_gain = gain_h1

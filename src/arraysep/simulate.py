@@ -9,7 +9,7 @@ seed, so rendered scenes are bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import signal as sp_signal
@@ -19,6 +19,7 @@ from .errors import ConfigError, OverDeterminedSceneError
 from .geometry import ArrayGeometry, Source, SourceSet, far_field_delay
 
 SCENE_RATE = 48000
+DELAY_TAPS = 64  # windowed-sinc length of the fractional-delay interpolator
 # Clean references are normalized to this RMS before per-source gain, leaving
 # headroom so three active sources plus noise stay inside [-1, 1].
 REFERENCE_RMS = 0.05
@@ -96,7 +97,7 @@ class SceneRender:
     spec: SceneSpec
 
 
-def fractional_delay(x: np.ndarray, delay_samples: float, num_taps: int = 64) -> np.ndarray:
+def fractional_delay(x: np.ndarray, delay_samples: float) -> np.ndarray:
     """Delay a signal by a possibly fractional number of samples.
 
     Windowed-sinc interpolation (Blackman taper) whose accuracy comfortably
@@ -114,8 +115,8 @@ def fractional_delay(x: np.ndarray, delay_samples: float, num_taps: int = 64) ->
         else:
             out[: n + whole] = x[-whole:]
         return out
-    half = num_taps // 2
-    offsets = np.arange(-half + 1, half + 1)  # num_taps integer offsets
+    half = DELAY_TAPS // 2
+    offsets = np.arange(-half + 1, half + 1)  # DELAY_TAPS integer offsets
     u = offsets - frac
     taper = 0.42 + 0.5 * np.cos(np.pi * u / half) + 0.08 * np.cos(2.0 * np.pi * u / half)
     kernel = np.sinc(u) * np.where(np.abs(u) <= half, taper, 0.0)
@@ -255,8 +256,8 @@ def box_array_geometry(rate: int = SCENE_RATE) -> ArrayGeometry:
     return ArrayGeometry(BOX_MIC_POSITIONS.copy(), rate)
 
 
-def three_speaker_scene(angle_deg: float, duration_s: float = 10.0, seed: int = 1234,
-                        noise_level_db: float = -40.0) -> SceneSpec:
+def three_speaker_scene(angle_deg: float, duration_s: float = 10.0,
+                        seed: int = 1234) -> SceneSpec:
     """Center talker plus two at +-angle, distinct signal recipes per seat."""
     voices = (
         SignalSpec(kind="harmonic", pitch_hz=120.0, formants_hz=(600.0, 1800.0)),
@@ -268,8 +269,7 @@ def three_speaker_scene(angle_deg: float, duration_s: float = 10.0, seed: int = 
         SceneSource("left", angle_deg, signal=voices[1]),
         SceneSource("right", -angle_deg, signal=voices[2]),
     )
-    return SceneSpec(box_array_geometry(), sources, duration_s=duration_s,
-                     noise_level_db=noise_level_db, seed=seed)
+    return SceneSpec(box_array_geometry(), sources, duration_s=duration_s, seed=seed)
 
 
 def preset_names() -> list[str]:
@@ -281,7 +281,3 @@ def preset_scene(name: str, duration_s: float = 10.0, seed: int = 1234) -> Scene
         if name == f"trio-{angle}deg":
             return three_speaker_scene(float(angle), duration_s=duration_s, seed=seed)
     raise ConfigError(f"unknown preset {name!r}; available: {', '.join(preset_names())}")
-
-
-def scaled_scene(spec: SceneSpec, duration_s: float) -> SceneSpec:
-    return replace(spec, duration_s=duration_s)

@@ -47,13 +47,8 @@ def sqrt_hann_window(size: int) -> np.ndarray:
     return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * n / size))
 
 
-def stft_analyze(
-    audio: AudioBuffer,
-    fft_size: int,
-    shift: int,
-    window: np.ndarray | None = None,
-) -> Iterator[SpectralFrame]:
-    """Yield windowed half-spectrum frames from ``audio``.
+def stft_analyze(audio: AudioBuffer, fft_size: int, shift: int) -> Iterator[SpectralFrame]:
+    """Yield sqrt-Hann windowed half-spectrum frames from ``audio``.
 
     Frame t covers samples [t*shift, t*shift + fft_size); trailing samples
     that do not fill a frame are dropped.
@@ -62,27 +57,19 @@ def stft_analyze(
         raise ConfigError(f"fft_size must be even, got {fft_size}")
     if not 0 < shift <= fft_size:
         raise ConfigError(f"shift must satisfy 0 < shift <= fft_size, got {shift}")
-    if window is None:
-        window = sqrt_hann_window(fft_size)
-    if len(window) != fft_size:
-        raise ConfigError("window length must equal fft_size")
+    window = sqrt_hann_window(fft_size)
 
     samples = audio.samples
-    num_frames = max(0, (samples.shape[1] - fft_size) // shift + 1)
-    for t in range(num_frames):
+    for t in range(frame_count(samples.shape[1], fft_size, shift)):
         start = t * shift
         segment = samples[:, start : start + fft_size] * window[np.newaxis, :]
         yield SpectralFrame(np.fft.rfft(segment, axis=1), t, fft_size, audio.rate)
 
 
-def stft_synthesize(
-    frames: Iterable[SpectralFrame],
-    shift: int,
-    window: np.ndarray | None = None,
-) -> AudioBuffer:
+def stft_synthesize(frames: Iterable[SpectralFrame], shift: int) -> AudioBuffer:
     """Overlap-add synthesis, normalized by the accumulated window product.
 
-    Assumes the analysis used the same taper, so dividing by the summed
+    The synthesis taper is the analysis one, so dividing by the summed
     squared window makes interior samples exact for any shift where that
     sum stays positive.
     """
@@ -93,10 +80,7 @@ def stft_synthesize(
     fft_size = frame_list[0].fft_size
     rate = frame_list[0].rate
     channels = frame_list[0].num_channels
-    if window is None:
-        window = sqrt_hann_window(fft_size)
-    if len(window) != fft_size:
-        raise ConfigError("window length must equal fft_size")
+    window = sqrt_hann_window(fft_size)
 
     last_index = None
     for frame in frame_list:

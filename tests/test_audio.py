@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from arraysep.audio import AudioBuffer, read_wav, resample_48k_to_16k, write_wav
 from arraysep.errors import AudioIOError, ConfigError
@@ -34,11 +35,19 @@ class TestWavRoundTrip:
 
     def test_pcm16(self, tmp_path):
         rng = np.random.default_rng(1)
-        original = AudioBuffer(rng.uniform(-0.9, 0.9, (2, 500)), 16000)
+        pcm = rng.integers(-32768, 32768, (500, 2), dtype=np.int16)
         path = str(tmp_path / "x.wav")
-        write_wav(path, original, sample_format="pcm16")
+        wavfile.write(path, 16000, pcm)
         loaded = read_wav(path)
-        np.testing.assert_allclose(loaded.samples, original.samples, atol=1.0 / 32768)
+        assert loaded.rate == 16000
+        np.testing.assert_array_equal(loaded.samples, pcm.T / 32768.0)
+
+    @pytest.mark.parametrize("dtype, scale", [(np.int32, 2.0 ** 31), (np.float64, 1.0)])
+    def test_int32_and_float64(self, tmp_path, dtype, scale):
+        data = (np.random.default_rng(2).uniform(-0.9, 0.9, (300, 3)) * scale).astype(dtype)
+        path = str(tmp_path / "x.wav")
+        wavfile.write(path, 48000, data)
+        np.testing.assert_array_equal(read_wav(path).samples, data.T / scale)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(AudioIOError):

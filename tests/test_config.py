@@ -1,5 +1,7 @@
 """Config parsing, validation and round trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -42,6 +44,16 @@ class TestParse:
                            ("step_size", -0.1)]:
             with pytest.raises(ConfigError):
                 config_from_dict(dict(MINIMAL, **{key: value}))
+
+    @pytest.mark.parametrize("key, value", [
+        ("feature_shift", 0), ("feature_shift", 401), ("feature_fft_size", 401),
+        ("mcra_window_length", 0), ("mcra_power_smoothing", 1.5),
+        ("mcra_power_smoothing", -0.1), ("mcra_presence_smoothing", 2.0),
+        ("mcra_presence_smoothing", 1.0), ("mcra_onset_threshold", 0.0),
+    ])
+    def test_feature_and_noise_tracker_validation(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(dict(MINIMAL, **{key: value}))
 
     def test_reference_count_must_match_sources(self):
         with pytest.raises(ConfigError):
@@ -100,3 +112,20 @@ class TestSceneFiles:
         with pytest.raises(ConfigError):
             scene_from_dict({"mic_positions_m": [[0, 0, 0], [1, 0, 0]],
                              "sources": [{"azimuth_deg": 10.0}]})  # id missing
+
+
+def readme_config_block() -> dict:
+    """The YAML block that README.md introduces as "(all defaults shown)"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("```yaml\n", text.index("(all defaults shown)")) + len("```yaml\n")
+    return yaml.safe_load(text[start : text.index("```", start)])
+
+
+def test_readme_shows_every_default():
+    block = readme_config_block()
+    config = config_from_dict(block)
+    default = PipelineConfig()
+    run_paths = {"input_wav", "output_dir", "reference_wavs", "noise_wav"}
+    assert set(block) == set(PipelineConfig.__dataclass_fields__) - run_paths
+    for key in set(block) - {"mic_positions_m", "sources"}:
+        assert getattr(config, key) == getattr(default, key), key

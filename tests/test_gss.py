@@ -211,7 +211,7 @@ class TestAdapt:
                 grad_dec = 4.0 * corr @ w @ np.outer(xk, xk.conj())
                 grad_geo = 2.0 * (w @ a - np.eye(num_sources)) @ a.conj().T
                 power = np.sum(np.abs(xk) ** 2)
-                scale = power ** -2.0 if power >= state.power_floor else 0.0
+                scale = power ** -2.0 if power >= gss.POWER_FLOOR else 0.0
                 expected = w - state.step_size * (scale * grad_dec + grad_geo)
                 np.testing.assert_allclose(state.demix[k], expected, rtol=1e-12, atol=0)
 

@@ -205,7 +205,7 @@ class TestMaskMatrix:
 
     def test_band_count_matches_filterbank(self, postfilter_run):
         mask = masks_from_records(postfilter_run[2], 0)
-        assert mask.continuous.shape[1] == mask_filterbank().num_bands == 24
+        assert mask.continuous.shape[1] == mask_filterbank().shape[0] == 24
 
 
 def hand_built_mask():
@@ -216,7 +216,7 @@ def hand_built_mask():
     static[2] = True  # every bit, band 23 included
     delta = np.zeros_like(static)
     delta[3, [0, 23]] = True
-    return MaskMatrix(continuous, static, delta, 0.25)
+    return MaskMatrix(continuous, static, delta)
 
 
 def mask_file_bytes(mask):
@@ -243,7 +243,7 @@ def mask_csv_text(mask):
 
 
 def empty_mask():
-    return MaskMatrix(np.zeros((0, 24)), np.zeros((0, 24), bool), np.zeros((0, 24), bool), 0.25)
+    return MaskMatrix(np.zeros((0, 24)), np.zeros((0, 24), bool), np.zeros((0, 24), bool))
 
 
 class TestMaskFiles:

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+import yaml
 
 from arraysep import gss
 from arraysep.audio import AudioBuffer, read_wav, write_wav
@@ -317,6 +318,40 @@ class TestCli:
         serialize_config(config, str(config_path))
         os.makedirs(tmp_path / "sep" / "center_postfilter.csv")
         assert main(["separate", "--config", str(config_path)]) == 3
+
+    @pytest.mark.parametrize("key, value", [("feature_shift", 0), ("feature_fft_size", 401),
+                                            ("mcra_window_length", 0),
+                                            ("mcra_power_smoothing", 1.5)])
+    def test_invalid_key_exits_before_any_output(self, short_scene, scene_dir, tmp_path,
+                                                 key, value):
+        spec, _ = short_scene
+        config_path = tmp_path / "cfg.yaml"
+        write_config(config_path, spec, scene_dir, tmp_path / "out")
+        data = yaml.safe_load(config_path.read_text())
+        data[key] = value
+        config_path.write_text(yaml.safe_dump(data))
+        assert main(["separate", "--config", str(config_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["separate", "features", "simulate", "score"])
+    def test_unwritable_output_exit_code(self, short_scene, scene_dir, tmp_path, capsys,
+                                         command):
+        spec, _ = short_scene
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        mono = str(scene_dir / "center_ref.wav")
+        config_path = tmp_path / "cfg.yaml"
+        write_config(config_path, spec, scene_dir, tmp_path / "out")
+        argv = {
+            "separate": ["separate", "--config", str(config_path), "--output-dir", str(blocker)],
+            "features": ["features", "--input", mono, "--output-dir", str(blocker)],
+            "simulate": ["simulate", "--preset", "trio-90deg", "--duration", "0.25",
+                         "--output-dir", str(blocker)],
+            "score": ["score", "--output", mono, "--reference", mono,
+                      "--csv", str(tmp_path / "missing" / "q.csv")],
+        }[command]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -9,10 +9,11 @@ from scipy import integrate, special
 
 from arraysep.features import mel_energies
 from arraysep.masks import mask_filterbank
-from arraysep.postfilter import (McraConfig, McraEstimator, NoiseState,
-                                 PostFilter, PostFilterConfig, _gain_core, _window_mean,
-                                 decision_directed_snr, mmse_gain,
-                                 speech_absence_prior, speech_presence_prob)
+from arraysep.postfilter import (GAIN_FLOOR, GAIN_MAX, Q_CEILING, Q_FLOOR, Q_HIGH_DB,
+                                 Q_LOW_DB, McraEstimator, NoiseState, PostFilter,
+                                 PostFilterConfig, _gain_core, _window_mean,
+                                 decision_directed_snr, speech_absence_prior,
+                                 speech_presence_prob)
 from arraysep.stft import SpectralFrame
 
 
@@ -98,15 +99,14 @@ class TestCrossSource:
             np.testing.assert_allclose(got[m], expected, rtol=1e-12, atol=0)
 
     def test_absence_prior_matches_per_row_oracle(self):
-        cfg = PostFilterConfig()
         snr_prior = wide_range_rows(np.random.default_rng(21), 3, 513)
         snr_prior[:, 100:140] = 0.0  # zero prior SNR: the dB ramp's -inf end
-        got = speech_absence_prior(snr_prior, cfg)
+        got = speech_absence_prior(snr_prior)
 
         def ramp(v):
             with np.errstate(divide="ignore"):
                 db = 10.0 * np.log10(v)
-            return np.clip((db - cfg.q_low_db) / (cfg.q_high_db - cfg.q_low_db), 0.0, 1.0)
+            return np.clip((db - Q_LOW_DB) / (Q_HIGH_DB - Q_LOW_DB), 0.0, 1.0)
 
         for m in range(snr_prior.shape[0]):
             row = snr_prior[m]
@@ -116,7 +116,7 @@ class TestCrossSource:
                 means.append(np.convolve(row, kernel, mode="same")
                              / np.convolve(np.ones_like(row), kernel, mode="same"))
             evidence = ramp(means[0]) * ramp(means[1]) * ramp(np.mean(row))
-            expected = np.clip(1.0 - evidence, cfg.q_floor, cfg.q_ceiling)
+            expected = np.clip(1.0 - evidence, Q_FLOOR, Q_CEILING)
             np.testing.assert_allclose(got[m], expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("num_sources", [2, 3, 5])
@@ -176,16 +176,25 @@ def kummer_series_oracle(a, c, x, terms=400):
     return total
 
 
+def gain_h1(xi, gamma, exponent=1.0):
+    """Unclamped speech-present gain at prior SNR ``xi`` and posterior SNR ``gamma``."""
+    xi = np.asarray(xi, dtype=np.float64)
+    gamma = np.asarray(gamma, dtype=np.float64)
+    gain, faults = _gain_core(gamma * xi / (1.0 + xi), gamma, exponent)
+    assert faults == 0
+    return gain
+
+
 class TestGain:
     def test_zero_upsilon_zero_gain(self):
-        assert mmse_gain(np.array([0.0]), np.array([2.0]))[0] == 0.0
+        assert gain_h1([0.0], [2.0])[0] == 0.0
 
     def test_alpha_two_closed_form(self):
         # the series truncates: bracket becomes 1 + upsilon
         xi, gamma = 1.5, 2.5
         upsilon = gamma * xi / (1 + xi)
         expected = math.sqrt(upsilon) / gamma * math.sqrt(1.0 + upsilon)
-        got = mmse_gain(np.array([xi]), np.array([gamma]), exponent=2.0, gain_max=10.0)[0]
+        got = gain_h1([xi], [gamma], exponent=2.0)[0]
         assert got == pytest.approx(expected, rel=1e-12)
         series = kummer_series_oracle(-1.0, 1.0, -upsilon)
         assert series == pytest.approx(1.0 + upsilon, rel=1e-12)
@@ -196,7 +205,7 @@ class TestGain:
         upsilon = 1.0
         oracle = (math.sqrt(upsilon) / gamma
                   * special.gamma(1.5) * kummer_series_oracle(-0.5, 1.0, -upsilon))
-        got = mmse_gain(np.array([xi]), np.array([gamma]), exponent=1.0, gain_max=10.0)[0]
+        got = gain_h1([xi], [gamma], exponent=1.0)[0]
         assert got == pytest.approx(oracle, abs=1e-10)
 
     def test_bessel_form_matches_kummer_series_over_range(self):
@@ -206,7 +215,7 @@ class TestGain:
             if xi < 0:
                 continue
             u = gamma * xi / (1 + xi)
-            impl = mmse_gain(np.array([xi]), np.array([gamma]), 1.0, gain_max=1e9)[0]
+            impl = gain_h1([xi], [gamma], 1.0)[0]
             series = (math.sqrt(u) / gamma
                       * special.gamma(1.5) * special.hyp1f1(-0.5, 1.0, -u))
             assert impl == pytest.approx(series, rel=1e-8)
@@ -217,7 +226,7 @@ class TestGain:
         xi = 1e3
         upsilon = np.linspace(100.0, 600.0, 51)
         gamma = upsilon * (1.0 + xi) / xi
-        got = mmse_gain(np.full_like(gamma, xi), gamma, exponent, gain_max=1e9)
+        got = gain_h1(np.full_like(gamma, xi), gamma, exponent)
         bracket = (special.gamma(1.0 + exponent / 2.0)
                    * special.hyp1f1(-exponent / 2.0, 1.0, -upsilon))
         np.testing.assert_allclose(got, np.sqrt(upsilon) / gamma * bracket ** (1.0 / exponent),
@@ -231,23 +240,41 @@ class TestGain:
         upsilon = np.repeat([1e200, 1e250, 1e300], 2)
         xi = np.tile([1.0, 1e3], 3)
         gamma = upsilon * (1.0 + xi) / xi
-        gain, faults = _gain_core(upsilon, gamma, exponent, gain_max=0.9, fault_gain=0.001)
+        gain, faults = _gain_core(upsilon, gamma, exponent)
         assert faults == 0
-        np.testing.assert_allclose(gain, np.minimum(upsilon / gamma, 0.9), rtol=1e-12)
+        np.testing.assert_allclose(gain, upsilon / gamma, rtol=1e-12)
+
+    def test_faults_counted_and_replaced_by_floor(self):
+        # zero posterior SNR under a positive upsilon divides by zero
+        with np.errstate(divide="ignore"):
+            gain, faults = _gain_core(np.array([1.0, 1.0, 0.0]), np.array([0.0, 2.0, 0.0]), 1.0)
+        assert faults == 1
+        assert gain[0] == GAIN_FLOOR
+        assert np.isfinite(gain).all() and gain[2] == 0.0
 
     def test_monotone_in_prior_snr(self):
         gamma = np.full(200, 3.0)
         xi = np.linspace(0.01, 30.0, 200)
-        gains = mmse_gain(xi, gamma, 1.0, gain_max=1e9)
+        gains = gain_h1(xi, gamma, 1.0)
         assert np.all(np.diff(gains) > 0)
 
     def test_clamped_to_gain_max(self):
-        gains = mmse_gain(np.array([100.0]), np.array([0.01]), 1.0, gain_max=1.0)
-        assert gains[0] == 1.0
+        # a loud frame over a settled floor, then a near-silent one: a high
+        # prior SNR over a low posterior SNR sends the unclamped gain past GAIN_MAX
+        rng = np.random.default_rng(9)
+        pf = PostFilter(1, 33, keep_diagnostics=True)
+        for t, level in enumerate([1.0] * 20 + [1e3, 1e-3]):
+            bins = level * (rng.standard_normal(33) + 1j * rng.standard_normal(33))
+            _, record = pf.process(SpectralFrame(bins, t, 64, 48000))
+        snr_post, xi = pf.gains.prev_snr_post, record.snr_prior
+        unclamped, _ = _gain_core(snr_post * xi / (1.0 + xi), snr_post, 1.0)
+        assert unclamped.max() > 2.0 * GAIN_MAX
+        np.testing.assert_array_equal(pf.gains.prev_gain, np.clip(unclamped, 0.0, GAIN_MAX))
+        assert np.all(pf.gains.prev_gain <= GAIN_MAX)
 
     def test_large_upsilon_stable(self):
         for exponent in (1.0, 1.5, 2.0):
-            gain = mmse_gain(np.array([1e7]), np.array([1e7]), exponent, gain_max=2.0)[0]
+            gain = gain_h1([1e7], [1e7], exponent)[0]
             assert np.isfinite(gain)
             assert gain == pytest.approx(1.0, rel=1e-4)
 
@@ -283,16 +310,14 @@ class TestSpeechPresence:
         assert p[0] == pytest.approx(0.576, abs=5e-4)
 
     def test_exponent_clamped(self):
-        p = speech_presence_prob(np.array([0.5]), np.array([0.0]), np.array([1e6]),
-                                 upsilon_max=30.0)
+        p = speech_presence_prob(np.array([0.5]), np.array([0.0]), np.array([1e6]))
         assert np.isfinite(p[0])
 
     def test_absence_prior_bounds_and_limits(self):
-        cfg = PostFilterConfig()
-        quiet = speech_absence_prior(np.zeros(64), cfg)
-        np.testing.assert_allclose(quiet, cfg.q_ceiling)
-        loud = speech_absence_prior(np.full(64, 1e4), cfg)
-        np.testing.assert_allclose(loud, cfg.q_floor)
+        quiet = speech_absence_prior(np.zeros(64))
+        np.testing.assert_allclose(quiet, Q_CEILING)
+        loud = speech_absence_prior(np.full(64, 1e4))
+        np.testing.assert_allclose(loud, Q_FLOOR)
 
 
 def random_frames(rng, count, sources, bins):
@@ -307,8 +332,8 @@ class TestPostFilter:
         for t, bins in enumerate(random_frames(rng, 30, 2, 33)):
             out, record = pf.process(SpectralFrame(bins, t, 64, 48000))
             np.testing.assert_allclose(out.bins, record.gain * bins)
-            assert np.all(record.gain >= pf.config.gain_floor)
-            assert np.all(record.gain <= pf.config.gain_max)
+            assert np.all(record.gain >= GAIN_FLOOR)
+            assert np.all(record.gain <= GAIN_MAX)
 
     def test_zero_input_zero_output(self):
         pf = PostFilter(2, 33)
