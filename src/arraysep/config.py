@@ -8,7 +8,8 @@ Python values so serialize(parse(file)) round-trips exactly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -17,6 +18,17 @@ from .errors import ConfigError
 from .geometry import ArrayGeometry, Source, SourceSet
 from .postfilter import McraConfig, PostFilterConfig
 from .simulate import SceneSource, SceneSpec, SignalSpec
+
+
+def _check_numbers(obj, where: str = "") -> None:
+    """``int`` fields must hold an int, ``float`` fields a finite number; bools are neither."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if f.type == "int" and not (number and isinstance(value, int)):
+            raise ConfigError(f"{where}{f.name} must be an integer, got {value!r}")
+        if f.type == "float" and not (number and math.isfinite(value)):
+            raise ConfigError(f"{where}{f.name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -73,6 +85,9 @@ class PipelineConfig:
         ids = [s.id for s in self.sources]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate source ids: {ids}")
+        _check_numbers(self)
+        for source in self.sources:
+            _check_numbers(source, f"source {source.id}: ")
         if self.rate != 48000:
             raise ConfigError("separation pipeline runs at 48000 Hz")
         if self.fft_size % 2 or not 0 < self.shift <= self.fft_size:

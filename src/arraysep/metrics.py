@@ -20,7 +20,6 @@ EDGE_TRIM = 1024  # analysis/synthesis edges carry partial windows; skip them
 @dataclass
 class SourceQuality:
     source_id: str
-    input_sir_db: float | None
     output_sir_db: float | None
     output_snr_db: float | None
 
@@ -32,23 +31,16 @@ class QualityReport:
     stages: dict[str, list[SourceQuality]]
 
     def to_csv(self, path: str) -> None:
+        """One row per stage and source.  The input-side ratio needs clean
+        per-microphone source images, which no file interface carries, so
+        its column is always ``nan``."""
         with open(path, "w") as fh:
             fh.write("stage,source,input_sir_db,output_sir_db,output_snr_db\n")
             for stage, rows in self.stages.items():
                 for row in rows:
-                    cells = [
-                        "nan" if v is None else f"{v:.4f}"
-                        for v in (row.input_sir_db, row.output_sir_db, row.output_snr_db)
-                    ]
-                    fh.write(f"{stage},{row.source_id}," + ",".join(cells) + "\n")
-
-
-def _trim_align(output: np.ndarray, references: list[np.ndarray], trim: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    n = min([output.shape[-1]] + [r.shape[-1] for r in references])
-    lo, hi = trim, n - trim
-    if hi <= lo:
-        lo, hi = 0, n
-    return output[..., lo:hi], [r[..., lo:hi] for r in references]
+                    cells = ["nan" if v is None else f"{v:.4f}"
+                             for v in (row.output_sir_db, row.output_snr_db)]
+                    fh.write(f"{stage},{row.source_id},nan," + ",".join(cells) + "\n")
 
 
 def projected_power(output: np.ndarray, reference: np.ndarray) -> float | None:
@@ -60,70 +52,48 @@ def projected_power(output: np.ndarray, reference: np.ndarray) -> float | None:
     return gain * gain * ref_power
 
 
-def _ratio_db(target: float | None, residual: float | None, cap: float = SIR_CAP_DB) -> float | None:
+def _projection_ratio_db(output: np.ndarray, references: list[np.ndarray]) -> float | None:
+    """Projection power on ``references[0]`` over the summed projection powers
+    on the others, in dB, skipping EDGE_TRIM samples at both ends."""
+    output = np.asarray(output, dtype=np.float64)
+    n = min([output.shape[-1]] + [r.shape[-1] for r in references])
+    lo, hi = (EDGE_TRIM, n - EDGE_TRIM) if n > 2 * EDGE_TRIM else (0, n)
+    output, refs = output[..., lo:hi], [r[..., lo:hi] for r in references]
+    target = projected_power(output, refs[0])
     if target is None:
         return None
-    if residual is None or residual <= target * 10.0 ** (-cap / 10.0):
-        return cap
-    return min(cap, 10.0 * np.log10(target / residual))
+    powers = [projected_power(output, r) for r in refs[1:]]
+    residual = sum(p for p in powers if p is not None)
+    if residual <= target * 10.0 ** (-SIR_CAP_DB / 10.0):
+        return SIR_CAP_DB
+    return min(SIR_CAP_DB, 10.0 * np.log10(target / residual))
 
 
 def interference_ratio_db(output: np.ndarray, target_ref: np.ndarray,
-                          rival_refs: list[np.ndarray], trim: int = EDGE_TRIM) -> float | None:
+                          rival_refs: list[np.ndarray]) -> float | None:
     """Target projection power over the summed rival projection powers, in dB."""
-    output, refs = _trim_align(np.asarray(output, dtype=np.float64),
-                               [target_ref] + list(rival_refs), trim)
-    target_power = projected_power(output, refs[0])
-    rival_powers = [projected_power(output, r) for r in refs[1:]]
-    if target_power is None:
-        return None
-    known = [p for p in rival_powers if p is not None]
-    return _ratio_db(target_power, sum(known) if known else 0.0)
+    return _projection_ratio_db(output, [target_ref] + list(rival_refs))
 
 
 def noise_ratio_db(output: np.ndarray, target_ref: np.ndarray,
-                   noise: np.ndarray, trim: int = EDGE_TRIM) -> float | None:
+                   noise: np.ndarray) -> float | None:
     """Target projection power over the summed per-channel noise projections."""
     noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
-    output, refs = _trim_align(np.asarray(output, dtype=np.float64),
-                               [target_ref] + [noise[c] for c in range(noise.shape[0])], trim)
-    target_power = projected_power(output, refs[0])
-    if target_power is None:
-        return None
-    noise_powers = [projected_power(output, r) for r in refs[1:]]
-    known = [p for p in noise_powers if p is not None]
-    return _ratio_db(target_power, sum(known) if known else 0.0)
+    return _projection_ratio_db(output, [target_ref] + list(noise))
 
 
 def measure_quality(separated: list[np.ndarray], references: list[np.ndarray],
-                    noise: np.ndarray | None = None, source_ids: list[str] | None = None,
-                    mic_signals: np.ndarray | None = None,
-                    source_images: list[np.ndarray] | None = None,
-                    trim: int = EDGE_TRIM) -> list[SourceQuality]:
+                    noise: np.ndarray | None = None,
+                    source_ids: list[str] | None = None) -> list[SourceQuality]:
     """Quality rows for one stage: separated channel m against reference m.
 
-    The input-side ratio needs time-aligned references per microphone, so it
-    is computed only when both the raw ``mic_signals`` (N, n) and the clean
-    per-source ``source_images`` (each (N, n)) are given: it reports the
-    best single microphone's ratio for that source.  Without a noise
-    reference the noise ratio is undefined.
+    Without a noise reference the noise ratio is undefined.
     """
     rows = []
     for m, output in enumerate(separated):
         rivals = [references[j] for j in range(len(references)) if j != m]
-        sir = interference_ratio_db(output, references[m], rivals, trim)
-        snr = None if noise is None else noise_ratio_db(output, references[m], noise, trim)
-        input_sir = None
-        if mic_signals is not None and source_images is not None:
-            per_mic = [
-                interference_ratio_db(
-                    mic_signals[c], source_images[m][c],
-                    [source_images[j][c] for j in range(len(source_images)) if j != m],
-                    trim)
-                for c in range(mic_signals.shape[0])
-            ]
-            known = [v for v in per_mic if v is not None]
-            input_sir = max(known) if known else None
+        sir = interference_ratio_db(output, references[m], rivals)
+        snr = None if noise is None else noise_ratio_db(output, references[m], noise)
         name = source_ids[m] if source_ids else f"source_{m}"
-        rows.append(SourceQuality(name, input_sir, sir, snr))
+        rows.append(SourceQuality(name, sir, snr))
     return rows

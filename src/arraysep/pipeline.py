@@ -18,28 +18,31 @@ import numpy as np
 from . import gss
 from .audio import AudioBuffer, read_wav, resample_48k_to_16k, write_wav
 from .config import PipelineConfig, serialize_config
-from .errors import StreamError
+from .errors import AudioIOError, StreamError
 from .features import _write_csv, extract_features, write_features_binary, write_features_csv
 from .geometry import steering_matrix
 from .masks import align_to_feature_frames, masks_from_records, write_mask_binary, write_mask_csv
 from .metrics import QualityReport, measure_quality
 from .postfilter import PostFilter, PostFilterRecord
-from .stft import SpectralFrame, stft_analyze, stft_synthesize
+from .stft import frame_count, stft_analyze, stft_synthesize
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass
 class StreamOutput:
-    """Separated (and possibly post-filtered) frames plus their bookkeeping."""
+    """The separated 48 kHz streams (None for an input shorter than one
+    frame), the frame count, the post-filter records and the GSS state."""
 
-    frames: list[SpectralFrame]
+    separated: AudioBuffer | None
+    num_frames: int
     records: list[PostFilterRecord]
     state: gss.SeparationState
 
 
 def run_stages(mixture: AudioBuffer, config: PipelineConfig) -> StreamOutput:
-    """Stream the mixture through separation and the optional post-filter."""
+    """Stream the mixture through separation, the optional post-filter and
+    overlap-add; no frame outlives its own step through the chain."""
     geometry = config.geometry()
     sources = config.source_set()
     if mixture.num_channels != geometry.num_mics:
@@ -57,19 +60,26 @@ def run_stages(mixture: AudioBuffer, config: PipelineConfig) -> StreamOutput:
             keep_diagnostics=config.dump_diagnostics,
         )
 
-    frames: list[SpectralFrame] = []
     records: list[PostFilterRecord] = []
-    for frame in stft_analyze(mixture, config.fft_size, config.shift):
-        separated = gss.separate(state, frame)
-        if config.stages.adapt:
-            gss.adapt(state, frame)
-        if postfilter is not None:
-            separated, record = postfilter.process(separated)
-            records.append(record)
-        frames.append(separated)
-    logger.info("stages: %d frames, %d post-filter gain faults", len(frames),
+
+    def stages(frames):
+        for frame in frames:
+            separated = gss.separate(state, frame)
+            if config.stages.adapt:
+                gss.adapt(state, frame)
+            if postfilter is not None:
+                separated, record = postfilter.process(separated)
+                records.append(record)
+            yield separated
+
+    num_frames = frame_count(mixture.num_samples, config.fft_size, config.shift)
+    separated = None
+    if num_frames:
+        separated = stft_synthesize(stages(stft_analyze(mixture, config.fft_size, config.shift)),
+                                    config.shift, num_frames)
+    logger.info("stages: %d frames, %d post-filter gain faults", num_frames,
                 postfilter.gains.fault_count if postfilter is not None else 0)
-    return StreamOutput(frames, records, state)
+    return StreamOutput(separated, num_frames, records, state)
 
 
 @dataclass
@@ -121,6 +131,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         raise StreamError("pipeline needs an input WAV (input_wav)")
     if not config.output_dir:
         raise StreamError("pipeline needs an output directory (output_dir)")
+    if os.path.exists(config.output_dir) and not os.path.isdir(config.output_dir):
+        raise AudioIOError(f"output_dir {config.output_dir} exists and is not a directory")
 
     mixture = read_wav(config.input_wav)
     references = [read_wav(p).channel(0) for p in config.reference_wavs]
@@ -130,14 +142,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     output = run_stages(mixture, config)
 
     os.makedirs(config.output_dir, exist_ok=True)
-    result = PipelineResult(output_dir=config.output_dir, frames_processed=len(output.frames))
+    result = PipelineResult(output_dir=config.output_dir, frames_processed=output.num_frames)
 
     effective = os.path.join(config.output_dir, "effective_config.yaml")
     serialize_config(config, effective)
     result.effective_config = effective
 
     ids = output.state.source_ids
-    separated = stft_synthesize(output.frames, config.shift) if output.frames else None
+    separated = output.separated
     per_source_16k: dict[str, AudioBuffer] = {}
     for m, source_id in enumerate(ids):
         if separated is None:
@@ -187,8 +199,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 )
 
     if references and separated is not None:
-        # no per-mic clean images exist on the file interface, so only the
-        # output-side ratios are reported here
         rows = measure_quality(
             [separated.samples[m] for m in range(len(ids))],
             references, noise, source_ids=ids,
@@ -217,13 +227,12 @@ class BenchReport:
 
 
 def bench_pipeline(mixture: AudioBuffer, config: PipelineConfig) -> BenchReport:
-    """Time the separation + post-filter + mask stages, excluding file I/O."""
+    """Time the stage loop (analysis through overlap-add) and the masks,
+    excluding file I/O."""
     start = time.perf_counter()
     output = run_stages(mixture, config)
     for m in range(output.state.num_sources):
         masks_from_records(output.records, m, config.mask_threshold)
     wall = time.perf_counter() - start
-    frames = len(output.frames)
-    duration = mixture.duration
-    rtf = (wall / duration) if frames else None
-    return BenchReport(duration, wall, frames, rtf)
+    rtf = (wall / mixture.duration) if output.num_frames else None
+    return BenchReport(mixture.duration, wall, output.num_frames, rtf)

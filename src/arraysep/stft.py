@@ -66,44 +66,42 @@ def stft_analyze(audio: AudioBuffer, fft_size: int, shift: int) -> Iterator[Spec
         yield SpectralFrame(np.fft.rfft(segment, axis=1), t, fft_size, audio.rate)
 
 
-def stft_synthesize(frames: Iterable[SpectralFrame], shift: int) -> AudioBuffer:
+def stft_synthesize(frames: Iterable[SpectralFrame], shift: int, num_frames: int) -> AudioBuffer:
     """Overlap-add synthesis, normalized by the accumulated window product.
 
-    The synthesis taper is the analysis one, so dividing by the summed
-    squared window makes interior samples exact for any shift where that
-    sum stays positive.
+    ``frames`` is consumed once, in order, and must yield exactly
+    ``num_frames`` frames: a lazy stream cannot report its length, so the
+    output is sized from ``num_frames`` at the first frame and each frame
+    is added as it arrives.  The synthesis taper is the analysis one, so
+    dividing by the summed squared window makes interior samples exact for
+    any shift where that sum stays positive.
     """
-    frame_list = list(frames)
-    if not frame_list:
-        raise StreamError("cannot synthesize from an empty frame stream")
-
-    fft_size = frame_list[0].fft_size
-    rate = frame_list[0].rate
-    channels = frame_list[0].num_channels
-    window = sqrt_hann_window(fft_size)
-
-    last_index = None
-    for frame in frame_list:
-        if frame.fft_size != fft_size or frame.rate != rate:
-            raise StreamError(
-                f"frame {frame.frame_index}: fft_size/rate changed mid-stream"
-            )
-        if frame.num_channels != channels:
+    out = None
+    for t, frame in enumerate(frames):
+        if t >= num_frames:
+            raise StreamError(f"frame stream runs past the expected {num_frames} frames")
+        if out is None:
+            fft_size, rate, channels = frame.fft_size, frame.rate, frame.num_channels
+            window = sqrt_hann_window(fft_size)
+            window_sq = window * window
+            num_samples = (num_frames - 1) * shift + fft_size
+            out = np.zeros((channels, num_samples))
+            norm = np.zeros(num_samples)
+        elif frame.fft_size != fft_size or frame.rate != rate:
+            raise StreamError(f"frame {frame.frame_index}: fft_size/rate changed mid-stream")
+        elif frame.num_channels != channels:
             raise StreamError(f"frame {frame.frame_index}: channel count changed")
-        if last_index is not None and frame.frame_index <= last_index:
+        elif frame.frame_index <= last_index:
             raise StreamError(f"frame index {frame.frame_index} not increasing")
         last_index = frame.frame_index
-
-    num_samples = (len(frame_list) - 1) * shift + fft_size
-    out = np.zeros((channels, num_samples))
-    norm = np.zeros(num_samples)
-    window_sq = window * window
-    for t, frame in enumerate(frame_list):
         start = t * shift
         out[:, start : start + fft_size] += np.fft.irfft(frame.bins, n=fft_size, axis=1) * window
         norm[start : start + fft_size] += window_sq
-    positive = norm > 1e-10
-    out[:, positive] /= norm[positive]
+    if out is None:
+        raise StreamError("cannot synthesize from an empty frame stream")
+    if t + 1 != num_frames:
+        raise StreamError(f"frame stream ended after {t + 1} of {num_frames} frames")
+    np.divide(out, norm, out=out, where=norm > 1e-10)
     return AudioBuffer(out, rate)
 
 

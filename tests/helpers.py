@@ -6,7 +6,6 @@ from arraysep.config import PipelineConfig, SourceDirection, StageToggles
 from arraysep.metrics import measure_quality
 from arraysep.pipeline import run_stages
 from arraysep.simulate import SceneSpec, box_array_geometry
-from arraysep.stft import stft_synthesize
 
 
 def pipeline_config_for_scene(spec: SceneSpec, adapt=True, postfilter=True,
@@ -26,8 +25,7 @@ def separate_scene(render, spec, adapt=True, postfilter=True, **overrides):
     """Run the separation stages over a rendered scene; returns (audio, output)."""
     config = pipeline_config_for_scene(spec, adapt=adapt, postfilter=postfilter, **overrides)
     output = run_stages(render.mixture, config)
-    audio = stft_synthesize(output.frames, config.shift)
-    return audio, output
+    return output.separated, output
 
 
 def stage_sir(render, spec, adapt, postfilter):

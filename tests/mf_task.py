@@ -18,7 +18,6 @@ from arraysep.masks import align_to_feature_frames, masks_from_records
 from arraysep.pipeline import run_stages
 from arraysep.simulate import (SceneSource, SceneSpec, SignalSpec,
                                box_array_geometry, render_signal, synthesize)
-from arraysep.stft import stft_synthesize
 
 VOICE_CLASSES = [
     SignalSpec(kind="harmonic", pitch_hz=100.0, formants_hz=(400.0, 800.0)),
@@ -85,9 +84,8 @@ def run_trial(models, seed: int):
         stages=StageToggles(adapt=False, postfilter=True, features=False),
     ).validate()
     output = run_stages(render.mixture, config)
-    audio = stft_synthesize(output.frames, config.shift)
 
-    stream16 = resample_48k_to_16k(AudioBuffer(audio.samples[0], 48000))
+    stream16 = resample_48k_to_16k(AudioBuffer(output.separated.samples[0], 48000))
     features = extract_features(stream16)
     vectors = np.stack([np.concatenate([f.static, f.delta]) for f in features])
     mask = align_to_feature_frames(masks_from_records(output.records, 0), len(features))

@@ -1,0 +1,37 @@
+"""The benchmark in ``perfbench/`` drives the program through its public
+names: its tracer wraps them by module attribute and its workloads check
+the artifacts of one ``run_pipeline`` call.  This runs one smoke-sized
+operation the way ``perfbench/run.py --trace`` does, so a change that breaks
+that contract fails here rather than only in the benchmark."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_smoke_operation_passes_the_benchmark_checks(tmp_path, monkeypatch):
+    tracer_module, workloads = _load("tracer", monkeypatch), _load("workloads", monkeypatch)
+    workload = workloads.smoke(workloads.WORKLOADS["trio-diag-b15"])
+    prepared = workloads.setup(workload, 0, str(tmp_path / "inputs"),
+                               lambda fn, *args, **kwargs: fn(*args, **kwargs))
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("op"):
+            out = workloads.run_op(workload, prepared, 0, str(tmp_path / "out"))
+        problems, _ = workloads.check_op(workload, prepared.scenes[0], out)
+    finally:
+        tracer.uninstall()
+    assert problems == []
+    # set-up ran untraced, so the scene renderer recorded no span
+    tracer.require(workload.layers() - {"simulate.synthesize"})

@@ -55,6 +55,26 @@ class TestParse:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(dict(MINIMAL, **{key: value}))
 
+    @pytest.mark.parametrize("key, value", [
+        ("fft_size", 1024.0), ("shift", 512.0), ("feature_fft_size", True),
+        ("mcra_window_length", 150.5), ("mcra_window_length", float("inf")),
+        ("mcra_window_length", True), ("spectral_exponent", float("nan")),
+        ("mask_threshold", float("nan")), ("step_size", float("nan")),
+        ("step_size", float("inf")), ("mcra_onset_threshold", float("nan")),
+        ("speed_of_sound", float("nan")), ("leak_factor", "0.25"),
+    ])
+    def test_non_integer_and_non_finite_values_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(dict(MINIMAL, **{key: value}))
+
+    @pytest.mark.parametrize("key, value", [("azimuth_deg", float("nan")),
+                                            ("elevation_deg", float("-inf")),
+                                            ("azimuth_deg", None)])
+    def test_non_finite_source_angles_rejected(self, key, value):
+        source = dict(MINIMAL["sources"][0], **{key: value})
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(dict(MINIMAL, sources=[source]))
+
     def test_reference_count_must_match_sources(self):
         with pytest.raises(ConfigError):
             config_from_dict(dict(MINIMAL, reference_wavs=["a.wav", "b.wav"]))

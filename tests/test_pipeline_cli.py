@@ -3,12 +3,13 @@
 import logging
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
-from arraysep import gss
+from arraysep import gss, pipeline
 from arraysep.audio import AudioBuffer, read_wav, write_wav
 from arraysep.cli import main
 from arraysep.config import PipelineConfig, SourceDirection
@@ -131,7 +132,7 @@ class TestRunPipeline:
         for frame in stft_analyze(render.mixture, 1024, 512):
             bins = np.sum(weights * frame.bins.T, axis=1)
             frames.append(SpectralFrame(bins[np.newaxis, :], frame.frame_index, 1024, 48000))
-        reference = stft_synthesize(frames, 512)
+        reference = stft_synthesize(frames, 512, len(frames))
         n = min(audio.num_samples, reference.num_samples)
         rms = np.sqrt(np.mean((audio.samples[0, :n] - reference.samples[0, :n]) ** 2))
         assert rms <= 1e-6
@@ -160,14 +161,33 @@ class TestRunPipeline:
         with np.errstate(over="ignore", invalid="ignore"):
             with caplog.at_level(logging.INFO, logger="arraysep.pipeline"):
                 output = run_stages(mixture, config)
-            separated = run_stages(mixture, pipeline_config_for_scene(spec, adapt=False,
-                                                                      postfilter=False))
+            state = gss.init_delay_and_sum(
+                steering_matrix(config.geometry(), config.source_set(), config.fft_size))
             reference = PostFilter(1, config.fft_size // 2 + 1, config.postfilter_config())
-            for frame in separated.frames:
-                reference.process(frame)
+            for frame in stft_analyze(mixture, config.fft_size, config.shift):
+                reference.process(gss.separate(state, frame))
         assert reference.gains.fault_count > 0
-        assert (f"stages: {len(output.frames)} frames, "
+        assert (f"stages: {output.num_frames} frames, "
                 f"{reference.gains.fault_count} post-filter gain faults") in caplog.messages
+
+    def test_run_stages_memory_does_not_keep_frames(self):
+        # per audio second, 3 sources' separated spectra would be 2.3 MB; the
+        # 48 kHz output is 1.15 MB and the band records about 0.2 MB
+        def retained(seconds):
+            spec = three_speaker_scene(90.0, duration_s=seconds, seed=12)
+            render = synthesize(spec)
+            config = pipeline_config_for_scene(spec)
+            tracemalloc.start()
+            try:
+                output = run_stages(render.mixture, config)  # held while measuring
+                current = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            return current
+
+        retained(0.25)  # warm lazy imports and caches
+        per_second = retained(1.5) - retained(0.5)
+        assert per_second < 1.6e6
 
 
 class TestDiagnosticDumps:
@@ -321,7 +341,10 @@ class TestCli:
 
     @pytest.mark.parametrize("key, value", [("feature_shift", 0), ("feature_fft_size", 401),
                                             ("mcra_window_length", 0),
-                                            ("mcra_power_smoothing", 1.5)])
+                                            ("mcra_power_smoothing", 1.5),
+                                            ("fft_size", 1024.0),
+                                            ("spectral_exponent", float("nan")),
+                                            ("mask_threshold", float("nan"))])
     def test_invalid_key_exits_before_any_output(self, short_scene, scene_dir, tmp_path,
                                                  key, value):
         spec, _ = short_scene
@@ -352,6 +375,20 @@ class TestCli:
         }[command]
         assert main(argv) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_output_dir_file_rejected_before_stages(self, short_scene, scene_dir, tmp_path,
+                                                    monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("run_stages ran before the output directory was checked")
+
+        monkeypatch.setattr(pipeline, "run_stages", fail)
+        spec, _ = short_scene
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        config_path = tmp_path / "cfg.yaml"
+        write_config(config_path, spec, scene_dir, tmp_path / "out")
+        assert main(["separate", "--config", str(config_path),
+                     "--output-dir", str(blocker)]) == 3
 
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "bad.yaml"

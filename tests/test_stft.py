@@ -82,7 +82,8 @@ class TestSynthesize:
     @pytest.mark.parametrize("fft_size,shift,rate", [(1024, 512, 48000), (400, 160, 16000)])
     def test_round_trip_noise(self, fft_size, shift, rate):
         x = _noise(2, 4 * rate // 10, rate, seed=11)
-        y = stft_synthesize(stft_analyze(x, fft_size, shift), shift)
+        y = stft_synthesize(stft_analyze(x, fft_size, shift), shift,
+                            frame_count(x.num_samples, fft_size, shift))
         n = min(x.num_samples, y.num_samples)
         lo, hi = fft_size, n - fft_size
         err = x.samples[:, lo:hi] - y.samples[:, lo:hi]
@@ -91,7 +92,7 @@ class TestSynthesize:
 
     def test_zero_spectra_silence(self):
         frames = [SpectralFrame(np.zeros((1, 513)), t, 1024, 48000) for t in range(4)]
-        out = stft_synthesize(frames, 512)
+        out = stft_synthesize(frames, 512, 4)
         assert np.all(out.samples == 0)
 
     def test_single_frame_impulse(self):
@@ -99,7 +100,7 @@ class TestSynthesize:
         x = np.zeros(1024)
         x[500] = 1.0
         frame = next(stft_analyze(AudioBuffer(x, 48000), 1024, 512))
-        out = stft_synthesize([frame], 512)
+        out = stft_synthesize([frame], 512, 1)
         window = sqrt_hann_window(1024)
         # direct oracle: irfft of the frame is the windowed impulse
         np.testing.assert_allclose(np.fft.irfft(frame.bins[0]), window * x, atol=1e-12)
@@ -110,17 +111,48 @@ class TestSynthesize:
         frames = [SpectralFrame(np.zeros((1, 513)), 0, 1024, 48000),
                   SpectralFrame(np.zeros((1, 201)), 1, 400, 48000)]
         with pytest.raises(StreamError):
-            stft_synthesize(frames, 512)
+            stft_synthesize(frames, 512, 2)
 
     def test_non_monotonic_frames_rejected(self):
         frames = [SpectralFrame(np.zeros((1, 513)), 1, 1024, 48000),
                   SpectralFrame(np.zeros((1, 513)), 0, 1024, 48000)]
         with pytest.raises(StreamError):
-            stft_synthesize(frames, 512)
+            stft_synthesize(frames, 512, 2)
 
     def test_empty_stream_rejected(self):
-        with pytest.raises(StreamError):
-            stft_synthesize([], 512)
+        with pytest.raises(StreamError, match="empty"):
+            stft_synthesize([], 512, 3)
+        with pytest.raises(StreamError, match="empty"):
+            stft_synthesize(iter(()), 512, 0)
+
+    @pytest.mark.parametrize("fft_size,shift,rate", [(1024, 512, 48000), (400, 160, 16000),
+                                                     (1024, 300, 48000)])
+    def test_streaming_matches_list_overlap_add(self, fft_size, shift, rate):
+        # oracle: materialize every frame, then overlap-add and normalize
+        x = _noise(3, rate // 3 + 77, rate, seed=5)
+        frames = list(stft_analyze(x, fft_size, shift))
+        window = sqrt_hann_window(fft_size)
+        expected = np.zeros((3, (len(frames) - 1) * shift + fft_size))
+        norm = np.zeros(expected.shape[1])
+        for t, frame in enumerate(frames):
+            expected[:, t * shift : t * shift + fft_size] += (
+                np.fft.irfft(frame.bins, n=fft_size, axis=1) * window)
+            norm[t * shift : t * shift + fft_size] += window * window
+        positive = norm > 1e-10
+        expected[:, positive] /= norm[positive]
+
+        stream = stft_analyze(x, fft_size, shift)  # a one-shot generator
+        out = stft_synthesize(stream, shift, frame_count(x.num_samples, fft_size, shift))
+        assert out.rate == rate
+        assert out.samples.shape == expected.shape
+        assert np.array_equal(out.samples, expected)
+
+    @pytest.mark.parametrize("declared", [3, 5, 1])
+    def test_stream_length_must_match_declared_count(self, declared):
+        frames = (SpectralFrame(np.ones((1, 513)), t, 1024, 48000) for t in range(4))
+        match = "runs past" if declared < 4 else "ended after 4 of"
+        with pytest.raises(StreamError, match=match):
+            stft_synthesize(frames, 512, declared)
 
 
 def test_window_cola_at_half_overlap():
