@@ -9,6 +9,7 @@ Python values so serialize(parse(file)) round-trips exactly.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -16,15 +17,17 @@ import yaml
 
 from .errors import ConfigError
 from .geometry import ArrayGeometry, Source, SourceSet
-from .postfilter import McraConfig, PostFilterConfig
 from .simulate import SceneSource, SceneSpec, SignalSpec
 
 
 def _check_numbers(obj, where: str = "") -> None:
-    """``int`` fields must hold an int, ``float`` fields a finite number; bools are neither."""
+    """``int`` fields must hold an int, ``float`` fields a finite number (bools are
+    neither) and ``bool`` fields a bool."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if f.type == "bool" and not isinstance(value, bool):
+            raise ConfigError(f"{where}{f.name} must be true or false, got {value!r}")
         if f.type == "int" and not (number and isinstance(value, int)):
             raise ConfigError(f"{where}{f.name} must be an integer, got {value!r}")
         if f.type == "float" and not (number and math.isfinite(value)):
@@ -56,10 +59,11 @@ class PipelineConfig:
     shift: int = 512
     step_size: float = 0.01           # separation adaptation rate
 
-    leak_factor: float = 0.25         # post-filter leakage fraction (power)
-    spectral_exponent: float = 1.0
-    snr_smoothing: float = 0.98
-    spectrum_smoothing: float = 0.7
+    # post-filter and its minima-controlled (MCRA) stationary noise tracker
+    leak_factor: float = 0.25         # power fraction of rival spectra (about -6 dB)
+    spectral_exponent: float = 1.0    # amplitude power the MMSE estimator optimizes
+    snr_smoothing: float = 0.98       # decision-directed weight on the previous frame
+    spectrum_smoothing: float = 0.7   # leakage reference smoother
     mcra_power_smoothing: float = 0.95
     mcra_window_length: int = 150
     mcra_presence_smoothing: float = 0.95
@@ -78,16 +82,23 @@ class PipelineConfig:
     noise_wav: str | None = None
 
     def validate(self) -> "PipelineConfig":
-        if len(self.mic_positions_m) < 2:
-            raise ConfigError("config needs at least two microphone positions")
         if not self.sources:
             raise ConfigError("config needs at least one source direction")
+        for source in self.sources:
+            sid = source.id  # names output files, so it must be one plain file name
+            if (not isinstance(sid, str) or sid in ("", ".", "..")
+                    or {"/", os.sep, os.altsep} & set(sid)):
+                raise ConfigError(f"source id {sid!r} must be a file name without a path")
+            _check_numbers(source, f"source {sid}: ")
         ids = [s.id for s in self.sources]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate source ids: {ids}")
         _check_numbers(self)
-        for source in self.sources:
-            _check_numbers(source, f"source {source.id}: ")
+        _check_numbers(self.stages, "stages: ")
+        try:
+            self.geometry()  # checks the count, shape and finiteness of the positions
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad mic_positions_m: {exc}") from exc
         if self.rate != 48000:
             raise ConfigError("separation pipeline runs at 48000 Hz")
         if self.fft_size % 2 or not 0 < self.shift <= self.fft_size:
@@ -129,20 +140,6 @@ class PipelineConfig:
             Source(s.id, float(np.deg2rad(s.azimuth_deg)), float(np.deg2rad(s.elevation_deg)))
             for s in self.sources
         ))
-
-    def postfilter_config(self) -> PostFilterConfig:
-        return PostFilterConfig(
-            leak_factor=self.leak_factor,
-            spectral_exponent=self.spectral_exponent,
-            snr_smoothing=self.snr_smoothing,
-            spectrum_smoothing=self.spectrum_smoothing,
-            mcra=McraConfig(
-                power_smoothing=self.mcra_power_smoothing,
-                window_length=self.mcra_window_length,
-                presence_smoothing=self.mcra_presence_smoothing,
-                onset_threshold=self.mcra_onset_threshold,
-            ),
-        )
 
 
 def config_to_dict(config: PipelineConfig) -> dict:

@@ -51,23 +51,16 @@ class GmmModel:
 
 @dataclass
 class LabeledFeatureSet:
-    """Feature rows with class labels and (optionally) aligned mask rows."""
+    """Feature rows with their class labels."""
 
     features: np.ndarray            # (n, D)
     labels: np.ndarray              # (n,) class tokens
-    masks: np.ndarray | None = None  # (n, D) bool
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels)
         if self.labels.shape[0] != self.features.shape[0]:
             raise ValueError("labels and features disagree on frame count")
-        if self.masks is not None:
-            self.masks = np.asarray(self.masks, dtype=bool)
-            if self.masks.shape != self.features.shape:
-                raise ValueError(
-                    f"mask shape {self.masks.shape} does not match features {self.features.shape}"
-                )
 
 
 def marginal_log_likelihoods(model: GmmModel, features: np.ndarray,
@@ -92,13 +85,6 @@ def marginal_log_likelihoods(model: GmmModel, features: np.ndarray,
                       + diff * diff / model.variances[np.newaxis, :, :])
     component_ll = np.sum(log_dim * masks[:, np.newaxis, :], axis=2)
     return logsumexp(component_ll + np.log(model.priors)[np.newaxis, :], axis=1)
-
-
-def marginal_log_likelihood(model: GmmModel, x: np.ndarray,
-                            mask: np.ndarray | None = None) -> float:
-    """Single-frame convenience wrapper around marginal_log_likelihoods."""
-    masks = None if mask is None else np.atleast_2d(mask)
-    return float(marginal_log_likelihoods(model, np.atleast_2d(x), masks)[0])
 
 
 def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -154,8 +140,7 @@ def train_gmm(dataset: LabeledFeatureSet, num_components: int,
               seed: int) -> dict[str, GmmModel]:
     """EM-fit one mixture per class; deterministic for a fixed seed.
 
-    Training uses the clean feature rows only (masks are ignored here; they
-    matter at scoring time).
+    Training uses clean feature rows; masks matter only at scoring time.
     """
     classes = sorted({str(label) for label in dataset.labels})
     seeds = np.random.SeedSequence(seed).spawn(len(classes))
@@ -170,20 +155,6 @@ def train_gmm(dataset: LabeledFeatureSet, num_components: int,
         rng = np.random.default_rng(class_seed)
         models[name] = _fit_single_class(rows, num_components, rng)
     return models
-
-
-def classify(models: dict[str, GmmModel], features: np.ndarray,
-             masks: np.ndarray | None = None) -> tuple[str, dict[str, float]]:
-    """Utterance label by summed per-frame marginal log-likelihoods."""
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if features.shape[0] < 1:
-        raise ValueError("classification needs at least one frame")
-    scores = {
-        name: float(marginal_log_likelihoods(model, features, masks).sum())
-        for name, model in models.items()
-    }
-    best = max(sorted(scores), key=lambda name: scores[name])
-    return best, scores
 
 
 def classify_frames(models: dict[str, GmmModel], features: np.ndarray,

@@ -49,16 +49,13 @@ def run_stages(mixture: AudioBuffer, config: PipelineConfig) -> StreamOutput:
         raise StreamError(
             f"input has {mixture.num_channels} channels, geometry expects {geometry.num_mics}"
         )
+    if mixture.rate != config.rate:
+        raise StreamError(f"input is sampled at {mixture.rate} Hz, config expects {config.rate}")
     steering = steering_matrix(geometry, sources, config.fft_size)
     state = gss.init_delay_and_sum(steering, config.step_size)
     postfilter = None
     if config.stages.postfilter:
-        postfilter = PostFilter(
-            sources.num_sources,
-            config.fft_size // 2 + 1,
-            config.postfilter_config(),
-            keep_diagnostics=config.dump_diagnostics,
-        )
+        postfilter = PostFilter(sources.num_sources, config.fft_size // 2 + 1, config)
 
     records: list[PostFilterRecord] = []
 

@@ -15,11 +15,12 @@ consumes them without recomputing any gains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, special
 
+from .config import PipelineConfig
 from .errors import StreamError
 from .features import mel_energies
 from .masks import mask_filterbank
@@ -38,28 +39,6 @@ UPSILON_MAX = 30.0   # clamp inside exp(-upsilon)
 TRACKING_SMOOTHING = 0.8
 
 
-@dataclass
-class McraConfig:
-    """Minima-controlled recursive averaging constants.
-
-    ``power_smoothing`` governs the noise recursion itself.
-    """
-
-    power_smoothing: float = 0.95
-    window_length: int = 150
-    presence_smoothing: float = 0.95
-    onset_threshold: float = 5.0
-
-
-@dataclass
-class PostFilterConfig:
-    leak_factor: float = 0.25        # power fraction of rival spectra (about -6 dB)
-    spectral_exponent: float = 1.0   # amplitude power the MMSE estimator optimizes
-    snr_smoothing: float = 0.98      # decision-directed weight on the previous frame
-    spectrum_smoothing: float = 0.7  # leakage reference smoother
-    mcra: McraConfig = field(default_factory=McraConfig)
-
-
 class McraEstimator:
     """Stationary noise floor tracker, elementwise over (sources, bins) or bins.
 
@@ -67,11 +46,12 @@ class McraEstimator:
     the onset threshold freezes the noise recursion instantly, and the
     smoothed presence score releases it gradually once the transient ends.
     Transients therefore barely leak into the floor while stationary noise
-    converges within a couple of tracking windows.
+    converges within a couple of tracking windows.  ``mcra_power_smoothing``
+    governs the noise recursion itself.
     """
 
-    def __init__(self, shape: int | tuple[int, ...], config: McraConfig | None = None):
-        self.config = config or McraConfig()
+    def __init__(self, shape: int | tuple[int, ...], config: PipelineConfig | None = None):
+        self.config = config or PipelineConfig()
         self.noise = np.zeros(shape)
         self._smoothed = np.zeros(shape)
         self._minimum = np.zeros(shape)
@@ -89,18 +69,18 @@ class McraEstimator:
             self._frames_seen = 1
             return self.noise
 
-        a = cfg.power_smoothing
+        a = cfg.mcra_power_smoothing
         at = TRACKING_SMOOTHING
         self._smoothed = at * self._smoothed + (1.0 - at) * power
-        if self._frames_seen % cfg.window_length == 0:
+        if self._frames_seen % cfg.mcra_window_length == 0:
             self._minimum = np.minimum(self._scratch, self._smoothed)
             self._scratch = self._smoothed.copy()
         else:
             self._minimum = np.minimum(self._minimum, self._smoothed)
             self._scratch = np.minimum(self._scratch, self._smoothed)
 
-        onset = self._smoothed > cfg.onset_threshold * np.maximum(self._minimum, _TINY)
-        ap = cfg.presence_smoothing
+        onset = self._smoothed > cfg.mcra_onset_threshold * np.maximum(self._minimum, _TINY)
+        ap = cfg.mcra_presence_smoothing
         self._presence = ap * self._presence + (1.0 - ap) * onset
         hold = np.maximum(self._presence, onset)  # instant freeze, smoothed release
         retain = a + (1.0 - a) * hold
@@ -120,15 +100,13 @@ class NoiseState:
     cancels when one source is many orders of magnitude louder.
     """
 
-    def __init__(self, num_sources: int, num_bins: int, leak_factor: float = 0.25,
-                 spectrum_smoothing: float = 0.7, mcra: McraConfig | None = None):
-        self.leak_factor = leak_factor
-        self.spectrum_smoothing = spectrum_smoothing
+    def __init__(self, num_sources: int, num_bins: int, config: PipelineConfig | None = None):
+        self.config = config or PipelineConfig()
         self.smoothed = np.zeros((num_sources, num_bins))
         self.stationary = np.zeros((num_sources, num_bins))
         self.leakage = np.zeros((num_sources, num_bins))
         self.total = np.zeros((num_sources, num_bins))
-        self._mcra = McraEstimator((num_sources, num_bins), mcra)
+        self._mcra = McraEstimator((num_sources, num_bins), self.config)
         # row m lists every source except m, in order: (M, M - 1)
         others = [[j for j in range(num_sources) if j != m] for m in range(num_sources)]
         self._others = np.array(others, dtype=np.intp).reshape(num_sources, num_sources - 1)
@@ -139,10 +117,10 @@ class NoiseState:
             raise StreamError(
                 f"noise update expects {self.smoothed.shape}, got {power.shape}"
             )
-        a = self.spectrum_smoothing
+        a = self.config.spectrum_smoothing
         self.smoothed = a * self.smoothed + (1.0 - a) * power
         self.stationary = self._mcra.update(power)
-        self.leakage = self.leak_factor * np.sum(self.smoothed[self._others], axis=1)
+        self.leakage = self.config.leak_factor * np.sum(self.smoothed[self._others], axis=1)
         self.total = self.stationary + self.leakage
         return self.total
 
@@ -184,7 +162,7 @@ def _gain_core(upsilon: np.ndarray, gamma: np.ndarray,
 
 
 def decision_directed_snr(prev_gain: np.ndarray, prev_snr_post: np.ndarray,
-                          snr_post: np.ndarray, smoothing: float = 0.98) -> np.ndarray:
+                          snr_post: np.ndarray, smoothing: float) -> np.ndarray:
     """Recursive prior-SNR estimate mixing the previous clean estimate with the
     current instantaneous one."""
     instantaneous = np.maximum(snr_post - 1.0, 0.0)
@@ -264,19 +242,16 @@ class GainState:
 
 
 class PostFilter:
-    """Streaming multi-source suppressor operating on separated frames."""
+    """Streaming multi-source suppressor operating on separated frames.
 
-    def __init__(self, num_sources: int, num_bins: int,
-                 config: PostFilterConfig | None = None, keep_diagnostics: bool = False):
-        self.config = config or PostFilterConfig()
-        self.noise = NoiseState(
-            num_sources, num_bins,
-            leak_factor=self.config.leak_factor,
-            spectrum_smoothing=self.config.spectrum_smoothing,
-            mcra=self.config.mcra,
-        )
+    Reads the post-filter keys of ``config`` (``PipelineConfig()`` if None);
+    with ``dump_diagnostics`` each record also keeps the per-bin internals.
+    """
+
+    def __init__(self, num_sources: int, num_bins: int, config: PipelineConfig | None = None):
+        self.config = config or PipelineConfig()
+        self.noise = NoiseState(num_sources, num_bins, self.config)
         self.gains = GainState(num_sources, num_bins)
-        self.keep_diagnostics = keep_diagnostics
         self._bank = mask_filterbank(2 * (num_bins - 1))
 
     def process(self, frame: SpectralFrame) -> tuple[SpectralFrame, PostFilterRecord]:
@@ -311,7 +286,7 @@ class PostFilter:
 
         powers = np.stack((power, np.abs(out_bins) ** 2, self.noise.stationary))
         record = PostFilterRecord(frame.frame_index, mel_energies(powers, self._bank))
-        if self.keep_diagnostics:
+        if cfg.dump_diagnostics:
             record.noise_stat = self.noise.stationary.copy()
             record.noise_leak = self.noise.leakage.copy()
             record.snr_prior = snr_prior

@@ -38,9 +38,7 @@ class SignalSpec:
 
     ``am_noise`` is band-limited (300-7000 Hz) noise under a slow random
     envelope; ``harmonic`` is a random-phase harmonic train with pitch
-    drift and resonance bumps, a rough stand-in for voiced speech;
-    ``shaped_noise`` is envelope-modulated noise whose spectrum carries
-    the resonance bumps, giving a realization-stable spectral signature.
+    drift and resonance bumps, a rough stand-in for voiced speech.
     """
 
     kind: str = "harmonic"
@@ -159,17 +157,6 @@ def _am_noise(spec: SignalSpec, rng: np.random.Generator, n: int, rate: int) -> 
     return shaped * _slow_envelope(rng, n, rate, spec.envelope_rate_hz, spec.envelope_depth)
 
 
-def _shaped_noise(spec: SignalSpec, rng: np.random.Generator, n: int, rate: int) -> np.ndarray:
-    grid = np.linspace(0.0, rate / 2.0, 257)
-    gains = np.full_like(grid, 0.03)
-    for f0 in spec.formants_hz:
-        gains += np.exp(-0.5 * ((grid - f0) / (0.15 * f0 + 100.0)) ** 2)
-    gains[(grid < spec.band_low_hz) | (grid > spec.band_high_hz)] = 0.0
-    taps = sp_signal.firwin2(513, grid, gains, fs=rate)
-    shaped = sp_signal.fftconvolve(rng.standard_normal(n), taps, mode="same")
-    return shaped * _slow_envelope(rng, n, rate, spec.envelope_rate_hz, spec.envelope_depth)
-
-
 def _harmonic_train(spec: SignalSpec, rng: np.random.Generator, n: int, rate: int) -> np.ndarray:
     t = np.arange(n) / rate
     drift = spec.pitch_drift * np.sin(2.0 * np.pi * rng.uniform(0.1, 0.4) * t
@@ -195,8 +182,6 @@ def render_signal(spec: SignalSpec, rng: np.random.Generator, n: int, rate: int)
         out = _am_noise(spec, rng, n, rate)
     elif spec.kind == "harmonic":
         out = _harmonic_train(spec, rng, n, rate)
-    elif spec.kind == "shaped_noise":
-        out = _shaped_noise(spec, rng, n, rate)
     else:
         raise ConfigError(f"unknown signal kind {spec.kind!r}")
     rms = np.sqrt(np.mean(out**2))

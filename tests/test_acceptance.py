@@ -15,14 +15,14 @@ from scipy import integrate, stats
 
 from arraysep import gss
 from arraysep.audio import AudioBuffer, resample_48k_to_16k, write_wav
-from arraysep.config import serialize_config
+from arraysep.config import PipelineConfig, serialize_config
 from arraysep.features import mel_energies
 from arraysep.geometry import Source, SourceSet, SteeringMatrix, steering_matrix
-from arraysep.gmm import GmmModel, marginal_log_likelihood
+from arraysep.gmm import GmmModel, marginal_log_likelihoods
 from arraysep.masks import mask_filterbank, masks_from_records
 from arraysep.metrics import measure_quality
 from arraysep.pipeline import bench_pipeline, run_pipeline
-from arraysep.postfilter import PostFilter, PostFilterConfig
+from arraysep.postfilter import PostFilter
 from arraysep.simulate import (PRESET_ANGLES_DEG, SceneSource, SceneSpec, SignalSpec,
                                box_array_geometry, synthesize, three_speaker_scene)
 from arraysep.stft import SpectralFrame, frame_count, stft_analyze, stft_synthesize
@@ -155,8 +155,8 @@ class TestCriterion4PostFilterReduction:
             config.step_size)
 
         bins = config.fft_size // 2 + 1
-        multi = PostFilter(3, bins, PostFilterConfig(leak_factor=0.0))
-        singles = [PostFilter(1, bins, PostFilterConfig(leak_factor=0.0)) for _ in range(3)]
+        multi = PostFilter(3, bins, PipelineConfig(leak_factor=0.0))
+        singles = [PostFilter(1, bins, PipelineConfig(leak_factor=0.0)) for _ in range(3)]
         frames = 0
         for mixture_frame in stft_analyze(render.mixture, config.fft_size, config.shift):
             frame = gss.separate(state, mixture_frame)
@@ -256,15 +256,15 @@ class TestCriterion6Marginalization:
         worst = 0.0
         for x0 in np.linspace(-3.0, 3.0, 9):
             integral, _ = integrate.quad(lambda t: joint(x0, t), -np.inf, np.inf)
-            got = marginal_log_likelihood(model, np.array([x0, 0.0]),
-                                          np.array([True, False]))
+            got = marginal_log_likelihoods(model, np.array([x0, 0.0])[None],
+                                           np.array([True, False])[None])[0]
             worst = max(worst, abs(got - math.log(integral)) / abs(math.log(integral)))
         assert worst < 1e-4
 
         rng = np.random.default_rng(606)
         worst_full = 0.0
         for x in rng.standard_normal((50, 2)):
-            got = marginal_log_likelihood(model, x, np.array([True, True]))
+            got = marginal_log_likelihoods(model, x[None], np.array([True, True])[None])[0]
             direct = math.log(joint(x[0], x[1]))
             worst_full = max(worst_full, abs(got - direct))
         assert worst_full < 1e-10

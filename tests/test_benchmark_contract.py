@@ -2,11 +2,15 @@
 names: its tracer wraps them by module attribute and its workloads check
 the artifacts of one ``run_pipeline`` call.  This runs one smoke-sized
 operation the way ``perfbench/run.py --trace`` does, so a change that breaks
-that contract fails here rather than only in the benchmark."""
+that contract fails here rather than only in the benchmark.  The
+mf-recognize operation also reads the binary files back and scores them
+with the GMMs its set-up trained."""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -19,19 +23,20 @@ def _load(name, monkeypatch):
     return module
 
 
-def test_traced_smoke_operation_passes_the_benchmark_checks(tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", ["trio-diag-b15", "mf-recognize"])
+def test_traced_smoke_operation_passes_the_benchmark_checks(name, tmp_path, monkeypatch):
     tracer_module, workloads = _load("tracer", monkeypatch), _load("workloads", monkeypatch)
-    workload = workloads.smoke(workloads.WORKLOADS["trio-diag-b15"])
-    prepared = workloads.setup(workload, 0, str(tmp_path / "inputs"),
-                               lambda fn, *args, **kwargs: fn(*args, **kwargs))
+    workload = workloads.smoke(workloads.WORKLOADS[name])
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
+        # set-up is traced too: it is where scenes are rendered and models trained
+        prepared = workloads.setup(workload, 0, str(tmp_path / "inputs"),
+                                   lambda fn, *args, **kwargs: fn(*args, **kwargs))
         with tracer.span("op"):
             out = workloads.run_op(workload, prepared, 0, str(tmp_path / "out"))
         problems, _ = workloads.check_op(workload, prepared.scenes[0], out)
     finally:
         tracer.uninstall()
     assert problems == []
-    # set-up ran untraced, so the scene renderer recorded no span
-    tracer.require(workload.layers() - {"simulate.synthesize"})
+    tracer.require(workload.layers())

@@ -106,8 +106,6 @@ class TestRoundTrip:
         sources = config.source_set()
         assert sources.ids == ["talker"]
         assert sources.sources[0].azimuth == pytest.approx(np.deg2rad(15.0))
-        pf = config.postfilter_config()
-        assert pf.mcra.window_length == 150
 
 
 class TestSceneFiles:

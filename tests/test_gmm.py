@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from arraysep.gmm import (GmmModel, LabeledFeatureSet, classify, classify_frames,
-                          load_models, marginal_log_likelihood,
+from arraysep.gmm import (GmmModel, LabeledFeatureSet, classify_frames, load_models,
                           marginal_log_likelihoods, save_models, train_gmm)
 
 
@@ -26,23 +25,23 @@ def scalar_gaussian(x, mean, var):
 class TestMarginal:
     def test_full_mask_equals_standard_density(self):
         model = toy_model()
-        rng = np.random.default_rng(0)
-        for x in rng.standard_normal((20, 2)):
-            full = marginal_log_likelihood(model, x, np.array([True, True]))
+        frames = np.random.default_rng(0).standard_normal((20, 2))
+        full = marginal_log_likelihoods(model, frames, np.ones((20, 2), bool))
+        for x, got in zip(frames, full):
             direct = math.log(sum(
                 p * scalar_gaussian(x[0], mu[0], v[0]) * scalar_gaussian(x[1], mu[1], v[1])
                 for p, mu, v in zip(model.priors, model.means, model.variances)))
-            assert full == pytest.approx(direct, abs=1e-10)
+            assert got == pytest.approx(direct, abs=1e-10)
 
     def test_empty_mask_is_log_one(self):
-        model = toy_model()
-        for x in [np.zeros(2), np.array([100.0, -50.0])]:
-            assert abs(marginal_log_likelihood(model, x, np.zeros(2, bool))) < 1e-12
+        frames = np.array([[0.0, 0.0], [100.0, -50.0]])
+        got = marginal_log_likelihoods(toy_model(), frames, np.zeros((2, 2), bool))
+        assert np.all(np.abs(got) < 1e-12)
 
     def test_hand_computed_one_dim_mixture(self):
         model = toy_model()
-        x = np.array([0.5, 99.0])  # second dim masked out, value irrelevant
-        got = marginal_log_likelihood(model, x, np.array([True, False]))
+        x = np.array([[0.5, 99.0]])  # second dim masked out, value irrelevant
+        got = marginal_log_likelihoods(model, x, np.array([[True, False]]))[0]
         direct = math.log(sum(p * scalar_gaussian(0.5, mu[0], v[0])
                               for p, mu, v in zip(model.priors, model.means, model.variances)))
         assert got == pytest.approx(direct, abs=1e-12)
@@ -55,26 +54,27 @@ class TestMarginal:
             return sum(p * scalar_gaussian(x0, mu[0], v[0]) * scalar_gaussian(x1, mu[1], v[1])
                        for p, mu, v in zip(model.priors, model.means, model.variances))
 
-        for x0 in [-1.5, 0.2, 2.0]:
+        starts = [-1.5, 0.2, 2.0]
+        frames = np.column_stack((starts, np.zeros(3)))
+        got = marginal_log_likelihoods(model, frames, np.tile([True, False], (3, 1)))
+        for x0, value in zip(starts, got):
             integral, _ = integrate.quad(lambda t: joint(x0, t), -np.inf, np.inf)
-            got = marginal_log_likelihood(model, np.array([x0, 0.0]),
-                                          np.array([True, False]))
-            assert got == pytest.approx(math.log(integral), rel=1e-4)
+            assert value == pytest.approx(math.log(integral), rel=1e-4)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            marginal_log_likelihood(toy_model(), np.zeros(3))
+            marginal_log_likelihoods(toy_model(), np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            marginal_log_likelihood(toy_model(), np.zeros(2), np.zeros(3, bool))
+            marginal_log_likelihoods(toy_model(), np.zeros((1, 2)), np.zeros((1, 3), bool))
 
     def test_component_order_invariance(self):
         model = toy_model()
         flipped = GmmModel(model.priors[::-1].copy(), model.means[::-1].copy(),
                            model.variances[::-1].copy())
-        x = np.array([0.3, -0.7])
-        mask = np.array([True, True])
-        assert marginal_log_likelihood(model, x, mask) == pytest.approx(
-            marginal_log_likelihood(flipped, x, mask), rel=1e-12)
+        x = np.array([[0.3, -0.7]])
+        mask = np.array([[True, True]])
+        assert marginal_log_likelihoods(model, x, mask)[0] == pytest.approx(
+            marginal_log_likelihoods(flipped, x, mask)[0], rel=1e-12)
 
 
 class TestTraining:
@@ -127,43 +127,40 @@ class TestTraining:
 
 class TestClassify:
     def test_single_class_returned(self):
-        models = {"only": toy_model()}
-        label, scores = classify(models, np.zeros((3, 2)))
-        assert label == "only" and set(scores) == {"only"}
+        labels = classify_frames({"only": toy_model()}, np.zeros((3, 2)))
+        assert list(labels) == ["only"] * 3
 
     def test_sampled_frames_recover_their_class(self):
         rng = np.random.default_rng(5)
         model_a = GmmModel(np.array([1.0]), np.array([[0.0, 0.0]]), np.array([[0.4, 0.4]]))
         model_b = GmmModel(np.array([1.0]), np.array([[4.0, -4.0]]), np.array([[0.4, 0.4]]))
         samples = rng.normal(model_a.means[0], np.sqrt(model_a.variances[0]), (50, 2))
-        label, scores = classify({"a": model_a, "b": model_b}, samples)
-        assert label == "a"
-        assert scores["a"] > scores["b"]
+        assert np.all(classify_frames({"a": model_a, "b": model_b}, samples) == "a")
 
     def test_masked_out_discriminative_dims_tie(self):
-        shared = (np.array([1.0]), np.array([[0.0, 7.0]]), np.array([[1.0, 0.5]]))
-        model_a = GmmModel(shared[0].copy(), shared[1].copy(), shared[2].copy())
+        model_a = GmmModel(np.array([1.0]), np.array([[0.0, 7.0]]), np.array([[1.0, 0.5]]))
         model_b = GmmModel(np.array([1.0]), np.array([[0.0, -7.0]]), np.array([[1.0, 0.5]]))
+        models = {"b": model_b, "a": model_a}
         rng = np.random.default_rng(6)
-        frames = rng.standard_normal((30, 2))
+        frames = np.column_stack((rng.standard_normal(30), -7.0 + rng.standard_normal(30)))
         masks = np.tile(np.array([True, False]), (30, 1))  # hide the differing dim
-        _, scores = classify({"a": model_a, "b": model_b}, frames, masks)
-        assert abs(scores["a"] - scores["b"]) < 1e-9
+        np.testing.assert_allclose(marginal_log_likelihoods(model_a, frames, masks),
+                                   marginal_log_likelihoods(model_b, frames, masks),
+                                   rtol=0, atol=1e-9)
+        assert np.all(classify_frames(models, frames) == "b")
+        # every frame ties, and a tie goes to the lexically first class
+        assert np.all(classify_frames(models, frames, masks) == "a")
 
     def test_class_order_invariance(self):
         rng = np.random.default_rng(7)
         frames = rng.standard_normal((20, 2))
+        frames[10:] += 5.0  # half the frames sit on class b
         models = {"a": toy_model(), "b": GmmModel(np.array([1.0]), np.array([[5.0, 5.0]]),
                                                   np.array([[1.0, 1.0]]))}
-        label1, scores1 = classify(models, frames)
-        label2, scores2 = classify(dict(reversed(list(models.items()))), frames)
-        assert label1 == label2
-        for key in scores1:
-            assert scores1[key] == pytest.approx(scores2[key], rel=1e-12)
-
-    def test_empty_utterance_rejected(self):
-        with pytest.raises(ValueError):
-            classify({"a": toy_model()}, np.zeros((0, 2)))
+        forward = classify_frames(models, frames)
+        np.testing.assert_array_equal(
+            forward, classify_frames(dict(reversed(list(models.items()))), frames))
+        assert set(forward) == {"a", "b"}
 
     def test_true_mask_beats_inverted_mask(self):
         # classes differ in every dim; corruption hits dims 0-1 only.  Keeping
@@ -235,5 +232,5 @@ class TestInvariants:
         masks = rng.random((10, 2)) > 0.3
         batch = marginal_log_likelihoods(model, frames, masks)
         for i in range(10):
-            single = marginal_log_likelihood(model, frames[i], masks[i])
+            single = marginal_log_likelihoods(model, frames[i : i + 1], masks[i : i + 1])[0]
             assert batch[i] == pytest.approx(single, rel=1e-12)

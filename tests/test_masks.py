@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from arraysep import gss
+from arraysep.config import PipelineConfig
 from arraysep.errors import AudioIOError
 from arraysep.features import (FeatureVector, mel_energies, read_features_binary,
                                write_features_binary)
@@ -139,7 +140,7 @@ def postfilter_run():
                      duration_s=0.6, noise_level_db=-40.0, seed=3)
     render = synthesize(spec)
     state = gss.init_delay_and_sum(steering_matrix(spec.geometry, spec.source_set(), 1024))
-    postfilter = PostFilter(2, 513, keep_diagnostics=True)
+    postfilter = PostFilter(2, 513, PipelineConfig(dump_diagnostics=True))
     inputs, outputs, records = [], [], []
     for frame in stft_analyze(render.mixture, 1024, 512):
         separated = gss.separate(state, frame)

@@ -163,7 +163,7 @@ class TestRunPipeline:
                 output = run_stages(mixture, config)
             state = gss.init_delay_and_sum(
                 steering_matrix(config.geometry(), config.source_set(), config.fft_size))
-            reference = PostFilter(1, config.fft_size // 2 + 1, config.postfilter_config())
+            reference = PostFilter(1, config.fft_size // 2 + 1, config)
             for frame in stft_analyze(mixture, config.fft_size, config.shift):
                 reference.process(gss.separate(state, frame))
         assert reference.gains.fault_count > 0
@@ -344,7 +344,10 @@ class TestCli:
                                             ("mcra_power_smoothing", 1.5),
                                             ("fft_size", 1024.0),
                                             ("spectral_exponent", float("nan")),
-                                            ("mask_threshold", float("nan"))])
+                                            ("mask_threshold", float("nan")),
+                                            ("dump_diagnostics", "false"),
+                                            ("stages", {"adapt": "no"}),
+                                            ("mic_positions_m", [["a", 0, 0], [1, 0, 0]])])
     def test_invalid_key_exits_before_any_output(self, short_scene, scene_dir, tmp_path,
                                                  key, value):
         spec, _ = short_scene
@@ -354,6 +357,27 @@ class TestCli:
         data[key] = value
         config_path.write_text(yaml.safe_dump(data))
         assert main(["separate", "--config", str(config_path)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source_id", ["../escaped", "c/../x", "..", ".", "", 7])
+    def test_source_id_must_be_a_file_name(self, short_scene, scene_dir, tmp_path, source_id):
+        spec, _ = short_scene
+        config_path = tmp_path / "cfg.yaml"
+        write_config(config_path, spec, scene_dir, tmp_path / "out")
+        data = yaml.safe_load(config_path.read_text())
+        data["sources"][0]["id"] = source_id
+        config_path.write_text(yaml.safe_dump(data))
+        assert main(["separate", "--config", str(config_path)]) == 2
+        # nothing in the output directory nor in its parent
+        assert os.listdir(tmp_path) == ["cfg.yaml"]
+
+    def test_input_rate_must_match_config(self, short_scene, scene_dir, tmp_path):
+        spec, render = short_scene
+        mixture = str(tmp_path / "mixture_16k.wav")
+        write_wav(mixture, AudioBuffer(render.mixture.samples, 16000))
+        config_path = tmp_path / "cfg.yaml"
+        write_config(config_path, spec, scene_dir, tmp_path / "out")
+        assert main(["separate", "--config", str(config_path), "--input", mixture]) == 4
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["separate", "features", "simulate", "score"])

@@ -7,25 +7,25 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from arraysep.config import PipelineConfig
 from arraysep.features import mel_energies
 from arraysep.masks import mask_filterbank
 from arraysep.postfilter import (GAIN_FLOOR, GAIN_MAX, Q_CEILING, Q_FLOOR, Q_HIGH_DB,
                                  Q_LOW_DB, McraEstimator, NoiseState, PostFilter,
-                                 PostFilterConfig, _gain_core, _window_mean,
-                                 decision_directed_snr, speech_absence_prior,
+                                 _gain_core, _window_mean, decision_directed_snr, speech_absence_prior,
                                  speech_presence_prob)
 from arraysep.stft import SpectralFrame
 
 
 class TestSmoothedSpectrum:
     def test_constant_input_converges_geometrically(self):
-        noise = NoiseState(1, 4, spectrum_smoothing=0.7)
+        noise = NoiseState(1, 4, PipelineConfig(spectrum_smoothing=0.7))
         for _ in range(100):
             noise.update(np.full((1, 4), 3.0))
         np.testing.assert_allclose(noise.smoothed[0], 3.0, rtol=1e-10)
 
     def test_impulse_decay(self):
-        noise = NoiseState(1, 1, spectrum_smoothing=0.7)
+        noise = NoiseState(1, 1, PipelineConfig(spectrum_smoothing=0.7))
         noise.update(np.ones((1, 1)))
         assert noise.smoothed[0, 0] == pytest.approx(0.3)
         for expected in [0.3 * 0.7, 0.3 * 0.49]:
@@ -34,7 +34,7 @@ class TestSmoothedSpectrum:
 
     def test_matches_reference_recursion_bitwise(self):
         rng = np.random.default_rng(0)
-        noise = NoiseState(1, 8, spectrum_smoothing=0.7)
+        noise = NoiseState(1, 8, PipelineConfig(spectrum_smoothing=0.7))
         reference = np.zeros(8)
         for _ in range(50):
             power = rng.random(8)
@@ -45,19 +45,19 @@ class TestSmoothedSpectrum:
 
 class TestLeakage:
     def test_single_source_no_leakage(self):
-        noise = NoiseState(1, 4, leak_factor=0.25)
+        noise = NoiseState(1, 4, PipelineConfig(leak_factor=0.25))
         noise.update(np.ones((1, 4)))
         assert np.all(noise.leakage == 0.0)
         np.testing.assert_array_equal(noise.total, noise.stationary)
 
     def test_zero_factor_no_leakage(self):
-        noise = NoiseState(3, 4, leak_factor=0.0)
+        noise = NoiseState(3, 4, PipelineConfig(leak_factor=0.0))
         noise.update(np.random.default_rng(1).random((3, 4)))
         assert np.all(noise.leakage == 0.0)
 
     def test_direct_sum_example(self):
         # no smoothing: the smoothed spectra are this frame's powers
-        noise = NoiseState(3, 1, leak_factor=0.25, spectrum_smoothing=0.0)
+        noise = NoiseState(3, 1, PipelineConfig(leak_factor=0.25, spectrum_smoothing=0.0))
         noise.update(np.array([[2.0], [4.0], [6.0]]))
         assert noise.leakage[0, 0] == pytest.approx(2.5)
         assert noise.leakage[1, 0] == pytest.approx(0.25 * 8.0)
@@ -65,7 +65,7 @@ class TestLeakage:
 
     def test_decomposition_exact(self):
         rng = np.random.default_rng(2)
-        noise = NoiseState(3, 16, leak_factor=0.25)
+        noise = NoiseState(3, 16, PipelineConfig(leak_factor=0.25))
         for _ in range(20):
             noise.update(rng.random((3, 16)))
             np.testing.assert_array_equal(noise.total, noise.stationary + noise.leakage)
@@ -122,7 +122,8 @@ class TestCrossSource:
     @pytest.mark.parametrize("num_sources", [2, 3, 5])
     def test_leakage_is_direct_sum_of_other_rows(self, num_sources):
         rng = np.random.default_rng(22)
-        noise = NoiseState(num_sources, 64, leak_factor=0.3, spectrum_smoothing=0.7)
+        noise = NoiseState(num_sources, 64,
+                           PipelineConfig(leak_factor=0.3, spectrum_smoothing=0.7))
         smoothed = np.zeros((num_sources, 64))
         for _ in range(6):
             power = wide_range_rows(rng, num_sources, 64)
@@ -262,7 +263,7 @@ class TestGain:
         # a loud frame over a settled floor, then a near-silent one: a high
         # prior SNR over a low posterior SNR sends the unclamped gain past GAIN_MAX
         rng = np.random.default_rng(9)
-        pf = PostFilter(1, 33, keep_diagnostics=True)
+        pf = PostFilter(1, 33, PipelineConfig(dump_diagnostics=True))
         for t, level in enumerate([1.0] * 20 + [1e3, 1e-3]):
             bins = level * (rng.standard_normal(33) + 1j * rng.standard_normal(33))
             _, record = pf.process(SpectralFrame(bins, t, 64, 48000))
@@ -328,7 +329,7 @@ def random_frames(rng, count, sources, bins):
 class TestPostFilter:
     def test_output_is_gain_times_input(self):
         rng = np.random.default_rng(5)
-        pf = PostFilter(2, 33, keep_diagnostics=True)
+        pf = PostFilter(2, 33, PipelineConfig(dump_diagnostics=True))
         for t, bins in enumerate(random_frames(rng, 30, 2, 33)):
             out, record = pf.process(SpectralFrame(bins, t, 64, 48000))
             np.testing.assert_allclose(out.bins, record.gain * bins)
@@ -343,13 +344,30 @@ class TestPostFilter:
     def test_zero_leak_matches_independent_single_source_filters(self):
         rng = np.random.default_rng(6)
         frames = random_frames(rng, 60, 3, 65)
-        multi = PostFilter(3, 65, PostFilterConfig(leak_factor=0.0))
-        singles = [PostFilter(1, 65, PostFilterConfig(leak_factor=0.0)) for _ in range(3)]
+        multi = PostFilter(3, 65, PipelineConfig(leak_factor=0.0))
+        singles = [PostFilter(1, 65, PipelineConfig(leak_factor=0.0)) for _ in range(3)]
         for t, bins in enumerate(frames):
             out_multi, _ = multi.process(SpectralFrame(bins, t, 128, 48000))
             for m in range(3):
                 out_single, _ = singles[m].process(SpectralFrame(bins[m : m + 1], t, 128, 48000))
                 np.testing.assert_array_equal(out_multi.bins[m], out_single.bins[0])
+
+    # a window of 10 frames restarts the minimum tracker within the 40 frames
+    @pytest.mark.parametrize("key, value", [
+        ("leak_factor", 0.5), ("spectral_exponent", 1.5), ("snr_smoothing", 0.9),
+        ("spectrum_smoothing", 0.5), ("mcra_power_smoothing", 0.8),
+        ("mcra_window_length", 10), ("mcra_presence_smoothing", 0.5),
+        ("mcra_onset_threshold", 2.0),
+    ])
+    def test_every_setting_reaches_the_output(self, key, value):
+        assert getattr(PipelineConfig(), key) != value
+        default, changed = PostFilter(3, 33), PostFilter(3, 33, PipelineConfig(**{key: value}))
+        differs = False
+        for t, bins in enumerate(random_frames(np.random.default_rng(10), 40, 3, 33)):
+            frame = SpectralFrame(bins, t, 64, 48000)
+            differs |= not np.array_equal(default.process(frame)[0].bins,
+                                          changed.process(frame)[0].bins)
+        assert differs
 
     def test_noise_decomposition_every_frame(self):
         rng = np.random.default_rng(7)
@@ -361,9 +379,9 @@ class TestPostFilter:
 
     def test_record_holds_mask_inputs(self):
         bank = mask_filterbank(64)
-        for keep_diagnostics in (False, True):
+        for dump_diagnostics in (False, True):
             rng = np.random.default_rng(8)
-            pf = PostFilter(2, 33, keep_diagnostics=keep_diagnostics)
+            pf = PostFilter(2, 33, PipelineConfig(dump_diagnostics=dump_diagnostics))
             for t, bins in enumerate(random_frames(rng, 3, 2, 33)):
                 out, record = pf.process(SpectralFrame(bins, t, 64, 48000))
                 per_bin = [np.abs(bins) ** 2, np.abs(out.bins) ** 2, pf.noise.stationary]
@@ -375,7 +393,7 @@ class TestPostFilter:
                                                    rtol=1e-12, atol=0.0)
             held = [f.name for f in dataclasses.fields(record)
                     if getattr(record, f.name) is not None]
-            if keep_diagnostics:
+            if dump_diagnostics:
                 assert len(held) == len(dataclasses.fields(record))
                 np.testing.assert_array_equal(record.noise_stat, pf.noise.stationary)
             else:

@@ -39,7 +39,7 @@ class TestFractionalDelay:
 
 
 class TestSignals:
-    @pytest.mark.parametrize("kind", ["harmonic", "am_noise", "shaped_noise"])
+    @pytest.mark.parametrize("kind", ["harmonic", "am_noise"])
     def test_rms_normalized(self, kind):
         rng = np.random.default_rng(3)
         signal = render_signal(SignalSpec(kind=kind), rng, 48000, 48000)
