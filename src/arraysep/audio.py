@@ -19,6 +19,11 @@ from .errors import AudioIOError, ConfigError
 SUPPORTED_RATES = (48000, 16000)
 
 
+def _check_rate(rate) -> None:
+    if int(rate) not in SUPPORTED_RATES:
+        raise ConfigError(f"unsupported sample rate {rate}; expected one of {SUPPORTED_RATES}")
+
+
 @dataclass
 class AudioBuffer:
     """Multichannel audio: ``samples`` is (channels, n_samples) float64."""
@@ -32,10 +37,7 @@ class AudioBuffer:
             samples = samples[np.newaxis, :]
         if samples.ndim != 2:
             raise ConfigError("samples must be 1-D or (channels, n_samples)")
-        if int(self.rate) not in SUPPORTED_RATES:
-            raise ConfigError(
-                f"unsupported sample rate {self.rate}; expected one of {SUPPORTED_RATES}"
-            )
+        _check_rate(self.rate)
         self.samples = samples
         self.rate = int(self.rate)
 
@@ -55,27 +57,71 @@ class AudioBuffer:
         return self.samples[index]
 
 
-def read_wav(path: str) -> AudioBuffer:
-    """Read a RIFF WAV file (PCM16, int32, float32 or float64, 1-8 channels)."""
+# Divisor that takes each WAV sample format to float64 in [-1, 1]; float data
+# is only widened.
+_FULL_SCALE = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0,
+               np.dtype(np.float32): 1.0, np.dtype(np.float64): 1.0}
+
+
+def _decode(raw: np.ndarray) -> np.ndarray:
+    """A float64 copy of raw WAV samples, scaled by their format's full scale."""
+    samples = np.array(raw, dtype=np.float64)
+    scale = _FULL_SCALE[raw.dtype]
+    if scale != 1.0:
+        samples /= scale
+    return samples
+
+
+@dataclass
+class MappedWav:
+    """A checked WAV file whose samples are mapped from disk, not decoded.
+
+    ``raw`` is (n_samples, channels) in the file's own sample format.  The
+    mapping lasts as long as a reference to ``raw`` or a view of it does; a
+    file truncated under a live mapping faults on the next read, so drop it
+    before anything can rewrite the file.
+    """
+
+    rate: int
+    raw: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(channels, n_samples), the shape of the decoded buffer."""
+        return self.raw.shape[1], self.raw.shape[0]
+
+    def __getitem__(self, channel: int) -> np.ndarray:
+        """One channel decoded to float64."""
+        return _decode(self.raw[:, channel])
+
+
+def open_wav(path: str) -> MappedWav:
+    """Map and check a RIFF WAV file (PCM16, int32, float32 or float64, 1-8
+    channels) without decoding it."""
     if not os.path.isfile(path):
         raise AudioIOError(f"input file not found: {path}")
     try:
-        rate, data = wavfile.read(path)
+        try:
+            rate, raw = wavfile.read(path, mmap=True)
+        except ValueError:
+            # 24-bit PCM cannot be mapped; scipy unpacks it to int32 in memory
+            rate, raw = wavfile.read(path)
     except (ValueError, OSError) as exc:
         raise AudioIOError(f"cannot read WAV file {path}: {exc}") from exc
-    if data.ndim == 1:
-        data = data[:, np.newaxis]
-    if data.shape[1] > 8:
-        raise AudioIOError(f"{path}: {data.shape[1]} channels exceeds the 8-channel limit")
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    elif data.dtype == np.int32:
-        samples = data.astype(np.float64) / 2147483648.0
-    else:
-        raise AudioIOError(f"{path}: unsupported sample format {data.dtype}")
-    return AudioBuffer(samples.T, rate)
+    if raw.ndim == 1:
+        raw = raw[:, np.newaxis]
+    if raw.shape[1] > 8:
+        raise AudioIOError(f"{path}: {raw.shape[1]} channels exceeds the 8-channel limit")
+    if raw.dtype not in _FULL_SCALE:
+        raise AudioIOError(f"{path}: unsupported sample format {raw.dtype}")
+    _check_rate(rate)
+    return MappedWav(rate, raw)
+
+
+def read_wav(path: str) -> AudioBuffer:
+    """Read and decode a whole WAV file (formats as ``open_wav``)."""
+    mapped = open_wav(path)
+    return AudioBuffer(_decode(mapped.raw).T, mapped.rate)
 
 
 def write_wav(path: str, audio: AudioBuffer) -> None:

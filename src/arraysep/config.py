@@ -20,18 +20,29 @@ from .geometry import ArrayGeometry, Source, SourceSet
 from .simulate import SceneSource, SceneSpec, SignalSpec
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_numbers(obj, where: str = "") -> None:
     """``int`` fields must hold an int, ``float`` fields a finite number (bools are
     neither) and ``bool`` fields a bool."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        number = _is_number(value)
         if f.type == "bool" and not isinstance(value, bool):
             raise ConfigError(f"{where}{f.name} must be true or false, got {value!r}")
         if f.type == "int" and not (number and isinstance(value, int)):
             raise ConfigError(f"{where}{f.name} must be an integer, got {value!r}")
         if f.type == "float" and not (number and math.isfinite(value)):
             raise ConfigError(f"{where}{f.name} must be a finite number, got {value!r}")
+
+
+def _check_file_name(name, what: str) -> None:
+    """Source ids name output files, so each must be one plain file name."""
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or {"/", os.sep, os.altsep} & set(name)):
+        raise ConfigError(f"{what} {name!r} must be a file name without a path")
 
 
 @dataclass
@@ -85,11 +96,8 @@ class PipelineConfig:
         if not self.sources:
             raise ConfigError("config needs at least one source direction")
         for source in self.sources:
-            sid = source.id  # names output files, so it must be one plain file name
-            if (not isinstance(sid, str) or sid in ("", ".", "..")
-                    or {"/", os.sep, os.altsep} & set(sid)):
-                raise ConfigError(f"source id {sid!r} must be a file name without a path")
-            _check_numbers(source, f"source {sid}: ")
+            _check_file_name(source.id, "source id")
+            _check_numbers(source, f"source {source.id}: ")
         ids = [s.id for s in self.sources]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate source ids: {ids}")
@@ -99,6 +107,8 @@ class PipelineConfig:
             self.geometry()  # checks the count, shape and finiteness of the positions
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad mic_positions_m: {exc}") from exc
+        if not all(_is_number(v) for position in self.mic_positions_m for v in position):
+            raise ConfigError(f"mic_positions_m must hold numbers, got {self.mic_positions_m!r}")
         if self.rate != 48000:
             raise ConfigError("separation pipeline runs at 48000 Hz")
         if self.fft_size % 2 or not 0 < self.shift <= self.fft_size:
@@ -221,6 +231,7 @@ def scene_from_dict(data: dict) -> SceneSpec:
         )
         sources = []
         for row in data.get("sources", []):
+            _check_file_name(row["id"], "scene source id")
             signal_data = dict(row.get("signal", {}))
             if "formants_hz" in signal_data:
                 signal_data["formants_hz"] = tuple(signal_data["formants_hz"])

@@ -91,15 +91,13 @@ def _check_frame(state: SeparationState, frame: SpectralFrame) -> np.ndarray:
 
 def separate(state: SeparationState, frame: SpectralFrame) -> SpectralFrame:
     """Apply the demixing matrices: one output channel per source."""
-    x = _check_frame(state, frame)
-    # (n_bins, M, N) @ (n_bins, N, 1) -> (n_bins, M)
-    y = np.matmul(state.demix, x.T[:, :, np.newaxis])[:, :, 0]
+    y = _demix(state, _check_frame(state, frame))
     return SpectralFrame(y.T, frame.frame_index, frame.fft_size, frame.rate)
 
 
 def decorrelation_cost(state: SeparationState, frame: SpectralFrame) -> float:
     """Sum over bins of the squared off-diagonal output correlation."""
-    y = np.matmul(state.demix, _check_frame(state, frame).T[:, :, np.newaxis])[:, :, 0]
+    y = _demix(state, _check_frame(state, frame))
     power = y.real ** 2 + y.imag ** 2  # |E_mj|^2 = |y_m|^2 |y_j|^2 for m != j
     return float(np.sum(power * (np.sum(power, axis=1, keepdims=True) - power)))
 
@@ -112,8 +110,15 @@ def geometric_cost(state: SeparationState) -> float:
     return float(np.sum(np.abs(residual) ** 2))
 
 
-def _gradients(state: SeparationState, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decorrelation and geometric gradients, each (n_bins, M, N); x is (N, n_bins).
+def _demix(state: SeparationState, x: np.ndarray) -> np.ndarray:
+    """y = W x per bin: (n_bins, M) outputs of an (N, n_bins) frame."""
+    return np.matmul(state.demix, x.T[:, :, np.newaxis])[:, :, 0]
+
+
+def _gradients(state: SeparationState, x: np.ndarray,
+               y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decorrelation and geometric gradients, each (n_bins, M, N), at the
+    frame x (N, n_bins) and its outputs y = W x (n_bins, M).
 
     Gradients follow the convention grad = d/dRe + j*d/dIm, which is what a
     finite-difference probe of the real costs measures.  With E = y y^H
@@ -123,7 +128,6 @@ def _gradients(state: SeparationState, x: np.ndarray) -> tuple[np.ndarray, np.nd
     and memory than the affine form 2 (W A A^H - A^H).
     """
     xt = x.T  # (n_bins, N)
-    y = np.matmul(state.demix, xt[:, :, np.newaxis])[:, :, 0]  # (n_bins, M)
     power = y.real ** 2 + y.imag ** 2
     ey = y * (np.sum(power, axis=1, keepdims=True) - power)
     grad_dec = 4.0 * ey[:, :, np.newaxis] * xt.conj()[:, np.newaxis, :]
@@ -137,17 +141,25 @@ def _gradients(state: SeparationState, x: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def gradients(state: SeparationState, frame: SpectralFrame) -> GradientPair:
     """Per-bin gradients of both costs at the current demixing matrices."""
-    return GradientPair(*_gradients(state, _check_frame(state, frame)))
+    x = _check_frame(state, frame)
+    return GradientPair(*_gradients(state, x, _demix(state, x)))
 
 
-def adapt(state: SeparationState, frame: SpectralFrame) -> SeparationState:
+def adapt(state: SeparationState, frame: SpectralFrame,
+          separated: SpectralFrame) -> SeparationState:
     """One stochastic-gradient update of the demixing matrices (in place).
 
-    The decorrelation term is scaled per bin by the inverse squared input
-    power; bins below the power floor apply only the geometric term.
+    ``separated`` is what ``separate(state, frame)`` returned for this frame
+    before any update, so y = W x is not computed twice.  The decorrelation
+    term is scaled per bin by the inverse squared input power; bins below
+    the power floor apply only the geometric term.
     """
     x = _check_frame(state, frame)
-    grad_dec, grad_geo = _gradients(state, x)
+    y = separated.bins.T
+    if y.shape != state.demix.shape[:2]:
+        raise StreamError(f"frame {frame.frame_index}: separated frame is {separated.bins.shape}, "
+                          f"demix expects {(state.num_sources, state.demix.shape[0])}")
+    grad_dec, grad_geo = _gradients(state, x, y)
 
     xpow = np.sum(np.abs(x) ** 2, axis=0)  # (n_bins,)
     scale = np.zeros_like(xpow)

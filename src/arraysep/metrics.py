@@ -10,8 +10,11 @@ make the metric undefined (None).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
+
+from .audio import MappedWav
 
 SIR_CAP_DB = 99.0
 EDGE_TRIM = 1024  # analysis/synthesis edges carry partial windows; skip them
@@ -52,17 +55,17 @@ def projected_power(output: np.ndarray, reference: np.ndarray) -> float | None:
     return gain * gain * ref_power
 
 
-def _projection_ratio_db(output: np.ndarray, references: list[np.ndarray]) -> float | None:
-    """Projection power on ``references[0]`` over the summed projection powers
-    on the others, in dB, skipping EDGE_TRIM samples at both ends."""
-    output = np.asarray(output, dtype=np.float64)
-    n = min([output.shape[-1]] + [r.shape[-1] for r in references])
+def _projection_ratio_db(output: np.ndarray, target_ref: np.ndarray,
+                         rivals: Iterable[np.ndarray], n: int) -> float | None:
+    """Projection power on ``target_ref`` over the summed projection powers on
+    ``rivals``, in dB, over the first ``n`` samples less EDGE_TRIM at both
+    ends.  Each rival is projected as the iteration yields it."""
     lo, hi = (EDGE_TRIM, n - EDGE_TRIM) if n > 2 * EDGE_TRIM else (0, n)
-    output, refs = output[..., lo:hi], [r[..., lo:hi] for r in references]
-    target = projected_power(output, refs[0])
+    output = output[..., lo:hi]
+    target = projected_power(output, target_ref[..., lo:hi])
     if target is None:
         return None
-    powers = [projected_power(output, r) for r in refs[1:]]
+    powers = (projected_power(output, rival[..., lo:hi]) for rival in rivals)
     residual = sum(p for p in powers if p is not None)
     if residual <= target * 10.0 ** (-SIR_CAP_DB / 10.0):
         return SIR_CAP_DB
@@ -72,22 +75,32 @@ def _projection_ratio_db(output: np.ndarray, references: list[np.ndarray]) -> fl
 def interference_ratio_db(output: np.ndarray, target_ref: np.ndarray,
                           rival_refs: list[np.ndarray]) -> float | None:
     """Target projection power over the summed rival projection powers, in dB."""
-    return _projection_ratio_db(output, [target_ref] + list(rival_refs))
+    output = np.asarray(output, dtype=np.float64)
+    n = min([output.shape[-1], target_ref.shape[-1]] + [r.shape[-1] for r in rival_refs])
+    return _projection_ratio_db(output, target_ref, rival_refs, n)
 
 
 def noise_ratio_db(output: np.ndarray, target_ref: np.ndarray,
-                   noise: np.ndarray) -> float | None:
-    """Target projection power over the summed per-channel noise projections."""
-    noise = np.atleast_2d(np.asarray(noise, dtype=np.float64))
-    return _projection_ratio_db(output, [target_ref] + list(noise))
+                   noise: np.ndarray | MappedWav) -> float | None:
+    """Target projection power over the summed per-channel noise projections.
+
+    ``noise`` is (N, n): an array, or a mapped WAV file whose channels are
+    decoded one at a time as they are projected, so that no (N, n) float64
+    copy of it exists.
+    """
+    output = np.asarray(output, dtype=np.float64)
+    channels, length = noise.shape
+    n = min(output.shape[-1], target_ref.shape[-1], length)
+    return _projection_ratio_db(output, target_ref, (noise[c] for c in range(channels)), n)
 
 
 def measure_quality(separated: list[np.ndarray], references: list[np.ndarray],
-                    noise: np.ndarray | None = None,
+                    noise: np.ndarray | MappedWav | None = None,
                     source_ids: list[str] | None = None) -> list[SourceQuality]:
     """Quality rows for one stage: separated channel m against reference m.
 
-    Without a noise reference the noise ratio is undefined.
+    ``noise`` is as ``noise_ratio_db`` takes it; without one the noise ratio
+    is undefined.
     """
     rows = []
     for m, output in enumerate(separated):

@@ -2,8 +2,10 @@
 
 Frames stream stage to stage in order; per-source audio, feature and mask
 files are only written once the whole stream processed cleanly, so a
-failing run leaves no partial outputs.  Identical config and inputs give
-byte-identical outputs.
+failing run leaves no partial outputs.  Each input is decoded only while a
+stage needs it: the mixture for the stage loop, the references and the noise
+(checked up front) for the quality report at the end.  Identical config and
+inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gss
-from .audio import AudioBuffer, read_wav, resample_48k_to_16k, write_wav
+from .audio import AudioBuffer, open_wav, read_wav, resample_48k_to_16k, write_wav
 from .config import PipelineConfig, serialize_config
 from .errors import AudioIOError, StreamError
 from .features import _write_csv, extract_features, write_features_binary, write_features_csv
@@ -63,7 +65,7 @@ def run_stages(mixture: AudioBuffer, config: PipelineConfig) -> StreamOutput:
         for frame in frames:
             separated = gss.separate(state, frame)
             if config.stages.adapt:
-                gss.adapt(state, frame)
+                gss.adapt(state, frame, separated)
             if postfilter is not None:
                 separated, record = postfilter.process(separated)
                 records.append(record)
@@ -121,6 +123,17 @@ def _dump_postfilter_records(path: str, records: list[PostFilterRecord], source:
                ["%d", "%d"] + ["%.6e"] * 5, "diagnostic")
 
 
+def _quality_rows(config: PipelineConfig, separated: AudioBuffer,
+                  ids: list[str]) -> list:
+    """Score the outputs against the first channel of each reference WAV and
+    the noise WAV, decoded channel by channel; no file mapping outlives this
+    call, since the run writes files on either side of it."""
+    references = [open_wav(path)[0] for path in config.reference_wavs]
+    noise = open_wav(config.noise_wav) if config.noise_wav else None
+    return measure_quality([separated.samples[m] for m in range(len(ids))],
+                           references, noise, source_ids=ids)
+
+
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Run the configured stages over an input WAV and emit all artifacts."""
     config.validate()
@@ -131,12 +144,13 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     if os.path.exists(config.output_dir) and not os.path.isdir(config.output_dir):
         raise AudioIOError(f"output_dir {config.output_dir} exists and is not a directory")
 
-    mixture = read_wav(config.input_wav)
-    references = [read_wav(p).channel(0) for p in config.reference_wavs]
-    noise = read_wav(config.noise_wav).samples if config.noise_wav else None
+    # A bad reference or noise WAV fails here, before any output is written;
+    # they are decoded only for the quality report at the end.
+    for path in [*config.reference_wavs, *([config.noise_wav] if config.noise_wav else [])]:
+        open_wav(path)
 
     _log_run_header(config)
-    output = run_stages(mixture, config)
+    output = run_stages(read_wav(config.input_wav), config)
 
     os.makedirs(config.output_dir, exist_ok=True)
     result = PipelineResult(output_dir=config.output_dir, frames_processed=output.num_frames)
@@ -195,11 +209,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                     output.records, m,
                 )
 
-    if references and separated is not None:
-        rows = measure_quality(
-            [separated.samples[m] for m in range(len(ids))],
-            references, noise, source_ids=ids,
-        )
+    if config.reference_wavs and separated is not None:
+        rows = _quality_rows(config, separated, ids)
         stage = "gss+pf" if config.stages.postfilter else ("gss" if config.stages.adapt else "delay-and-sum")
         report = QualityReport({stage: rows})
         report_path = os.path.join(config.output_dir, "quality_report.csv")

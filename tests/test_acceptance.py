@@ -160,7 +160,7 @@ class TestCriterion4PostFilterReduction:
         frames = 0
         for mixture_frame in stft_analyze(render.mixture, config.fft_size, config.shift):
             frame = gss.separate(state, mixture_frame)
-            gss.adapt(state, mixture_frame)
+            gss.adapt(state, mixture_frame, frame)
             out_multi, _ = multi.process(frame)
             for m in range(3):
                 single_frame = SpectralFrame(frame.bins[m : m + 1], frame.frame_index,
@@ -217,7 +217,7 @@ class TestCriterion5MaskBehavior:
                 stft_analyze(render.mixture, 1024, 512), *image_streams):
             separated = gss.separate(state, mixture_frame)
             contrib = [gss.separate(state, image_a).bins, gss.separate(state, image_b).bins]
-            gss.adapt(state, mixture_frame)
+            gss.adapt(state, mixture_frame, separated)
             _, record = postfilter.process(separated)
             records.append(record)
             for m in range(2):

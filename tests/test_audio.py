@@ -1,10 +1,12 @@
 """WAV I/O and the 48 kHz to 16 kHz resampler."""
 
+import struct
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from arraysep.audio import AudioBuffer, read_wav, resample_48k_to_16k, write_wav
+from arraysep.audio import AudioBuffer, open_wav, read_wav, resample_48k_to_16k, write_wav
 from arraysep.errors import AudioIOError, ConfigError
 
 
@@ -48,6 +50,35 @@ class TestWavRoundTrip:
         path = str(tmp_path / "x.wav")
         wavfile.write(path, 48000, data)
         np.testing.assert_array_equal(read_wav(path).samples, data.T / scale)
+
+    @pytest.mark.parametrize("dtype, scale", [(np.int16, 2.0 ** 15), (np.int32, 2.0 ** 31),
+                                              (np.float32, 1.0), (np.float64, 1.0)])
+    def test_channels_decode_like_the_whole_file(self, tmp_path, dtype, scale):
+        data = (np.random.default_rng(3).uniform(-0.9, 0.9, (300, 3)) * scale).astype(dtype)
+        path = str(tmp_path / "x.wav")
+        wavfile.write(path, 48000, data)
+        mapped = open_wav(path)
+        assert mapped.shape == (3, 300)
+        for c in range(3):
+            np.testing.assert_array_equal(mapped[c], data[:, c].astype(np.float64) / scale)
+            np.testing.assert_array_equal(mapped[c], read_wav(path).samples[c])
+
+    def test_pcm24_read_without_mapping(self, tmp_path):
+        # 24-bit samples have no numpy dtype to map; they are unpacked to int32
+        values = np.array([[0, 1], [-8388608, 8388607], [123456, -5]])
+        data = b"".join(int(v).to_bytes(3, "little", signed=True) for v in values.ravel())
+        fmt = struct.pack("<HHIIHH", 1, 2, 48000, 48000 * 6, 6, 24)
+        body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack(
+            "<I", len(data)) + data
+        path = tmp_path / "x.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        np.testing.assert_array_equal(read_wav(str(path)).samples, values.T / 2.0 ** 23)
+
+    def test_unsupported_rate_rejected(self, tmp_path):
+        path = str(tmp_path / "x.wav")
+        wavfile.write(path, 44100, np.zeros(10, dtype=np.float32))
+        with pytest.raises(ConfigError):
+            open_wav(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(AudioIOError):

@@ -161,7 +161,8 @@ class TestAdapt:
         state.step_size = 0.0
         before = state.demix.copy()
         x = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        gss.adapt(state, frame_for(state, x))
+        frame = frame_for(state, x)
+        gss.adapt(state, frame, gss.separate(state, frame))
         np.testing.assert_array_equal(state.demix, before)
 
     def test_single_source_stays_at_delay_and_sum(self):
@@ -172,7 +173,8 @@ class TestAdapt:
         reference = state.demix.copy()
         for t in range(100):
             x = rng.standard_normal((4, 33)) + 1j * rng.standard_normal((4, 33))
-            gss.adapt(state, SpectralFrame(x, t, 64, 48000))
+            frame = SpectralFrame(x, t, 64, 48000)
+            gss.adapt(state, frame, gss.separate(state, frame))
         assert np.abs(state.demix - reference).max() <= 1e-6
 
     def test_quiet_bins_skip_decorrelation_term(self):
@@ -181,8 +183,9 @@ class TestAdapt:
         x = np.zeros((3, 2), dtype=complex)
         x[:, 1] = 1e-10  # below the power floor
         before = state.demix.copy()
-        pair = gss.gradients(state, frame_for(state, x))
-        gss.adapt(state, frame_for(state, x))
+        frame = frame_for(state, x)
+        pair = gss.gradients(state, frame)
+        gss.adapt(state, frame, gss.separate(state, frame))
         expected = before - state.step_size * pair.geometric
         # bin 0 carries no signal at all: only the geometric term may act
         np.testing.assert_allclose(state.demix[0], expected[0], atol=1e-12)
@@ -202,7 +205,8 @@ class TestAdapt:
             x[:, 1] *= 1e-7  # below the power floor: geometric term only
             x[:, 2] *= 1e3
             before = state.demix.copy()
-            gss.adapt(state, frame_for(state, x))
+            frame = frame_for(state, x)
+            gss.adapt(state, frame, gss.separate(state, frame))
             for k in range(num_bins):
                 w, a, xk = before[k], state.steering.values[k], x[:, k]
                 y = w @ xk
@@ -215,20 +219,52 @@ class TestAdapt:
                 expected = w - state.step_size * (scale * grad_dec + grad_geo)
                 np.testing.assert_allclose(state.demix[k], expected, rtol=1e-12, atol=0)
 
+    def test_demix_matches_recomputed_output_update_bit_for_bit(self):
+        # reference: the update with both gradients taken from gss.gradients,
+        # which computes y = W x itself, instead of reusing separate's y
+        rng = np.random.default_rng(17)
+        geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (8, 3)), 48000)
+        sm = steering_matrix(geom, SourceSet((Source("a", 0.5), Source("b", -0.6),
+                                              Source("c", 1.4))), 1024)
+        state, reference = gss.init_delay_and_sum(sm), gss.init_delay_and_sum(sm)
+        for t in range(50):
+            x = rng.standard_normal((8, 513)) + 1j * rng.standard_normal((8, 513))
+            x[:, :20] *= 1e-7  # below the power floor: geometric term only
+            frame = SpectralFrame(x, t, 1024, 48000)
+            gss.adapt(state, frame, gss.separate(state, frame))
+
+            pair = gss.gradients(reference, frame)
+            power = np.sum(np.abs(x) ** 2, axis=0)
+            scale = np.zeros_like(power)
+            active = power >= gss.POWER_FLOOR
+            scale[active] = power[active] ** -2.0
+            reference.demix -= reference.step_size * (
+                scale[:, np.newaxis, np.newaxis] * pair.decorrelation + pair.geometric)
+            assert np.array_equal(state.demix, reference.demix), t
+
+    def test_separated_frame_shape_checked(self):
+        rng = np.random.default_rng(18)
+        state = random_state(rng, 3, 2, num_bins=4)
+        frame = frame_for(state, rng.standard_normal((3, 4)) + 0j)
+        with pytest.raises(StreamError, match="separated"):
+            gss.adapt(state, frame, frame)
+
     def test_divergence_raises(self):
         rng = np.random.default_rng(16)
         state = random_state(rng, 3, 2, num_bins=4)
         state.step_size = 1e308
         x = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StreamError, match="diverged"):
-            gss.adapt(state, frame_for(state, x))
+            frame = frame_for(state, x)
+            gss.adapt(state, frame, gss.separate(state, frame))
 
     def test_finite_after_bounded_input(self):
         rng = np.random.default_rng(13)
         state = random_state(rng, 4, 3, num_bins=8, scale=0.2)
         for t in range(200):
             x = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-            gss.adapt(state, SpectralFrame(x, t, 14, 48000))
+            frame = SpectralFrame(x, t, 14, 48000)
+            gss.adapt(state, frame, gss.separate(state, frame))
         assert np.all(np.isfinite(state.demix))
 
     def test_source_permutation_permutes_outputs(self):
@@ -244,8 +280,9 @@ class TestAdapt:
             outs = []
             for t, x in enumerate(frames):
                 frame = SpectralFrame(x, t, 64, 48000)
-                outs.append(gss.separate(state, frame).bins)
-                gss.adapt(state, frame)
+                separated = gss.separate(state, frame)
+                outs.append(separated.bins)
+                gss.adapt(state, frame, separated)
             return np.stack(outs)
 
         base = run(src)
@@ -280,7 +317,7 @@ class TestOnScenes:
             steering_matrix(spec.geometry, spec.source_set(), 1024))
         series = []
         for frame in stft_analyze(render.mixture, 1024, 512):
-            gss.adapt(state, frame)
+            gss.adapt(state, frame, gss.separate(state, frame))
             series.append(gss.geometric_cost(state))
         window = 93  # about one second of frames
         means = [np.mean(series[i * window : (i + 1) * window])

@@ -144,7 +144,7 @@ def postfilter_run():
     inputs, outputs, records = [], [], []
     for frame in stft_analyze(render.mixture, 1024, 512):
         separated = gss.separate(state, frame)
-        gss.adapt(state, frame)
+        gss.adapt(state, frame, separated)
         out, record = postfilter.process(separated)
         inputs.append(separated.bins)
         outputs.append(out.bins)

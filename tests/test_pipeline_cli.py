@@ -8,13 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 import yaml
+from scipy.io import wavfile
 
 from arraysep import gss, pipeline
 from arraysep.audio import AudioBuffer, read_wav, write_wav
 from arraysep.cli import main
-from arraysep.config import PipelineConfig, SourceDirection
+from arraysep.config import PipelineConfig, SourceDirection, scene_to_dict
 from arraysep.geometry import Source, SourceSet, SteeringMatrix, steering_matrix
-from arraysep.metrics import interference_ratio_db
+from arraysep.errors import AudioIOError
+from arraysep.metrics import QualityReport, interference_ratio_db, measure_quality
 from arraysep.pipeline import (_dump_gss_state, _dump_postfilter_records, bench_pipeline,
                                run_pipeline, run_stages)
 from arraysep.postfilter import PostFilter, PostFilterRecord
@@ -99,6 +101,71 @@ class TestRunPipeline:
         config.output_dir = str(tmp_path / "out")
         from arraysep.errors import AudioIOError
 
+        with pytest.raises(AudioIOError):
+            run_pipeline(config)
+        assert not os.path.exists(config.output_dir)
+
+    def test_metric_inputs_add_at_most_one_decoded_noise_channel_to_the_peak(
+            self, short_scene, scene_dir, tmp_path):
+        # the references and the noise are decoded only once the mixture is
+        # gone, the noise one channel at a time, so they stay under the
+        # stage loop's peak
+        spec, render = short_scene
+
+        def peak(name, metrics):
+            config = write_config(tmp_path / f"{name}.yaml", spec, scene_dir, tmp_path / name)
+            if not metrics:
+                config.reference_wavs, config.noise_wav = [], None
+            tracemalloc.start()
+            try:
+                run_pipeline(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("warm", True)  # lazy imports and caches
+        without, with_metrics = peak("without", False), peak("with", True)
+        channel_bytes = render.noise.shape[1] * 8
+        assert with_metrics <= without + 1.1 * channel_bytes
+
+    @pytest.mark.parametrize("noise_format", ["float32", "pcm16"])
+    def test_quality_report_matches_fully_decoded_inputs(self, short_scene, scene_dir, tmp_path,
+                                                         noise_format):
+        spec, render = short_scene
+        config = write_config(tmp_path / "c.yaml", spec, scene_dir, tmp_path / "out")
+        if noise_format == "pcm16":
+            config.noise_wav = str(tmp_path / "noise16.wav")
+            wavfile.write(config.noise_wav, 48000,
+                          np.round(render.noise.T * 32767.0).astype(np.int16))
+        result = run_pipeline(config)
+
+        separated = run_stages(read_wav(config.input_wav), config).separated
+        rows = measure_quality([separated.samples[m] for m in range(len(spec.sources))],
+                               [read_wav(p).channel(0) for p in config.reference_wavs],
+                               read_wav(config.noise_wav).samples,
+                               source_ids=[s.source_id for s in spec.sources])
+        oracle = str(tmp_path / "oracle.csv")
+        QualityReport({"gss+pf": rows}).to_csv(oracle)
+        assert open(result.report_csv, "rb").read() == open(oracle, "rb").read()
+        assert all(row.output_snr_db is not None for row in rows)
+        if os.path.exists("/proc/self/maps"):  # no input stays mapped after the run
+            maps = open("/proc/self/maps").read()
+            for path in [config.input_wav, config.noise_wav, *config.reference_wavs]:
+                assert os.path.realpath(path) not in maps
+
+    @pytest.mark.parametrize("fault", ["missing", "corrupt"])
+    @pytest.mark.parametrize("which", ["reference", "noise"])
+    def test_bad_metric_input_no_partial_outputs(self, short_scene, scene_dir, tmp_path,
+                                                 which, fault):
+        spec, _ = short_scene
+        config = write_config(tmp_path / "c.yaml", spec, scene_dir, tmp_path / "out")
+        bad = tmp_path / "bad.wav"
+        if fault == "corrupt":
+            bad.write_bytes(b"not a RIFF file")
+        if which == "reference":
+            config.reference_wavs[1] = str(bad)
+        else:
+            config.noise_wav = str(bad)
         with pytest.raises(AudioIOError):
             run_pipeline(config)
         assert not os.path.exists(config.output_dir)
@@ -263,12 +330,10 @@ class TestBench:
             ), duration_s=0.1).source_set()
             state = gss.init_delay_and_sum(steering_matrix(geom, sources, 1024))
             for _ in range(20):  # warmup
-                gss.separate(state, frame)
-                gss.adapt(state, frame)
+                gss.adapt(state, frame, gss.separate(state, frame))
             start = time.perf_counter()
             for _ in range(200):
-                gss.separate(state, frame)
-                gss.adapt(state, frame)
+                gss.adapt(state, frame, gss.separate(state, frame))
             return time.perf_counter() - start
 
         t1 = min(per_frame_cost(1) for _ in range(3))
@@ -347,7 +412,8 @@ class TestCli:
                                             ("mask_threshold", float("nan")),
                                             ("dump_diagnostics", "false"),
                                             ("stages", {"adapt": "no"}),
-                                            ("mic_positions_m", [["a", 0, 0], [1, 0, 0]])])
+                                            ("mic_positions_m", [["a", 0, 0], [1, 0, 0]]),
+                                            ("mic_positions_m", [["0.1", 0, 0], [-0.1, 0, 0]])])
     def test_invalid_key_exits_before_any_output(self, short_scene, scene_dir, tmp_path,
                                                  key, value):
         spec, _ = short_scene
@@ -370,6 +436,16 @@ class TestCli:
         assert main(["separate", "--config", str(config_path)]) == 2
         # nothing in the output directory nor in its parent
         assert os.listdir(tmp_path) == ["cfg.yaml"]
+
+    @pytest.mark.parametrize("source_id", ["../escaped", "c/../x", "..", "", 7])
+    def test_scene_source_id_must_be_a_file_name(self, tmp_path, source_id):
+        data = scene_to_dict(three_speaker_scene(90.0, duration_s=0.2, seed=7))
+        data["sources"][0]["id"] = source_id
+        scene = tmp_path / "scene.yaml"
+        scene.write_text(yaml.safe_dump(data))
+        assert main(["simulate", "--scene", str(scene),
+                     "--output-dir", str(tmp_path / "run" / "out")]) == 2
+        assert os.listdir(tmp_path) == ["scene.yaml"]
 
     def test_input_rate_must_match_config(self, short_scene, scene_dir, tmp_path):
         spec, render = short_scene
