@@ -9,8 +9,7 @@ missing-feature recognition.
 from .audio import AudioBuffer, read_wav, resample_48k_to_16k, write_wav
 from .errors import (ArraySepError, AudioIOError, ConfigError,
                      OverDeterminedSceneError, StreamError)
-from .geometry import (ArrayGeometry, Source, SourceSet, SteeringMatrix,
-                       far_field_delay, steering_matrix)
+from .geometry import ArrayGeometry, far_field_delay, steering_matrix
 from .stft import SpectralFrame, stft_analyze, stft_synthesize
 
 __version__ = "0.1.0"
@@ -22,10 +21,7 @@ __all__ = [
     "AudioIOError",
     "ConfigError",
     "OverDeterminedSceneError",
-    "Source",
-    "SourceSet",
     "SpectralFrame",
-    "SteeringMatrix",
     "StreamError",
     "__version__",
     "far_field_delay",

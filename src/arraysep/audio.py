@@ -8,6 +8,7 @@ separation side and 16 kHz on the feature side.
 from __future__ import annotations
 
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,9 +105,12 @@ def open_wav(path: str) -> MappedWav:
         try:
             rate, raw = wavfile.read(path, mmap=True)
         except ValueError:
-            # 24-bit PCM cannot be mapped; scipy unpacks it to int32 in memory
-            rate, raw = wavfile.read(path)
-    except (ValueError, OSError) as exc:
+            # 24-bit PCM cannot be mapped, nor can a data chunk cut short;
+            # scipy reads both into memory, and the cut one must not pass
+            with warnings.catch_warnings():
+                warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
+                rate, raw = wavfile.read(path)
+    except (ValueError, OSError, wavfile.WavFileWarning) as exc:
         raise AudioIOError(f"cannot read WAV file {path}: {exc}") from exc
     if raw.ndim == 1:
         raw = raw[:, np.newaxis]

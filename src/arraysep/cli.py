@@ -19,10 +19,10 @@ import logging
 import os
 import sys
 
-from .audio import AudioBuffer, read_wav, resample_48k_to_16k, write_wav
-from .config import (PipelineConfig, parse_config, parse_scene_file,
+from .audio import AudioBuffer, open_wav, read_wav, resample_48k_to_16k, write_wav
+from .config import (PipelineConfig, SourceDirection, parse_config, parse_scene_file,
                      write_scene_file)
-from .errors import ArraySepError, AudioIOError, ConfigError
+from .errors import ArraySepError, AudioIOError, ConfigError, StreamError
 from .features import extract_features, write_features_binary, write_features_csv
 from .metrics import QualityReport, measure_quality
 from .pipeline import bench_pipeline, run_pipeline
@@ -97,11 +97,19 @@ def _cmd_features(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     if len(args.output) != len(args.reference):
         raise ConfigError("need one reference per separated output")
-    outputs = [read_wav(p).channel(0) for p in args.output]
-    references = [read_wav(p).channel(0) for p in args.reference]
-    noise = read_wav(args.noise).samples if args.noise else None
+    # Each output and reference is scored on its first channel, outputs one at
+    # a time, and the noise is decoded channel by channel; every mapping is
+    # dropped before --csv is written, since that may rewrite one of the inputs.
+    outputs = [open_wav(p) for p in args.output]
+    references = [open_wav(p) for p in args.reference]
+    noise = open_wav(args.noise) if args.noise else None
+    rates = {w.rate for w in [*outputs, *references, *([noise] if noise else [])]}
+    if len(rates) > 1:
+        raise StreamError(f"score inputs must share one sample rate, got {sorted(rates)} Hz")
     ids = [os.path.splitext(os.path.basename(p))[0] for p in args.output]
-    rows = measure_quality(outputs, references, noise, source_ids=ids)
+    rows = measure_quality((w[0] for w in outputs), [w[0] for w in references], noise,
+                           source_ids=ids)
+    del outputs, references, noise
     report = QualityReport({args.stage: rows})
     if args.csv:
         report.to_csv(args.csv)
@@ -144,19 +152,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     render = synthesize(spec)
     config = PipelineConfig(
         mic_positions_m=[list(map(float, p)) for p in spec.geometry.mic_positions],
-        sources=[_scene_source_direction(s) for s in spec.sources[: args.sources]],
+        sources=[SourceDirection(s.source_id, s.azimuth_deg, s.elevation_deg)
+                 for s in spec.sources[: args.sources]],
     )
     config.validate()
     report = bench_pipeline(render.mixture, config)
     print(report.summary())
     return 0
-
-
-def _scene_source_direction(scene_source):
-    from .config import SourceDirection
-
-    return SourceDirection(scene_source.source_id, scene_source.azimuth_deg,
-                           scene_source.elevation_deg)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .geometry import ArrayGeometry, Source, SourceSet
+from .geometry import ArrayGeometry, direction_vector
 from .simulate import SceneSource, SceneSpec, SignalSpec
 
 
@@ -145,11 +145,10 @@ class PipelineConfig:
         return ArrayGeometry([list(map(float, p)) for p in self.mic_positions_m],
                              self.rate, self.speed_of_sound)
 
-    def source_set(self) -> SourceSet:
-        return SourceSet(tuple(
-            Source(s.id, float(np.deg2rad(s.azimuth_deg)), float(np.deg2rad(s.elevation_deg)))
-            for s in self.sources
-        ))
+    def directions(self) -> list[np.ndarray]:
+        """Far-field unit vector toward each source, in ``sources`` order."""
+        return [direction_vector(float(np.deg2rad(s.azimuth_deg)),
+                                 float(np.deg2rad(s.elevation_deg))) for s in self.sources]
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
@@ -232,6 +231,8 @@ def scene_from_dict(data: dict) -> SceneSpec:
         sources = []
         for row in data.get("sources", []):
             _check_file_name(row["id"], "scene source id")
+            if any(s.source_id == row["id"] for s in sources):
+                raise ConfigError(f"duplicate scene source id {row['id']!r}")
             signal_data = dict(row.get("signal", {}))
             if "formants_hz" in signal_data:
                 signal_data["formants_hz"] = tuple(signal_data["formants_hz"])

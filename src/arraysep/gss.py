@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import StreamError
-from .geometry import SteeringMatrix
 from .stft import SpectralFrame
 
 DEFAULT_STEP_SIZE = 0.01
@@ -26,9 +25,10 @@ POWER_FLOOR = 1e-12
 
 @dataclass
 class SeparationState:
-    """Per-bin demixing matrices, ``demix`` is (n_bins, M, N)."""
+    """Per-bin demixing matrices, ``demix`` is (n_bins, M, N), for the fixed
+    steering matrix ``steering``, (n_bins, N, M)."""
 
-    steering: SteeringMatrix
+    steering: np.ndarray
     demix: np.ndarray
     step_size: float = DEFAULT_STEP_SIZE
 
@@ -40,14 +40,10 @@ class SeparationState:
     def num_mics(self) -> int:
         return self.demix.shape[2]
 
-    @property
-    def source_ids(self) -> list[str]:
-        return self.steering.sources.ids
-
     @cached_property
     def _steering_operators(self) -> tuple[np.ndarray, np.ndarray]:
         """A and A^H as ``_real_operator``s, built once since steering is fixed."""
-        a = self.steering.values
+        a = self.steering
         return _real_operator(a), _real_operator(a.conj().transpose(0, 2, 1))
 
 
@@ -70,9 +66,9 @@ class GradientPair:
     geometric: np.ndarray
 
 
-def init_delay_and_sum(steering: SteeringMatrix, step_size: float = DEFAULT_STEP_SIZE) -> SeparationState:
+def init_delay_and_sum(steering: np.ndarray, step_size: float = DEFAULT_STEP_SIZE) -> SeparationState:
     """Demixing initialized as conjugate steering over N: a delay-and-sum beamformer per source."""
-    demix = steering.values.conj().transpose(0, 2, 1) / steering.num_mics
+    demix = steering.conj().transpose(0, 2, 1) / steering.shape[1]
     return SeparationState(steering, np.ascontiguousarray(demix), step_size)
 
 
@@ -104,7 +100,7 @@ def decorrelation_cost(state: SeparationState, frame: SpectralFrame) -> float:
 
 def geometric_cost(state: SeparationState) -> float:
     """Sum over bins of || demix @ steering - I ||^2."""
-    residual = np.matmul(state.demix, state.steering.values)
+    residual = np.matmul(state.demix, state.steering)
     m = state.num_sources
     residual[:, np.arange(m), np.arange(m)] -= 1.0
     return float(np.sum(np.abs(residual) ** 2))

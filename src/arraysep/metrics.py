@@ -94,10 +94,11 @@ def noise_ratio_db(output: np.ndarray, target_ref: np.ndarray,
     return _projection_ratio_db(output, target_ref, (noise[c] for c in range(channels)), n)
 
 
-def measure_quality(separated: list[np.ndarray], references: list[np.ndarray],
+def measure_quality(separated: Iterable[np.ndarray], references: list[np.ndarray],
                     noise: np.ndarray | MappedWav | None = None,
                     source_ids: list[str] | None = None) -> list[SourceQuality]:
     """Quality rows for one stage: separated channel m against reference m.
+    ``separated`` is read once, in order, so it may be a generator.
 
     ``noise`` is as ``noise_ratio_db`` takes it; without one the noise ratio
     is undefined.

@@ -46,18 +46,17 @@ def run_stages(mixture: AudioBuffer, config: PipelineConfig) -> StreamOutput:
     """Stream the mixture through separation, the optional post-filter and
     overlap-add; no frame outlives its own step through the chain."""
     geometry = config.geometry()
-    sources = config.source_set()
     if mixture.num_channels != geometry.num_mics:
         raise StreamError(
             f"input has {mixture.num_channels} channels, geometry expects {geometry.num_mics}"
         )
     if mixture.rate != config.rate:
         raise StreamError(f"input is sampled at {mixture.rate} Hz, config expects {config.rate}")
-    steering = steering_matrix(geometry, sources, config.fft_size)
+    steering = steering_matrix(geometry, config.directions(), config.fft_size)
     state = gss.init_delay_and_sum(steering, config.step_size)
     postfilter = None
     if config.stages.postfilter:
-        postfilter = PostFilter(sources.num_sources, config.fft_size // 2 + 1, config)
+        postfilter = PostFilter(len(config.sources), config.fft_size // 2 + 1, config)
 
     records: list[PostFilterRecord] = []
 
@@ -105,8 +104,8 @@ def _log_run_header(config: PipelineConfig) -> None:
     )
 
 
-def _dump_gss_state(path: str, state: gss.SeparationState) -> None:
-    header = ["bin"] + [f"w_{s}_{n}" for s in state.source_ids for n in range(state.num_mics)]
+def _dump_gss_state(path: str, state: gss.SeparationState, ids: list[str]) -> None:
+    header = ["bin"] + [f"w_{s}_{n}" for s in ids for n in range(state.num_mics)]
     magnitude = np.abs(state.demix).reshape(state.demix.shape[0], -1)
     table = np.column_stack((np.arange(magnitude.shape[0]), magnitude))
     _write_csv(path, ",".join(header), [table], ["%d"] + ["%.6e"] * magnitude.shape[1],
@@ -147,7 +146,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     # A bad reference or noise WAV fails here, before any output is written;
     # they are decoded only for the quality report at the end.
     for path in [*config.reference_wavs, *([config.noise_wav] if config.noise_wav else [])]:
-        open_wav(path)
+        rate = open_wav(path).rate
+        if rate != config.rate:
+            raise StreamError(f"{path} is sampled at {rate} Hz, config expects {config.rate}")
 
     _log_run_header(config)
     output = run_stages(read_wav(config.input_wav), config)
@@ -159,7 +160,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     serialize_config(config, effective)
     result.effective_config = effective
 
-    ids = output.state.source_ids
+    ids = [s.id for s in config.sources]
     separated = output.separated
     per_source_16k: dict[str, AudioBuffer] = {}
     for m, source_id in enumerate(ids):
@@ -201,7 +202,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 result.mask_files[source_id] = {"csv": mask_csv, "binary": mask_bin}
 
     if config.dump_diagnostics:
-        _dump_gss_state(os.path.join(config.output_dir, "gss_state.csv"), output.state)
+        _dump_gss_state(os.path.join(config.output_dir, "gss_state.csv"), output.state, ids)
         if output.records:
             for m, source_id in enumerate(ids):
                 _dump_postfilter_records(

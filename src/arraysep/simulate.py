@@ -16,7 +16,7 @@ from scipy import signal as sp_signal
 
 from .audio import AudioBuffer
 from .errors import ConfigError, OverDeterminedSceneError
-from .geometry import ArrayGeometry, Source, SourceSet, far_field_delay
+from .geometry import ArrayGeometry, direction_vector, far_field_delay
 
 SCENE_RATE = 48000
 DELAY_TAPS = 64  # windowed-sinc length of the fractional-delay interpolator
@@ -62,8 +62,10 @@ class SceneSource:
     gain_db: float = 0.0
     onset_s: float = 0.0
 
-    def to_source(self) -> Source:
-        return Source(self.source_id, np.deg2rad(self.azimuth_deg), np.deg2rad(self.elevation_deg))
+    @property
+    def direction(self) -> np.ndarray:
+        """Far-field unit vector toward the source."""
+        return direction_vector(np.deg2rad(self.azimuth_deg), np.deg2rad(self.elevation_deg))
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,6 @@ class SceneSpec:
         for src in self.sources:
             if not 0.0 <= src.onset_s <= self.duration_s:
                 raise ConfigError(f"onset {src.onset_s}s outside scene duration")
-
-    def source_set(self) -> SourceSet:
-        return SourceSet(tuple(s.to_source() for s in self.sources))
 
 
 @dataclass
@@ -209,9 +208,8 @@ def synthesize(spec: SceneSpec) -> SceneRender:
         clean[:onset] = 0.0
         references.append(clean)
 
-        source = scene_source.to_source()
         image = np.stack([
-            fractional_delay(clean, far_field_delay(geometry, mic, source.direction))
+            fractional_delay(clean, far_field_delay(geometry, mic, scene_source.direction))
             for mic in range(geometry.num_mics)
         ])
         images.append(image)

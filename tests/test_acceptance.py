@@ -17,7 +17,7 @@ from arraysep import gss
 from arraysep.audio import AudioBuffer, resample_48k_to_16k, write_wav
 from arraysep.config import PipelineConfig, serialize_config
 from arraysep.features import mel_energies
-from arraysep.geometry import Source, SourceSet, SteeringMatrix, steering_matrix
+from arraysep.geometry import steering_matrix
 from arraysep.gmm import GmmModel, marginal_log_likelihoods
 from arraysep.masks import mask_filterbank, masks_from_records
 from arraysep.metrics import measure_quality
@@ -46,16 +46,14 @@ class TestCriterion1Gradients:
             num_mics = int(rng.integers(2, 5))
             num_sources = int(rng.integers(1, num_mics + 1))
             phases = rng.uniform(0, 2 * np.pi, (1, num_mics, num_sources))
-            steering = SteeringMatrix(
-                np.exp(1j * phases), np.zeros((num_mics, num_sources)), 0, None,
-                SourceSet(tuple(Source(f"s{i}", 0.0, 0.01 * i) for i in range(num_sources))))
+            steering = np.exp(1j * phases)
             demix = 0.4 * (rng.standard_normal((1, num_sources, num_mics))
                            + 1j * rng.standard_normal((1, num_sources, num_mics)))
             state = gss.SeparationState(steering, demix.copy())
             x = rng.standard_normal((num_mics, 1)) + 1j * rng.standard_normal((num_mics, 1))
             pair = gss.gradients(state, SpectralFrame(x, 0, 0, 48000))
 
-            a = steering.values[0]
+            a = steering[0]
             xv = x[:, 0]
 
             def decorrelation(w):
@@ -109,8 +107,8 @@ class TestCriterion2DelayAndSum:
         render = synthesize(spec)
         audio, _ = separate_scene(render, spec, adapt=True, postfilter=False)
 
-        steering = steering_matrix(geometry, spec.source_set(), 1024)
-        weights = steering.values[:, :, 0].conj() / geometry.num_mics
+        steering = steering_matrix(geometry, [s.direction for s in spec.sources], 1024)
+        weights = steering[:, :, 0].conj() / geometry.num_mics
         frames = []
         for frame in stft_analyze(render.mixture, 1024, 512):
             bins = np.sum(weights * frame.bins.T, axis=1)
@@ -151,7 +149,7 @@ class TestCriterion4PostFilterReduction:
         render = synthesize(spec)
         config = pipeline_config_for_scene(spec, postfilter=False)
         state = gss.init_delay_and_sum(
-            steering_matrix(config.geometry(), config.source_set(), config.fft_size),
+            steering_matrix(config.geometry(), config.directions(), config.fft_size),
             config.step_size)
 
         bins = config.fft_size // 2 + 1
@@ -205,7 +203,8 @@ class TestCriterion5MaskBehavior:
         ), duration_s=6.0, noise_level_db=-40.0, seed=99)
         render = synthesize(spec)
 
-        state = gss.init_delay_and_sum(steering_matrix(geometry, spec.source_set(), 1024))
+        state = gss.init_delay_and_sum(
+            steering_matrix(geometry, [s.direction for s in spec.sources], 1024))
         postfilter = PostFilter(2, 513)
         bank = mask_filterbank()
         image_streams = [stft_analyze(AudioBuffer(render.source_images[i], 48000), 1024, 512)

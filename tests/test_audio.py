@@ -63,16 +63,36 @@ class TestWavRoundTrip:
             np.testing.assert_array_equal(mapped[c], data[:, c].astype(np.float64) / scale)
             np.testing.assert_array_equal(mapped[c], read_wav(path).samples[c])
 
+    PCM24 = np.array([[0, 1], [-8388608, 8388607], [123456, -5]])
+
+    def write_pcm24(self, path, extra_chunk=b""):
+        data = b"".join(int(v).to_bytes(3, "little", signed=True) for v in self.PCM24.ravel())
+        fmt = struct.pack("<HHIIHH", 1, 2, 48000, 48000 * 6, 6, 24)
+        body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + extra_chunk
+                + b"data" + struct.pack("<I", len(data)) + data)
+        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        return str(path)
+
     def test_pcm24_read_without_mapping(self, tmp_path):
         # 24-bit samples have no numpy dtype to map; they are unpacked to int32
-        values = np.array([[0, 1], [-8388608, 8388607], [123456, -5]])
-        data = b"".join(int(v).to_bytes(3, "little", signed=True) for v in values.ravel())
-        fmt = struct.pack("<HHIIHH", 1, 2, 48000, 48000 * 6, 6, 24)
-        body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack(
-            "<I", len(data)) + data
+        path = self.write_pcm24(tmp_path / "x.wav")
+        np.testing.assert_array_equal(read_wav(path).samples, self.PCM24.T / 2.0 ** 23)
+
+    def test_pcm24_unknown_chunk_only_warns(self, tmp_path):
+        path = self.write_pcm24(tmp_path / "x.wav", b"abcd" + struct.pack("<I", 2) + b"\0\0")
+        with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+            samples = read_wav(path).samples
+        np.testing.assert_array_equal(samples, self.PCM24.T / 2.0 ** 23)
+
+    def test_cut_data_chunk_rejected(self, tmp_path):
+        # the mapped read refuses a data chunk shorter than its header says;
+        # the in-memory read would return only the frames that are there
         path = tmp_path / "x.wav"
-        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
-        np.testing.assert_array_equal(read_wav(str(path)).samples, values.T / 2.0 ** 23)
+        wavfile.write(str(path), 48000, np.zeros((1000, 8), dtype=np.float32))
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) - 500 * 8 * 4])
+        with pytest.raises(AudioIOError, match="prematurely"):
+            open_wav(str(path))
 
     def test_unsupported_rate_rejected(self, tmp_path):
         path = str(tmp_path / "x.wav")

@@ -1,10 +1,10 @@
 """The benchmark in ``perfbench/`` drives the program through its public
 names: its tracer wraps them by module attribute and its workloads check
 the artifacts of one ``run_pipeline`` call.  This runs one smoke-sized
-operation the way ``perfbench/run.py --trace`` does, so a change that breaks
-that contract fails here rather than only in the benchmark.  The
-mf-recognize operation also reads the binary files back and scores them
-with the GMMs its set-up trained."""
+operation of each workload the way ``perfbench/run.py --trace`` does, so a
+change that breaks that contract fails here rather than only in the
+benchmark.  The mf-recognize operation also reads the binary files back and
+scores them with the GMMs its set-up trained."""
 
 import importlib.util
 import sys
@@ -23,7 +23,7 @@ def _load(name, monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("name", ["trio-diag-b15", "mf-recognize"])
+@pytest.mark.parametrize("name", ["trio-separate", "trio-diag-b15", "mf-recognize"])
 def test_traced_smoke_operation_passes_the_benchmark_checks(name, tmp_path, monkeypatch):
     tracer_module, workloads = _load("tracer", monkeypatch), _load("workloads", monkeypatch)
     workload = workloads.smoke(workloads.WORKLOADS[name])

@@ -38,6 +38,11 @@ class TestParse:
         with pytest.raises(ConfigError):
             config_from_dict({"mic_positions_m": MINIMAL["mic_positions_m"], "sources": []})
 
+    def test_duplicate_ids_rejected(self):
+        sources = [{"id": "a", "azimuth_deg": 0.0}, {"id": "a", "azimuth_deg": 60.0}]
+        with pytest.raises(ConfigError, match="duplicate"):
+            config_from_dict(dict(MINIMAL, sources=sources))
+
     def test_range_validation(self):
         for key, value in [("leak_factor", 1.5), ("snr_smoothing", 1.0),
                            ("mask_threshold", 0.0), ("spectral_exponent", -1.0),
@@ -103,9 +108,9 @@ class TestRoundTrip:
         config = config_from_dict(dict(MINIMAL))
         geometry = config.geometry()
         assert geometry.num_mics == 2
-        sources = config.source_set()
-        assert sources.ids == ["talker"]
-        assert sources.sources[0].azimuth == pytest.approx(np.deg2rad(15.0))
+        [direction] = config.directions()
+        azimuth = np.deg2rad(15.0)
+        np.testing.assert_allclose(direction, [np.cos(azimuth), np.sin(azimuth), 0.0])
 
 
 class TestSceneFiles:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from arraysep.errors import ConfigError, OverDeterminedSceneError
-from arraysep.geometry import (ArrayGeometry, Source, SourceSet, direction_vector,
-                               far_field_delay, steering_matrix)
+from arraysep.geometry import ArrayGeometry, direction_vector, far_field_delay, steering_matrix
 
 
 def pair_geometry(offset=0.1):
@@ -40,14 +39,14 @@ class TestDelays:
 
 class TestSteering:
     def test_dc_bin_all_ones(self):
-        sm = steering_matrix(pair_geometry(), SourceSet((Source("a", 0.4),)), 1024)
-        np.testing.assert_array_equal(sm.values[0], np.ones((2, 1)))
+        sm = steering_matrix(pair_geometry(), [direction_vector(0.4)], 1024)
+        np.testing.assert_array_equal(sm[0], np.ones((2, 1)))
 
     def test_zero_delay_column_of_ones(self):
         geom = ArrayGeometry(np.array([[0, 0.2, 0], [0, -0.2, 0]]), 48000)
         # broadside source: both delays zero, every bin entry is exactly 1
-        sm = steering_matrix(geom, SourceSet((Source("a", 0.0),)), 1024)
-        np.testing.assert_allclose(sm.values[:, :, 0], 1.0, atol=1e-12)
+        sm = steering_matrix(geom, [direction_vector(0.0)], 1024)
+        np.testing.assert_allclose(sm[:, :, 0], 1.0, atol=1e-12)
 
     def test_half_period_delay_is_minus_one(self):
         # delay K/2 at bin 1 lands on exp(-j*pi)
@@ -56,30 +55,30 @@ class TestSteering:
         phase = np.exp(-2j * np.pi * 1 * delay / k)
         assert phase == pytest.approx(-1.0)
         geom = ArrayGeometry(np.array([[delay * 343.0 / 48000.0, 0, 0], [0, 0, 0]]), 48000)
-        sm = steering_matrix(geom, SourceSet((Source("a", np.pi),)), k)
+        sm = steering_matrix(geom, [direction_vector(np.pi)], k)
         centered = geom.centered_positions[0, 0]
         expected = np.exp(-2j * np.pi * 1 * (centered * 48000 / 343.0) / k)
-        assert sm.values[1, 0, 0] == pytest.approx(expected)
+        assert sm[1, 0, 0] == pytest.approx(expected)
 
     def test_unit_modulus(self):
         geom = ArrayGeometry(np.random.default_rng(0).uniform(-0.2, 0.2, (5, 3)), 48000)
-        sources = SourceSet(tuple(Source(f"s{i}", 0.9 * i, 0.2 * i) for i in range(4)))
+        sources = [direction_vector(0.9 * i, 0.2 * i) for i in range(4)]
         sm = steering_matrix(geom, sources, 1024)
-        np.testing.assert_allclose(np.abs(sm.values), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(sm), 1.0, atol=1e-12)
 
     def test_common_translation_changes_common_phase_only(self):
         rng = np.random.default_rng(4)
         positions = rng.uniform(-0.2, 0.2, (4, 3))
-        sources = SourceSet((Source("a", 0.3), Source("b", -1.1)))
+        sources = [direction_vector(0.3), direction_vector(-1.1)]
         base = steering_matrix(ArrayGeometry(positions, 48000), sources, 256)
         moved = steering_matrix(ArrayGeometry(positions + [1.0, -2.0, 0.5], 48000), sources, 256)
         # positions are centered internally, so steering is translation invariant;
         # the delay-and-sum output power is therefore unchanged by construction
-        np.testing.assert_allclose(base.values, moved.values, atol=1e-9)
+        np.testing.assert_allclose(base, moved, atol=1e-9)
 
     def test_over_determined_rejected(self):
         geom = pair_geometry()
-        sources = SourceSet(tuple(Source(f"s{i}", 0.1 * i) for i in range(3)))
+        sources = [direction_vector(0.1 * i) for i in range(3)]
         with pytest.raises(OverDeterminedSceneError):
             steering_matrix(geom, sources, 1024)
 
@@ -88,10 +87,6 @@ class TestValidation:
     def test_single_mic_rejected(self):
         with pytest.raises(ConfigError):
             ArrayGeometry(np.array([[0.0, 0.0, 0.0]]), 48000)
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ConfigError):
-            SourceSet((Source("a", 0.0), Source("a", 1.0)))
 
     def test_nonfinite_positions_rejected(self):
         with pytest.raises(ConfigError):

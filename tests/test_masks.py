@@ -139,7 +139,8 @@ def postfilter_run():
                      (SceneSource("a", 30.0, onset_s=0.15), SceneSource("b", -30.0)),
                      duration_s=0.6, noise_level_db=-40.0, seed=3)
     render = synthesize(spec)
-    state = gss.init_delay_and_sum(steering_matrix(spec.geometry, spec.source_set(), 1024))
+    state = gss.init_delay_and_sum(
+        steering_matrix(spec.geometry, [s.direction for s in spec.sources], 1024))
     postfilter = PostFilter(2, 513, PipelineConfig(dump_diagnostics=True))
     inputs, outputs, records = [], [], []
     for frame in stft_analyze(render.mixture, 1024, 512):

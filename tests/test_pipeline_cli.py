@@ -13,8 +13,8 @@ from scipy.io import wavfile
 from arraysep import gss, pipeline
 from arraysep.audio import AudioBuffer, read_wav, write_wav
 from arraysep.cli import main
-from arraysep.config import PipelineConfig, SourceDirection, scene_to_dict
-from arraysep.geometry import Source, SourceSet, SteeringMatrix, steering_matrix
+from arraysep.config import PipelineConfig, SourceDirection, scene_to_dict, serialize_config
+from arraysep.geometry import steering_matrix
 from arraysep.errors import AudioIOError
 from arraysep.metrics import QualityReport, interference_ratio_db, measure_quality
 from arraysep.pipeline import (_dump_gss_state, _dump_postfilter_records, bench_pipeline,
@@ -193,8 +193,8 @@ class TestRunPipeline:
         audio, _ = separate_scene(render, spec, adapt=True, postfilter=False)
 
         # frequency-domain delay-and-sum oracle, computed independently
-        steering = steering_matrix(geom, spec.source_set(), 1024)
-        weights = steering.values[:, :, 0].conj() / geom.num_mics  # (n_bins, N)
+        steering = steering_matrix(geom, [s.direction for s in spec.sources], 1024)
+        weights = steering[:, :, 0].conj() / geom.num_mics  # (n_bins, N)
         frames = []
         for frame in stft_analyze(render.mixture, 1024, 512):
             bins = np.sum(weights * frame.bins.T, axis=1)
@@ -229,7 +229,7 @@ class TestRunPipeline:
             with caplog.at_level(logging.INFO, logger="arraysep.pipeline"):
                 output = run_stages(mixture, config)
             state = gss.init_delay_and_sum(
-                steering_matrix(config.geometry(), config.source_set(), config.fft_size))
+                steering_matrix(config.geometry(), config.directions(), config.fft_size))
             reference = PostFilter(1, config.fft_size // 2 + 1, config)
             for frame in stft_analyze(mixture, config.fft_size, config.shift):
                 reference.process(gss.separate(state, frame))
@@ -294,12 +294,10 @@ class TestDiagnosticDumps:
         values = np.array(self.special * 6).reshape(3, 2, 7)[:, :, :2]
         demix = values.astype(complex)  # (3 bins, 2 sources, 2 mics)
         demix.imag = values[:, :, ::-1]
-        sources = SourceSet((Source("a", 0.0), Source("b", 1.0)))
-        steering = SteeringMatrix(np.ones((3, 2, 2), dtype=complex), np.zeros((2, 2)), 4,
-                                  None, sources)
+        steering = np.ones((3, 2, 2), dtype=complex)
         path = tmp_path / "gss_state.csv"
         with np.errstate(invalid="ignore"):
-            _dump_gss_state(str(path), gss.SeparationState(steering, demix))
+            _dump_gss_state(str(path), gss.SeparationState(steering, demix), ["a", "b"])
             magnitude = np.abs(demix)
         expected = "bin,w_a_0,w_a_1,w_b_0,w_b_1\n"
         for k in range(3):
@@ -325,10 +323,9 @@ class TestBench:
         frame = SpectralFrame(x, 0, 1024, 48000)
 
         def per_frame_cost(num_sources):
-            sources = SceneSpec(geom, tuple(
-                SceneSource(f"s{i}", 10.0 + 20.0 * i) for i in range(num_sources)
-            ), duration_s=0.1).source_set()
-            state = gss.init_delay_and_sum(steering_matrix(geom, sources, 1024))
+            directions = [SceneSource(f"s{i}", 10.0 + 20.0 * i).direction
+                          for i in range(num_sources)]
+            state = gss.init_delay_and_sum(steering_matrix(geom, directions, 1024))
             for _ in range(20):  # warmup
                 gss.adapt(state, frame, gss.separate(state, frame))
             start = time.perf_counter()
@@ -447,6 +444,42 @@ class TestCli:
                      "--output-dir", str(tmp_path / "run" / "out")]) == 2
         assert os.listdir(tmp_path) == ["scene.yaml"]
 
+    @pytest.mark.parametrize("which", ["reference", "noise"])
+    def test_metric_input_rate_must_match_config(self, short_scene, scene_dir, tmp_path, which):
+        spec, render = short_scene
+        config_path = tmp_path / "cfg.yaml"
+        config = write_config(config_path, spec, scene_dir, tmp_path / "out")
+        wrong = str(tmp_path / "16k.wav")
+        if which == "reference":
+            write_wav(wrong, AudioBuffer(render.clean_references[0], 16000))
+            config.reference_wavs[0] = wrong
+        else:
+            write_wav(wrong, AudioBuffer(render.noise, 16000))
+            config.noise_wav = wrong
+        serialize_config(config, str(config_path))
+        assert main(["separate", "--config", str(config_path)]) == 4
+        assert not (tmp_path / "out").exists()
+
+    def test_cut_mixture_exit_code(self, short_scene, scene_dir, tmp_path):
+        # the data chunk ends after half its frames, as a failed copy leaves it
+        spec, render = short_scene
+        whole = (scene_dir / "mixture.wav").read_bytes()
+        cut = tmp_path / "cut.wav"
+        cut.write_bytes(whole[: len(whole) - render.mixture.samples.size * 4 // 2])
+        config_path = tmp_path / "cfg.yaml"
+        write_config(config_path, spec, scene_dir, tmp_path / "out")
+        assert main(["separate", "--config", str(config_path), "--input", str(cut)]) == 3
+        assert not (tmp_path / "out").exists()
+
+    def test_duplicate_scene_source_ids_rejected(self, tmp_path):
+        data = scene_to_dict(three_speaker_scene(90.0, duration_s=0.2, seed=7))
+        data["sources"][1]["id"] = data["sources"][0]["id"]
+        scene = tmp_path / "scene.yaml"
+        scene.write_text(yaml.safe_dump(data))
+        assert main(["simulate", "--scene", str(scene),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert os.listdir(tmp_path) == ["scene.yaml"]
+
     def test_input_rate_must_match_config(self, short_scene, scene_dir, tmp_path):
         spec, render = short_scene
         mixture = str(tmp_path / "mixture_16k.wav")
@@ -518,6 +551,55 @@ class TestCli:
         lines = open(tmp_path / "q.csv").read().splitlines()
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("which", ["reference", "noise"])
+    def test_score_inputs_must_share_one_rate(self, short_scene, scene_dir, tmp_path, which):
+        _, render = short_scene
+        wrong = str(tmp_path / "16k.wav")
+        center = str(scene_dir / "center_ref.wav")
+        argv = ["score", "--output", center, "--csv", str(tmp_path / "q.csv")]
+        if which == "reference":
+            write_wav(wrong, AudioBuffer(render.clean_references[0], 16000))
+            argv += ["--reference", wrong]
+        else:
+            write_wav(wrong, AudioBuffer(render.noise, 16000))
+            argv += ["--reference", center, "--noise", wrong]
+        assert main(argv) == 4
+        assert not (tmp_path / "q.csv").exists()
+
+    def test_score_report_unchanged_without_decoding_the_noise(self, short_scene, scene_dir,
+                                                              tmp_path, capsys):
+        spec, render = short_scene
+        config = write_config(tmp_path / "c.yaml", spec, scene_dir, tmp_path / "sep")
+        config.reference_wavs, config.noise_wav = [], None
+        outputs = list(run_pipeline(config).separated_48k.values())
+        references = [str(scene_dir / f"{s.source_id}_ref.wav") for s in spec.sources]
+        noise = str(scene_dir / "noise.wav")
+        # the report as it reads with every input fully decoded
+        rows = measure_quality([read_wav(p).channel(0) for p in outputs],
+                               [read_wav(p).channel(0) for p in references],
+                               read_wav(noise).samples,
+                               source_ids=[f"{s.source_id}_48k" for s in spec.sources])
+        oracle = tmp_path / "oracle.csv"
+        QualityReport({"output": rows}).to_csv(str(oracle))
+
+        csv = tmp_path / "q.csv"
+        argv = ["score", "--output", *outputs, "--reference", *references, "--noise", noise,
+                "--csv", str(csv)]
+        assert main(argv) == 0  # lazy imports and caches
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert csv.read_bytes() == oracle.read_bytes()
+        assert capsys.readouterr().out.splitlines() == [f"wrote {csv}"] + [
+            f"{row.source_id}: SIR {row.output_sir_db:.2f} dB, SNR {row.output_snr_db:.2f} dB"
+            for row in rows]
+        # decoded: the references, one output and the noise a channel at a time
+        assert peak < render.noise.nbytes
+
     def test_bench_zero_duration_empty_report(self, capsys):
         assert main(["bench", "--seconds", "0"]) == 0
         assert "nothing to measure" in capsys.readouterr().out
@@ -534,3 +616,10 @@ class TestCli:
         assert main(["simulate", "--preset", name, "--duration", "0.25",
                      "--output-dir", str(tmp_path / name)]) == 0
         assert (tmp_path / name / "mixture.wav").exists()
+
+
+def test_public_names_resolve():
+    import arraysep
+
+    for name in arraysep.__all__:
+        assert hasattr(arraysep, name), name
