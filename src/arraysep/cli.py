@@ -149,6 +149,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print("bench: empty input, nothing to measure")
         return 0
     spec = preset_scene(args.preset, duration_s=args.seconds, seed=args.seed)
+    if not 1 <= args.sources <= len(spec.sources):
+        raise ConfigError(f"--sources must be within 1..{len(spec.sources)} "
+                          f"for preset {args.preset}, got {args.sources}")
     render = synthesize(spec)
     config = PipelineConfig(
         mic_positions_m=[list(map(float, p)) for p in spec.geometry.mic_positions],

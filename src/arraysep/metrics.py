@@ -65,8 +65,12 @@ def _projection_ratio_db(output: np.ndarray, target_ref: np.ndarray,
     target = projected_power(output, target_ref[..., lo:hi])
     if target is None:
         return None
-    powers = (projected_power(output, rival[..., lo:hi]) for rival in rivals)
-    residual = sum(p for p in powers if p is not None)
+    residual = 0.0
+    for rival in rivals:
+        power = projected_power(output, rival[..., lo:hi])
+        del rival  # a decoded channel: release it before the next one decodes
+        if power is not None:
+            residual += power
     if residual <= target * 10.0 ** (-SIR_CAP_DB / 10.0):
         return SIR_CAP_DB
     return min(SIR_CAP_DB, 10.0 * np.log10(target / residual))

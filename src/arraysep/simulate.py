@@ -4,11 +4,16 @@ Scenes place far-field sources around a microphone array, render each one
 to every microphone through windowed-sinc fractional delays consistent
 with the steering model, and add independent white noise per channel.
 Everything is a pure function of the scene description including its
-seed, so rendered scenes are bit-reproducible.
+seed, so rendered scenes are bit-reproducible within one version of the
+package on one machine.  Harmonic trains are summed by Horner's rule
+(one complex exponential per sample), so renders differ by float64
+rounding, a few 1e-12 of full scale, from those of versions that summed
+one sine per harmonic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +28,10 @@ DELAY_TAPS = 64  # windowed-sinc length of the fractional-delay interpolator
 # Clean references are normalized to this RMS before per-source gain, leaving
 # headroom so three active sources plus noise stay inside [-1, 1].
 REFERENCE_RMS = 0.05
+# Samples per Horner pass in _sine_sum: bounds its complex scratch to a few
+# hundred KB however long the signal is.  Any value gives the same bits.
+HARMONIC_BLOCK = 8192
+SIGNAL_KINDS = ("harmonic", "am_noise")
 
 # Eight microphones on the corners of a 22 x 17 x 47 cm bounding box, a
 # body-mountable constraint rather than a free-standing array.
@@ -50,6 +59,28 @@ class SignalSpec:
     band_high_hz: float = 7000.0
     formants_hz: tuple[float, ...] = (700.0, 2200.0)
 
+    def __post_init__(self):
+        if self.kind not in SIGNAL_KINDS:
+            raise ConfigError(f"unknown signal kind {self.kind!r}; known: {', '.join(SIGNAL_KINDS)}")
+        numbers = (self.pitch_hz, self.pitch_drift, self.envelope_rate_hz, self.envelope_depth,
+                   self.band_low_hz, self.band_high_hz, *self.formants_hz)
+        if not all(_is_finite_number(v) for v in numbers):
+            raise ConfigError(f"signal values must be finite numbers, got {self!r}")
+        if not (self.pitch_hz > 0.0 and 0.0 <= self.pitch_drift < 1.0):
+            raise ConfigError("signal needs pitch_hz > 0 and 0 <= pitch_drift < 1")
+        if not 0.0 <= self.envelope_depth <= 1.0:
+            raise ConfigError("signal envelope_depth must be within [0, 1]")
+        if not 0.0 < self.band_low_hz < self.band_high_hz:
+            raise ConfigError("signal needs 0 < band_low_hz < band_high_hz")
+        if self.kind == "harmonic" and self.num_harmonics < 1:
+            raise ConfigError(f"no harmonic of {self.pitch_hz} Hz (drift {self.pitch_drift}) "
+                              f"lies below band_high_hz {self.band_high_hz}")
+
+    @property
+    def num_harmonics(self) -> int:
+        """Harmonics whose drifted frequency stays at or below ``band_high_hz``."""
+        return int(self.band_high_hz / (self.pitch_hz * (1.0 + self.pitch_drift)))
+
 
 @dataclass(frozen=True)
 class SceneSource:
@@ -61,6 +92,12 @@ class SceneSource:
     signal: SignalSpec = field(default_factory=SignalSpec)
     gain_db: float = 0.0
     onset_s: float = 0.0
+
+    def __post_init__(self):
+        if not all(_is_finite_number(v) for v in (self.azimuth_deg, self.elevation_deg,
+                                                  self.gain_db, self.onset_s)):
+            raise ConfigError(f"source {self.source_id!r}: angles, gain_db and onset_s "
+                              "must be finite numbers")
 
     @property
     def direction(self) -> np.ndarray:
@@ -78,9 +115,21 @@ class SceneSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
+        if not (_is_finite_number(self.duration_s) and self.num_samples >= 1):
+            raise ConfigError(f"scene duration {self.duration_s!r}s must hold at least one sample")
+        if not (_is_finite_number(self.noise_level_db) or self.noise_level_db == -math.inf):
+            raise ConfigError(f"noise_level_db must be a finite number or -inf, "
+                              f"got {self.noise_level_db!r}")
         for src in self.sources:
             if not 0.0 <= src.onset_s <= self.duration_s:
                 raise ConfigError(f"onset {src.onset_s}s outside scene duration")
+            if src.signal.band_high_hz >= self.geometry.rate / 2.0:
+                raise ConfigError(f"source {src.source_id!r}: band_high_hz "
+                                  f"{src.signal.band_high_hz} is not below Nyquist")
+
+    @property
+    def num_samples(self) -> int:
+        return int(round(self.duration_s * self.geometry.rate))
 
 
 @dataclass
@@ -92,6 +141,11 @@ class SceneRender:
     clean_references: list[np.ndarray]   # per source, (n,) aligned to the array origin
     noise: np.ndarray                    # (N, n)
     spec: SceneSpec
+
+
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def fractional_delay(x: np.ndarray, delay_samples: float) -> np.ndarray:
@@ -156,33 +210,55 @@ def _am_noise(spec: SignalSpec, rng: np.random.Generator, n: int, rate: int) -> 
     return shaped * _slow_envelope(rng, n, rate, spec.envelope_rate_hz, spec.envelope_depth)
 
 
-def _harmonic_train(spec: SignalSpec, rng: np.random.Generator, n: int, rate: int) -> np.ndarray:
+def _pitch_phase(spec: SignalSpec, rng: np.random.Generator, n: int, rate: int) -> np.ndarray:
+    """Fundamental phase in radians under a slow sinusoidal pitch drift."""
     t = np.arange(n) / rate
     drift = spec.pitch_drift * np.sin(2.0 * np.pi * rng.uniform(0.1, 0.4) * t
                                       + rng.uniform(0, 2 * np.pi))
     pitch = spec.pitch_hz * (1.0 + drift)
-    phase_base = 2.0 * np.pi * np.cumsum(pitch) / rate
+    return 2.0 * np.pi * np.cumsum(pitch) / rate
 
-    max_harmonic = int(spec.band_high_hz / (spec.pitch_hz * (1.0 + spec.pitch_drift)))
-    out = np.zeros(n)
-    for h in range(1, max_harmonic + 1):
-        freq = h * spec.pitch_hz
-        # Two strong resonance bumps over a gentle tilt give a vowel-like
-        # envelope that survives cepstral smoothing.
-        resonance = sum(np.exp(-0.5 * ((freq - f0) / (0.2 * f0 + 120.0)) ** 2)
-                        for f0 in spec.formants_hz)
-        amplitude = (0.05 + 2.0 * resonance) / np.sqrt(h)
-        out += amplitude * np.sin(h * phase_base + rng.uniform(0, 2 * np.pi))
-    return out * _slow_envelope(rng, n, rate, spec.envelope_rate_hz, spec.envelope_depth)
+
+def _harmonic_train(spec: SignalSpec, rng: np.random.Generator, n: int, rate: int) -> np.ndarray:
+    phase_base = _pitch_phase(spec, rng, n, rate)
+    harmonics = np.arange(1, spec.num_harmonics + 1)
+    freq = harmonics * spec.pitch_hz
+    # Two strong resonance bumps over a gentle tilt give a vowel-like
+    # envelope that survives cepstral smoothing.
+    resonance = sum(np.exp(-0.5 * ((freq - f0) / (0.2 * f0 + 120.0)) ** 2)
+                    for f0 in spec.formants_hz)
+    amplitude = (0.05 + 2.0 * resonance) / np.sqrt(harmonics)
+    coeffs = amplitude * np.exp(1j * rng.uniform(0, 2 * np.pi, size=harmonics.size))
+    return _sine_sum(phase_base, coeffs) * _slow_envelope(rng, n, rate, spec.envelope_rate_hz, spec.envelope_depth)
+
+
+def _sine_sum(theta: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_h |c_h| sin(h theta + arg c_h), h = 1..H, by Horner's rule on the
+    unit rotor z = exp(j theta): Im(z (c_1 + z (c_2 + ... + z c_H))).
+
+    One complex exponential per sample instead of H sines of arguments up
+    to H theta.  Each block is evaluated alone, so the result does not
+    depend on HARMONIC_BLOCK.  The product goes to a separate buffer: numpy
+    rounds an in-place multiply of a one-sample block differently.
+    """
+    out = np.empty(theta.shape[0])
+    for lo in range(0, theta.shape[0], HARMONIC_BLOCK):
+        z = np.exp(1j * theta[lo : lo + HARMONIC_BLOCK])
+        acc = np.full(z.shape, coeffs[-1])
+        product = np.empty_like(z)
+        for c in coeffs[-2::-1]:
+            np.multiply(acc, z, out=product)
+            np.add(product, c, out=acc)
+        np.multiply(acc, z, out=product)
+        out[lo : lo + HARMONIC_BLOCK] = product.imag
+    return out
 
 
 def render_signal(spec: SignalSpec, rng: np.random.Generator, n: int, rate: int) -> np.ndarray:
     if spec.kind == "am_noise":
         out = _am_noise(spec, rng, n, rate)
-    elif spec.kind == "harmonic":
-        out = _harmonic_train(spec, rng, n, rate)
     else:
-        raise ConfigError(f"unknown signal kind {spec.kind!r}")
+        out = _harmonic_train(spec, rng, n, rate)
     rms = np.sqrt(np.mean(out**2))
     return out * (REFERENCE_RMS / max(rms, 1e-12))
 
@@ -195,7 +271,7 @@ def synthesize(spec: SceneSpec) -> SceneRender:
             f"{len(spec.sources)} sources exceed {geometry.num_mics} microphones"
         )
     rate = geometry.rate
-    n = int(round(spec.duration_s * rate))
+    n = spec.num_samples
     streams = np.random.SeedSequence(spec.seed).spawn(len(spec.sources) + 1)
 
     references = []

@@ -1,8 +1,11 @@
 """Quality metrics against an independently scripted projection oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from arraysep.audio import AudioBuffer, open_wav, write_wav
 from arraysep.metrics import (EDGE_TRIM, QualityReport, SourceQuality, interference_ratio_db,
                               measure_quality, noise_ratio_db)
 from arraysep.simulate import synthesize, three_speaker_scene
@@ -48,6 +51,25 @@ class TestRatios:
         inner = slice(EDGE_TRIM, -EDGE_TRIM)
         expected = 10 * np.log10(np.mean(a[inner] ** 2) / np.mean(noise[0, inner] ** 2))
         assert ratio == pytest.approx(expected, abs=0.5)
+
+
+    def test_mapped_noise_decoded_one_channel_at_a_time(self, tmp_path):
+        rng = np.random.default_rng(2)
+        n = 5 * 48000
+        path = str(tmp_path / "noise.wav")
+        write_wav(path, AudioBuffer(0.01 * rng.standard_normal((8, n)), 48000))
+        noise = open_wav(path)
+        target = rng.standard_normal(n)
+        output = target + 0.1 * rng.standard_normal(n)
+        expected = noise_ratio_db(output, target, noise)  # also warms lazy imports
+        tracemalloc.start()
+        try:
+            got = noise_ratio_db(output, target, noise)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak <= 1.1 * n * 8  # one decoded float64 channel
 
 
 class TestMeasureQuality:

@@ -480,6 +480,43 @@ class TestCli:
                      "--output-dir", str(tmp_path / "out")]) == 2
         assert os.listdir(tmp_path) == ["scene.yaml"]
 
+    @pytest.mark.parametrize("source, key, value", [
+        (0, "pitch_hz", 0), (0, "pitch_drift", -1.0), (0, "pitch_hz", "120"),
+        (0, "pitch_hz", float("nan")), (2, "band_high_hz", 30000.0), (0, "pitch_hz", -100.0),
+        (0, "band_high_hz", 50.0),
+    ])
+    def test_bad_scene_signal_rejected(self, tmp_path, source, key, value):
+        data = scene_to_dict(three_speaker_scene(90.0, duration_s=0.2, seed=7))
+        data["sources"][source]["signal"][key] = value  # source 2 is the am_noise one
+        scene = tmp_path / "scene.yaml"
+        scene.write_text(yaml.safe_dump(data))
+        assert main(["simulate", "--scene", str(scene),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert os.listdir(tmp_path) == ["scene.yaml"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("azimuth_deg", float("nan")), ("elevation_deg", float("nan")),
+        ("gain_db", float("inf")), ("noise_level_db", float("nan")),
+        ("noise_level_db", float("inf")),
+    ])
+    def test_non_finite_scene_value_rejected(self, tmp_path, key, value):
+        data = scene_to_dict(three_speaker_scene(90.0, duration_s=0.2, seed=7))
+        if key == "noise_level_db":
+            data[key] = value
+        else:
+            data["sources"][0][key] = value
+        scene = tmp_path / "scene.yaml"
+        scene.write_text(yaml.safe_dump(data))
+        assert main(["simulate", "--scene", str(scene),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert os.listdir(tmp_path) == ["scene.yaml"]
+
+    @pytest.mark.parametrize("duration", ["0", "inf"])
+    def test_scene_without_samples_rejected(self, tmp_path, duration):
+        assert main(["simulate", "--preset", "trio-90deg", "--duration", duration,
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert os.listdir(tmp_path) == []
+
     def test_input_rate_must_match_config(self, short_scene, scene_dir, tmp_path):
         spec, render = short_scene
         mixture = str(tmp_path / "mixture_16k.wav")
@@ -607,6 +644,14 @@ class TestCli:
     def test_bench_runs(self, capsys):
         assert main(["bench", "--seconds", "1.0", "--preset", "trio-50deg"]) == 0
         assert "real-time factor" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("sources", [-1, 0, 5])
+    def test_bench_source_count_checked_before_rendering(self, monkeypatch, sources):
+        def unreachable(spec):
+            raise AssertionError("scene rendered")
+
+        monkeypatch.setattr("arraysep.cli.synthesize", unreachable)
+        assert main(["bench", "--seconds", "1.0", "--sources", str(sources)]) == 2
 
     def test_preset_sweep_covers_all_angles(self, tmp_path):
         # one scene per listed preset, all emit the expected files

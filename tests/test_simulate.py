@@ -1,8 +1,11 @@
 """Scene synthesis determinism, delay fidelity and bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from arraysep import simulate
 from arraysep.errors import ConfigError, OverDeterminedSceneError
 from arraysep.geometry import ArrayGeometry
 from arraysep.simulate import (SceneSource, SceneSpec, SignalSpec, box_array_geometry,
@@ -54,6 +57,94 @@ class TestSignals:
         signal = render_signal(SignalSpec(kind="am_noise"), rng, 5 * 48000, 48000)
         frame_rms = np.sqrt(np.mean(signal[: 48000 * 5].reshape(-1, 4800) ** 2, axis=1))
         assert frame_rms.min() < 0.1 * frame_rms.max()
+
+
+def long_double_harmonic_train(spec, rng, n, rate=48000):
+    """One sine per harmonic, summed in long double, over the float64 phase
+    the renderer computes, with the renderer's draws made one scalar at a
+    time: drift rate and phase, each harmonic's phase, then the envelope."""
+    t = np.arange(n) / rate
+    drift = spec.pitch_drift * np.sin(2.0 * np.pi * rng.uniform(0.1, 0.4) * t
+                                      + rng.uniform(0, 2 * np.pi))
+    theta = (2.0 * np.pi * np.cumsum(spec.pitch_hz * (1.0 + drift)) / rate).astype(np.longdouble)
+    out = np.zeros(n, dtype=np.longdouble)
+    for h in range(1, int(spec.band_high_hz / (spec.pitch_hz * (1.0 + spec.pitch_drift))) + 1):
+        freq = h * spec.pitch_hz
+        resonance = sum(np.exp(-0.5 * ((freq - f0) / (0.2 * f0 + 120.0)) ** 2)
+                        for f0 in spec.formants_hz)
+        amplitude = np.longdouble((0.05 + 2.0 * resonance) / np.sqrt(h))
+        out += amplitude * np.sin(h * theta + np.longdouble(rng.uniform(0, 2 * np.pi)))
+    return out * simulate._slow_envelope(rng, n, rate, spec.envelope_rate_hz,
+                                         spec.envelope_depth)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="long double is no wider than float64 here")
+class TestHarmonicTrain:
+    @pytest.mark.parametrize("pitch_hz, n", [(90.0, 48000), (120.0, 48000), (200.0, 48000),
+                                             (4000.0, 48000), (120.0, 1)])
+    def test_matches_long_double_sum(self, pitch_hz, n):
+        # 4000 Hz leaves a single harmonic below the 7 kHz band edge
+        spec = SignalSpec(kind="harmonic", pitch_hz=pitch_hz)
+        got = simulate._harmonic_train(spec, np.random.default_rng(11), n, 48000)
+        oracle = long_double_harmonic_train(spec, np.random.default_rng(11), n)
+        rms = np.sqrt(np.mean(oracle ** 2))
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * rms
+
+
+class TestHarmonicSummation:
+    def test_random_stream_matches_scalar_draws(self):
+        spec = SignalSpec(kind="harmonic", pitch_hz=120.0)
+        rendered, replica = np.random.default_rng(12), np.random.default_rng(12)
+        render_signal(spec, rendered, 4800, 48000)
+        long_double_harmonic_train(spec, replica, 4800)
+        assert rendered.bit_generator.state == replica.bit_generator.state
+
+    @pytest.mark.parametrize("n, block", [(3000, 1), (20000, 7), (20000, 20000)])
+    def test_block_size_leaves_bits_unchanged(self, monkeypatch, n, block):
+        spec = SignalSpec(kind="harmonic", pitch_hz=90.0)
+        expected = render_signal(spec, np.random.default_rng(13), n, 48000)
+        monkeypatch.setattr(simulate, "HARMONIC_BLOCK", block)
+        got = render_signal(spec, np.random.default_rng(13), n, 48000)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_scratch_memory_bounded(self):
+        # ten seconds at 90 Hz (73 harmonics): the phase, the sum and the
+        # envelope's scratch, not a sine argument per harmonic
+        n = 10 * 48000
+        spec = SignalSpec(kind="harmonic", pitch_hz=90.0)
+        render_signal(spec, np.random.default_rng(14), 1000, 48000)
+        tracemalloc.start()
+        try:
+            render_signal(spec, np.random.default_rng(14), n, 48000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * 8
+
+
+class TestSignalSpecChecks:
+    @pytest.mark.parametrize("changes", [
+        {"pitch_hz": 0.0}, {"pitch_hz": -100.0}, {"pitch_hz": "120"},
+        {"pitch_hz": float("nan")}, {"pitch_hz": True}, {"pitch_drift": -1.0},
+        {"pitch_drift": 1.0}, {"envelope_depth": 1.5}, {"envelope_rate_hz": float("inf")},
+        {"band_low_hz": 0.0}, {"band_high_hz": 50.0}, {"formants_hz": (700.0, None)},
+        {"band_low_hz": 10.0, "band_high_hz": 50.0},
+    ])
+    def test_rejected(self, changes):
+        with pytest.raises(ConfigError):
+            SignalSpec(**changes)
+
+    def test_band_edge_must_be_below_nyquist(self):
+        signal = SignalSpec(kind="am_noise", band_high_hz=30000.0)
+        with pytest.raises(ConfigError, match="Nyquist"):
+            SceneSpec(box_array_geometry(), (SceneSource("s", 0.0, signal=signal),),
+                      duration_s=0.1)
+
+    @pytest.mark.parametrize("duration_s", [0.0, 1e-6, -1.0, float("inf"), float("nan")])
+    def test_scene_needs_a_sample(self, duration_s):
+        with pytest.raises(ConfigError):
+            SceneSpec(box_array_geometry(), (SceneSource("s", 0.0),), duration_s=duration_s)
 
 
 class TestSynthesize:
