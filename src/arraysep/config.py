@@ -8,48 +8,21 @@ Python values so serialize(parse(file)) round-trips exactly.
 
 from __future__ import annotations
 
-import math
-import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import yaml
 
-from .errors import ConfigError
-from .geometry import ArrayGeometry, direction_vector
-from .simulate import SceneSource, SceneSpec, SignalSpec
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _check_numbers(obj, where: str = "") -> None:
-    """``int`` fields must hold an int, ``float`` fields a finite number (bools are
-    neither) and ``bool`` fields a bool."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        number = _is_number(value)
-        if f.type == "bool" and not isinstance(value, bool):
-            raise ConfigError(f"{where}{f.name} must be true or false, got {value!r}")
-        if f.type == "int" and not (number and isinstance(value, int)):
-            raise ConfigError(f"{where}{f.name} must be an integer, got {value!r}")
-        if f.type == "float" and not (number and math.isfinite(value)):
-            raise ConfigError(f"{where}{f.name} must be a finite number, got {value!r}")
-
-
-def _check_file_name(name, what: str) -> None:
-    """Source ids name output files, so each must be one plain file name."""
-    if (not isinstance(name, str) or name in ("", ".", "..")
-            or {"/", os.sep, os.altsep} & set(name)):
-        raise ConfigError(f"{what} {name!r} must be a file name without a path")
+from .errors import ConfigError, check_fields, check_file_name, ranged
+from .geometry import SPEED_OF_SOUND, ArrayGeometry, direction_vector
+from .simulate import SCENE_RATE, SceneSource, SceneSpec, SignalSpec
 
 
 @dataclass
 class SourceDirection:
     id: str
-    azimuth_deg: float
-    elevation_deg: float = 0.0
+    azimuth_deg: float = ranged("(-inf, inf)")
+    elevation_deg: float = ranged("(-inf, inf)", 0.0)
 
 
 @dataclass
@@ -63,26 +36,26 @@ class StageToggles:
 class PipelineConfig:
     mic_positions_m: list = field(default_factory=list)
     sources: list = field(default_factory=list)          # SourceDirection rows
-    rate: int = 48000
-    speed_of_sound: float = 343.0
+    rate: int = ranged("(0, inf)", 48000)
+    speed_of_sound: float = ranged("(0, inf)", 343.0)
 
-    fft_size: int = 1024
-    shift: int = 512
-    step_size: float = 0.01           # separation adaptation rate
+    fft_size: int = ranged("(0, inf)", 1024)
+    shift: int = ranged("(0, inf)", 512)
+    step_size: float = ranged("[0, inf)", 0.01)          # separation adaptation rate
 
     # post-filter and its minima-controlled (MCRA) stationary noise tracker
-    leak_factor: float = 0.25         # power fraction of rival spectra (about -6 dB)
-    spectral_exponent: float = 1.0    # amplitude power the MMSE estimator optimizes
-    snr_smoothing: float = 0.98       # decision-directed weight on the previous frame
-    spectrum_smoothing: float = 0.7   # leakage reference smoother
-    mcra_power_smoothing: float = 0.95
-    mcra_window_length: int = 150
-    mcra_presence_smoothing: float = 0.95
-    mcra_onset_threshold: float = 5.0
+    leak_factor: float = ranged("[0, 1]", 0.25)         # power fraction of rival spectra (about -6 dB)
+    spectral_exponent: float = ranged("(0, inf)", 1.0)  # amplitude power the MMSE estimator optimizes
+    snr_smoothing: float = ranged("[0, 1)", 0.98)       # decision-directed weight on the previous frame
+    spectrum_smoothing: float = ranged("(0, 1)", 0.7)   # leakage reference smoother
+    mcra_power_smoothing: float = ranged("[0, 1)", 0.95)
+    mcra_window_length: int = ranged("[1, inf)", 150)
+    mcra_presence_smoothing: float = ranged("[0, 1)", 0.95)
+    mcra_onset_threshold: float = ranged("(0, inf)", 5.0)
 
-    mask_threshold: float = 0.25
-    feature_fft_size: int = 400
-    feature_shift: int = 160
+    mask_threshold: float = ranged("(0, inf)", 0.25)
+    feature_fft_size: int = ranged("(0, inf)", 400)
+    feature_shift: int = ranged("(0, inf)", 160)
 
     stages: StageToggles = field(default_factory=StageToggles)
     dump_diagnostics: bool = False
@@ -96,45 +69,31 @@ class PipelineConfig:
         if not self.sources:
             raise ConfigError("config needs at least one source direction")
         for source in self.sources:
-            _check_file_name(source.id, "source id")
-            _check_numbers(source, f"source {source.id}: ")
+            check_file_name(source.id, "source id")
+            check_fields(source, f"source {source.id}: ")
         ids = [s.id for s in self.sources]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate source ids: {ids}")
-        _check_numbers(self)
-        _check_numbers(self.stages, "stages: ")
-        try:
-            self.geometry()  # checks the count, shape and finiteness of the positions
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad mic_positions_m: {exc}") from exc
-        if not all(_is_number(v) for position in self.mic_positions_m for v in position):
-            raise ConfigError(f"mic_positions_m must hold numbers, got {self.mic_positions_m!r}")
+        check_fields(self)
+        check_fields(self.stages, "stages: ")
+        num_mics = self.geometry().num_mics
         if self.rate != 48000:
             raise ConfigError("separation pipeline runs at 48000 Hz")
-        if self.fft_size % 2 or not 0 < self.shift <= self.fft_size:
-            raise ConfigError("invalid separation fft_size/shift")
-        if self.feature_fft_size % 2 or not 0 < self.feature_shift <= self.feature_fft_size:
-            raise ConfigError("feature_fft_size must be even and 0 < feature_shift <= "
+        # The sqrt-Hann analysis/synthesis pair overlap-adds to a constant
+        # only up to 50% overlap.
+        if self.fft_size % 2 or 2 * self.shift > self.fft_size:
+            raise ConfigError("fft_size must be even and shift at most fft_size / 2")
+        if self.feature_fft_size % 2 or self.feature_shift > self.feature_fft_size:
+            raise ConfigError("feature_fft_size must be even and feature_shift at most "
                               "feature_fft_size")
-        if self.step_size < 0:
-            raise ConfigError("step_size must be non-negative")
-        if not 0.0 <= self.leak_factor <= 1.0:
-            raise ConfigError("leak_factor must be within [0, 1]")
-        if self.spectral_exponent <= 0:
-            raise ConfigError("spectral_exponent must be positive")
-        if not 0.0 <= self.snr_smoothing < 1.0:
-            raise ConfigError("snr_smoothing must be within [0, 1)")
-        if not 0.0 < self.spectrum_smoothing < 1.0:
-            raise ConfigError("spectrum_smoothing must be within (0, 1)")
-        if self.mcra_window_length < 1:
-            raise ConfigError("mcra_window_length must be at least 1")
-        for name in ("mcra_power_smoothing", "mcra_presence_smoothing"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must be within [0, 1)")
-        if self.mcra_onset_threshold <= 0:
-            raise ConfigError("mcra_onset_threshold must be positive")
-        if self.mask_threshold <= 0:
-            raise ConfigError("mask_threshold must be positive")
+        # Alone, the geometric term's gradient step converges only for
+        # step_size < 1 / max over bins of the largest eigenvalue of A^H A.
+        # With unit-modulus steering that is trace(A^H A) = N M, reached at
+        # the DC bin; a single source never leaves delay-and-sum.
+        bound = 1.0 / (num_mics * len(self.sources))
+        if len(self.sources) > 1 and self.step_size >= bound:
+            raise ConfigError(f"step_size must be below 1 / (microphones * sources) = "
+                              f"{bound:.6g} here, got {self.step_size!r}")
         if self.reference_wavs and len(self.reference_wavs) != len(self.sources):
             raise ConfigError("reference_wavs must list one file per source")
         return self
@@ -142,8 +101,7 @@ class PipelineConfig:
     # ---- object builders -------------------------------------------------
 
     def geometry(self) -> ArrayGeometry:
-        return ArrayGeometry([list(map(float, p)) for p in self.mic_positions_m],
-                             self.rate, self.speed_of_sound)
+        return ArrayGeometry(self.mic_positions_m, self.rate, self.speed_of_sound)
 
     def directions(self) -> list[np.ndarray]:
         """Far-field unit vector toward each source, in ``sources`` order."""
@@ -200,20 +158,21 @@ def serialize_config(config: PipelineConfig, path: str) -> None:
 
 
 def scene_to_dict(spec: SceneSpec) -> dict:
+    """The scene as a scene file holds it; numbers of float fields echo as floats."""
     return {
         "rate": spec.geometry.rate,
-        "speed_of_sound": spec.geometry.speed_of_sound,
+        "speed_of_sound": float(spec.geometry.speed_of_sound),
         "mic_positions_m": [list(map(float, p)) for p in spec.geometry.mic_positions],
-        "duration_s": spec.duration_s,
+        "duration_s": float(spec.duration_s),
         "noise_level_db": float(spec.noise_level_db),
         "seed": spec.seed,
         "sources": [
             {
                 "id": s.source_id,
-                "azimuth_deg": s.azimuth_deg,
-                "elevation_deg": s.elevation_deg,
-                "gain_db": s.gain_db,
-                "onset_s": s.onset_s,
+                "azimuth_deg": float(s.azimuth_deg),
+                "elevation_deg": float(s.elevation_deg),
+                "gain_db": float(s.gain_db),
+                "onset_s": float(s.onset_s),
                 "signal": asdict(s.signal),
             }
             for s in spec.sources
@@ -222,35 +181,19 @@ def scene_to_dict(spec: SceneSpec) -> dict:
 
 
 def scene_from_dict(data: dict) -> SceneSpec:
+    """Values reach the scene classes as written, so their checks see them."""
     try:
-        geometry = ArrayGeometry(
-            data["mic_positions_m"],
-            int(data.get("rate", 48000)),
-            float(data.get("speed_of_sound", 343.0)),
-        )
+        data = dict(data)
+        geometry = ArrayGeometry(data.pop("mic_positions_m"), data.pop("rate", SCENE_RATE),
+                                 data.pop("speed_of_sound", SPEED_OF_SOUND))
         sources = []
-        for row in data.get("sources", []):
-            _check_file_name(row["id"], "scene source id")
-            if any(s.source_id == row["id"] for s in sources):
-                raise ConfigError(f"duplicate scene source id {row['id']!r}")
-            signal_data = dict(row.get("signal", {}))
-            if "formants_hz" in signal_data:
-                signal_data["formants_hz"] = tuple(signal_data["formants_hz"])
-            sources.append(SceneSource(
-                source_id=row["id"],
-                azimuth_deg=float(row["azimuth_deg"]),
-                elevation_deg=float(row.get("elevation_deg", 0.0)),
-                signal=SignalSpec(**signal_data),
-                gain_db=float(row.get("gain_db", 0.0)),
-                onset_s=float(row.get("onset_s", 0.0)),
-            ))
-        return SceneSpec(
-            geometry,
-            tuple(sources),
-            duration_s=float(data.get("duration_s", 10.0)),
-            noise_level_db=float(data.get("noise_level_db", -40.0)),
-            seed=int(data.get("seed", 0)),
-        )
+        for row in data.pop("sources", []):
+            row = dict(row)
+            signal = dict(row.pop("signal", {}))
+            if "formants_hz" in signal:
+                signal["formants_hz"] = tuple(signal["formants_hz"])
+            sources.append(SceneSource(row.pop("id"), signal=SignalSpec(**signal), **row))
+        return SceneSpec(geometry, tuple(sources), **data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scene description: {exc}") from exc
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, OverDeterminedSceneError
+from .errors import ConfigError, OverDeterminedSceneError, admits, check_fields, ranged
 
 SPEED_OF_SOUND = 343.0
 
@@ -20,20 +20,19 @@ class ArrayGeometry:
     """Microphone positions in meters, (N, 3), with N >= 2."""
 
     mic_positions: np.ndarray
-    rate: int
-    speed_of_sound: float = SPEED_OF_SOUND
+    rate: int = ranged("(0, inf)")
+    speed_of_sound: float = ranged("(0, inf)", SPEED_OF_SOUND)
 
     def __post_init__(self):
-        positions = np.asarray(self.mic_positions, dtype=np.float64)
+        check_fields(self)
+        positions = np.asarray(self.mic_positions, dtype=object)
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ConfigError("mic_positions must be (N, 3)")
         if positions.shape[0] < 2:
             raise ConfigError("need at least two microphones")
-        if not np.all(np.isfinite(positions)):
-            raise ConfigError("mic positions must be finite")
-        if self.speed_of_sound <= 0:
-            raise ConfigError("speed of sound must be positive")
-        object.__setattr__(self, "mic_positions", positions)
+        if not all(admits("(-inf, inf)", v) for v in positions.flat):
+            raise ConfigError(f"mic positions must be finite numbers, got {self.mic_positions!r}")
+        object.__setattr__(self, "mic_positions", positions.astype(np.float64))
 
     @property
     def num_mics(self) -> int:

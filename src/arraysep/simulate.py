@@ -13,14 +13,13 @@ one sine per harmonic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import signal as sp_signal
 
 from .audio import AudioBuffer
-from .errors import ConfigError, OverDeterminedSceneError
+from .errors import ConfigError, OverDeterminedSceneError, check_fields, check_file_name, ranged
 from .geometry import ArrayGeometry, direction_vector, far_field_delay
 
 SCENE_RATE = 48000
@@ -50,28 +49,19 @@ class SignalSpec:
     drift and resonance bumps, a rough stand-in for voiced speech.
     """
 
-    kind: str = "harmonic"
-    pitch_hz: float = 160.0
-    pitch_drift: float = 0.06
-    envelope_rate_hz: float = 4.0
-    envelope_depth: float = 1.0  # 0 = steady level, 1 = full syllabic swings
-    band_low_hz: float = 300.0
-    band_high_hz: float = 7000.0
-    formants_hz: tuple[float, ...] = (700.0, 2200.0)
+    kind: str = ranged(SIGNAL_KINDS, "harmonic")
+    pitch_hz: float = ranged("(0, inf)", 160.0)
+    pitch_drift: float = ranged("[0, 1)", 0.06)
+    envelope_rate_hz: float = ranged("[0, inf)", 4.0)
+    envelope_depth: float = ranged("[0, 1]", 1.0)  # 0 = steady level, 1 = full syllabic swings
+    band_low_hz: float = ranged("(0, inf)", 300.0)
+    band_high_hz: float = ranged("(0, inf)", 7000.0)
+    formants_hz: tuple[float, ...] = ranged("(0, inf)", (700.0, 2200.0))
 
     def __post_init__(self):
-        if self.kind not in SIGNAL_KINDS:
-            raise ConfigError(f"unknown signal kind {self.kind!r}; known: {', '.join(SIGNAL_KINDS)}")
-        numbers = (self.pitch_hz, self.pitch_drift, self.envelope_rate_hz, self.envelope_depth,
-                   self.band_low_hz, self.band_high_hz, *self.formants_hz)
-        if not all(_is_finite_number(v) for v in numbers):
-            raise ConfigError(f"signal values must be finite numbers, got {self!r}")
-        if not (self.pitch_hz > 0.0 and 0.0 <= self.pitch_drift < 1.0):
-            raise ConfigError("signal needs pitch_hz > 0 and 0 <= pitch_drift < 1")
-        if not 0.0 <= self.envelope_depth <= 1.0:
-            raise ConfigError("signal envelope_depth must be within [0, 1]")
-        if not 0.0 < self.band_low_hz < self.band_high_hz:
-            raise ConfigError("signal needs 0 < band_low_hz < band_high_hz")
+        check_fields(self)
+        if not self.band_low_hz < self.band_high_hz:
+            raise ConfigError("signal needs band_low_hz < band_high_hz")
         if self.kind == "harmonic" and self.num_harmonics < 1:
             raise ConfigError(f"no harmonic of {self.pitch_hz} Hz (drift {self.pitch_drift}) "
                               f"lies below band_high_hz {self.band_high_hz}")
@@ -87,17 +77,14 @@ class SceneSource:
     """One source: direction, signal recipe, level and onset."""
 
     source_id: str
-    azimuth_deg: float
-    elevation_deg: float = 0.0
+    azimuth_deg: float = ranged("(-inf, inf)")
+    elevation_deg: float = ranged("(-inf, inf)", 0.0)
     signal: SignalSpec = field(default_factory=SignalSpec)
-    gain_db: float = 0.0
-    onset_s: float = 0.0
+    gain_db: float = ranged("(-inf, inf)", 0.0)
+    onset_s: float = ranged("[0, inf)", 0.0)
 
     def __post_init__(self):
-        if not all(_is_finite_number(v) for v in (self.azimuth_deg, self.elevation_deg,
-                                                  self.gain_db, self.onset_s)):
-            raise ConfigError(f"source {self.source_id!r}: angles, gain_db and onset_s "
-                              "must be finite numbers")
+        check_fields(self, f"source {self.source_id!r}: ")
 
     @property
     def direction(self) -> np.ndarray:
@@ -109,19 +96,21 @@ class SceneSource:
 class SceneSpec:
     geometry: ArrayGeometry
     sources: tuple[SceneSource, ...]
-    duration_s: float = 10.0
-    noise_level_db: float = -40.0  # white noise RMS per channel, dB re full scale
-    seed: int = 0
+    duration_s: float = ranged("(0, inf)", 10.0)
+    noise_level_db: float = ranged("[-inf, inf)", -40.0)  # white noise RMS per channel, dB re full scale
+    seed: int = ranged("[0, inf)", 0)
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
-        if not (_is_finite_number(self.duration_s) and self.num_samples >= 1):
+        check_fields(self)
+        if self.num_samples < 1:
             raise ConfigError(f"scene duration {self.duration_s!r}s must hold at least one sample")
-        if not (_is_finite_number(self.noise_level_db) or self.noise_level_db == -math.inf):
-            raise ConfigError(f"noise_level_db must be a finite number or -inf, "
-                              f"got {self.noise_level_db!r}")
+        ids = [src.source_id for src in self.sources]
         for src in self.sources:
-            if not 0.0 <= src.onset_s <= self.duration_s:
+            check_file_name(src.source_id, "scene source id")
+            if ids.count(src.source_id) > 1:
+                raise ConfigError(f"duplicate scene source id {src.source_id!r}")
+            if src.onset_s > self.duration_s:
                 raise ConfigError(f"onset {src.onset_s}s outside scene duration")
             if src.signal.band_high_hz >= self.geometry.rate / 2.0:
                 raise ConfigError(f"source {src.source_id!r}: band_high_hz "
@@ -141,11 +130,6 @@ class SceneRender:
     clean_references: list[np.ndarray]   # per source, (n,) aligned to the array origin
     noise: np.ndarray                    # (N, n)
     spec: SceneSpec
-
-
-def _is_finite_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
 
 
 def fractional_delay(x: np.ndarray, delay_samples: float) -> np.ndarray:

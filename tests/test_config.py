@@ -1,17 +1,21 @@
 """Config parsing, validation and round trips."""
 
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from arraysep.config import (PipelineConfig, SourceDirection, config_from_dict,
+from arraysep.config import (PipelineConfig, SourceDirection, StageToggles, config_from_dict,
                              config_to_dict, parse_config, parse_scene_file,
                              scene_from_dict, scene_to_dict, serialize_config,
                              write_scene_file)
 from arraysep.errors import ConfigError
-from arraysep.simulate import three_speaker_scene
+from arraysep.geometry import ArrayGeometry, direction_vector, steering_matrix
+from arraysep.simulate import (BOX_MIC_POSITIONS, SIGNAL_KINDS, SceneSource, SceneSpec, SignalSpec,
+                               box_array_geometry, three_speaker_scene)
 
 MINIMAL = {
     "mic_positions_m": [[0.1, 0.0, 0.0], [-0.1, 0.0, 0.0]],
@@ -80,6 +84,15 @@ class TestParse:
         with pytest.raises(ConfigError, match=key):
             config_from_dict(dict(MINIMAL, sources=[source]))
 
+    @pytest.mark.parametrize("shift, accepted", [(513, False), (1024, False), (512, True),
+                                                 (256, True)])
+    def test_shift_at_most_half_the_fft_size(self, shift, accepted):
+        if accepted:
+            assert config_from_dict(dict(MINIMAL, shift=shift)).shift == shift
+        else:
+            with pytest.raises(ConfigError, match="shift"):
+                config_from_dict(dict(MINIMAL, shift=shift))
+
     def test_reference_count_must_match_sources(self):
         with pytest.raises(ConfigError):
             config_from_dict(dict(MINIMAL, reference_wavs=["a.wav", "b.wav"]))
@@ -137,11 +150,118 @@ class TestSceneFiles:
                              "sources": [{"azimuth_deg": 10.0}]})  # id missing
 
 
+# Every class whose fields declare what they admit, and how the program checks it.
+TABLE = (PipelineConfig, SourceDirection, StageToggles, SignalSpec, SceneSource, SceneSpec,
+         ArrayGeometry)
+RANGED = [(cls, f) for cls in TABLE for f in fields(cls)
+          if isinstance(f.metadata.get("allowed"), str)]
+
+
+def build(cls, **changes):
+    """A valid ``cls`` with ``changes``, checked where the program checks it."""
+    if cls is PipelineConfig:
+        return config_from_dict(dict(MINIMAL, **changes))
+    if cls is SourceDirection:
+        return config_from_dict(dict(MINIMAL, sources=[dict(MINIMAL["sources"][0], **changes)]))
+    if cls is StageToggles:
+        return config_from_dict(dict(MINIMAL, stages=changes))
+    required = {SceneSource: {"source_id": "s", "azimuth_deg": 0.0},
+                SceneSpec: {"geometry": box_array_geometry(), "sources": ()},
+                ArrayGeometry: {"mic_positions": BOX_MIC_POSITIONS, "rate": 48000}}
+    return cls(**{**required.get(cls, {}), **changes})
+
+
+def boundary_cases():
+    """(class, field, value, accepted) at both ends of every declared interval:
+    a closed end is accepted, and an open end and the nearest value outside a
+    closed finite end (the next float, or the next integer) are rejected."""
+    for cls, f in RANGED:
+        text, integer = f.metadata["allowed"], f.type == "int"
+        wrap = (lambda v: (v,)) if f.type.startswith("tuple") else (lambda v: v)
+        for end, closed, outward in zip((float(e) for e in text[1:-1].split(",")),
+                                        (text[0] == "[", text[-1] == "]"), (-np.inf, np.inf)):
+            if integer and np.isfinite(end):
+                end = int(end)
+            yield cls, f.name, wrap(end), closed
+            if closed and np.isfinite(end):
+                outside = end + (1 if outward > 0 else -1) if integer else np.nextafter(end, outward)
+                yield cls, f.name, wrap(outside), False
+        for value in (True, "1"):
+            yield cls, f.name, wrap(value), False
+
+
+@pytest.mark.parametrize("cls, name, value, accepted", list(boundary_cases()),
+                         ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_declared_interval_ends(cls, name, value, accepted):
+    if accepted:
+        build(cls, **{name: value})
+    else:
+        with pytest.raises(ConfigError, match=name):
+            build(cls, **{name: value})
+
+
+def test_table_covers_every_numeric_field():
+    for cls in TABLE:
+        for f in fields(cls):
+            assert f.type not in ("int", "float") or (cls, f) in RANGED, f"{cls.__name__}.{f.name}"
+
+
+def config_on(positions, num_sources, step_size):
+    return PipelineConfig(
+        mic_positions_m=[list(map(float, p)) for p in positions],
+        sources=[SourceDirection(f"s{i}", 90.0 * i - 90.0) for i in range(num_sources)],
+        step_size=step_size)
+
+
+class TestStepSizeBound:
+    """The geometric term's step converges only below 1 / max_k lambda_max(A_k^H A_k),
+    which for unit-modulus steering is 1 / (N M), reached at the DC bin."""
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_closed_form_matches_eigenvalues(self, seed):
+        rng = np.random.default_rng(seed)
+        positions = BOX_MIC_POSITIONS if seed is None else rng.uniform(-0.3, 0.3, (
+            rng.integers(2, 9), 3))
+        geometry = ArrayGeometry(positions, 48000)
+        for num_sources in range(2, geometry.num_mics + 1):
+            directions = [direction_vector(rng.uniform(-np.pi, np.pi), rng.uniform(-1, 1))
+                          for _ in range(num_sources)]
+            a = steering_matrix(geometry, directions, 1024)
+            largest = np.linalg.eigvalsh(a.conj().transpose(0, 2, 1) @ a)[:, -1]
+            assert largest.max() == pytest.approx(geometry.num_mics * num_sources, rel=1e-12)
+            assert largest[0] == pytest.approx(geometry.num_mics * num_sources, rel=1e-12)
+
+    @pytest.mark.parametrize("positions, num_sources", [
+        (BOX_MIC_POSITIONS, 3), (np.random.default_rng(0).uniform(-0.3, 0.3, (5, 3)), 2)])
+    def test_validate_rejects_steps_at_the_bound(self, positions, num_sources):
+        bound = 1.0 / (len(positions) * num_sources)  # 1/24 for the box trio
+        with pytest.raises(ConfigError, match="step_size"):
+            config_on(positions, num_sources, bound).validate()
+        config_on(positions, num_sources, 0.99 * bound).validate()
+        config_on(positions, 1, 1.0).validate()  # one source never leaves delay-and-sum
+
+
+def readme_yaml_block(intro: str) -> str:
+    """The first YAML block of README.md after the text ``intro``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("```yaml\n", text.index(intro)) + len("```yaml\n")
+    return text[start : text.index("```", start)]
+
+
 def readme_config_block() -> dict:
     """The YAML block that README.md introduces as "(all defaults shown)"."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    start = text.index("```yaml\n", text.index("(all defaults shown)")) + len("```yaml\n")
-    return yaml.safe_load(text[start : text.index("```", start)])
+    return yaml.safe_load(readme_yaml_block("(all defaults shown)"))
+
+
+def assert_lines_show_intervals(block: str, classes) -> None:
+    """Each line of ``block`` that sets a ranged field of ``classes`` shows its interval."""
+    for cls, f in RANGED:
+        if cls in classes:
+            lines = [line for line in block.splitlines()
+                     if re.search(rf"(?<!\w){f.name}:", line)]
+            assert lines, f"README lacks {cls.__name__}.{f.name}"
+            for line in lines:
+                assert f.metadata["allowed"] in line, (f"{cls.__name__}.{f.name}", line)
 
 
 def test_readme_shows_every_default():
@@ -152,3 +272,15 @@ def test_readme_shows_every_default():
     assert set(block) == set(PipelineConfig.__dataclass_fields__) - run_paths
     for key in set(block) - {"mic_positions_m", "sources"}:
         assert getattr(config, key) == getattr(default, key), key
+    assert_lines_show_intervals(readme_yaml_block("(all defaults shown)"),
+                                (PipelineConfig, SourceDirection))
+
+
+def test_readme_shows_every_scene_key():
+    text = readme_yaml_block("arraysep simulate --scene S.yaml")
+    assert_lines_show_intervals(text, (ArrayGeometry, SceneSpec, SceneSource, SignalSpec))
+    scene = scene_from_dict(yaml.safe_load(text))
+    assert scene == SceneSpec(scene.geometry, (SceneSource("center", 0.0),))
+    assert (scene.geometry.rate, scene.geometry.speed_of_sound) == (48000, 343.0)
+    [kind_line] = [line for line in text.splitlines() if "kind:" in line]
+    assert all(kind in kind_line for kind in SIGNAL_KINDS)

@@ -283,6 +283,22 @@ class TestAdapt:
         swapped = run([src[2], src[0], src[1]])
         np.testing.assert_allclose(swapped[:, [1, 2, 0], :], base, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("factor, converges", [(0.99, True), (1.01, False)])
+    def test_zero_input_geometric_step_bound(self, factor, converges):
+        # Zero input leaves only the geometric term, whose step converges only
+        # below 1 / (N M): 1/24 for the eight-microphone box and three sources.
+        from arraysep.simulate import BOX_MIC_POSITIONS
+
+        geom = ArrayGeometry(BOX_MIC_POSITIONS, 48000)
+        sm = steering_matrix(geom, [direction_vector(np.deg2rad(a)) for a in (0, 90, -90)], 1024)
+        state = gss.init_delay_and_sum(sm, factor / 24)
+        frame = SpectralFrame(np.zeros((8, 513)), 0, 1024, 48000)
+        before = gss.geometric_cost(state)
+        for _ in range(300):
+            gss.adapt(state, frame, gss.separate(state, frame))
+        after = gss.geometric_cost(state)
+        assert after < 0.1 * before if converges else after > 100 * before
+
 
 class TestOnScenes:
     def test_delay_and_sum_snr_beats_best_microphone(self):

@@ -498,10 +498,13 @@ class TestCli:
         ("azimuth_deg", float("nan")), ("elevation_deg", float("nan")),
         ("gain_db", float("inf")), ("noise_level_db", float("nan")),
         ("noise_level_db", float("inf")),
+        # booleans, strings and fractions are not coerced
+        ("azimuth_deg", True), ("gain_db", "3"), ("duration_s", True), ("seed", 1.7),
+        ("rate", 48000.9), ("rate", 48000.0), ("seed", -3),
     ])
     def test_non_finite_scene_value_rejected(self, tmp_path, key, value):
         data = scene_to_dict(three_speaker_scene(90.0, duration_s=0.2, seed=7))
-        if key == "noise_level_db":
+        if key in data:
             data[key] = value
         else:
             data["sources"][0][key] = value
@@ -515,6 +518,34 @@ class TestCli:
     def test_scene_without_samples_rejected(self, tmp_path, duration):
         assert main(["simulate", "--preset", "trio-90deg", "--duration", duration,
                      "--output-dir", str(tmp_path / "out")]) == 2
+        assert os.listdir(tmp_path) == []
+
+    def test_integer_valued_scene_renders_like_its_float_twin(self, tmp_path):
+        def integral(value):  # signal values were never coerced, so they echo as written
+            if isinstance(value, dict):
+                return {k: v if k == "signal" else integral(v) for k, v in value.items()}
+            if isinstance(value, list):
+                return [integral(v) for v in value]
+            return int(value) if isinstance(value, float) and value.is_integer() else value
+
+        data = scene_to_dict(three_speaker_scene(90.0, duration_s=0.25, seed=7))
+        data["sources"][0]["gain_db"] = 3.0
+        for name, scene in (("float", data), ("int", integral(data))):
+            (tmp_path / f"{name}.yaml").write_text(yaml.safe_dump(scene))
+            assert main(["simulate", "--scene", str(tmp_path / f"{name}.yaml"),
+                         "--output-dir", str(tmp_path / name)]) == 0
+        assert "azimuth_deg: 90\n" in (tmp_path / "int.yaml").read_text()
+        names = sorted(os.listdir(tmp_path / "float"))
+        assert names == sorted(os.listdir(tmp_path / "int")) and "scene.yaml" in names
+        for name in names:
+            assert (tmp_path / "float" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    def test_negative_seed_rejected(self, tmp_path, command):
+        argv = [command, "--preset", "trio-90deg", "--seed", "-1", "--seconds", "0.25"]
+        if command == "simulate":
+            argv[-2:] = ["--duration", "0.25", "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
         assert os.listdir(tmp_path) == []
 
     def test_input_rate_must_match_config(self, short_scene, scene_dir, tmp_path):
