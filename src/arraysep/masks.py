@@ -10,16 +10,12 @@ so masks and features agree band-wise without a second analysis pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .features import (FEATURE_FFT_SIZE, FEATURE_RATE, FEATURE_SHIFT, NUM_BANDS,
-                       _read_records, _write_csv, _write_records, mel_filterbank)
-
-if TYPE_CHECKING:
-    from .postfilter import PostFilterRecord
+from .features import (FEATURE_FFT_SIZE, FEATURE_RATE, FEATURE_SHIFT, _read_records,
+                       _write_csv, _write_records, mel_filterbank)
 
 DEFAULT_THRESHOLD = 0.25
 # Bands carrying less than this fraction of the frame's total band energy
@@ -64,17 +60,18 @@ class MaskMatrix:
         return self.continuous.shape[0]
 
 
-def masks_from_records(records: list[PostFilterRecord], source: int,
+def masks_from_records(bands: np.ndarray, source: int,
                        threshold: float = DEFAULT_THRESHOLD) -> MaskMatrix:
-    """Build the mask matrix for one separated source from post-filter records.
+    """Build the mask matrix for one separated source from the post-filter's
+    band powers, (frames, 3, sources, 24): input, output, stationary noise.
 
     A delta bit is reliable when all five frames its regression spans are;
     the two frames at each end, which lack that context, keep delta = 0.
     """
-    bands = np.array([record.bands[:, source] for record in records]).reshape(-1, 3, NUM_BANDS)
+    bands = bands[:, :, source]
     continuous, static = compute_mask(bands[:, 0], bands[:, 1], bands[:, 2], threshold)
     delta = np.zeros_like(static)
-    if len(records) >= 5:
+    if len(bands) >= 5:
         delta[2:-2] = sliding_window_view(static, 5, axis=0).all(axis=-1)
     return MaskMatrix(continuous, static, delta)
 

@@ -21,11 +21,12 @@ from . import gss
 from .audio import AudioBuffer, open_wav, read_wav, resample_48k_to_16k, write_wav
 from .config import PipelineConfig, serialize_config
 from .errors import AudioIOError, StreamError
-from .features import _write_csv, extract_features, write_features_binary, write_features_csv
+from .features import (NUM_BANDS, _write_csv, extract_features, write_features_binary,
+                       write_features_csv)
 from .geometry import steering_matrix
 from .masks import align_to_feature_frames, masks_from_records, write_mask_binary, write_mask_csv
 from .metrics import QualityReport, measure_quality
-from .postfilter import PostFilter, PostFilterRecord
+from .postfilter import PostFilter
 from .stft import frame_count, stft_analyze, stft_synthesize
 
 logger = logging.getLogger(__name__)
@@ -34,12 +35,16 @@ logger = logging.getLogger(__name__)
 @dataclass
 class StreamOutput:
     """The separated 48 kHz streams (None for an input shorter than one
-    frame), the frame count, the post-filter records and the GSS state."""
+    frame), the frame count and the GSS state.  With the post-filter, row t
+    of ``bands`` holds frame t's band powers, (T, 3, M, 24), and with
+    ``dump_diagnostics`` row t of ``internals`` its per-bin internals,
+    (T, 5, M, n_bins); each is None otherwise."""
 
     separated: AudioBuffer | None
     num_frames: int
-    records: list[PostFilterRecord]
     state: gss.SeparationState
+    bands: np.ndarray | None = None
+    internals: np.ndarray | None = None
 
 
 def run_stages(mixture: AudioBuffer, config: PipelineConfig) -> StreamOutput:
@@ -54,11 +59,15 @@ def run_stages(mixture: AudioBuffer, config: PipelineConfig) -> StreamOutput:
         raise StreamError(f"input is sampled at {mixture.rate} Hz, config expects {config.rate}")
     steering = steering_matrix(geometry, config.directions(), config.fft_size)
     state = gss.init_delay_and_sum(steering, config.step_size)
+    num_frames = frame_count(mixture.num_samples, config.fft_size, config.shift)
+    output = StreamOutput(None, num_frames, state)
     postfilter = None
     if config.stages.postfilter:
-        postfilter = PostFilter(len(config.sources), config.fft_size // 2 + 1, config)
-
-    records: list[PostFilterRecord] = []
+        num_sources, num_bins = len(config.sources), config.fft_size // 2 + 1
+        postfilter = PostFilter(num_sources, num_bins, config)
+        output.bands = np.zeros((num_frames, 3, num_sources, NUM_BANDS))
+        if config.dump_diagnostics:
+            output.internals = np.zeros((num_frames, 5, num_sources, num_bins))
 
     def stages(frames):
         for frame in frames:
@@ -66,18 +75,17 @@ def run_stages(mixture: AudioBuffer, config: PipelineConfig) -> StreamOutput:
             if config.stages.adapt:
                 gss.adapt(state, frame, separated)
             if postfilter is not None:
-                separated, record = postfilter.process(separated)
-                records.append(record)
+                separated, output.bands[frame.frame_index], internals = postfilter.process(separated)
+                if internals is not None:
+                    output.internals[frame.frame_index] = internals
             yield separated
 
-    num_frames = frame_count(mixture.num_samples, config.fft_size, config.shift)
-    separated = None
     if num_frames:
-        separated = stft_synthesize(stages(stft_analyze(mixture, config.fft_size, config.shift)),
-                                    config.shift, num_frames)
+        output.separated = stft_synthesize(
+            stages(stft_analyze(mixture, config.fft_size, config.shift)), config.shift, num_frames)
     logger.info("stages: %d frames, %d post-filter gain faults", num_frames,
                 postfilter.gains.fault_count if postfilter is not None else 0)
-    return StreamOutput(separated, num_frames, records, state)
+    return output
 
 
 @dataclass
@@ -112,12 +120,11 @@ def _dump_gss_state(path: str, state: gss.SeparationState, ids: list[str]) -> No
                "diagnostic")
 
 
-def _dump_postfilter_records(path: str, records: list[PostFilterRecord], source: int) -> None:
-    tables = (np.column_stack((
-        np.full(record.gain.shape[1], record.frame_index), np.arange(record.gain.shape[1]),
-        record.noise_stat[source], record.noise_leak[source],
-        record.snr_prior[source], record.presence[source], record.gain[source],
-    )) for record in records if record.gain is not None)
+def _dump_postfilter_records(path: str, internals: np.ndarray, source: int) -> None:
+    """One source's rows of the (T, 5, M, n_bins) internals, one frame's table at a time."""
+    bins = np.arange(internals.shape[-1])
+    tables = (np.column_stack((np.full(len(bins), t), bins, *frame[:, source]))
+              for t, frame in enumerate(internals))
     _write_csv(path, "frame,bin,noise_stat,noise_leak,snr_prior,presence,gain", tables,
                ["%d", "%d"] + ["%.6e"] * 5, "diagnostic")
 
@@ -161,56 +168,44 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     result.effective_config = effective
 
     ids = [s.id for s in config.sources]
-    separated = output.separated
-    per_source_16k: dict[str, AudioBuffer] = {}
-    for m, source_id in enumerate(ids):
-        if separated is None:
-            continue
-        mono = AudioBuffer(separated.samples[m], separated.rate)
-        path48 = os.path.join(config.output_dir, f"{source_id}_48k.wav")
-        write_wav(path48, mono)
-        result.separated_48k[source_id] = path48
-
-        mono16 = resample_48k_to_16k(mono)
-        per_source_16k[source_id] = mono16
-        path16 = os.path.join(config.output_dir, f"{source_id}_16k.wav")
-        write_wav(path16, mono16)
-        result.separated_16k[source_id] = path16
-
-    if config.stages.features and separated is not None:
-        for m, source_id in enumerate(ids):
-            features = extract_features(per_source_16k[source_id],
-                                        fft_size=config.feature_fft_size,
-                                        shift=config.feature_shift)
-            csv_path = os.path.join(config.output_dir, f"{source_id}_features.csv")
-            bin_path = os.path.join(config.output_dir, f"{source_id}_features.bin")
-            write_features_csv(csv_path, features)
-            write_features_binary(bin_path, features)
-            result.feature_files[source_id] = {"csv": csv_path, "binary": bin_path}
-
-            if output.records:
-                mask = masks_from_records(output.records, m, config.mask_threshold)
-                aligned = align_to_feature_frames(
-                    mask, len(features),
-                    feature_shift=config.feature_shift, feature_size=config.feature_fft_size,
-                    mask_shift=config.shift, mask_size=config.fft_size,
-                )
-                mask_csv = os.path.join(config.output_dir, f"{source_id}_mask.csv")
-                mask_bin = os.path.join(config.output_dir, f"{source_id}_mask.bin")
-                write_mask_csv(mask_csv, aligned)
-                write_mask_binary(mask_bin, aligned)
-                result.mask_files[source_id] = {"csv": mask_csv, "binary": mask_bin}
-
     if config.dump_diagnostics:
         _dump_gss_state(os.path.join(config.output_dir, "gss_state.csv"), output.state, ids)
-        if output.records:
-            for m, source_id in enumerate(ids):
-                _dump_postfilter_records(
-                    os.path.join(config.output_dir, f"{source_id}_postfilter.csv"),
-                    output.records, m,
-                )
+    separated = output.separated
+    if separated is None:
+        return result
 
-    if config.reference_wavs and separated is not None:
+    for m, source_id in enumerate(ids):
+        prefix = os.path.join(config.output_dir, f"{source_id}_")
+        mono = AudioBuffer(separated.samples[m], separated.rate)
+        write_wav(prefix + "48k.wav", mono)
+        mono16 = resample_48k_to_16k(mono)
+        write_wav(prefix + "16k.wav", mono16)
+        result.separated_48k[source_id] = prefix + "48k.wav"
+        result.separated_16k[source_id] = prefix + "16k.wav"
+        if output.internals is not None:
+            _dump_postfilter_records(prefix + "postfilter.csv", output.internals, m)
+        if not config.stages.features:
+            continue
+
+        features = extract_features(mono16, fft_size=config.feature_fft_size,
+                                    shift=config.feature_shift)
+        write_features_csv(prefix + "features.csv", features)
+        write_features_binary(prefix + "features.bin", features)
+        result.feature_files[source_id] = {"csv": prefix + "features.csv",
+                                           "binary": prefix + "features.bin"}
+        if output.bands is None:
+            continue
+
+        mask = align_to_feature_frames(
+            masks_from_records(output.bands, m, config.mask_threshold), len(features),
+            feature_shift=config.feature_shift, feature_size=config.feature_fft_size,
+            mask_shift=config.shift, mask_size=config.fft_size,
+        )
+        write_mask_csv(prefix + "mask.csv", mask)
+        write_mask_binary(prefix + "mask.bin", mask)
+        result.mask_files[source_id] = {"csv": prefix + "mask.csv", "binary": prefix + "mask.bin"}
+
+    if config.reference_wavs:
         rows = _quality_rows(config, separated, ids)
         stage = "gss+pf" if config.stages.postfilter else ("gss" if config.stages.adapt else "delay-and-sum")
         report = QualityReport({stage: rows})
@@ -240,8 +235,8 @@ def bench_pipeline(mixture: AudioBuffer, config: PipelineConfig) -> BenchReport:
     excluding file I/O."""
     start = time.perf_counter()
     output = run_stages(mixture, config)
-    for m in range(output.state.num_sources):
-        masks_from_records(output.records, m, config.mask_threshold)
+    for m in range(output.state.num_sources if output.bands is not None else 0):
+        masks_from_records(output.bands, m, config.mask_threshold)
     wall = time.perf_counter() - start
     rtf = (wall / mixture.duration) if output.num_frames else None
     return BenchReport(mixture.duration, wall, output.num_frames, rtf)

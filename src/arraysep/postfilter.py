@@ -7,7 +7,7 @@ spectral-amplitude gain, weighted by a per-bin speech presence
 probability, is then applied.  With one source, or a zero leak factor,
 each channel reduces exactly to an independent single-channel suppressor.
 
-Each frame records the input power, output power and stationary-noise
+Each frame also yields the input power, output power and stationary-noise
 level integrated over the 24 mask bands, (3, sources, 24); the mask stage
 consumes them without recomputing any gains.
 """
@@ -15,7 +15,6 @@ consumes them without recomputing any gains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, special
@@ -214,24 +213,6 @@ def speech_presence_prob(absence_prior: np.ndarray, snr_prior: np.ndarray,
     return np.where(certain_absent, 0.0, p)
 
 
-@dataclass
-class PostFilterRecord:
-    """Per-frame bookkeeping consumed by the mask stage and diagnostics.
-
-    ``bands`` holds input, output and stationary-noise power integrated
-    over the mask bands, (3, M, 24).  The per-bin fields are kept only for
-    diagnostics.
-    """
-
-    frame_index: int
-    bands: np.ndarray
-    noise_stat: np.ndarray | None = None   # (M, n_bins)
-    noise_leak: np.ndarray | None = None
-    snr_prior: np.ndarray | None = None
-    presence: np.ndarray | None = None
-    gain: np.ndarray | None = None
-
-
 class GainState:
     """Previous-frame gain and posterior SNR, per source and bin."""
 
@@ -244,8 +225,7 @@ class GainState:
 class PostFilter:
     """Streaming multi-source suppressor operating on separated frames.
 
-    Reads the post-filter keys of ``config`` (``PipelineConfig()`` if None);
-    with ``dump_diagnostics`` each record also keeps the per-bin internals.
+    Reads the post-filter keys of ``config`` (``PipelineConfig()`` if None).
     """
 
     def __init__(self, num_sources: int, num_bins: int, config: PipelineConfig | None = None):
@@ -254,7 +234,11 @@ class PostFilter:
         self.gains = GainState(num_sources, num_bins)
         self._bank = mask_filterbank(2 * (num_bins - 1))
 
-    def process(self, frame: SpectralFrame) -> tuple[SpectralFrame, PostFilterRecord]:
+    def process(self, frame: SpectralFrame) -> tuple[SpectralFrame, np.ndarray, np.ndarray | None]:
+        """The filtered frame; input, output and stationary-noise power over
+        the mask bands, (3, M, 24); and, with ``dump_diagnostics`` only, the
+        per-bin noise_stat, noise_leak, snr_prior, presence and gain,
+        (5, M, n_bins), else None."""
         cfg = self.config
         bins = frame.bins
         if bins.shape != self.noise.smoothed.shape:
@@ -284,13 +268,10 @@ class PostFilter:
         self.gains.prev_gain = gain_h1
         self.gains.prev_snr_post = snr_post
 
-        powers = np.stack((power, np.abs(out_bins) ** 2, self.noise.stationary))
-        record = PostFilterRecord(frame.frame_index, mel_energies(powers, self._bank))
+        bands = mel_energies(np.stack((power, np.abs(out_bins) ** 2, self.noise.stationary)),
+                             self._bank)
+        internals = None
         if cfg.dump_diagnostics:
-            record.noise_stat = self.noise.stationary.copy()
-            record.noise_leak = self.noise.leakage.copy()
-            record.snr_prior = snr_prior
-            record.presence = presence
-            record.gain = gain
-        out = SpectralFrame(out_bins, frame.frame_index, frame.fft_size, frame.rate)
-        return out, record
+            internals = np.stack((self.noise.stationary, self.noise.leakage, snr_prior,
+                                  presence, gain))
+        return SpectralFrame(out_bins, frame.frame_index, frame.fft_size, frame.rate), bands, internals

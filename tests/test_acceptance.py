@@ -159,11 +159,11 @@ class TestCriterion4PostFilterReduction:
         for mixture_frame in stft_analyze(render.mixture, config.fft_size, config.shift):
             frame = gss.separate(state, mixture_frame)
             gss.adapt(state, mixture_frame, frame)
-            out_multi, _ = multi.process(frame)
+            out_multi = multi.process(frame)[0]
             for m in range(3):
                 single_frame = SpectralFrame(frame.bins[m : m + 1], frame.frame_index,
                                              frame.fft_size, frame.rate)
-                out_single, _ = singles[m].process(single_frame)
+                out_single = singles[m].process(single_frame)[0]
                 assert np.array_equal(out_multi.bins[m], out_single.bins[0])
             frames += 1
         report(f"[PASS] criterion 4: zero-leak multi-source gains bit-identical to "
@@ -179,7 +179,7 @@ class TestCriterion5MaskBehavior:
                          duration_s=4.0, noise_level_db=-40.0, seed=77)
         render = synthesize(spec)
         _, output = separate_scene(render, spec, adapt=True, postfilter=True)
-        mask = masks_from_records(output.records, 0)
+        mask = masks_from_records(output.bands, 0)
         centers = (np.arange(mask.num_frames) * 512 + 512) / 48000
         silent = (centers > 0.1) & (centers < 0.9)
         fraction = float(mask.static[silent].mean())
@@ -209,7 +209,7 @@ class TestCriterion5MaskBehavior:
         bank = mask_filterbank()
         image_streams = [stft_analyze(AudioBuffer(render.source_images[i], 48000), 1024, 512)
                          for i in range(2)]
-        records = []
+        bands = []
         target_bands = [[], []]
         rival_bands = [[], []]
         for mixture_frame, image_a, image_b in zip(
@@ -217,18 +217,17 @@ class TestCriterion5MaskBehavior:
             separated = gss.separate(state, mixture_frame)
             contrib = [gss.separate(state, image_a).bins, gss.separate(state, image_b).bins]
             gss.adapt(state, mixture_frame, separated)
-            _, record = postfilter.process(separated)
-            records.append(record)
+            bands.append(postfilter.process(separated)[1])
             for m in range(2):
                 target_bands[m].append(mel_energies(np.abs(contrib[m][m]) ** 2, bank))
                 rival_bands[m].append(mel_energies(np.abs(contrib[1 - m][m]) ** 2, bank))
 
         fractions = []
         for m in range(2):
-            mask = masks_from_records(records, m)
+            mask = masks_from_records(np.array(bands), m)
             target = np.stack(target_bands[m])
             rival = np.stack(rival_bands[m])
-            floor = np.stack([r.bands[2, m] for r in records])
+            floor = np.array(bands)[:, 2, m]
             steady = slice(40, mask.num_frames)
             dominated = ((rival[steady] > 10.0 * np.maximum(target[steady], 1e-18))
                          & (rival[steady] > 4.0 * floor[steady]))

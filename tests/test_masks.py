@@ -14,7 +14,7 @@ from arraysep.geometry import steering_matrix
 from arraysep.masks import (MaskMatrix, align_to_feature_frames, compute_mask,
                             mask_filterbank, masks_from_records,
                             read_mask_binary, write_mask_binary, write_mask_csv)
-from arraysep.postfilter import PostFilter, PostFilterRecord
+from arraysep.postfilter import PostFilter
 from arraysep.simulate import SceneSource, SceneSpec, box_array_geometry, synthesize
 from arraysep.stft import stft_analyze
 
@@ -84,30 +84,30 @@ class TestComputeMask:
         assert np.all(bits_big | ~bits_small)
 
 
-def records_with_static(bits):
-    """One-source records whose static mask is ``bits`` (frames, 24): output 1 or 0 of input 1."""
-    return [PostFilterRecord(t, np.stack([np.ones(24), row, np.zeros(24)])[:, np.newaxis])
-            for t, row in enumerate(np.asarray(bits, dtype=float))]
+def bands_with_static(bits):
+    """One-source band powers whose static mask is ``bits`` (frames, 24): output 1 or 0 of input 1."""
+    bits = np.asarray(bits, dtype=float)
+    return np.stack([np.ones_like(bits), bits, np.zeros_like(bits)], axis=1)[:, :, np.newaxis]
 
 
 class TestDeltaMask:
     """A delta bit is reliable when all five frames of its regression window are."""
 
     def test_all_reliable(self):
-        mask = masks_from_records(records_with_static(np.ones((5, 24))), 0)
+        mask = masks_from_records(bands_with_static(np.ones((5, 24))), 0)
         assert np.all(mask.delta[2])
 
     def test_any_zero_breaks(self):
         rows = np.ones((5, 24), dtype=bool)
         rows[3, 7] = False
-        out = masks_from_records(records_with_static(rows), 0).delta[2]
+        out = masks_from_records(bands_with_static(rows), 0).delta[2]
         assert not out[7]
         assert np.all(np.delete(out, 7))
 
     def test_matches_product_oracle(self):
         rng = np.random.default_rng(3)
         rows = rng.random((9, 24)) > 0.2
-        delta = masks_from_records(records_with_static(rows), 0).delta
+        delta = masks_from_records(bands_with_static(rows), 0).delta
         for t in range(2, 7):
             oracle = rows[t - 2] & rows[t - 1] & rows[t] & rows[t + 1] & rows[t + 2]
             np.testing.assert_array_equal(delta[t], oracle)
@@ -115,26 +115,28 @@ class TestDeltaMask:
     def test_needs_five_rows(self):
         # a stream shorter than the window has no delta context: all bits 0, no error
         for n in (0, 1, 4, 5, 6):
-            mask = masks_from_records(records_with_static(np.ones((n, 24))), 0)
+            mask = masks_from_records(bands_with_static(np.ones((n, 24))), 0)
             expected = np.zeros((n, 24), dtype=bool)
             expected[2 : n - 2] = True
             np.testing.assert_array_equal(mask.delta, expected)
 
 
-def synthetic_records(num_frames=12, sources=1, seed=4):
+def synthetic_bands(num_frames=12, sources=1, seed=4):
+    """(frames, 3, sources, 24) input, output and noise band powers."""
     rng = np.random.default_rng(seed)
-    records = []
+    bands = np.zeros((num_frames, 3, sources, 24))
     for t in range(num_frames):
         band_in = rng.random((sources, 24)) + 0.01
         gain = rng.random((sources, 24))
         noise = 0.05 * rng.random((sources, 24))
-        records.append(PostFilterRecord(t, np.stack([band_in, gain * band_in, noise])))
-    return records
+        bands[t] = band_in, gain * band_in, noise
+    return bands
 
 
 @pytest.fixture(scope="module")
 def postfilter_run():
-    """Separated frames, post-filtered frames and records of a short two-talker scene."""
+    """Separated frames, post-filtered frames, band powers and per-bin
+    internals of a short two-talker scene."""
     spec = SceneSpec(box_array_geometry(),
                      (SceneSource("a", 30.0, onset_s=0.15), SceneSource("b", -30.0)),
                      duration_s=0.6, noise_level_db=-40.0, seed=3)
@@ -142,28 +144,30 @@ def postfilter_run():
     state = gss.init_delay_and_sum(
         steering_matrix(spec.geometry, [s.direction for s in spec.sources], 1024))
     postfilter = PostFilter(2, 513, PipelineConfig(dump_diagnostics=True))
-    inputs, outputs, records = [], [], []
+    inputs, outputs, bands, internals = [], [], [], []
     for frame in stft_analyze(render.mixture, 1024, 512):
         separated = gss.separate(state, frame)
         gss.adapt(state, frame, separated)
-        out, record = postfilter.process(separated)
+        out, frame_bands, frame_internals = postfilter.process(separated)
         inputs.append(separated.bins)
         outputs.append(out.bins)
-        records.append(record)
-    return inputs, outputs, records
+        bands.append(frame_bands)
+        internals.append(frame_internals)
+    return inputs, outputs, np.array(bands), internals
 
 
-def per_frame_masks(inputs, outputs, records, source, threshold):
+def per_frame_masks(inputs, outputs, internals, source, threshold):
     """Masks rebuilt frame by frame from per-bin powers, deltas as products of static rows."""
     bank = mask_filterbank()
-    continuous = np.ones((len(records), 24))
-    static = np.ones((len(records), 24), dtype=bool)
-    for t, (x, y, record) in enumerate(zip(inputs, outputs, records)):
+    continuous = np.ones((len(inputs), 24))
+    static = np.ones((len(inputs), 24), dtype=bool)
+    for t, (x, y, frame_internals) in enumerate(zip(inputs, outputs, internals)):
+        noise_stat = frame_internals[0]
         continuous[t], static[t] = compute_mask(
             mel_energies(np.abs(x[source]) ** 2, bank), mel_energies(np.abs(y[source]) ** 2, bank),
-            mel_energies(record.noise_stat[source], bank), threshold)
+            mel_energies(noise_stat[source], bank), threshold)
     delta = np.zeros_like(static)
-    for t in range(2, len(records) - 2):
+    for t in range(2, len(inputs) - 2):
         delta[t] = np.prod(static[t - 2 : t + 3].astype(np.uint8), axis=0).astype(bool)
     return continuous, static, delta
 
@@ -172,10 +176,10 @@ class TestMasksFromPostFilter:
     @pytest.mark.parametrize("frames", [0, 1, 4, 5, 6, None])
     @pytest.mark.parametrize("source", [0, 1])
     def test_matches_per_frame_oracle(self, postfilter_run, frames, source):
-        inputs, outputs, records = (part[:frames] for part in postfilter_run)
-        mask = masks_from_records(records, source, threshold=0.3)
-        continuous, static, delta = per_frame_masks(inputs, outputs, records, source, 0.3)
-        assert mask.continuous.shape == (len(records), 24)
+        inputs, outputs, bands, internals = (part[:frames] for part in postfilter_run)
+        mask = masks_from_records(bands, source, threshold=0.3)
+        continuous, static, delta = per_frame_masks(inputs, outputs, internals, source, 0.3)
+        assert mask.continuous.shape == (len(bands), 24)
         np.testing.assert_allclose(mask.continuous, continuous, rtol=1e-12, atol=0.0)
         np.testing.assert_array_equal(mask.static, static)
         np.testing.assert_array_equal(mask.delta, delta)
@@ -185,18 +189,18 @@ class TestMasksFromPostFilter:
 
 class TestMaskMatrix:
     def test_boundary_delta_rows_zero(self):
-        mask = masks_from_records(synthetic_records(), 0)
+        mask = masks_from_records(synthetic_bands(), 0)
         assert np.all(~mask.delta[:2])
         assert np.all(~mask.delta[-2:])
 
     def test_delta_rows_product_of_statics(self):
-        mask = masks_from_records(synthetic_records(), 0)
+        mask = masks_from_records(synthetic_bands(), 0)
         for t in range(2, mask.num_frames - 2):
             oracle = np.prod(mask.static[t - 2 : t + 3].astype(np.uint8), axis=0).astype(bool)
             np.testing.assert_array_equal(mask.delta[t], oracle)
 
     def test_alignment_maps_nearest_center(self):
-        mask = masks_from_records(synthetic_records(num_frames=20), 0)
+        mask = masks_from_records(synthetic_bands(num_frames=20), 0)
         aligned = align_to_feature_frames(mask, 24)
         assert aligned.num_frames == 24
         feature_centers = (np.arange(24) * 160 + 200) / 16000
@@ -250,7 +254,7 @@ def empty_mask():
 
 class TestMaskFiles:
     def test_binary_round_trip(self, tmp_path):
-        mask = masks_from_records(synthetic_records(num_frames=9, seed=5), 0)
+        mask = masks_from_records(synthetic_bands(num_frames=9, seed=5), 0)
         path = str(tmp_path / "m.bin")
         write_mask_binary(path, mask)
         loaded = read_mask_binary(path)
@@ -284,7 +288,7 @@ class TestMaskFiles:
                     read(str(path))
 
     def test_csv_shape(self, tmp_path):
-        mask = masks_from_records(synthetic_records(num_frames=6, seed=6), 0)
+        mask = masks_from_records(synthetic_bands(num_frames=6, seed=6), 0)
         path = str(tmp_path / "m.csv")
         write_mask_csv(path, mask)
         lines = open(path).read().splitlines()

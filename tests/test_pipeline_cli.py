@@ -19,7 +19,7 @@ from arraysep.errors import AudioIOError
 from arraysep.metrics import QualityReport, interference_ratio_db, measure_quality
 from arraysep.pipeline import (_dump_gss_state, _dump_postfilter_records, bench_pipeline,
                                run_pipeline, run_stages)
-from arraysep.postfilter import PostFilter, PostFilterRecord
+from arraysep.postfilter import PostFilter
 from arraysep.simulate import (SceneSource, SceneSpec, SignalSpec, box_array_geometry,
                                synthesize, three_speaker_scene)
 from arraysep.stft import SpectralFrame, stft_analyze, stft_synthesize
@@ -239,7 +239,7 @@ class TestRunPipeline:
 
     def test_run_stages_memory_does_not_keep_frames(self):
         # per audio second, 3 sources' separated spectra would be 2.3 MB; the
-        # 48 kHz output is 1.15 MB and the band records about 0.2 MB
+        # 48 kHz output is 1.15 MB and the band powers about 0.2 MB
         def retained(seconds):
             spec = three_speaker_scene(90.0, duration_s=seconds, seed=12)
             render = synthesize(spec)
@@ -264,31 +264,19 @@ class TestDiagnosticDumps:
 
     def test_postfilter_records_golden(self, tmp_path):
         rng = np.random.default_rng(40)
-
-        def record(index, with_diagnostics):
-            fields = {name: rng.permutation(self.special * 2).reshape(2, 7)
-                      for name in ("noise_stat", "noise_leak", "snr_prior", "presence", "gain")}
-            return PostFilterRecord(index, np.zeros((3, 2, 24)), **(fields if with_diagnostics else {}))
-
-        records = [record(0, True), record(1, False), record(4294967295, True)]
+        # (frames, noise_stat/noise_leak/snr_prior/presence/gain, sources, bins)
+        internals = np.array([rng.permutation(self.special * 10).reshape(5, 2, 7)
+                              for _ in range(3)])
+        names = ("noise_stat", "noise_leak", "snr_prior", "presence", "gain")
         for source in range(2):
             path = tmp_path / f"{source}.csv"
-            _dump_postfilter_records(str(path), records, source)
-            expected = "frame,bin,noise_stat,noise_leak,snr_prior,presence,gain\n"
-            for rec in records:
-                if rec.gain is None:
-                    continue
+            _dump_postfilter_records(str(path), internals, source)
+            expected = "frame,bin," + ",".join(names) + "\n"
+            for t in range(3):
                 for k in range(7):
-                    expected += (f"{rec.frame_index},{k},{rec.noise_stat[source, k]:.6e},"
-                                 f"{rec.noise_leak[source, k]:.6e},{rec.snr_prior[source, k]:.6e},"
-                                 f"{rec.presence[source, k]:.6e},{rec.gain[source, k]:.6e}\n")
+                    expected += f"{t},{k}," + ",".join(
+                        f"{internals[t, i, source, k]:.6e}" for i in range(5)) + "\n"
             assert path.read_text() == expected
-
-    def test_postfilter_records_without_diagnostics(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        record = PostFilterRecord(0, np.zeros((3, 1, 24)))
-        _dump_postfilter_records(str(path), [record], 0)
-        assert path.read_text() == "frame,bin,noise_stat,noise_leak,snr_prior,presence,gain\n"
 
     def test_gss_state_golden(self, tmp_path):
         values = np.array(self.special * 6).reshape(3, 2, 7)[:, :, :2]

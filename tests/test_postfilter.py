@@ -1,6 +1,5 @@
 """Noise tracking, MMSE gains, speech presence and the per-source suppressor."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -266,8 +265,8 @@ class TestGain:
         pf = PostFilter(1, 33, PipelineConfig(dump_diagnostics=True))
         for t, level in enumerate([1.0] * 20 + [1e3, 1e-3]):
             bins = level * (rng.standard_normal(33) + 1j * rng.standard_normal(33))
-            _, record = pf.process(SpectralFrame(bins, t, 64, 48000))
-        snr_post, xi = pf.gains.prev_snr_post, record.snr_prior
+            internals = pf.process(SpectralFrame(bins, t, 64, 48000))[2]
+        snr_post, xi = pf.gains.prev_snr_post, internals[2]
         unclamped, _ = _gain_core(snr_post * xi / (1.0 + xi), snr_post, 1.0)
         assert unclamped.max() > 2.0 * GAIN_MAX
         np.testing.assert_array_equal(pf.gains.prev_gain, np.clip(unclamped, 0.0, GAIN_MAX))
@@ -331,14 +330,15 @@ class TestPostFilter:
         rng = np.random.default_rng(5)
         pf = PostFilter(2, 33, PipelineConfig(dump_diagnostics=True))
         for t, bins in enumerate(random_frames(rng, 30, 2, 33)):
-            out, record = pf.process(SpectralFrame(bins, t, 64, 48000))
-            np.testing.assert_allclose(out.bins, record.gain * bins)
-            assert np.all(record.gain >= GAIN_FLOOR)
-            assert np.all(record.gain <= GAIN_MAX)
+            out, _, internals = pf.process(SpectralFrame(bins, t, 64, 48000))
+            gain = internals[4]
+            np.testing.assert_allclose(out.bins, gain * bins)
+            assert np.all(gain >= GAIN_FLOOR)
+            assert np.all(gain <= GAIN_MAX)
 
     def test_zero_input_zero_output(self):
         pf = PostFilter(2, 33)
-        out, _ = pf.process(SpectralFrame(np.zeros((2, 33), dtype=complex), 0, 64, 48000))
+        out = pf.process(SpectralFrame(np.zeros((2, 33), dtype=complex), 0, 64, 48000))[0]
         assert np.all(out.bins == 0)
 
     def test_zero_leak_matches_independent_single_source_filters(self):
@@ -347,9 +347,9 @@ class TestPostFilter:
         multi = PostFilter(3, 65, PipelineConfig(leak_factor=0.0))
         singles = [PostFilter(1, 65, PipelineConfig(leak_factor=0.0)) for _ in range(3)]
         for t, bins in enumerate(frames):
-            out_multi, _ = multi.process(SpectralFrame(bins, t, 128, 48000))
+            out_multi = multi.process(SpectralFrame(bins, t, 128, 48000))[0]
             for m in range(3):
-                out_single, _ = singles[m].process(SpectralFrame(bins[m : m + 1], t, 128, 48000))
+                out_single = singles[m].process(SpectralFrame(bins[m : m + 1], t, 128, 48000))[0]
                 np.testing.assert_array_equal(out_multi.bins[m], out_single.bins[0])
 
     # a window of 10 frames restarts the minimum tracker within the 40 frames
@@ -383,18 +383,18 @@ class TestPostFilter:
             rng = np.random.default_rng(8)
             pf = PostFilter(2, 33, PipelineConfig(dump_diagnostics=dump_diagnostics))
             for t, bins in enumerate(random_frames(rng, 3, 2, 33)):
-                out, record = pf.process(SpectralFrame(bins, t, 64, 48000))
+                out, bands, internals = pf.process(SpectralFrame(bins, t, 64, 48000))
                 per_bin = [np.abs(bins) ** 2, np.abs(out.bins) ** 2, pf.noise.stationary]
-                assert record.bands.shape == (3, 2, 24)
+                assert bands.shape == (3, 2, 24)
                 for k in range(3):
                     for m in range(2):
-                        np.testing.assert_allclose(record.bands[k, m],
-                                                   mel_energies(per_bin[k][m], bank),
+                        np.testing.assert_allclose(bands[k, m], mel_energies(per_bin[k][m], bank),
                                                    rtol=1e-12, atol=0.0)
-            held = [f.name for f in dataclasses.fields(record)
-                    if getattr(record, f.name) is not None]
-            if dump_diagnostics:
-                assert len(held) == len(dataclasses.fields(record))
-                np.testing.assert_array_equal(record.noise_stat, pf.noise.stationary)
-            else:
-                assert held == ["frame_index", "bands"]
+                if not dump_diagnostics:
+                    assert internals is None
+                    continue
+                # noise_stat, noise_leak, snr_prior, presence, gain
+                assert internals.shape == (5, 2, 33)
+                np.testing.assert_array_equal(internals[0], pf.noise.stationary)
+                np.testing.assert_array_equal(internals[1], pf.noise.leakage)
+                np.testing.assert_array_equal(out.bins, internals[4] * bins)
