@@ -76,7 +76,8 @@ class PipelineConfig:
             raise ConfigError(f"duplicate source ids: {ids}")
         check_fields(self)
         check_fields(self.stages, "stages: ")
-        num_mics = self.geometry().num_mics
+        geometry = self.geometry()
+        num_mics = geometry.num_mics
         if self.rate != 48000:
             raise ConfigError("separation pipeline runs at 48000 Hz")
         # The sqrt-Hann analysis/synthesis pair overlap-adds to a constant
@@ -94,6 +95,15 @@ class PipelineConfig:
         if len(self.sources) > 1 and self.step_size >= bound:
             raise ConfigError(f"step_size must be below 1 / (microphones * sources) = "
                               f"{bound:.6g} here, got {self.step_size!r}")
+        # Sources whose far-field delays agree at every microphone have one
+        # steering column, and WA = I has no solution.
+        paths = geometry.centered_positions @ np.transpose(self.directions())  # (N, M)
+        tolerance = 1e-9 * np.abs(paths).max()
+        for j in range(len(ids)):
+            for i in range(j):
+                if np.abs(paths[:, i] - paths[:, j]).max() <= tolerance:
+                    raise ConfigError(f"sources {ids[i]} and {ids[j]} have the same far-field "
+                                      f"delays at every microphone")
         if self.reference_wavs and len(self.reference_wavs) != len(self.sources):
             raise ConfigError("reference_wavs must list one file per source")
         return self

@@ -80,7 +80,7 @@ class SceneSource:
     azimuth_deg: float = ranged("(-inf, inf)")
     elevation_deg: float = ranged("(-inf, inf)", 0.0)
     signal: SignalSpec = field(default_factory=SignalSpec)
-    gain_db: float = ranged("(-inf, inf)", 0.0)
+    gain_db: float = ranged("(-inf, 26]", 0.0)  # at 26.02 dB the reference RMS is full scale
     onset_s: float = ranged("[0, inf)", 0.0)
 
     def __post_init__(self):
@@ -97,7 +97,7 @@ class SceneSpec:
     geometry: ArrayGeometry
     sources: tuple[SceneSource, ...]
     duration_s: float = ranged("(0, inf)", 10.0)
-    noise_level_db: float = ranged("[-inf, inf)", -40.0)  # white noise RMS per channel, dB re full scale
+    noise_level_db: float = ranged("[-inf, 0]", -40.0)  # white noise RMS per channel, dB re full scale
     seed: int = ranged("[0, inf)", 0)
 
     def __post_init__(self):

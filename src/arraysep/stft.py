@@ -74,7 +74,10 @@ def stft_synthesize(frames: Iterable[SpectralFrame], shift: int, num_frames: int
     output is sized from ``num_frames`` at the first frame and each frame
     is added as it arrives.  The synthesis taper is the analysis one, so
     dividing by the summed squared window makes interior samples exact for
-    any shift where that sum stays positive.
+    any shift where that sum stays positive.  Within ``fft_size - shift``
+    of either end fewer frames overlap; there the divisor is floored at the
+    smallest sum of the fully overlapped interior (of the window's periodic
+    sum if there is none), so the edges fade instead of being amplified.
     """
     out = None
     for t, frame in enumerate(frames):
@@ -101,6 +104,13 @@ def stft_synthesize(frames: Iterable[SpectralFrame], shift: int, num_frames: int
         raise StreamError("cannot synthesize from an empty frame stream")
     if t + 1 != num_frames:
         raise StreamError(f"frame stream ended after {t + 1} of {num_frames} frames")
+    edge = fft_size - shift
+    interior = norm[edge : num_samples - edge]
+    if interior.size:
+        floor = interior.min()
+    else:
+        floor = np.pad(window_sq, (0, -fft_size % shift)).reshape(-1, shift).sum(axis=0).min()
+    np.maximum(norm, floor, out=norm)
     np.divide(out, norm, out=out, where=norm > 1e-10)
     return AudioBuffer(out, rate)
 

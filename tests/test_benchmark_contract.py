@@ -33,6 +33,7 @@ def test_traced_smoke_operation_passes_the_benchmark_checks(name, tmp_path, monk
         # set-up is traced too: it is where scenes are rendered and models trained
         prepared = workloads.setup(workload, 0, str(tmp_path / "inputs"),
                                    lambda fn, *args, **kwargs: fn(*args, **kwargs))
+        first = len(tracer.spans)
         with tracer.span("op"):
             out = workloads.run_op(workload, prepared, 0, str(tmp_path / "out"))
         problems, _ = workloads.check_op(workload, prepared.scenes[0], out)
@@ -40,3 +41,14 @@ def test_traced_smoke_operation_passes_the_benchmark_checks(name, tmp_path, monk
         tracer.uninstall()
     assert problems == []
     tracer.require(workload.layers())
+
+    # Beyond the wrapped names, pipeline.frame_ms_* sums each frame's stage
+    # spans by frame index, and postfilter.gain_faults reads the faults
+    # count of the postfilter.process spans.
+    op_spans = tracer.spans[first:]
+    frames = list(range(out.result.frames_processed))
+    assert frames
+    stages = ["stft.analyze", "gss.separate", "postfilter.process"]
+    for name in stages + (["gss.adapt"] if workload.adapt else []):
+        assert [span.frame for span in op_spans if span.name == name] == frames, name
+    assert all("faults" in span.counts for span in op_spans if span.name == "postfilter.process")

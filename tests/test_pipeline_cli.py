@@ -1,6 +1,7 @@
 """End-to-end pipeline runs and the command-line interface."""
 
 import logging
+import math
 import os
 import time
 import tracemalloc
@@ -422,6 +423,28 @@ class TestCli:
         # nothing in the output directory nor in its parent
         assert os.listdir(tmp_path) == ["cfg.yaml"]
 
+    @pytest.mark.parametrize("planar, directions", [
+        (False, [(0.0, 0.0), (360.0, 0.0)]),
+        (False, [(0.0, 90.0), (90.0, 90.0)]),    # overhead, azimuth moves no delay
+        (True, [(30.0, 20.0), (30.0, -20.0)]),   # mirror images through the array plane
+    ], ids=["azimuth-0-and-360", "both-overhead-on-box-array", "mirror-elevations-on-plane"])
+    def test_sources_with_equal_delays_rejected(self, short_scene, scene_dir, tmp_path,
+                                                planar, directions):
+        # equal far-field delays at every microphone give equal steering
+        # columns, and WA = I has no solution
+        spec, _ = short_scene
+        config_path = tmp_path / "cfg.yaml"
+        write_config(config_path, spec, scene_dir, tmp_path / "out")
+        data = yaml.safe_load(config_path.read_text())
+        for source, (azimuth, elevation) in zip(data["sources"], directions):
+            source.update(azimuth_deg=azimuth, elevation_deg=elevation)
+        if planar:  # eight microphones on a circle in the plane z = 0.3
+            data["mic_positions_m"] = [[0.1 * math.cos(k * math.pi / 4),
+                                        0.1 * math.sin(k * math.pi / 4), 0.3] for k in range(8)]
+        config_path.write_text(yaml.safe_dump(data))
+        assert main(["separate", "--config", str(config_path)]) == 2
+        assert os.listdir(tmp_path) == ["cfg.yaml"]
+
     @pytest.mark.parametrize("source_id", ["../escaped", "c/../x", "..", "", 7])
     def test_scene_source_id_must_be_a_file_name(self, tmp_path, source_id):
         data = scene_to_dict(three_speaker_scene(90.0, duration_s=0.2, seed=7))
@@ -489,6 +512,10 @@ class TestCli:
         # booleans, strings and fractions are not coerced
         ("azimuth_deg", True), ("gain_db", "3"), ("duration_s", True), ("seed", 1.7),
         ("rate", 48000.9), ("rate", 48000.0), ("seed", -3),
+        # levels past full scale: 7000 dB overflowed to a traceback, 400 dB
+        # rendered peaks of 1e19
+        ("gain_db", 400.0), ("gain_db", 7000.0), ("noise_level_db", 400.0),
+        ("noise_level_db", 7000.0),
     ])
     def test_non_finite_scene_value_rejected(self, tmp_path, key, value):
         data = scene_to_dict(three_speaker_scene(90.0, duration_s=0.2, seed=7))

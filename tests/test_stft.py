@@ -5,8 +5,11 @@ import pytest
 
 from arraysep.audio import AudioBuffer
 from arraysep.errors import ConfigError, StreamError
+from arraysep.simulate import synthesize, three_speaker_scene
 from arraysep.stft import (SpectralFrame, frame_count, sqrt_hann_window,
                            stft_analyze, stft_synthesize)
+
+from helpers import separate_scene
 
 
 def _noise(channels, samples, rate, seed=0, scale=0.1):
@@ -96,16 +99,21 @@ class TestSynthesize:
         assert np.all(out.samples == 0)
 
     def test_single_frame_impulse(self):
-        # an impulse mid-frame survives the window/unwindow round trip exactly
+        # one frame has no fully overlapped sample, so every sample is divided
+        # by the floor, the minimum of the periodic window sum (1 at half
+        # overlap): the impulse comes back weighted by the squared window
         x = np.zeros(1024)
         x[500] = 1.0
+        x[10] = 1.0  # near the frame edge, where dividing by w^2 would amplify
         frame = next(stft_analyze(AudioBuffer(x, 48000), 1024, 512))
         out = stft_synthesize([frame], 512, 1)
         window = sqrt_hann_window(1024)
         # direct oracle: irfft of the frame is the windowed impulse
         np.testing.assert_allclose(np.fft.irfft(frame.bins[0]), window * x, atol=1e-12)
-        np.testing.assert_allclose(out.samples[0, 500], 1.0, atol=1e-9)
-        assert np.all(np.abs(np.delete(out.samples[0], 500)) < 1e-9)
+        floor = min(window[r] ** 2 + window[r + 512] ** 2 for r in range(512))
+        assert floor == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(out.samples[0], window ** 2 * x / floor, atol=1e-9)
+        assert out.samples[0, 10] < 1e-3
 
     def test_mismatched_fft_size_rejected(self):
         frames = [SpectralFrame(np.zeros((1, 513)), 0, 1024, 48000),
@@ -138,6 +146,10 @@ class TestSynthesize:
             expected[:, t * shift : t * shift + fft_size] += (
                 np.fft.irfft(frame.bins, n=fft_size, axis=1) * window)
             norm[t * shift : t * shift + fft_size] += window * window
+        # samples within fft_size - shift of an end are divided by no less
+        # than the smallest window sum of the fully overlapped interior
+        edge = fft_size - shift
+        norm = np.maximum(norm, norm[edge:-edge].min())
         positive = norm > 1e-10
         expected[:, positive] /= norm[positive]
 
@@ -153,6 +165,19 @@ class TestSynthesize:
         match = "runs past" if declared < 4 else "ended after 4 of"
         with pytest.raises(StreamError, match=match):
             stft_synthesize(frames, 512, declared)
+
+
+def test_pipeline_edges_fade_instead_of_amplifying():
+    # partial window sums at the ends fall to 1e-5; dividing by them once
+    # took the last sample of the left talker to 1.824 against an interior
+    # peak of 0.209
+    spec = three_speaker_scene(40.0, duration_s=1.0, seed=7)
+    audio, _ = separate_scene(synthesize(spec), spec, adapt=True, postfilter=True)
+    edge = 1024 - 512
+    for x in audio.samples:
+        interior_peak = np.abs(x[edge:-edge]).max()
+        assert np.abs(x[:edge]).max() <= interior_peak
+        assert np.abs(x[-edge:]).max() <= interior_peak
 
 
 def test_window_cola_at_half_overlap():
