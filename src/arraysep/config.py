@@ -95,8 +95,8 @@ class PipelineConfig:
         if len(self.sources) > 1 and self.step_size >= bound:
             raise ConfigError(f"step_size must be below 1 / (microphones * sources) = "
                               f"{bound:.6g} here, got {self.step_size!r}")
-        # Sources whose far-field delays agree at every microphone have one
-        # steering column, and WA = I has no solution.
+        # Sources whose far-field delays agree at every microphone, to
+        # rounding, share one steering column, and WA = I has no solution.
         paths = geometry.centered_positions @ np.transpose(self.directions())  # (N, M)
         tolerance = 1e-9 * np.abs(paths).max()
         for j in range(len(ids)):

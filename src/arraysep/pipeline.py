@@ -235,8 +235,9 @@ def bench_pipeline(mixture: AudioBuffer, config: PipelineConfig) -> BenchReport:
     excluding file I/O."""
     start = time.perf_counter()
     output = run_stages(mixture, config)
-    for m in range(output.state.num_sources if output.bands is not None else 0):
-        masks_from_records(output.bands, m, config.mask_threshold)
+    if output.bands is not None:
+        for m in range(output.state.num_sources):
+            masks_from_records(output.bands, m, config.mask_threshold)
     wall = time.perf_counter() - start
     rtf = (wall / mixture.duration) if output.num_frames else None
     return BenchReport(mixture.duration, wall, output.num_frames, rtf)
