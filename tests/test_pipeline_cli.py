@@ -73,6 +73,11 @@ class TestRunPipeline:
             assert os.path.exists(result.mask_files[sid]["binary"])
         assert os.path.exists(result.report_csv)
         assert os.path.exists(result.effective_config)
+        # without dump_diagnostics no post-filter or GSS dump is written
+        kinds = ("48k.wav", "16k.wav", "features.csv", "features.bin", "mask.csv", "mask.bin")
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(
+            ["effective_config.yaml", "quality_report.csv"]
+            + [f"{s.source_id}_{kind}" for s in spec.sources for kind in kinds])
         assert read_wav(result.separated_48k["center"]).rate == 48000
         assert read_wav(result.separated_16k["center"]).rate == 16000
 
