@@ -123,9 +123,15 @@ def open_wav(path: str) -> MappedWav:
 
 
 def read_wav(path: str) -> AudioBuffer:
-    """Read and decode a whole WAV file (formats as ``open_wav``)."""
+    """Read and decode a whole WAV file (formats as ``open_wav``); NaN and inf are refused."""
     mapped = open_wav(path)
-    return AudioBuffer(_decode(mapped.raw).T, mapped.rate)
+    samples = _decode(mapped.raw)
+    with np.errstate(all="ignore"):  # a finite sum rules out a non-finite sample
+        bad = () if np.isfinite(samples.sum()) else np.argwhere(~np.isfinite(samples))
+    if len(bad):
+        raise AudioIOError(f"{path}: non-finite sample {samples[tuple(bad[0])]} "
+                           f"at sample {bad[0][0]}, channel {bad[0][1]}")
+    return AudioBuffer(samples.T, mapped.rate)
 
 
 def write_wav(path: str, audio: AudioBuffer) -> None:

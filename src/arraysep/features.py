@@ -255,37 +255,40 @@ _ENCODERS = {"%d": _encode_int, "%.6e": lambda v: _encode_fixed(v, 6),
              "%.9e": lambda v: _encode_fixed(v, 9)}
 
 
+def _encode_cells(values: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """A (rows, columns) block of one format as (rows, width) bytes, each cell
+    ending in ``,``, and a flag for each row that they may not show."""
+    if fmt not in _ENCODERS:
+        raise ValueError(f"unsupported CSV format {fmt!r}")
+    cells, bad = _ENCODERS[fmt](values.ravel())
+    cells[:, -1] = ord(",")
+    return cells.reshape(len(values), -1), bad.reshape(len(values), -1).any(axis=1)
+
+
+def _join_rows(blocks: list[np.ndarray], fallback: np.ndarray, row, fmt: list[str]) -> bytes:
+    """The rows whose cells are ``blocks``, side by side, as text; flagged row
+    i is ``",".join(fmt) % row(i)`` instead."""
+    text = np.concatenate(blocks, axis=1)
+    text[:, -1] = ord("\n")
+    parts, done, line = [], 0, ",".join(fmt) + "\n"
+    for i in np.flatnonzero(fallback):
+        parts += [text[done:i].tobytes(), (line % row(i)).encode()]
+        done = i + 1
+    parts.append(text[done:].tobytes())
+    return b"".join(parts).translate(None, b"\0")
+
+
 def _encode_rows(table: np.ndarray, fmt: list[str]) -> bytes:
     """The bytes of ``",".join(fmt) % tuple(row) + "\\n"`` for every row.
 
     Formats are ``%d``, ``%.6e`` and ``%.9e``.  A row holding a value that
     its cell cannot show exactly goes through ``%`` itself.
     """
-    unknown = sorted(set(fmt) - set(_ENCODERS))
-    if unknown:
-        raise ValueError(f"unsupported CSV formats {unknown}")
     table = np.asarray(table, dtype=np.float64).reshape(-1, len(fmt))
-    rows = len(table)
-    blocks, fallback = [], np.zeros(rows, bool)
-    start = 0
-    while start < len(fmt):  # one pass per run of equal formats
-        stop = start + 1
-        while stop < len(fmt) and fmt[stop] == fmt[start]:
-            stop += 1
-        cells, bad = _ENCODERS[fmt[start]](table[:, start:stop].ravel())
-        cells[:, -1] = ord(",")
-        blocks.append(cells.reshape(rows, -1))
-        fallback |= bad.reshape(rows, -1).any(axis=1)
-        start = stop
-    text = np.concatenate(blocks, axis=1)
-    text[:, -1] = ord("\n")
-
-    parts, done, line = [], 0, ",".join(fmt) + "\n"
-    for row in np.flatnonzero(fallback):
-        parts += [text[done:row].tobytes(), (line % tuple(table[row])).encode()]
-        done = row + 1
-    parts.append(text[done:].tobytes())
-    return b"".join(parts).translate(None, b"\0")
+    edges = [0] + [j for j in range(1, len(fmt)) if fmt[j] != fmt[j - 1]] + [len(fmt)]
+    encoded = [_encode_cells(table[:, a:b], fmt[a]) for a, b in zip(edges, edges[1:])]
+    return _join_rows([cells for cells, _ in encoded], np.any([bad for _, bad in encoded], axis=0),
+                      lambda i: tuple(table[i]), fmt)
 
 
 def _write_csv(path: str, header: str, tables, fmt: list[str], kind: str) -> None:

@@ -1,17 +1,20 @@
 """End-to-end orchestration: separation, post-filter, features, masks, metrics.
 
 Frames stream stage to stage in order; per-source audio, feature and mask
-files are only written once the whole stream processed cleanly, so a
-failing run leaves no partial outputs.  Each input is decoded only while a
-stage needs it: the mixture for the stage loop, the references and the noise
-(checked up front) for the quality report at the end.  Identical config and
-inputs give byte-identical outputs.
+files are written once the whole stream processed cleanly, and post-filter
+dumps keep temporary names until then, so a failing run leaves no partial
+outputs.  Each input is decoded only while a stage needs it: the mixture for
+the stage loop, the references and the noise (checked up front) for the
+quality report at the end.  Identical config and inputs give byte-identical
+outputs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
+import shutil
 import time
 from dataclasses import dataclass, field
 
@@ -21,8 +24,8 @@ from . import gss
 from .audio import AudioBuffer, open_wav, read_wav, resample_48k_to_16k, write_wav
 from .config import PipelineConfig, serialize_config
 from .errors import AudioIOError, StreamError
-from .features import (NUM_BANDS, _write_csv, extract_features, write_features_binary,
-                       write_features_csv)
+from .features import (NUM_BANDS, _encode_cells, _join_rows, _write_csv, extract_features,
+                       write_features_binary, write_features_csv)
 from .geometry import steering_matrix
 from .masks import align_to_feature_frames, masks_from_records, write_mask_binary, write_mask_csv
 from .metrics import QualityReport, measure_quality
@@ -36,20 +39,18 @@ logger = logging.getLogger(__name__)
 class StreamOutput:
     """The separated 48 kHz streams (None for an input shorter than one
     frame), the frame count and the GSS state.  With the post-filter, row t
-    of ``bands`` holds frame t's band powers, (T, 3, M, 24), and with
-    ``dump_diagnostics`` row t of ``internals`` its per-bin internals,
-    (T, 5, M, n_bins); each is None otherwise."""
+    of ``bands`` holds frame t's band powers, (T, 3, M, 24); else None."""
 
     separated: AudioBuffer | None
     num_frames: int
     state: gss.SeparationState
     bands: np.ndarray | None = None
-    internals: np.ndarray | None = None
 
 
-def run_stages(mixture: AudioBuffer, config: PipelineConfig) -> StreamOutput:
+def run_stages(mixture: AudioBuffer, config: PipelineConfig, dump=None) -> StreamOutput:
     """Stream the mixture through separation, the optional post-filter and
-    overlap-add; no frame outlives its own step through the chain."""
+    overlap-add; no frame outlives its own step through the chain, and with
+    ``dump_diagnostics`` each one's internals go to ``dump(frame_index, internals)``."""
     geometry = config.geometry()
     if mixture.num_channels != geometry.num_mics:
         raise StreamError(
@@ -66,8 +67,6 @@ def run_stages(mixture: AudioBuffer, config: PipelineConfig) -> StreamOutput:
         num_sources, num_bins = len(config.sources), config.fft_size // 2 + 1
         postfilter = PostFilter(num_sources, num_bins, config)
         output.bands = np.zeros((num_frames, 3, num_sources, NUM_BANDS))
-        if config.dump_diagnostics:
-            output.internals = np.zeros((num_frames, 5, num_sources, num_bins))
 
     def stages(frames):
         for frame in frames:
@@ -76,8 +75,8 @@ def run_stages(mixture: AudioBuffer, config: PipelineConfig) -> StreamOutput:
                 gss.adapt(state, frame, separated)
             if postfilter is not None:
                 separated, output.bands[frame.frame_index], internals = postfilter.process(separated)
-                if internals is not None:
-                    output.internals[frame.frame_index] = internals
+                if dump is not None and internals is not None:
+                    dump(frame.frame_index, internals)
             yield separated
 
     if num_frames:
@@ -120,13 +119,43 @@ def _dump_gss_state(path: str, state: gss.SeparationState, ids: list[str]) -> No
                "diagnostic")
 
 
-def _dump_postfilter_records(path: str, internals: np.ndarray, source: int) -> None:
-    """One source's rows of the (T, 5, M, n_bins) internals, one frame's table at a time."""
-    bins = np.arange(internals.shape[-1])
-    tables = (np.column_stack((np.full(len(bins), t), bins, *frame[:, source]))
-              for t, frame in enumerate(internals))
-    _write_csv(path, "frame,bin,noise_stat,noise_leak,snr_prior,presence,gain", tables,
-               ["%d", "%d"] + ["%.6e"] * 5, "diagnostic")
+class _PostfilterDump:
+    """Each source's ``<id>_postfilter.csv``, appended frame by frame under a
+    temporary name until ``commit`` renames it into place; ``discard``
+    removes the temporary files."""
+
+    def __init__(self, output_dir: str, ids: list[str]):
+        self.paths = [os.path.join(output_dir, f"{source_id}_postfilter.csv") for source_id in ids]
+        self.files = []
+
+    def __call__(self, frame_index: int, internals: np.ndarray) -> None:
+        """Append every source's rows of one frame's (5, M, n_bins) internals."""
+        num_sources, num_bins = internals.shape[1:]
+        if not self.files:  # nothing is opened before the first frame
+            for path in self.paths:
+                self.files.append(open(f"{path}.{os.getpid()}.tmp", "xb"))
+                self.files[-1].write(b"frame,bin,noise_stat,noise_leak,snr_prior,presence,gain\n")
+            self.bins = _encode_cells(np.arange(num_bins)[:, np.newaxis], "%d")[0]
+        frame = np.frombuffer(b"%d," % frame_index, np.uint8)  # printf, once per frame
+        frame = np.broadcast_to(frame, (num_bins, len(frame)))
+        values, bad = _encode_cells(internals.transpose(1, 2, 0).reshape(-1, 5), "%.6e")
+        values, bad = values.reshape(num_sources, num_bins, -1), bad.reshape(num_sources, -1)
+        for m, fh in enumerate(self.files):
+            fh.write(_join_rows([frame, self.bins, values[m]], bad[m],
+                                lambda k: (frame_index, k, *internals[:, m, k]),
+                                ["%d", "%d"] + ["%.6e"] * 5))
+
+    def commit(self) -> None:
+        for fh, path in zip(self.files, self.paths):
+            fh.close()
+            os.replace(fh.name, path)
+
+    def discard(self) -> None:
+        for fh in self.files:
+            with contextlib.suppress(OSError):
+                fh.close()
+            with contextlib.suppress(OSError):
+                os.remove(fh.name)
 
 
 def _quality_rows(config: PipelineConfig, separated: AudioBuffer,
@@ -158,16 +187,30 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             raise StreamError(f"{path} is sampled at {rate} Hz, config expects {config.rate}")
 
     _log_run_header(config)
-    output = run_stages(read_wav(config.input_wav), config)
+    ids = [s.id for s in config.sources]
+    created, missing = None, os.path.abspath(config.output_dir)
+    while not os.path.exists(missing):  # up to the topmost directory this run creates
+        created, missing = missing, os.path.dirname(missing)
+    dump = _PostfilterDump(config.output_dir, ids)
+    try:
+        os.makedirs(config.output_dir, exist_ok=True)
+        output = run_stages(read_wav(config.input_wav), config,
+                            dump if config.dump_diagnostics else None)
+        dump.commit()
+    except BaseException as exc:
+        dump.discard()
+        if created:
+            shutil.rmtree(created, ignore_errors=True)
+        if isinstance(exc, OSError):  # only the output directory and the dump are written so far
+            raise AudioIOError(f"cannot write to {config.output_dir}: {exc}") from exc
+        raise
 
-    os.makedirs(config.output_dir, exist_ok=True)
     result = PipelineResult(output_dir=config.output_dir, frames_processed=output.num_frames)
 
     effective = os.path.join(config.output_dir, "effective_config.yaml")
     serialize_config(config, effective)
     result.effective_config = effective
 
-    ids = [s.id for s in config.sources]
     if config.dump_diagnostics:
         _dump_gss_state(os.path.join(config.output_dir, "gss_state.csv"), output.state, ids)
     separated = output.separated
@@ -182,8 +225,6 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         write_wav(prefix + "16k.wav", mono16)
         result.separated_48k[source_id] = prefix + "48k.wav"
         result.separated_16k[source_id] = prefix + "16k.wav"
-        if output.internals is not None:
-            _dump_postfilter_records(prefix + "postfilter.csv", output.internals, m)
         if not config.stages.features:
             continue
 

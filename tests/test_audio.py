@@ -104,6 +104,23 @@ class TestWavRoundTrip:
         with pytest.raises(AudioIOError):
             read_wav(str(tmp_path / "nope.wav"))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, tmp_path, dtype, bad):
+        data = np.zeros((1000, 3), dtype=dtype)
+        data[700, 1], data[900, 0] = bad, np.nan
+        path = str(tmp_path / "x.wav")
+        wavfile.write(path, 48000, data)
+        with pytest.raises(AudioIOError, match=rf"x\.wav: non-finite sample {bad} "
+                                               r"at sample 700, channel 1"):
+            read_wav(path)
+
+    def test_finite_samples_whose_sum_overflows_accepted(self, tmp_path):
+        data = np.array([[1.5e308, 1.5e308, -1.5e308, -1.5e308]]).T
+        path = str(tmp_path / "x.wav")
+        wavfile.write(path, 48000, data)
+        np.testing.assert_array_equal(read_wav(path).samples, data.T)
+
 
 class TestResampler:
     def test_wrong_rate_rejected(self):

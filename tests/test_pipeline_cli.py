@@ -16,10 +16,10 @@ from arraysep.audio import AudioBuffer, read_wav, write_wav
 from arraysep.cli import main
 from arraysep.config import PipelineConfig, SourceDirection, scene_to_dict, serialize_config
 from arraysep.geometry import steering_matrix
-from arraysep.errors import AudioIOError
+from arraysep.errors import AudioIOError, StreamError
 from arraysep.metrics import QualityReport, interference_ratio_db, measure_quality
-from arraysep.pipeline import (_dump_gss_state, _dump_postfilter_records, bench_pipeline,
-                               run_pipeline, run_stages)
+from arraysep.pipeline import (_dump_gss_state, _PostfilterDump, bench_pipeline, run_pipeline,
+                               run_stages)
 from arraysep.postfilter import PostFilter
 from arraysep.simulate import (SceneSource, SceneSpec, SignalSpec, box_array_geometry,
                                synthesize, three_speaker_scene)
@@ -43,6 +43,16 @@ def scene_dir(tmp_path_factory, short_scene):
                   AudioBuffer(reference, 48000))
     write_wav(str(root / "noise.wav"), AudioBuffer(render.noise, 48000))
     return root
+
+
+def tree(root):
+    """Every directory (None) and file (its bytes) under ``root``, by relative path."""
+    listing = {}
+    for parent, dirs, files in os.walk(root):
+        listing.update({os.path.relpath(os.path.join(parent, d), root): None for d in dirs})
+        listing.update({os.path.relpath(os.path.join(parent, f), root):
+                        open(os.path.join(parent, f), "rb").read() for f in files})
+    return listing
 
 
 def write_config(path, spec, scene_dir, output_dir, **overrides):
@@ -223,6 +233,53 @@ class TestRunPipeline:
         assert header == "frame,bin,noise_stat,noise_leak,snr_prior,presence,gain"
 
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_mid_stream_leaves_nothing_behind(self, short_scene, scene_dir, tmp_path,
+                                                      monkeypatch, existing):
+        spec, _ = short_scene
+        output_dir = tmp_path / ("old" if existing else "new/out")
+        config = write_config(tmp_path / "c.yaml", spec, scene_dir, output_dir,
+                              dump_diagnostics=True)
+        if existing:
+            os.makedirs(output_dir / "sub")
+            (output_dir / "center_postfilter.csv").write_bytes(b"an earlier dump")
+            (output_dir / "sub" / "notes.txt").write_bytes(b"kept")
+        before = tree(tmp_path)
+        process = PostFilter.process
+
+        def failing(postfilter, frame):
+            if frame.frame_index == 20:
+                # the dump of frames 0-19 is on disk, under temporary names
+                assert sum(name.endswith(".tmp") for name in os.listdir(output_dir)) == 3
+                raise StreamError("frame 20: injected failure")
+            return process(postfilter, frame)
+
+        monkeypatch.setattr(PostFilter, "process", failing)
+        with pytest.raises(StreamError, match="injected"):
+            run_pipeline(config)
+        assert tree(tmp_path) == before
+
+    def test_diagnostics_memory_does_not_grow_with_duration(self, tmp_path):
+        # the post-filter internals are 61.6 KB per frame, 5.8 MB per audio
+        # second; streamed to disk, the dump costs the same at any length
+        def peak(seconds, dump):
+            spec = three_speaker_scene(90.0, duration_s=seconds, seed=12)
+            mixture = tmp_path / f"mixture_{seconds}.wav"
+            if not mixture.exists():
+                write_wav(str(mixture), synthesize(spec).mixture)
+            config = pipeline_config_for_scene(spec, dump_diagnostics=dump)
+            config.input_wav, config.output_dir = str(mixture), str(tmp_path / f"{seconds}{dump}")
+            tracemalloc.start()
+            try:
+                run_pipeline(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(0.25, True)  # warm lazy imports and caches
+        growth = {dump: peak(1.5, dump) - peak(0.5, dump) for dump in (False, True)}
+        assert abs(growth[True] - growth[False]) < 0.3e6, growth
+
     def test_run_stages_logs_frame_and_gain_fault_counts(self, caplog):
         # after silence the stationary floor holds at zero, so a huge impulse
         # overflows the posterior SNR and every gain it reaches is a fault
@@ -272,17 +329,23 @@ class TestDiagnosticDumps:
         rng = np.random.default_rng(40)
         # (frames, noise_stat/noise_leak/snr_prior/presence/gain, sources, bins)
         internals = np.array([rng.permutation(self.special * 10).reshape(5, 2, 7)
-                              for _ in range(3)])
+                              for _ in range(4)])
+        # rows that only printf shows (nan, inf) fall in every frame and source
+        printf_rows = ~np.isfinite(internals).all(axis=1)
+        assert printf_rows.any(axis=2).all() and not printf_rows.all()
+        dump = _PostfilterDump(str(tmp_path), ["a", "b"])
+        for t, frame in enumerate(internals):
+            dump(t, frame)
+        dump.commit()
         names = ("noise_stat", "noise_leak", "snr_prior", "presence", "gain")
-        for source in range(2):
-            path = tmp_path / f"{source}.csv"
-            _dump_postfilter_records(str(path), internals, source)
+        assert sorted(os.listdir(tmp_path)) == ["a_postfilter.csv", "b_postfilter.csv"]
+        for source, source_id in enumerate(["a", "b"]):
             expected = "frame,bin," + ",".join(names) + "\n"
-            for t in range(3):
+            for t in range(4):
                 for k in range(7):
                     expected += f"{t},{k}," + ",".join(
                         f"{internals[t, i, source, k]:.6e}" for i in range(5)) + "\n"
-            assert path.read_text() == expected
+            assert (tmp_path / f"{source_id}_postfilter.csv").read_text() == expected
 
     def test_gss_state_golden(self, tmp_path):
         values = np.array(self.special * 6).reshape(3, 2, 7)[:, :, :2]
@@ -394,6 +457,38 @@ class TestCli:
         serialize_config(config, str(config_path))
         os.makedirs(tmp_path / "sep" / "center_postfilter.csv")
         assert main(["separate", "--config", str(config_path)]) == 3
+        assert not [name for name in tree(tmp_path / "sep") if name.endswith(".tmp")]
+
+    @pytest.mark.parametrize("adapt", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mixture_sample_refused(self, tmp_path, capsys, adapt, bad):
+        # a NaN would reach every later frame through the post-filter's
+        # recursions, or pass for a diverged demixing matrix while adapting
+        scene_out = tmp_path / "scene"
+        assert main(["simulate", "--preset", "trio-40deg", "--duration", "1.0",
+                     "--seed", "7", "--output-dir", str(scene_out)]) == 0
+        mixture = str(scene_out / "mixture.wav")
+        rate, samples = wavfile.read(mixture)
+        samples = samples.copy()
+        samples[20000, 0] = bad
+        wavfile.write(mixture, rate, samples)
+        config = pipeline_config_for_scene(three_speaker_scene(40.0, duration_s=1.0, seed=7),
+                                           adapt=adapt, features=True)
+        config.input_wav, config.output_dir = mixture, str(tmp_path / "sep")
+        serialize_config(config, str(tmp_path / "cfg.yaml"))
+        capsys.readouterr()
+        assert main(["separate", "--config", str(tmp_path / "cfg.yaml")]) == 3
+        assert f"non-finite sample {bad} at sample 20000, channel 0" in capsys.readouterr().err
+        assert not (tmp_path / "sep").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_features_refuses_non_finite_sample(self, tmp_path, bad):
+        samples = np.zeros(16000)
+        samples[5000] = bad
+        wav = str(tmp_path / "mono.wav")
+        write_wav(wav, AudioBuffer(samples, 16000))
+        assert main(["features", "--input", wav, "--output-dir", str(tmp_path / "f")]) == 3
+        assert not (tmp_path / "f").exists()
 
     @pytest.mark.parametrize("key, value", [("feature_shift", 0), ("feature_fft_size", 401),
                                             ("mcra_window_length", 0),
