@@ -98,7 +98,7 @@ class MappedWav:
 
 def open_wav(path: str) -> MappedWav:
     """Map and check a RIFF WAV file (PCM16, int32, float32 or float64, 1-8
-    channels) without decoding it."""
+    channels) without decoding it; NaN and inf samples are refused."""
     if not os.path.isfile(path):
         raise AudioIOError(f"input file not found: {path}")
     try:
@@ -119,19 +119,19 @@ def open_wav(path: str) -> MappedWav:
     if raw.dtype not in _FULL_SCALE:
         raise AudioIOError(f"{path}: unsupported sample format {raw.dtype}")
     _check_rate(rate)
+    if raw.dtype.kind == "f":  # integer samples are always finite
+        with np.errstate(all="ignore"):  # a finite sum rules out a non-finite sample
+            bad = () if np.isfinite(raw.sum()) else np.argwhere(~np.isfinite(raw))
+        if len(bad):
+            raise AudioIOError(f"{path}: non-finite sample {raw[tuple(bad[0])]} "
+                               f"at sample {bad[0][0]}, channel {bad[0][1]}")
     return MappedWav(rate, raw)
 
 
 def read_wav(path: str) -> AudioBuffer:
-    """Read and decode a whole WAV file (formats as ``open_wav``); NaN and inf are refused."""
+    """Read and decode a whole WAV file (formats and checks as ``open_wav``)."""
     mapped = open_wav(path)
-    samples = _decode(mapped.raw)
-    with np.errstate(all="ignore"):  # a finite sum rules out a non-finite sample
-        bad = () if np.isfinite(samples.sum()) else np.argwhere(~np.isfinite(samples))
-    if len(bad):
-        raise AudioIOError(f"{path}: non-finite sample {samples[tuple(bad[0])]} "
-                           f"at sample {bad[0][0]}, channel {bad[0][1]}")
-    return AudioBuffer(samples.T, mapped.rate)
+    return AudioBuffer(_decode(mapped.raw).T, mapped.rate)
 
 
 def write_wav(path: str, audio: AudioBuffer) -> None:

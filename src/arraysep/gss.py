@@ -121,17 +121,21 @@ def _gradients(state: SeparationState, x: np.ndarray,
     minus its diagonal, E y = y * (sum_j |y_j|^2 - |y_m|^2), so the
     decorrelation gradient 4 (E y) x^H needs no correlation matrix.  The
     geometric gradient is 2 (W A - I) A^H: for M < N/2 that costs less time
-    and memory than the affine form 2 (W A A^H - A^H).
+    and memory than the affine form 2 (W A A^H - A^H).  Real factors scale
+    the float64 view of the complex gradients: the products are those of a
+    complex multiply, up to the sign of an exact zero.
     """
-    xt = x.T  # (n_bins, N)
+    grad_dec, grad_geo = np.empty((2,) + state.demix.shape, dtype=np.complex128)
     power = y.real ** 2 + y.imag ** 2
     ey = y * (np.sum(power, axis=1, keepdims=True) - power)
-    grad_dec = 4.0 * ey[:, :, np.newaxis] * xt.conj()[:, np.newaxis, :]
+    np.multiply(4.0 * ey[:, :, np.newaxis], x.T.conj()[:, np.newaxis, :], out=grad_dec)
     a_op, a_h_op = state._steering_operators
-    residual = np.matmul(state.demix.view(np.float64), a_op).view(np.complex128)
+    residual = np.matmul(state.demix.view(np.float64), a_op)
     m = residual.shape[1]
-    residual[:, np.arange(m), np.arange(m)] -= 1.0
-    grad_geo = 2.0 * np.matmul(residual.view(np.float64), a_h_op).view(np.complex128)
+    residual.reshape(len(residual), -1)[:, :: 2 * m + 2] -= 1.0  # W A - I, on the real parts
+    geo = grad_geo.view(np.float64)
+    np.matmul(residual, a_h_op, out=geo)
+    geo *= 2.0
     return grad_dec, grad_geo
 
 
@@ -157,15 +161,21 @@ def adapt(state: SeparationState, frame: SpectralFrame,
                           f"demix expects {(state.num_sources, state.demix.shape[0])}")
     grad_dec, grad_geo = _gradients(state, x, y)
 
+    # |x|^2 in x's own memory layout, which sets the order of the sum
     xpow = np.sum(np.abs(x) ** 2, axis=0)  # (n_bins,)
-    scale = np.zeros_like(xpow)
-    active = xpow >= POWER_FLOOR
-    scale[active] = xpow[active] ** -2.0
+    scale = np.power(xpow, -2.0, out=np.zeros_like(xpow), where=xpow >= POWER_FLOOR)
 
-    state.demix -= state.step_size * (scale[:, np.newaxis, np.newaxis] * grad_dec + grad_geo)
-    if not np.all(np.isfinite(state.demix)):
-        raise StreamError(
-            f"frame {frame.frame_index}: demixing matrices diverged (non-finite entries)"
-        )
+    # demix -= step_size * (scale * grad_dec + grad_geo), on the float64 views
+    step = grad_dec.view(np.float64)
+    step *= scale[:, np.newaxis, np.newaxis]
+    step += grad_geo.view(np.float64)
+    step *= state.step_size
+    demix = state.demix.view(np.float64)
+    demix -= step
+    with np.errstate(over="ignore"):  # a finite sum rules out a non-finite entry
+        if not np.isfinite(np.sum(demix)) and not np.all(np.isfinite(demix)):
+            raise StreamError(
+                f"frame {frame.frame_index}: demixing matrices diverged (non-finite entries)"
+            )
     return state
 

@@ -1,17 +1,18 @@
 """End-to-end orchestration: separation, post-filter, features, masks, metrics.
 
 Frames stream stage to stage in order; per-source audio, feature and mask
-files are written once the whole stream processed cleanly, and post-filter
-dumps keep temporary names until then, so a failing run leaves no partial
-outputs.  Each input is decoded only while a stage needs it: the mixture for
-the stage loop, the references and the noise (checked up front) for the
-quality report at the end.  Identical config and inputs give byte-identical
-outputs.
+files are written once the whole stream processed cleanly.  Every artifact,
+the streamed post-filter dumps included, keeps a temporary name until all
+are written, so a failing run leaves no partial outputs.  Each input is
+decoded only while a stage needs it: the mixture for the stage loop, the
+references and the noise (checked up front) for the quality report at the
+end.  Identical config and inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import logging
 import os
 import shutil
@@ -119,21 +120,49 @@ def _dump_gss_state(path: str, state: gss.SeparationState, ids: list[str]) -> No
                "diagnostic")
 
 
-class _PostfilterDump:
-    """Each source's ``<id>_postfilter.csv``, appended frame by frame under a
-    temporary name until ``commit`` renames it into place; ``discard``
-    removes the temporary files."""
+class _Staging:
+    """Output files written under temporary names, renamed into place
+    together by ``commit`` once every write has succeeded; ``discard``
+    removes them."""
 
-    def __init__(self, output_dir: str, ids: list[str]):
+    def __init__(self):
+        self.renames = []
+
+    def __call__(self, path: str) -> str:
+        """The temporary name to write ``path`` under."""
+        self.renames.append((f"{path}.{os.getpid()}.tmp", path))
+        return self.renames[-1][0]
+
+    def commit(self) -> None:
+        # a directory in the way would fail its rename after others had
+        # already replaced their files
+        for _, path in self.renames:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, "is a directory", path)
+        for temporary, path in self.renames:
+            os.replace(temporary, path)
+
+    def discard(self) -> None:
+        for temporary, _ in self.renames:
+            with contextlib.suppress(OSError):
+                os.remove(temporary)
+
+
+class _PostfilterDump:
+    """Each source's ``<id>_postfilter.csv``, appended frame by frame under
+    the staged name; nothing is opened before the first frame."""
+
+    def __init__(self, output_dir: str, ids: list[str], staging: _Staging):
         self.paths = [os.path.join(output_dir, f"{source_id}_postfilter.csv") for source_id in ids]
+        self.staging = staging
         self.files = []
 
     def __call__(self, frame_index: int, internals: np.ndarray) -> None:
         """Append every source's rows of one frame's (5, M, n_bins) internals."""
         num_sources, num_bins = internals.shape[1:]
-        if not self.files:  # nothing is opened before the first frame
+        if not self.files:
             for path in self.paths:
-                self.files.append(open(f"{path}.{os.getpid()}.tmp", "xb"))
+                self.files.append(open(self.staging(path), "xb"))
                 self.files[-1].write(b"frame,bin,noise_stat,noise_leak,snr_prior,presence,gain\n")
             self.bins = _encode_cells(np.arange(num_bins)[:, np.newaxis], "%d")[0]
         frame = np.frombuffer(b"%d," % frame_index, np.uint8)  # printf, once per frame
@@ -145,17 +174,9 @@ class _PostfilterDump:
                                 lambda k: (frame_index, k, *internals[:, m, k]),
                                 ["%d", "%d"] + ["%.6e"] * 5))
 
-    def commit(self) -> None:
-        for fh, path in zip(self.files, self.paths):
-            fh.close()
-            os.replace(fh.name, path)
-
-    def discard(self) -> None:
+    def close(self) -> None:
         for fh in self.files:
-            with contextlib.suppress(OSError):
-                fh.close()
-            with contextlib.suppress(OSError):
-                os.remove(fh.name)
+            fh.close()
 
 
 def _quality_rows(config: PipelineConfig, separated: AudioBuffer,
@@ -170,7 +191,11 @@ def _quality_rows(config: PipelineConfig, separated: AudioBuffer,
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
-    """Run the configured stages over an input WAV and emit all artifacts."""
+    """Run the configured stages over an input WAV and emit all artifacts.
+
+    Every artifact is written under a temporary name and renamed into place
+    once all are written, so a failing run leaves the output directory as it
+    found it and removes any directory it created."""
     config.validate()
     if not config.input_wav:
         raise StreamError("pipeline needs an input WAV (input_wav)")
@@ -191,28 +216,39 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     created, missing = None, os.path.abspath(config.output_dir)
     while not os.path.exists(missing):  # up to the topmost directory this run creates
         created, missing = missing, os.path.dirname(missing)
-    dump = _PostfilterDump(config.output_dir, ids)
+    staging = _Staging()
+    dump = _PostfilterDump(config.output_dir, ids, staging)
     try:
         os.makedirs(config.output_dir, exist_ok=True)
         output = run_stages(read_wav(config.input_wav), config,
                             dump if config.dump_diagnostics else None)
-        dump.commit()
+        dump.close()
+        result = _emit(config, output, ids, staging)
+        staging.commit()
     except BaseException as exc:
-        dump.discard()
+        with contextlib.suppress(OSError):
+            dump.close()
+        staging.discard()
         if created:
             shutil.rmtree(created, ignore_errors=True)
-        if isinstance(exc, OSError):  # only the output directory and the dump are written so far
+        if isinstance(exc, OSError):
             raise AudioIOError(f"cannot write to {config.output_dir}: {exc}") from exc
         raise
+    return result
 
+
+def _emit(config: PipelineConfig, output: StreamOutput, ids: list[str],
+          staging: _Staging) -> PipelineResult:
+    """Write every artifact of a finished stage loop under its staged name;
+    the result names the final paths."""
     result = PipelineResult(output_dir=config.output_dir, frames_processed=output.num_frames)
 
-    effective = os.path.join(config.output_dir, "effective_config.yaml")
-    serialize_config(config, effective)
-    result.effective_config = effective
+    result.effective_config = os.path.join(config.output_dir, "effective_config.yaml")
+    serialize_config(config, staging(result.effective_config))
 
     if config.dump_diagnostics:
-        _dump_gss_state(os.path.join(config.output_dir, "gss_state.csv"), output.state, ids)
+        _dump_gss_state(staging(os.path.join(config.output_dir, "gss_state.csv")),
+                        output.state, ids)
     separated = output.separated
     if separated is None:
         return result
@@ -220,9 +256,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     for m, source_id in enumerate(ids):
         prefix = os.path.join(config.output_dir, f"{source_id}_")
         mono = AudioBuffer(separated.samples[m], separated.rate)
-        write_wav(prefix + "48k.wav", mono)
+        write_wav(staging(prefix + "48k.wav"), mono)
         mono16 = resample_48k_to_16k(mono)
-        write_wav(prefix + "16k.wav", mono16)
+        write_wav(staging(prefix + "16k.wav"), mono16)
         result.separated_48k[source_id] = prefix + "48k.wav"
         result.separated_16k[source_id] = prefix + "16k.wav"
         if not config.stages.features:
@@ -230,8 +266,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
         features = extract_features(mono16, fft_size=config.feature_fft_size,
                                     shift=config.feature_shift)
-        write_features_csv(prefix + "features.csv", features)
-        write_features_binary(prefix + "features.bin", features)
+        write_features_csv(staging(prefix + "features.csv"), features)
+        write_features_binary(staging(prefix + "features.bin"), features)
         result.feature_files[source_id] = {"csv": prefix + "features.csv",
                                            "binary": prefix + "features.bin"}
         if output.bands is None:
@@ -242,17 +278,15 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             feature_shift=config.feature_shift, feature_size=config.feature_fft_size,
             mask_shift=config.shift, mask_size=config.fft_size,
         )
-        write_mask_csv(prefix + "mask.csv", mask)
-        write_mask_binary(prefix + "mask.bin", mask)
+        write_mask_csv(staging(prefix + "mask.csv"), mask)
+        write_mask_binary(staging(prefix + "mask.bin"), mask)
         result.mask_files[source_id] = {"csv": prefix + "mask.csv", "binary": prefix + "mask.bin"}
 
     if config.reference_wavs:
         rows = _quality_rows(config, separated, ids)
         stage = "gss+pf" if config.stages.postfilter else ("gss" if config.stages.adapt else "delay-and-sum")
-        report = QualityReport({stage: rows})
-        report_path = os.path.join(config.output_dir, "quality_report.csv")
-        report.to_csv(report_path)
-        result.report_csv = report_path
+        result.report_csv = os.path.join(config.output_dir, "quality_report.csv")
+        QualityReport({stage: rows}).to_csv(staging(result.report_csv))
 
     return result
 

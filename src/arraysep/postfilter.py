@@ -10,10 +10,15 @@ each channel reduces exactly to an independent single-channel suppressor.
 Each frame also yields the input power, output power and stationary-noise
 level integrated over the 24 mask bands, (3, sources, 24); the mask stage
 consumes them without recomputing any gains.
+
+The per-frame recursions update preallocated arrays in place, one numpy
+call per arithmetic step, in the order the formulas in the comments give,
+so the results do not depend on whether an intermediate had its own array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -46,7 +51,8 @@ class McraEstimator:
     smoothed presence score releases it gradually once the transient ends.
     Transients therefore barely leak into the floor while stationary noise
     converges within a couple of tracking windows.  ``mcra_power_smoothing``
-    governs the noise recursion itself.
+    governs the noise recursion itself.  ``noise`` is one array, updated in
+    place every frame.
     """
 
     def __init__(self, shape: int | tuple[int, ...], config: PipelineConfig | None = None):
@@ -56,34 +62,50 @@ class McraEstimator:
         self._minimum = np.zeros(shape)
         self._scratch = np.zeros(shape)
         self._presence = np.zeros(shape)
+        self._work = np.zeros(shape)
+        self._onset = np.zeros(shape, dtype=bool)
         self._frames_seen = 0
 
     def update(self, power: np.ndarray) -> np.ndarray:
         cfg = self.config
         if self._frames_seen == 0:
-            self._smoothed = power.copy()
-            self._minimum = power.copy()
-            self._scratch = power.copy()
-            self.noise = power.copy()
+            for state in (self._smoothed, self._minimum, self._scratch, self.noise):
+                state[...] = power
             self._frames_seen = 1
             return self.noise
 
         a = cfg.mcra_power_smoothing
         at = TRACKING_SMOOTHING
-        self._smoothed = at * self._smoothed + (1.0 - at) * power
-        if self._frames_seen % cfg.mcra_window_length == 0:
-            self._minimum = np.minimum(self._scratch, self._smoothed)
-            self._scratch = self._smoothed.copy()
-        else:
-            self._minimum = np.minimum(self._minimum, self._smoothed)
-            self._scratch = np.minimum(self._scratch, self._smoothed)
-
-        onset = self._smoothed > cfg.mcra_onset_threshold * np.maximum(self._minimum, _TINY)
         ap = cfg.mcra_presence_smoothing
-        self._presence = ap * self._presence + (1.0 - ap) * onset
-        hold = np.maximum(self._presence, onset)  # instant freeze, smoothed release
-        retain = a + (1.0 - a) * hold
-        self.noise = retain * self.noise + (1.0 - retain) * power
+        smoothed, presence, work, onset = self._smoothed, self._presence, self._work, self._onset
+        # smoothed = at * smoothed + (1 - at) * power
+        smoothed *= at
+        np.multiply(power, 1.0 - at, out=work)
+        smoothed += work
+        if self._frames_seen % cfg.mcra_window_length == 0:
+            np.minimum(self._scratch, smoothed, out=self._minimum)
+            self._scratch[...] = smoothed
+        else:
+            np.minimum(self._minimum, smoothed, out=self._minimum)
+            np.minimum(self._scratch, smoothed, out=self._scratch)
+
+        # onset = smoothed > threshold * max(minimum, tiny)
+        np.maximum(self._minimum, _TINY, out=work)
+        work *= cfg.mcra_onset_threshold
+        np.greater(smoothed, work, out=onset)
+        # presence = ap * presence + (1 - ap) * onset
+        presence *= ap
+        np.multiply(onset, 1.0 - ap, out=work)
+        presence += work
+        # retain = a + (1 - a) * max(presence, onset): instant freeze, smoothed release
+        np.maximum(presence, onset, out=work)
+        work *= 1.0 - a
+        work += a
+        # noise = retain * noise + (1 - retain) * power
+        self.noise *= work
+        np.subtract(1.0, work, out=work)
+        work *= power
+        self.noise += work
         self._frames_seen += 1
         return self.noise
 
@@ -96,19 +118,21 @@ class NoiseState:
     is read (the update order within one frame is: smooth all, track all,
     then sum leakage).  Each source's leakage is a direct sum over the
     other rows, never a total minus the row itself: that difference
-    cancels when one source is many orders of magnitude louder.
+    cancels when one source is many orders of magnitude louder.  All four
+    arrays are updated in place.
     """
 
     def __init__(self, num_sources: int, num_bins: int, config: PipelineConfig | None = None):
         self.config = config or PipelineConfig()
         self.smoothed = np.zeros((num_sources, num_bins))
-        self.stationary = np.zeros((num_sources, num_bins))
+        self._mcra = McraEstimator((num_sources, num_bins), self.config)
+        self.stationary = self._mcra.noise
         self.leakage = np.zeros((num_sources, num_bins))
         self.total = np.zeros((num_sources, num_bins))
-        self._mcra = McraEstimator((num_sources, num_bins), self.config)
         # row m lists every source except m, in order: (M, M - 1)
         others = [[j for j in range(num_sources) if j != m] for m in range(num_sources)]
         self._others = np.array(others, dtype=np.intp).reshape(num_sources, num_sources - 1)
+        self._rows = np.zeros((num_sources, num_sources - 1, num_bins))
 
     def update(self, power: np.ndarray) -> np.ndarray:
         """Advance one frame; ``power`` is (num_sources, num_bins).  Returns total."""
@@ -117,10 +141,15 @@ class NoiseState:
                 f"noise update expects {self.smoothed.shape}, got {power.shape}"
             )
         a = self.config.spectrum_smoothing
-        self.smoothed = a * self.smoothed + (1.0 - a) * power
-        self.stationary = self._mcra.update(power)
-        self.leakage = self.config.leak_factor * np.sum(self.smoothed[self._others], axis=1)
-        self.total = self.stationary + self.leakage
+        # smoothed = a * smoothed + (1 - a) * power, with total as scratch
+        self.smoothed *= a
+        np.multiply(power, 1.0 - a, out=self.total)
+        self.smoothed += self.total
+        self._mcra.update(power)
+        np.take(self.smoothed, self._others, axis=0, out=self._rows, mode="clip")
+        np.add.reduce(self._rows, axis=1, out=self.leakage)
+        self.leakage *= self.config.leak_factor
+        np.add(self.stationary, self.leakage, out=self.total)
         return self.total
 
 
@@ -128,35 +157,49 @@ def _gain_core(upsilon: np.ndarray, gamma: np.ndarray,
                exponent: float) -> tuple[np.ndarray, int]:
     """Unclamped speech-present gain and its fault count, gamma the posterior SNR.
 
-    Non-finite gains count as faults and are replaced by GAIN_FLOOR.
+    Every bin is evaluated, then bins whose upsilon is not above 0 get gain
+    0.  Non-finite gains count as faults and are replaced by GAIN_FLOOR.
     """
-    gain = np.zeros_like(upsilon)
-    active = upsilon > 0
-    if np.any(active):
-        u = upsilon[active]
-        g = gamma[active]
+    gain, a, b = np.empty((3,) + upsilon.shape)
+    with np.errstate(all="ignore"):
         if exponent == 1.0:
             # Scaled-Bessel evaluation of the spectral-amplitude estimator:
             # Gamma(1.5) * (sqrt(u)/g) * exp(-u/2) * ((1+u) I0(u/2) + u I1(u/2)),
             # stable for arbitrarily large u.
-            bessel = (1.0 + u) * special.i0e(u / 2.0) + u * special.i1e(u / 2.0)
-            gain[active] = (math.sqrt(math.pi) / 2.0) * np.sqrt(u) / g * bessel
+            np.divide(upsilon, 2.0, out=a)
+            special.i1e(a, out=b)
+            special.i0e(a, out=a)
+            np.add(upsilon, 1.0, out=gain)
+            a *= gain
+            b *= upsilon
+            a += b
+            np.sqrt(upsilon, out=gain)
+            gain *= math.sqrt(math.pi) / 2.0
         elif exponent == 2.0:
             # The series truncates: M(-1; 1; -u) = 1 + u.
-            gain[active] = np.sqrt(u) / g * np.sqrt(1.0 + u)
+            np.add(upsilon, 1.0, out=a)
+            np.sqrt(a, out=a)
+            np.sqrt(upsilon, out=gain)
         else:
             # M(-b/2; 1; -u) grows like u^(b/2) / Gamma(1 + b/2), so
             # bracket^(1/b) tends to sqrt(u): a Wiener-like gain at high SNR.
             # hyp1f1 overflows to inf far out (from u ~ 1e190 at b = 1.5),
             # where that limit is exact to rounding, so it stands in there.
-            bracket = special.gamma(1.0 + exponent / 2.0) * special.hyp1f1(-exponent / 2.0, 1.0, -u)
-            root = np.where(np.isfinite(bracket), bracket ** (1.0 / exponent), np.sqrt(u))
-            gain[active] = np.sqrt(u) / g * root
-
-    bad = ~np.isfinite(gain)
-    faults = int(np.count_nonzero(bad))
+            np.negative(upsilon, out=a)
+            special.hyp1f1(-exponent / 2.0, 1.0, a, out=a)
+            a *= special.gamma(1.0 + exponent / 2.0)
+            overflowed = ~np.isfinite(a)
+            a **= 1.0 / exponent
+            np.sqrt(upsilon, out=gain)
+            np.copyto(a, gain, where=overflowed)
+        # sqrt(u) / g * root
+        gain /= gamma
+        gain *= a
+        np.copyto(gain, 0.0, where=~(upsilon > 0))
+        # a finite sum rules out a non-finite gain
+        faults = 0 if np.isfinite(np.sum(gain)) else int(np.count_nonzero(~np.isfinite(gain)))
     if faults:
-        gain = np.where(bad, GAIN_FLOOR, gain)
+        np.copyto(gain, GAIN_FLOOR, where=~np.isfinite(gain))
     return gain, faults
 
 
@@ -164,26 +207,52 @@ def decision_directed_snr(prev_gain: np.ndarray, prev_snr_post: np.ndarray,
                           snr_post: np.ndarray, smoothing: float) -> np.ndarray:
     """Recursive prior-SNR estimate mixing the previous clean estimate with the
     current instantaneous one."""
-    instantaneous = np.maximum(snr_post - 1.0, 0.0)
-    return smoothing * prev_gain * prev_gain * prev_snr_post + (1.0 - smoothing) * instantaneous
+    out, instantaneous = np.empty((2,) + np.shape(snr_post))
+    # smoothing * prev_gain * prev_gain * prev_snr_post + (1 - smoothing) * max(snr_post - 1, 0)
+    np.multiply(prev_gain, smoothing, out=out)
+    out *= prev_gain
+    out *= prev_snr_post
+    np.subtract(snr_post, 1.0, out=instantaneous)
+    np.maximum(instantaneous, 0.0, out=instantaneous)
+    instantaneous *= 1.0 - smoothing
+    out += instantaneous
+    return out
 
 
-def _window_mean(values: np.ndarray, halfwidth: int) -> np.ndarray:
-    """Mean over the +-halfwidth bins inside the row, along the last axis."""
+@functools.lru_cache(maxsize=None)
+def _window_counts(num_bins: int, halfwidth: int) -> np.ndarray:
+    """Bins inside each +-halfwidth window of a row (read-only)."""
+    k = np.arange(num_bins)
+    counts = np.minimum(k, halfwidth) + np.minimum(k[::-1], halfwidth) + 1.0
+    counts.setflags(write=False)
+    return counts
+
+
+def _window_mean(values: np.ndarray, halfwidth: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Mean over the +-halfwidth bins inside the row, along the last axis
+    (at least two bins), written to ``out`` if given.
+
+    Window sums are direct, never differences of cumulative sums, which
+    cancel on spectra spanning many decades.  They are summed as
+    ``ndimage.correlate1d`` sums them: the centre bin, then each +-j pair,
+    the farthest first, so the +-1 case is v[k] + (v[k-1] + v[k+1]), with 0
+    for the missing neighbour of an end bin.
+    """
+    if out is None:
+        out = np.empty(np.shape(values))
     if halfwidth <= 0:
-        return values.copy()
-    # direct window sums: differences of cumulative sums cancel on spectra
-    # spanning many decades
-    num = ndimage.correlate1d(values, np.ones(2 * halfwidth + 1), axis=-1, mode="constant")
-    k = np.arange(values.shape[-1])
-    den = np.minimum(k, halfwidth) + np.minimum(k[::-1], halfwidth) + 1.0
-    return num / den
-
-
-def _snr_ramp(snr: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        snr_db = 10.0 * np.log10(np.maximum(snr, 0.0))
-    return np.clip((snr_db - Q_LOW_DB) / (Q_HIGH_DB - Q_LOW_DB), 0.0, 1.0)
+        out[...] = values
+        return out
+    if halfwidth == 1:
+        np.add(values[..., :-2], values[..., 2:], out=out[..., 1:-1])
+        out[..., 0] = values[..., 1]
+        out[..., -1] = values[..., -2]
+        out += values
+    else:
+        ndimage.correlate1d(values, np.ones(2 * halfwidth + 1), axis=-1, output=out,
+                            mode="constant")
+    out /= _window_counts(out.shape[-1], halfwidth)
+    return out
 
 
 def speech_absence_prior(snr_prior: np.ndarray) -> np.ndarray:
@@ -195,22 +264,52 @@ def speech_absence_prior(snr_prior: np.ndarray) -> np.ndarray:
     [Q_FLOOR, Q_CEILING].  Bins run along the last axis, so a
     (num_sources, num_bins) array gives each source its own prior.
     """
-    local = _snr_ramp(_window_mean(snr_prior, 1))
-    broad = _snr_ramp(_window_mean(snr_prior, 15))
-    frame = _snr_ramp(np.mean(snr_prior, axis=-1, keepdims=True))
-    q = 1.0 - local * broad * frame
-    return np.clip(q, Q_FLOOR, Q_CEILING)
+    values = np.asarray(snr_prior, dtype=np.float64)
+    shape, n = values.shape, values.size
+    # the three aggregates side by side, so one pass ramps them all
+    stacked = np.empty(2 * n + n // shape[-1])
+    local = _window_mean(values, 1, stacked[:n].reshape(shape))
+    broad = _window_mean(values, 15, stacked[n : 2 * n].reshape(shape))
+    frame = stacked[2 * n :].reshape(shape[:-1] + (1,))
+    np.add.reduce(values, axis=-1, keepdims=True, out=frame)
+    frame /= shape[-1]
+    # ramp = clip((10 log10(max(aggregate, 0)) - Q_LOW_DB) / (Q_HIGH_DB - Q_LOW_DB), 0, 1)
+    np.maximum(stacked, 0.0, out=stacked)
+    with np.errstate(divide="ignore"):
+        np.log10(stacked, out=stacked)
+    stacked *= 10.0
+    stacked -= Q_LOW_DB
+    stacked /= Q_HIGH_DB - Q_LOW_DB
+    np.maximum(stacked, 0.0, out=stacked)
+    np.minimum(stacked, 1.0, out=stacked)
+    # q = clip(1 - local * broad * frame, Q_FLOOR, Q_CEILING)
+    local *= broad
+    local *= frame
+    np.subtract(1.0, local, out=local)
+    np.maximum(local, Q_FLOOR, out=local)
+    np.minimum(local, Q_CEILING, out=local)
+    return local
 
 
 def speech_presence_prob(absence_prior: np.ndarray, snr_prior: np.ndarray,
                          upsilon: np.ndarray) -> np.ndarray:
-    """Per-bin posterior speech presence; an absence prior of 1 maps to 0."""
+    """Per-bin posterior speech presence for absence priors in [0, 1]; a
+    prior of 1 maps to 0."""
     q = np.asarray(absence_prior, dtype=np.float64)
-    certain_absent = q >= 1.0
-    q_safe = np.where(certain_absent, 0.5, q)
-    odds = q_safe / (1.0 - q_safe)
-    p = 1.0 / (1.0 + odds * (1.0 + snr_prior) * np.exp(-np.minimum(upsilon, UPSILON_MAX)))
-    return np.where(certain_absent, 0.0, p)
+    p, work = np.empty((2,) + q.shape)
+    # 1 / (1 + q / (1 - q) * (1 + snr_prior) * exp(-min(upsilon, UPSILON_MAX)))
+    np.subtract(1.0, q, out=p)
+    with np.errstate(divide="ignore"):  # q = 1: infinite odds, presence 0
+        np.divide(q, p, out=p)
+    np.add(snr_prior, 1.0, out=work)
+    p *= work
+    np.minimum(upsilon, UPSILON_MAX, out=work)
+    np.negative(work, out=work)
+    np.exp(work, out=work)
+    p *= work
+    p += 1.0
+    np.divide(1.0, p, out=p)
+    return p
 
 
 class GainState:
@@ -233,6 +332,9 @@ class PostFilter:
         self.noise = NoiseState(num_sources, num_bins, self.config)
         self.gains = GainState(num_sources, num_bins)
         self._bank = mask_filterbank(2 * (num_bins - 1))
+        # input power, output power and stationary noise, banded together
+        self._band_input = np.zeros((3, num_sources, num_bins))
+        self._snr_post, self._upsilon, self._gain = np.zeros((3, num_sources, num_bins))
 
     def process(self, frame: SpectralFrame) -> tuple[SpectralFrame, np.ndarray, np.ndarray | None]:
         """The filtered frame; input, output and stationary-noise power over
@@ -246,30 +348,47 @@ class PostFilter:
                 f"frame {frame.frame_index}: shape {bins.shape}, "
                 f"post-filter expects {self.noise.smoothed.shape}"
             )
-        power = np.abs(bins) ** 2
+        power, out_power, stationary = self._band_input
+        np.abs(bins, out=power)
+        np.square(power, out=power)
 
         noise_total = self.noise.update(power)
-        snr_post = power / np.maximum(noise_total, _TINY)
+        snr_post = self._snr_post
+        np.maximum(noise_total, _TINY, out=snr_post)
+        np.divide(power, snr_post, out=snr_post)
         snr_prior = decision_directed_snr(
             self.gains.prev_gain, self.gains.prev_snr_post, snr_post, cfg.snr_smoothing
         )
-        upsilon = snr_post * snr_prior / (1.0 + snr_prior)
+        # upsilon = snr_post * snr_prior / (1 + snr_prior), with gain as scratch
+        upsilon = self._upsilon
+        np.add(snr_prior, 1.0, out=self._gain)
+        np.multiply(snr_post, snr_prior, out=upsilon)
+        upsilon /= self._gain
 
         gain_h1, faults = _gain_core(upsilon, snr_post, cfg.spectral_exponent)
-        gain_h1 = np.clip(gain_h1, 0.0, GAIN_MAX)
+        np.maximum(gain_h1, 0.0, out=gain_h1)
+        np.minimum(gain_h1, GAIN_MAX, out=gain_h1)
         self.gains.fault_count += faults
 
         q = speech_absence_prior(snr_prior)
         presence = speech_presence_prob(q, snr_prior, upsilon)
 
-        gain = np.clip(presence ** (1.0 / cfg.spectral_exponent) * gain_h1, GAIN_FLOOR, GAIN_MAX)
+        # gain = clip(presence ** (1 / exponent) * gain_h1, GAIN_FLOOR, GAIN_MAX)
+        gain = self._gain
+        gain[...] = presence
+        gain **= 1.0 / cfg.spectral_exponent
+        gain *= gain_h1
+        np.maximum(gain, GAIN_FLOOR, out=gain)
+        np.minimum(gain, GAIN_MAX, out=gain)
         out_bins = gain * bins
 
         self.gains.prev_gain = gain_h1
-        self.gains.prev_snr_post = snr_post
+        self.gains.prev_snr_post, self._snr_post = snr_post, self.gains.prev_snr_post
 
-        bands = mel_energies(np.stack((power, np.abs(out_bins) ** 2, self.noise.stationary)),
-                             self._bank)
+        np.abs(out_bins, out=out_power)
+        np.square(out_power, out=out_power)
+        stationary[...] = self.noise.stationary
+        bands = mel_energies(self._band_input, self._bank)
         internals = None
         if cfg.dump_diagnostics:
             internals = np.stack((self.noise.stationary, self.noise.leakage, snr_prior,

@@ -86,10 +86,8 @@ def stft_synthesize(frames: Iterable[SpectralFrame], shift: int, num_frames: int
         if out is None:
             fft_size, rate, channels = frame.fft_size, frame.rate, frame.num_channels
             window = sqrt_hann_window(fft_size)
-            window_sq = window * window
-            num_samples = (num_frames - 1) * shift + fft_size
-            out = np.zeros((channels, num_samples))
-            norm = np.zeros(num_samples)
+            out = np.zeros((channels, (num_frames - 1) * shift + fft_size))
+            segment = np.empty((channels, fft_size))
         elif frame.fft_size != fft_size or frame.rate != rate:
             raise StreamError(f"frame {frame.frame_index}: fft_size/rate changed mid-stream")
         elif frame.num_channels != channels:
@@ -98,20 +96,38 @@ def stft_synthesize(frames: Iterable[SpectralFrame], shift: int, num_frames: int
             raise StreamError(f"frame index {frame.frame_index} not increasing")
         last_index = frame.frame_index
         start = t * shift
-        out[:, start : start + fft_size] += np.fft.irfft(frame.bins, n=fft_size, axis=1) * window
-        norm[start : start + fft_size] += window_sq
+        np.fft.irfft(frame.bins, n=fft_size, axis=1, out=segment)
+        segment *= window
+        out[:, start : start + fft_size] += segment
     if out is None:
         raise StreamError("cannot synthesize from an empty frame stream")
     if t + 1 != num_frames:
         raise StreamError(f"frame stream ended after {t + 1} of {num_frames} frames")
+
+    # The window sum at a sample depends only on which frames cover it, so a
+    # stand-in run of ceil(fft_size / shift) frames, summed in the same
+    # order, holds every value of the divisor: its first stand_in * shift
+    # samples are the output's head, its last fft_size - shift its tail, and
+    # its last full period (interior once the run is that long) repeats in
+    # between.  A run no longer than the stand-in is its own stand-in.
+    stand_in = min(num_frames, -(-fft_size // shift))
+    norm = np.zeros((stand_in - 1) * shift + fft_size)
+    window_sq = window * window
+    for start in range(0, stand_in * shift, shift):
+        norm[start : start + fft_size] += window_sq
     edge = fft_size - shift
-    interior = norm[edge : num_samples - edge]
+    interior = norm[edge : norm.size - edge]
     if interior.size:
         floor = interior.min()
     else:
         floor = np.pad(window_sq, (0, -fft_size % shift)).reshape(-1, shift).sum(axis=0).min()
     np.maximum(norm, floor, out=norm)
-    np.divide(out, norm, out=out, where=norm > 1e-10)
+    norm[norm <= 1e-10] = 1.0  # a sample no window reaches stays as summed
+    head, repeats = stand_in * shift, num_frames - stand_in
+    out[:, :head] /= norm[:head]
+    middle = out[:, head : head + repeats * shift].reshape(channels, repeats, shift)  # a view
+    middle /= norm[head - shift : head]
+    out[:, head + repeats * shift :] /= norm[head:]
     return AudioBuffer(out, rate)
 
 

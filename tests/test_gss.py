@@ -236,6 +236,40 @@ class TestAdapt:
                 scale[:, np.newaxis, np.newaxis] * pair.decorrelation + pair.geometric)
             assert np.array_equal(state.demix, reference.demix), t
 
+    @pytest.mark.parametrize("num_sources", [1, 2, 3])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_update_matches_complex_arithmetic_bit_for_bit(self, num_sources, layout):
+        # oracle: demix - mu (scale grad_dec + grad_geo) in complex arithmetic,
+        # the decorrelation gradient formed from the separated outputs; the
+        # frames in both memory layouts, F being that of stft_analyze's
+        rng = np.random.default_rng(19 + num_sources)
+        # the demixing matrices are a strided view into a larger array
+        state = random_state(rng, 8, num_sources, num_bins=65)
+        parent = np.zeros((65, 2 * num_sources, 8), dtype=complex)
+        parent[:, ::2] = state.demix
+        state.demix = parent[:, ::2]
+        for t in range(5):
+            x = rng.standard_normal((8, 65)) + 1j * rng.standard_normal((8, 65))
+            x[:, :6] *= 1e-7  # below the power floor: geometric term only
+            x[:, 6] = 0.0
+            x = np.asarray(x, order=layout)
+            frame = frame_for(state, x)
+            separated = gss.separate(state, frame)
+            grad_geo = gss.gradients(state, frame).geometric
+            y = separated.bins.T
+            power = y.real ** 2 + y.imag ** 2
+            ey = y * (np.sum(power, axis=1, keepdims=True) - power)
+            grad_dec = 4.0 * ey[:, :, np.newaxis] * x.T.conj()[:, np.newaxis, :]
+            xpow = np.sum(np.abs(x) ** 2, axis=0)
+            scale = np.zeros_like(xpow)
+            active = xpow >= gss.POWER_FLOOR
+            scale[active] = xpow[active] ** -2.0
+            expected = state.demix - state.step_size * (
+                scale[:, np.newaxis, np.newaxis] * grad_dec + grad_geo)
+            gss.adapt(state, frame, separated)
+            assert np.array_equal(state.demix, expected), t
+            assert np.shares_memory(state.demix, parent)
+
     def test_separated_frame_shape_checked(self):
         rng = np.random.default_rng(18)
         state = random_state(rng, 3, 2, num_bins=4)

@@ -3,6 +3,7 @@
 import logging
 import math
 import os
+import shutil
 import time
 import tracemalloc
 
@@ -18,8 +19,8 @@ from arraysep.config import PipelineConfig, SourceDirection, scene_to_dict, seri
 from arraysep.geometry import steering_matrix
 from arraysep.errors import AudioIOError, StreamError
 from arraysep.metrics import QualityReport, interference_ratio_db, measure_quality
-from arraysep.pipeline import (_dump_gss_state, _PostfilterDump, bench_pipeline, run_pipeline,
-                               run_stages)
+from arraysep.pipeline import (_dump_gss_state, _PostfilterDump, _Staging, bench_pipeline,
+                               run_pipeline, run_stages)
 from arraysep.postfilter import PostFilter
 from arraysep.simulate import (SceneSource, SceneSpec, SignalSpec, box_array_geometry,
                                synthesize, three_speaker_scene)
@@ -333,10 +334,12 @@ class TestDiagnosticDumps:
         # rows that only printf shows (nan, inf) fall in every frame and source
         printf_rows = ~np.isfinite(internals).all(axis=1)
         assert printf_rows.any(axis=2).all() and not printf_rows.all()
-        dump = _PostfilterDump(str(tmp_path), ["a", "b"])
+        staging = _Staging()
+        dump = _PostfilterDump(str(tmp_path), ["a", "b"], staging)
         for t, frame in enumerate(internals):
             dump(t, frame)
-        dump.commit()
+        dump.close()
+        staging.commit()
         names = ("noise_stat", "noise_leak", "snr_prior", "presence", "gain")
         assert sorted(os.listdir(tmp_path)) == ["a_postfilter.csv", "b_postfilter.csv"]
         for source, source_id in enumerate(["a", "b"]):
@@ -489,6 +492,53 @@ class TestCli:
         write_wav(wav, AudioBuffer(samples, 16000))
         assert main(["features", "--input", wav, "--output-dir", str(tmp_path / "f")]) == 3
         assert not (tmp_path / "f").exists()
+
+    @pytest.mark.parametrize("command", ["separate", "score"])
+    @pytest.mark.parametrize("wav, channel", [("center_ref.wav", 0), ("noise.wav", 5)])
+    def test_non_finite_reference_or_noise_sample_refused(self, short_scene, scene_dir, tmp_path,
+                                                          capsys, command, wav, channel):
+        # one NaN once read 99.0 for every output SIR and the run exited 0
+        spec, _ = short_scene
+        bad_dir = tmp_path / "scene"
+        shutil.copytree(scene_dir, bad_dir)
+        rate, samples = wavfile.read(bad_dir / wav)
+        samples = samples.copy()
+        samples.reshape(len(samples), -1)[12000, channel] = np.nan
+        wavfile.write(bad_dir / wav, rate, samples)
+        write_config(tmp_path / "cfg.yaml", spec, bad_dir, tmp_path / "out")
+        argv = {"separate": ["separate", "--config", str(tmp_path / "cfg.yaml")],
+                "score": ["score", "--output", str(scene_dir / "center_ref.wav"),
+                          "--reference", str(bad_dir / "center_ref.wav"),
+                          "--noise", str(bad_dir / "noise.wav"),
+                          "--csv", str(tmp_path / "q.csv")]}[command]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert (f"{wav}: non-finite sample nan at sample 12000, channel {channel}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists() and not (tmp_path / "q.csv").exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_after_the_loop_leaves_nothing_behind(self, short_scene, scene_dir,
+                                                               tmp_path, monkeypatch, existing):
+        spec, _ = short_scene
+        output_dir = tmp_path / ("old" if existing else "new/out")
+        write_config(tmp_path / "cfg.yaml", spec, scene_dir, output_dir, dump_diagnostics=True)
+        if existing:
+            # right's features are the last but four files written
+            os.makedirs(output_dir / "right_features.csv")
+            (output_dir / "center_48k.wav").write_bytes(b"an earlier output")
+        else:
+            write_mask_binary = pipeline.write_mask_binary
+
+            def failing(path, mask):
+                if "right_" in os.path.basename(path):
+                    raise AudioIOError(f"cannot write mask file {path}: injected")
+                write_mask_binary(path, mask)
+
+            monkeypatch.setattr(pipeline, "write_mask_binary", failing)
+        before = tree(tmp_path)
+        assert main(["separate", "--config", str(tmp_path / "cfg.yaml")]) == 3
+        assert tree(tmp_path) == before
 
     @pytest.mark.parametrize("key, value", [("feature_shift", 0), ("feature_fft_size", 401),
                                             ("mcra_window_length", 0),

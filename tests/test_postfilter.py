@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, ndimage, special
 
 from arraysep.config import PipelineConfig
 from arraysep.features import mel_energies
@@ -96,6 +96,15 @@ class TestCrossSource:
         for m in range(values.shape[0]):
             expected = np.convolve(values[m], kernel, mode="same") / den
             np.testing.assert_allclose(got[m], expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("halfwidth", [1, 15])
+    def test_window_mean_sums_as_correlate1d(self, halfwidth):
+        values = wide_range_rows(np.random.default_rng(23), 3, 513)
+        values[:, 200:210] = 0.0
+        num = ndimage.correlate1d(values, np.ones(2 * halfwidth + 1), axis=-1, mode="constant")
+        k = np.arange(values.shape[1])
+        den = np.minimum(k, halfwidth) + np.minimum(k[::-1], halfwidth) + 1.0
+        assert np.array_equal(_window_mean(values, halfwidth), num / den)
 
     def test_absence_prior_matches_per_row_oracle(self):
         snr_prior = wide_range_rows(np.random.default_rng(21), 3, 513)
@@ -251,6 +260,35 @@ class TestGain:
         assert faults == 1
         assert gain[0] == GAIN_FLOOR
         assert np.isfinite(gain).all() and gain[2] == 0.0
+
+    @pytest.mark.parametrize("exponent", [1.0, 2.0, 1.5, 0.5])
+    def test_matches_gather_scatter_reference(self, exponent):
+        # reference: evaluate only the bins with upsilon > 0, scatter into zeros
+        rng = np.random.default_rng(24)
+        upsilon = 10.0 ** rng.uniform(-8.0, 3.0, (3, 257))
+        gamma = 10.0 ** rng.uniform(-3.0, 3.0, (3, 257))
+        upsilon[:, ::7] = 0.0
+        gamma[:, ::11] = 0.0  # 0/0 where upsilon is 0 too, a fault where it is not
+        expected = np.zeros_like(upsilon)
+        active = upsilon > 0
+        u, g = upsilon[active], gamma[active]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if exponent == 1.0:
+                bessel = (1.0 + u) * special.i0e(u / 2.0) + u * special.i1e(u / 2.0)
+                expected[active] = (math.sqrt(math.pi) / 2.0) * np.sqrt(u) / g * bessel
+            elif exponent == 2.0:
+                expected[active] = np.sqrt(u) / g * np.sqrt(1.0 + u)
+            else:
+                bracket = (special.gamma(1.0 + exponent / 2.0)
+                           * special.hyp1f1(-exponent / 2.0, 1.0, -u))
+                root = np.where(np.isfinite(bracket), bracket ** (1.0 / exponent), np.sqrt(u))
+                expected[active] = np.sqrt(u) / g * root
+        bad = ~np.isfinite(expected)
+        expected[bad] = GAIN_FLOOR
+
+        gain, faults = _gain_core(upsilon, gamma, exponent)
+        assert faults == np.count_nonzero(bad) > 0
+        assert np.array_equal(gain, expected)
 
     def test_monotone_in_prior_snr(self):
         gamma = np.full(200, 3.0)

@@ -1,5 +1,7 @@
 """Analysis/synthesis behavior of the shared STFT."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,36 @@ from arraysep.stft import (SpectralFrame, frame_count, sqrt_hann_window,
                            stft_analyze, stft_synthesize)
 
 from helpers import separate_scene
+
+
+SYNTHESIS_SHAPES = [(1024, 512), (1024, 300), (1024, 256), (400, 160), (16, 5)]
+
+
+def overlap_add_oracle(frames, shift):
+    """Overlap-add of a materialized frame list, divided by the window sum
+    accumulated over the whole output, frame by frame."""
+    fft_size = frames[0].fft_size
+    window = sqrt_hann_window(fft_size)
+    num_samples = (len(frames) - 1) * shift + fft_size
+    expected = np.zeros((frames[0].num_channels, num_samples))
+    norm = np.zeros(num_samples)
+    for t, frame in enumerate(frames):
+        expected[:, t * shift : t * shift + fft_size] += (
+            np.fft.irfft(frame.bins, n=fft_size, axis=1) * window)
+        norm[t * shift : t * shift + fft_size] += window * window
+    # samples within fft_size - shift of an end are divided by no less than
+    # the smallest window sum of the fully overlapped interior, or of one
+    # period of the window sum when no sample is fully overlapped
+    edge = fft_size - shift
+    interior = norm[edge : num_samples - edge]
+    if interior.size:
+        floor = interior.min()
+    else:
+        floor = min(sum(window[r::shift] * window[r::shift]) for r in range(shift))
+    norm = np.maximum(norm, floor)
+    positive = norm > 1e-10
+    expected[:, positive] /= norm[positive]
+    return expected
 
 
 def _noise(channels, samples, rate, seed=0, scale=0.1):
@@ -134,30 +166,45 @@ class TestSynthesize:
             stft_synthesize(iter(()), 512, 0)
 
     @pytest.mark.parametrize("fft_size,shift,rate", [(1024, 512, 48000), (400, 160, 16000),
-                                                     (1024, 300, 48000)])
+                                                     (1024, 300, 48000), (1024, 256, 48000),
+                                                     (16, 5, 48000)])
     def test_streaming_matches_list_overlap_add(self, fft_size, shift, rate):
-        # oracle: materialize every frame, then overlap-add and normalize
         x = _noise(3, rate // 3 + 77, rate, seed=5)
-        frames = list(stft_analyze(x, fft_size, shift))
-        window = sqrt_hann_window(fft_size)
-        expected = np.zeros((3, (len(frames) - 1) * shift + fft_size))
-        norm = np.zeros(expected.shape[1])
-        for t, frame in enumerate(frames):
-            expected[:, t * shift : t * shift + fft_size] += (
-                np.fft.irfft(frame.bins, n=fft_size, axis=1) * window)
-            norm[t * shift : t * shift + fft_size] += window * window
-        # samples within fft_size - shift of an end are divided by no less
-        # than the smallest window sum of the fully overlapped interior
-        edge = fft_size - shift
-        norm = np.maximum(norm, norm[edge:-edge].min())
-        positive = norm > 1e-10
-        expected[:, positive] /= norm[positive]
-
+        expected = overlap_add_oracle(list(stft_analyze(x, fft_size, shift)), shift)
         stream = stft_analyze(x, fft_size, shift)  # a one-shot generator
         out = stft_synthesize(stream, shift, frame_count(x.num_samples, fft_size, shift))
         assert out.rate == rate
         assert out.samples.shape == expected.shape
         assert np.array_equal(out.samples, expected)
+
+    @pytest.mark.parametrize("fft_size,shift", SYNTHESIS_SHAPES)
+    def test_short_runs_match_full_length_divisor(self, fft_size, shift):
+        # runs shorter than, as long as and just longer than the divisor's
+        # stand-in run, including ones without a fully overlapped sample
+        rng = np.random.default_rng(fft_size + shift)
+        for count in range(1, 8):
+            bins = (rng.standard_normal((count, 2, fft_size // 2 + 1))
+                    + 1j * rng.standard_normal((count, 2, fft_size // 2 + 1)))
+            frames = [SpectralFrame(b, t, fft_size, 48000) for t, b in enumerate(bins)]
+            out = stft_synthesize(iter(frames), shift, count)
+            assert np.array_equal(out.samples, overlap_add_oracle(frames, shift)), count
+
+    def test_memory_beyond_the_output_does_not_grow_with_duration(self):
+        bins = np.zeros((1, 513), dtype=np.complex128)
+
+        def held_beyond_output(seconds):
+            count = frame_count(seconds * 48000, 1024, 512)
+            tracemalloc.start()
+            try:
+                out = stft_synthesize((SpectralFrame(bins, t, 1024, 48000) for t in range(count)),
+                                      512, count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - out.samples.nbytes
+
+        # a per-sample divisor alone would add 19 MB between the two
+        assert held_beyond_output(60) - held_beyond_output(10) < 256 * 1024
 
     @pytest.mark.parametrize("declared", [3, 5, 1])
     def test_stream_length_must_match_declared_count(self, declared):
