@@ -134,13 +134,34 @@ class _Staging:
         return self.renames[-1][0]
 
     def commit(self) -> None:
-        # a directory in the way would fail its rename after others had
-        # already replaced their files
+        """Rename every staged file into place.  A file already at a final
+        name is first renamed aside, so if any rename fails, the files
+        replaced so far are put back and the new ones removed before the
+        error is raised."""
+        # a directory in the way would be renamed aside and left there
         for _, path in self.renames:
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, "is a directory", path)
-        for temporary, path in self.renames:
-            os.replace(temporary, path)
+        placed = []  # (final name, the earlier file's name aside or None)
+        try:
+            for temporary, path in self.renames:
+                aside = f"{path}.{os.getpid()}.old" if os.path.lexists(path) else None
+                if aside:
+                    os.replace(path, aside)
+                placed.append((path, aside))
+                os.replace(temporary, path)
+        except BaseException:
+            for path, aside in reversed(placed):
+                with contextlib.suppress(OSError):
+                    if aside:
+                        os.replace(aside, path)
+                    else:
+                        os.remove(path)
+            raise
+        for _, aside in placed:
+            if aside:
+                with contextlib.suppress(OSError):
+                    os.remove(aside)
 
     def discard(self) -> None:
         for temporary, _ in self.renames:

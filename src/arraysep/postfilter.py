@@ -233,24 +233,14 @@ def _window_mean(values: np.ndarray, halfwidth: int, out: np.ndarray | None = No
     (at least two bins), written to ``out`` if given.
 
     Window sums are direct, never differences of cumulative sums, which
-    cancel on spectra spanning many decades.  They are summed as
-    ``ndimage.correlate1d`` sums them: the centre bin, then each +-j pair,
-    the farthest first, so the +-1 case is v[k] + (v[k-1] + v[k+1]), with 0
-    for the missing neighbour of an end bin.
+    cancel on spectra spanning many decades.
     """
     if out is None:
         out = np.empty(np.shape(values))
     if halfwidth <= 0:
         out[...] = values
         return out
-    if halfwidth == 1:
-        np.add(values[..., :-2], values[..., 2:], out=out[..., 1:-1])
-        out[..., 0] = values[..., 1]
-        out[..., -1] = values[..., -2]
-        out += values
-    else:
-        ndimage.correlate1d(values, np.ones(2 * halfwidth + 1), axis=-1, output=out,
-                            mode="constant")
+    ndimage.correlate1d(values, np.ones(2 * halfwidth + 1), axis=-1, output=out, mode="constant")
     out /= _window_counts(out.shape[-1], halfwidth)
     return out
 

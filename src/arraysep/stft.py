@@ -87,7 +87,6 @@ def stft_synthesize(frames: Iterable[SpectralFrame], shift: int, num_frames: int
             fft_size, rate, channels = frame.fft_size, frame.rate, frame.num_channels
             window = sqrt_hann_window(fft_size)
             out = np.zeros((channels, (num_frames - 1) * shift + fft_size))
-            segment = np.empty((channels, fft_size))
         elif frame.fft_size != fft_size or frame.rate != rate:
             raise StreamError(f"frame {frame.frame_index}: fft_size/rate changed mid-stream")
         elif frame.num_channels != channels:
@@ -96,7 +95,7 @@ def stft_synthesize(frames: Iterable[SpectralFrame], shift: int, num_frames: int
             raise StreamError(f"frame index {frame.frame_index} not increasing")
         last_index = frame.frame_index
         start = t * shift
-        np.fft.irfft(frame.bins, n=fft_size, axis=1, out=segment)
+        segment = np.fft.irfft(frame.bins, n=fft_size, axis=1)
         segment *= window
         out[:, start : start + fft_size] += segment
     if out is None:

@@ -1,5 +1,6 @@
 """End-to-end pipeline runs and the command-line interface."""
 
+import errno
 import logging
 import math
 import os
@@ -538,6 +539,31 @@ class TestCli:
             monkeypatch.setattr(pipeline, "write_mask_binary", failing)
         before = tree(tmp_path)
         assert main(["separate", "--config", str(tmp_path / "cfg.yaml")]) == 3
+        assert tree(tmp_path) == before
+
+    def test_failed_rename_puts_back_the_files_it_replaced(self, short_scene, scene_dir,
+                                                           tmp_path, monkeypatch):
+        spec, _ = short_scene
+        output_dir = tmp_path / "out"
+        write_config(tmp_path / "cfg.yaml", spec, scene_dir, output_dir)
+        assert main(["separate", "--config", str(tmp_path / "cfg.yaml")]) == 0
+        for name in os.listdir(output_dir):
+            (output_dir / name).write_bytes(b"an earlier " + name.encode())
+        # the first file renamed into place is new, the second fails
+        os.remove(output_dir / "effective_config.yaml")
+        before = tree(tmp_path)
+        replace, renamed = os.replace, []
+
+        def failing(src, dst):
+            if str(src).endswith(".tmp"):
+                renamed.append(dst)
+                if len(renamed) == 2:
+                    raise PermissionError(errno.EACCES, "injected", dst)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing)
+        assert main(["separate", "--config", str(tmp_path / "cfg.yaml")]) == 3
+        assert os.path.basename(renamed[0]) == "effective_config.yaml"
         assert tree(tmp_path) == before
 
     @pytest.mark.parametrize("key, value", [("feature_shift", 0), ("feature_fft_size", 401),
