@@ -161,8 +161,9 @@ def adapt(state: SeparationState, frame: SpectralFrame,
                           f"demix expects {(state.num_sources, state.demix.shape[0])}")
     grad_dec, grad_geo = _gradients(state, x, y)
 
-    # |x|^2 in x's own memory layout, which sets the order of the sum
-    xpow = np.sum(np.abs(x) ** 2, axis=0)  # (n_bins,)
+    # |x|^2 summed along a contiguous microphone axis: the memory layout sets
+    # the order of the sum, so it is fixed here, as that of WAV-decoded frames
+    xpow = np.sum(np.abs(np.ascontiguousarray(x.T)) ** 2, axis=1)  # (n_bins,)
     scale = np.power(xpow, -2.0, out=np.zeros_like(xpow), where=xpow >= POWER_FLOOR)
 
     # demix -= step_size * (scale * grad_dec + grad_geo), on the float64 views

@@ -228,7 +228,7 @@ class TestAdapt:
             gss.adapt(state, frame, gss.separate(state, frame))
 
             pair = gss.gradients(reference, frame)
-            power = np.sum(np.abs(x) ** 2, axis=0)
+            power = np.sum(np.abs(np.asfortranarray(x)) ** 2, axis=0)  # mic axis contiguous
             scale = np.zeros_like(power)
             active = power >= gss.POWER_FLOOR
             scale[active] = power[active] ** -2.0
@@ -260,7 +260,7 @@ class TestAdapt:
             power = y.real ** 2 + y.imag ** 2
             ey = y * (np.sum(power, axis=1, keepdims=True) - power)
             grad_dec = 4.0 * ey[:, :, np.newaxis] * x.T.conj()[:, np.newaxis, :]
-            xpow = np.sum(np.abs(x) ** 2, axis=0)
+            xpow = np.sum(np.abs(np.asfortranarray(x)) ** 2, axis=0)  # mic axis contiguous
             scale = np.zeros_like(xpow)
             active = xpow >= gss.POWER_FLOOR
             scale[active] = xpow[active] ** -2.0
@@ -269,6 +269,20 @@ class TestAdapt:
             gss.adapt(state, frame, separated)
             assert np.array_equal(state.demix, expected), t
             assert np.shares_memory(state.demix, parent)
+
+    def test_demix_does_not_depend_on_frame_layout(self):
+        # the same frames as C- and F-ordered arrays; 8 microphones, where
+        # numpy sums a contiguous axis pairwise and a strided one in sequence
+        rng = np.random.default_rng(23)
+        geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (8, 3)), 48000)
+        sm = steering_matrix(geom, [direction_vector(a) for a in (0.5, -0.6, 1.4)], 1024)
+        states = {layout: gss.init_delay_and_sum(sm) for layout in "CF"}
+        for t in range(5):
+            x = rng.standard_normal((8, 513)) + 1j * rng.standard_normal((8, 513))
+            for layout, state in states.items():
+                frame = SpectralFrame(np.asarray(x, order=layout), t, 1024, 48000)
+                gss.adapt(state, frame, gss.separate(state, frame))
+            assert np.array_equal(states["C"].demix, states["F"].demix), t
 
     def test_separated_frame_shape_checked(self):
         rng = np.random.default_rng(18)
