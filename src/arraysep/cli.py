@@ -25,7 +25,7 @@ from .config import (PipelineConfig, SourceDirection, parse_config, parse_scene_
 from .errors import ArraySepError, AudioIOError, ConfigError, StreamError
 from .features import extract_features, write_features_binary, write_features_csv
 from .metrics import QualityReport, measure_quality
-from .pipeline import bench_pipeline, run_pipeline
+from .pipeline import bench_pipeline, run_pipeline, staged_outputs
 from .simulate import preset_names, preset_scene, synthesize
 
 
@@ -84,12 +84,12 @@ def _cmd_features(args: argparse.Namespace) -> int:
     if audio.rate == 48000:
         audio = resample_48k_to_16k(audio)
     features = extract_features(audio)
-    os.makedirs(args.output_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.input))[0]
     csv_path = os.path.join(args.output_dir, f"{stem}_features.csv")
     bin_path = os.path.join(args.output_dir, f"{stem}_features.bin")
-    write_features_csv(csv_path, features)
-    write_features_binary(bin_path, features)
+    with staged_outputs(args.output_dir) as staging:  # both files or neither
+        write_features_csv(staging(csv_path), features)
+        write_features_binary(staging(bin_path), features)
     print(f"{len(features)} frames -> {csv_path}")
     return 0
 

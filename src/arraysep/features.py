@@ -13,6 +13,7 @@ regression deltas.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from scipy import fft as sfft
 
 from .audio import AudioBuffer
 from .errors import AudioIOError, ConfigError
-from .stft import stft_analyze
+from .stft import analysis_frames, sqrt_hann_window, windowed_rfft
 
 NUM_BANDS = 24
 FEATURE_FFT_SIZE = 400
@@ -48,8 +49,10 @@ def hz_from_mel(mel):
     return 700.0 * (10.0 ** (np.asarray(mel) / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=None)
 def mel_filterbank(fft_size: int = FEATURE_FFT_SIZE, rate: int = FEATURE_RATE) -> np.ndarray:
-    """Triangular weights, (NUM_BANDS, fft_size // 2 + 1), equally mel-spaced up to 8 kHz.
+    """Triangular weights, (NUM_BANDS, fft_size // 2 + 1), equally mel-spaced
+    up to 8 kHz (read-only, built once per grid).
 
     Works on any grid: the same band edges evaluated on a 48 kHz/1024 grid
     give band-aligned energies for the mask stage.
@@ -64,6 +67,7 @@ def mel_filterbank(fft_size: int = FEATURE_FFT_SIZE, rate: int = FEATURE_RATE) -
         rising = (bin_hz - lo) / (mid - lo)
         falling = (hi - bin_hz) / (hi - mid)
         weights[i] = np.maximum(0.0, np.minimum(rising, falling))
+    weights.setflags(write=False)
     return weights
 
 
@@ -116,10 +120,10 @@ def extract_features(audio: AudioBuffer, fft_size: int = FEATURE_FFT_SIZE,
     if audio.num_channels != 1:
         raise ConfigError("feature pipeline expects a mono buffer")
 
-    frames = list(stft_analyze(audio, fft_size, shift))
-    if not frames:
+    frames = analysis_frames(audio.samples[0], fft_size, shift)
+    if not len(frames):
         return []
-    power = np.stack([np.abs(f.bins[0]) ** 2 for f in frames])
+    power = np.abs(windowed_rfft(frames, sqrt_hann_window(fft_size))) ** 2
     energies = mel_energies(power, mel_filterbank(fft_size, audio.rate))
     floor = max(float(energies.max()) * RELATIVE_FLOOR, _LOG_FLOOR)
     log_mel = np.log(np.maximum(energies, floor))
@@ -134,10 +138,7 @@ def extract_features(audio: AudioBuffer, fft_size: int = FEATURE_FFT_SIZE,
     if len(frames) < 5:
         warnings.warn(f"utterance of {len(frames)} frames is too short for delta features")
     deltas, valid = delta_features(static)
-    return [
-        FeatureVector(frame.frame_index, static[t], deltas[t], bool(valid[t]))
-        for t, frame in enumerate(frames)
-    ]
+    return [FeatureVector(t, static[t], deltas[t], bool(valid[t])) for t in range(len(frames))]
 
 
 # --------------------------------------------------------------------------

@@ -169,6 +169,27 @@ class _Staging:
                 os.remove(temporary)
 
 
+@contextlib.contextmanager
+def staged_outputs(output_dir: str):
+    """Create ``output_dir`` as needed and yield a ``_Staging`` for the files
+    written into it, committed when the block ends.  On any failure the
+    staged files are removed, and so is every directory created here, so
+    the output directory is left as it was found."""
+    created, missing = None, os.path.abspath(output_dir)
+    while not os.path.exists(missing):  # up to the topmost directory this creates
+        created, missing = missing, os.path.dirname(missing)
+    staging = _Staging()
+    try:
+        os.makedirs(output_dir, exist_ok=True)
+        yield staging
+        staging.commit()
+    except BaseException:
+        staging.discard()
+        if created:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
+
+
 class _PostfilterDump:
     """Each source's ``<id>_postfilter.csv``, appended frame by frame under
     the staged name; nothing is opened before the first frame."""
@@ -234,28 +255,17 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     _log_run_header(config)
     ids = [s.id for s in config.sources]
-    created, missing = None, os.path.abspath(config.output_dir)
-    while not os.path.exists(missing):  # up to the topmost directory this run creates
-        created, missing = missing, os.path.dirname(missing)
-    staging = _Staging()
-    dump = _PostfilterDump(config.output_dir, ids, staging)
     try:
-        os.makedirs(config.output_dir, exist_ok=True)
-        output = run_stages(read_wav(config.input_wav), config,
-                            dump if config.dump_diagnostics else None)
-        dump.close()
-        result = _emit(config, output, ids, staging)
-        staging.commit()
-    except BaseException as exc:
-        with contextlib.suppress(OSError):
-            dump.close()
-        staging.discard()
-        if created:
-            shutil.rmtree(created, ignore_errors=True)
-        if isinstance(exc, OSError):
-            raise AudioIOError(f"cannot write to {config.output_dir}: {exc}") from exc
-        raise
-    return result
+        with staged_outputs(config.output_dir) as staging:
+            dump = _PostfilterDump(config.output_dir, ids, staging)
+            try:
+                output = run_stages(read_wav(config.input_wav), config,
+                                    dump if config.dump_diagnostics else None)
+            finally:
+                dump.close()
+            return _emit(config, output, ids, staging)
+    except OSError as exc:
+        raise AudioIOError(f"cannot write to {config.output_dir}: {exc}") from exc
 
 
 def _emit(config: PipelineConfig, output: StreamOutput, ids: list[str],

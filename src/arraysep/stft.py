@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import AudioBuffer
 from .errors import ConfigError, StreamError
@@ -47,23 +48,31 @@ def sqrt_hann_window(size: int) -> np.ndarray:
     return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * n / size))
 
 
-def stft_analyze(audio: AudioBuffer, fft_size: int, shift: int) -> Iterator[SpectralFrame]:
-    """Yield sqrt-Hann windowed half-spectrum frames from ``audio``.
-
-    Frame t covers samples [t*shift, t*shift + fft_size); trailing samples
-    that do not fill a frame are dropped.
-    """
+def analysis_frames(samples: np.ndarray, fft_size: int, shift: int) -> np.ndarray:
+    """A read-only (..., T, fft_size) view of ``samples`` (..., n_samples):
+    frame t covers samples [t*shift, t*shift + fft_size); trailing samples
+    that do not fill a frame are dropped."""
     if fft_size % 2 != 0:
         raise ConfigError(f"fft_size must be even, got {fft_size}")
     if not 0 < shift <= fft_size:
         raise ConfigError(f"shift must satisfy 0 < shift <= fft_size, got {shift}")
-    window = sqrt_hann_window(fft_size)
+    if samples.shape[-1] < fft_size:
+        return np.empty(samples.shape[:-1] + (0, fft_size))
+    return sliding_window_view(samples, fft_size, axis=-1)[..., ::shift, :]
 
-    samples = audio.samples
-    for t in range(frame_count(samples.shape[1], fft_size, shift)):
-        start = t * shift
-        segment = samples[:, start : start + fft_size] * window[np.newaxis, :]
-        yield SpectralFrame(np.fft.rfft(segment, axis=1), t, fft_size, audio.rate)
+
+def windowed_rfft(frames: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Half spectra of ``frames`` (..., fft_size) tapered by ``window``."""
+    return np.fft.rfft(frames * window, axis=-1)
+
+
+def stft_analyze(audio: AudioBuffer, fft_size: int, shift: int) -> Iterator[SpectralFrame]:
+    """Yield sqrt-Hann windowed half-spectrum frames from ``audio``, one at a
+    time, over the frames of ``analysis_frames``."""
+    frames = analysis_frames(audio.samples, fft_size, shift)
+    window = sqrt_hann_window(fft_size)
+    for t in range(frames.shape[1]):
+        yield SpectralFrame(windowed_rfft(frames[:, t], window), t, fft_size, audio.rate)
 
 
 def stft_synthesize(frames: Iterable[SpectralFrame], shift: int, num_frames: int) -> AudioBuffer:

@@ -1,12 +1,15 @@
 """WAV I/O and the 48 kHz to 16 kHz resampler."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import signal
 from scipy.io import wavfile
 
-from arraysep.audio import AudioBuffer, open_wav, read_wav, resample_48k_to_16k, write_wav
+from arraysep.audio import (_DECIMATION_FILTER, AudioBuffer, open_wav, read_wav,
+                            resample_48k_to_16k, write_wav)
 from arraysep.errors import AudioIOError, ConfigError
 
 
@@ -157,3 +160,47 @@ class TestResampler:
     def test_length(self):
         out = resample_48k_to_16k(AudioBuffer(np.zeros((2, 48000)), 48000))
         assert out.num_samples == 16000
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 400, 401, 402, 1000, 48001, 480000])
+    @pytest.mark.parametrize("kind", ["noise", "tones", "dc"])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_matches_direct_form_oracle(self, length, kind, channels):
+        # oracle: scipy's polyphase direct form with the same taps and alignment
+        rng = np.random.default_rng(length + 7 * channels)
+        t = np.arange(length) / 48000.0
+        if kind == "noise":
+            x = rng.standard_normal((channels, length))
+        elif kind == "tones":
+            freqs = rng.uniform(50.0, 23000.0, (channels, 3, 1))
+            x = np.sin(2 * np.pi * freqs * t + rng.uniform(0, 2 * np.pi, (channels, 3, 1))).sum(1)
+        else:
+            x = np.full((channels, length), -0.7) * np.arange(1, channels + 1)[:, np.newaxis]
+        expected = signal.resample_poly(x, 1, 3, axis=-1, window=_DECIMATION_FILTER)
+        got = resample_48k_to_16k(AudioBuffer(x, 48000)).samples
+        assert got.shape == expected.shape == (channels, -(-length // 3))
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.abs(x).max(initial=0))
+
+    @pytest.mark.parametrize("length, extra", [(3696 * 4 + 3896, 1), (48001, 10000),
+                                               (100000, 3), (20000, 53000)])
+    def test_appended_samples_leave_finished_blocks_unchanged(self, length, extra):
+        # block b reads inputs [3696 b - 200, 3696 b + 3896) and writes
+        # outputs [1232 b, 1232 (b + 1)); blocks inside the first input are done
+        x = np.random.default_rng(length).standard_normal(length + extra)
+        whole = resample_48k_to_16k(AudioBuffer(x, 48000)).samples[0]
+        prefix = resample_48k_to_16k(AudioBuffer(x[:length], 48000)).samples[0]
+        done = 1232 * ((length - 3896) // 3696 + 1)
+        assert 0 < done <= prefix.size
+        assert np.array_equal(whole[:done], prefix[:done])
+
+    def test_memory_beyond_the_output_does_not_grow_with_duration(self):
+        def held_beyond_output(seconds):
+            audio = AudioBuffer(np.zeros(seconds * 48000), 48000)
+            tracemalloc.start()
+            try:
+                out = resample_48k_to_16k(audio)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - out.samples.nbytes
+
+        assert held_beyond_output(60) - held_beyond_output(5) < 64 * 1024

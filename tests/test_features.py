@@ -53,6 +53,12 @@ class TestFilterbank:
             mel_filterbank(rate=8000)
 
 
+    def test_built_once_per_grid_and_read_only(self):
+        first = mel_filterbank(1024, 48000)
+        assert mel_filterbank(1024, 48000) is first
+        assert not first.flags.writeable
+
+
 class TestMelEnergies:
     def test_zero_spectrum(self, bank):
         np.testing.assert_array_equal(mel_energies(np.zeros(201), bank), np.zeros(24))
@@ -134,6 +140,34 @@ class TestPipeline:
         flags = [f.has_delta for f in features]
         assert flags[:2] == [False, False] and flags[-2:] == [False, False]
         assert all(flags[2:-2])
+
+
+    @pytest.mark.parametrize("fft_size, shift", [(400, 160), (400, 157), (256, 99), (16, 16)])
+    def test_matches_per_frame_analysis_bit_for_bit(self, fft_size, shift):
+        # reference: each frame's power spectrum from stft_analyze, one
+        # transform per frame, through the rest of the pipeline as before
+        utterance = noise_utterance(6)
+        frames = list(stft_analyze(utterance, fft_size, shift))
+        power = np.stack([np.abs(f.bins[0]) ** 2 for f in frames])
+        energies = mel_energies(power, mel_filterbank(fft_size, 16000))
+        log_mel = np.log(np.maximum(energies, max(float(energies.max()) * 1e-5, 1e-30)))
+        cepstra = zero_lifter(sfft.dct(log_mel, type=2, norm="ortho", axis=1))
+        cepstra = cepstra - cepstra.mean(axis=0, keepdims=True)
+        static = sfft.idct(cepstra, type=2, norm="ortho", axis=1)
+        deltas, valid = delta_features(static)
+        got = extract_features(utterance, fft_size=fft_size, shift=shift)
+        assert [f.frame_index for f in got] == [f.frame_index for f in frames]
+        assert np.array_equal(np.stack([f.static for f in got]), static)
+        assert np.array_equal(np.stack([f.delta for f in got]), deltas)
+        assert [f.has_delta for f in got] == list(valid)
+
+    @pytest.mark.parametrize("fft_size, shift", [(401, 160), (400, 0), (400, -160), (400, 401)])
+    def test_bad_framing_rejected(self, fft_size, shift):
+        with pytest.raises(ConfigError):
+            extract_features(noise_utterance(7), fft_size=fft_size, shift=shift)
+
+    def test_shorter_than_one_frame_gives_no_features(self):
+        assert extract_features(AudioBuffer(np.ones(399), 16000)) == []
 
 
 class TestLifterAndDeltas:

@@ -13,7 +13,7 @@ import pytest
 import yaml
 from scipy.io import wavfile
 
-from arraysep import gss, pipeline
+from arraysep import cli, gss, pipeline
 from arraysep.audio import AudioBuffer, read_wav, write_wav
 from arraysep.cli import main
 from arraysep.config import PipelineConfig, SourceDirection, scene_to_dict, serialize_config
@@ -795,6 +795,22 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "f" / "mono_features.csv").exists()
         assert (tmp_path / "f" / "mono_features.bin").exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_features_failure_leaves_nothing_behind(self, tmp_path, monkeypatch, existing):
+        wav = tmp_path / "mono.wav"
+        write_wav(str(wav), AudioBuffer(np.full(16000, 0.1), 16000))
+        output_dir = tmp_path / ("f" if existing else "new/f")
+        if existing:  # the binary is written last and cannot be placed
+            os.makedirs(output_dir / "mono_features.bin")
+        else:
+            def failing(path, features):
+                raise AudioIOError(f"cannot write feature file {path}: injected")
+
+            monkeypatch.setattr(cli, "write_features_binary", failing)
+        before = tree(tmp_path)
+        assert main(["features", "--input", str(wav), "--output-dir", str(output_dir)]) == 3
+        assert tree(tmp_path) == before
 
     def test_score_subcommand(self, tmp_path):
         n = 24000
