@@ -1,8 +1,10 @@
 """Time-domain audio containers, WAV file I/O and sample-rate conversion.
 
-All buffers are channels-first float64 arrays with amplitudes nominally in
-[-1, 1].  Only the two pipeline rates are supported: 48 kHz on the
-separation side and 16 kHz on the feature side.
+All buffers are channels-first arrays with amplitudes nominally in [-1, 1]:
+float32 where the samples fit it exactly (a PCM16 or float32 file, or
+float32 samples given), else float64.  Every consumer computes in float64.
+Only the two pipeline rates are supported: 48 kHz on the separation side
+and 16 kHz on the feature side.
 """
 
 from __future__ import annotations
@@ -28,13 +30,16 @@ def _check_rate(rate) -> None:
 
 @dataclass
 class AudioBuffer:
-    """Multichannel audio: ``samples`` is (channels, n_samples) float64."""
+    """Multichannel audio: ``samples`` is (channels, n_samples), float32 as
+    given and float64 otherwise."""
 
     samples: np.ndarray
     rate: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples)
+        if samples.dtype != np.float32:
+            samples = samples.astype(np.float64, copy=False)
         if samples.ndim == 1:
             samples = samples[np.newaxis, :]
         if samples.ndim != 2:
@@ -59,18 +64,27 @@ class AudioBuffer:
         return self.samples[index]
 
 
-# Divisor that takes each WAV sample format to float64 in [-1, 1]; float data
-# is only widened.
-_FULL_SCALE = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0,
-               np.dtype(np.float32): 1.0, np.dtype(np.float64): 1.0}
+# Each WAV sample format's full scale, the power of two that takes its samples
+# into [-1, 1], and the narrowest float type that holds them exactly after
+# that division: a PCM16 sample has 16 significant bits, an int32 one (24-bit
+# PCM is read as int32) up to 31.
+_DECODING = {np.dtype(np.int16): (32768.0, np.float32),
+             np.dtype(np.int32): (2147483648.0, np.float64),
+             np.dtype(np.float32): (1.0, np.float32), np.dtype(np.float64): (1.0, np.float64)}
+_DECODE_BLOCK = 16384  # samples transposed at a time, so a block stays in cache
 
 
-def _decode(raw: np.ndarray) -> np.ndarray:
-    """A float64 copy of raw WAV samples, scaled by their format's full scale."""
-    samples = np.array(raw, dtype=np.float64)
-    scale = _FULL_SCALE[raw.dtype]
-    if scale != 1.0:
-        samples /= scale
+def _decode(raw: np.ndarray, dtype=None) -> np.ndarray:
+    """Raw (n_samples, channels) WAV samples as a channels-contiguous
+    (channels, n_samples) array divided by their format's full scale, in
+    ``dtype`` or else in the narrowest float type that holds them exactly."""
+    scale, exact = _DECODING[raw.dtype]
+    samples = np.empty(raw.shape[::-1], dtype or exact)
+    for start in range(0, raw.shape[0], _DECODE_BLOCK):
+        block = samples[:, start : start + _DECODE_BLOCK]
+        block[...] = raw[start : start + _DECODE_BLOCK].T
+        if scale != 1.0:
+            block /= scale
     return samples
 
 
@@ -94,12 +108,12 @@ class MappedWav:
 
     def __getitem__(self, channel: int) -> np.ndarray:
         """One channel decoded to float64."""
-        return _decode(self.raw[:, channel])
+        return _decode(self.raw[:, channel : channel + 1], np.float64)[0]
 
 
-def open_wav(path: str) -> MappedWav:
-    """Map and check a RIFF WAV file (PCM16, int32, float32 or float64, 1-8
-    channels) without decoding it; NaN and inf samples are refused."""
+def _map_wav(path: str) -> MappedWav:
+    """``open_wav`` without the scan for non-finite samples, for a file that
+    this process has already opened through ``open_wav``."""
     if not os.path.isfile(path):
         raise AudioIOError(f"input file not found: {path}")
     try:
@@ -117,22 +131,32 @@ def open_wav(path: str) -> MappedWav:
         raw = raw[:, np.newaxis]
     if raw.shape[1] > 8:
         raise AudioIOError(f"{path}: {raw.shape[1]} channels exceeds the 8-channel limit")
-    if raw.dtype not in _FULL_SCALE:
+    if raw.dtype not in _DECODING:
         raise AudioIOError(f"{path}: unsupported sample format {raw.dtype}")
     _check_rate(rate)
+    return MappedWav(rate, raw)
+
+
+def open_wav(path: str) -> MappedWav:
+    """Map and check a RIFF WAV file (PCM16, int32, float32 or float64, 1-8
+    channels) without decoding it; NaN and inf samples are refused."""
+    mapped = _map_wav(path)
+    raw = mapped.raw
     if raw.dtype.kind == "f":  # integer samples are always finite
         with np.errstate(all="ignore"):  # a finite sum rules out a non-finite sample
             bad = () if np.isfinite(raw.sum()) else np.argwhere(~np.isfinite(raw))
         if len(bad):
             raise AudioIOError(f"{path}: non-finite sample {raw[tuple(bad[0])]} "
                                f"at sample {bad[0][0]}, channel {bad[0][1]}")
-    return MappedWav(rate, raw)
+    return mapped
 
 
 def read_wav(path: str) -> AudioBuffer:
-    """Read and decode a whole WAV file (formats and checks as ``open_wav``)."""
+    """Read and decode a whole WAV file (formats and checks as ``open_wav``):
+    PCM16 and float32 files to float32, int32, 24-bit and float64 files to
+    float64."""
     mapped = open_wav(path)
-    return AudioBuffer(_decode(mapped.raw).T, mapped.rate)
+    return AudioBuffer(_decode(mapped.raw), mapped.rate)
 
 
 def write_wav(path: str, audio: AudioBuffer) -> None:

@@ -47,7 +47,10 @@ class QualityReport:
 
 
 def projected_power(output: np.ndarray, reference: np.ndarray) -> float | None:
-    """Power of the output component explained by one reference."""
+    """Power of the output component explained by one reference; a float32
+    input is widened first, so the products are always summed in float64."""
+    output = np.asarray(output, dtype=np.float64)
+    reference = np.asarray(reference, dtype=np.float64)
     ref_power = float(np.dot(reference, reference))
     if ref_power <= 0.0:
         return None

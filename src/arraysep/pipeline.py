@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gss
-from .audio import AudioBuffer, open_wav, read_wav, resample_48k_to_16k, write_wav
+from .audio import (AudioBuffer, _map_wav, open_wav, read_wav, resample_48k_to_16k,
+                    write_wav)
 from .config import PipelineConfig, serialize_config
 from .errors import AudioIOError, StreamError
 from .features import (NUM_BANDS, _encode_cells, _join_rows, _write_csv, extract_features,
@@ -224,10 +225,11 @@ class _PostfilterDump:
 def _quality_rows(config: PipelineConfig, separated: AudioBuffer,
                   ids: list[str]) -> list:
     """Score the outputs against the first channel of each reference WAV and
-    the noise WAV, decoded channel by channel; no file mapping outlives this
-    call, since the run writes files on either side of it."""
-    references = [open_wav(path)[0] for path in config.reference_wavs]
-    noise = open_wav(config.noise_wav) if config.noise_wav else None
+    the noise WAV, decoded channel by channel.  The files were checked when
+    the run began; they are mapped again because no file mapping may outlive
+    this call, since the run writes files on either side of it."""
+    references = [_map_wav(path)[0] for path in config.reference_wavs]
+    noise = _map_wav(config.noise_wav) if config.noise_wav else None
     return measure_quality([separated.samples[m] for m in range(len(ids))],
                            references, noise, source_ids=ids)
 

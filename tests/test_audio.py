@@ -26,6 +26,13 @@ class TestAudioBuffer:
     def test_duration(self):
         assert AudioBuffer(np.zeros(24000), 48000).duration == 0.5
 
+    def test_float32_kept_as_given_everything_else_float64(self):
+        narrow = np.zeros((2, 100), dtype=np.float32)
+        assert AudioBuffer(narrow, 48000).samples is narrow
+        for samples in (np.zeros((2, 100), dtype=np.int16), np.zeros((2, 100), dtype=np.float16),
+                        [[0, 1, 2]], np.zeros(100, dtype=np.float64)):
+            assert AudioBuffer(samples, 48000).samples.dtype == np.float64
+
 
 class TestWavRoundTrip:
     def test_float32_multichannel(self, tmp_path):
@@ -66,11 +73,49 @@ class TestWavRoundTrip:
             np.testing.assert_array_equal(mapped[c], data[:, c].astype(np.float64) / scale)
             np.testing.assert_array_equal(mapped[c], read_wav(path).samples[c])
 
+    # the oracle's own table of full scales: the power of two that maps each
+    # integer format onto [-1, 1); 24-bit samples arrive as int32 << 8
+    FULL_SCALE = {"int16": 2.0 ** 15, "int32": 2.0 ** 31, "pcm24": 2.0 ** 31,
+                  "float32": 1.0, "float64": 1.0}
+
+    @pytest.mark.parametrize("kind, decoded", [("int16", np.float32), ("float32", np.float32),
+                                               ("int32", np.float64), ("pcm24", np.float64),
+                                               ("float64", np.float64)])
+    def test_decode_rule(self, tmp_path, kind, decoded):
+        # PCM16 and float32 samples are held exactly in float32, the others
+        # need float64; either way the float64 upcast is the oracle's division
+        path = tmp_path / "x.wav"
+        rng = np.random.default_rng(4)
+        if kind == "pcm24":
+            data = rng.integers(-2 ** 23, 2 ** 23, (40000, 3))
+            data[:2] = [[-2 ** 23] * 3, [2 ** 23 - 1] * 3]
+            self.write_pcm24(path, data=data)
+        elif kind.startswith("int"):
+            info = np.iinfo(kind)
+            data = rng.integers(info.min, info.max, (40000, 3), endpoint=True, dtype=kind)
+            data[:2] = [[info.min] * 3, [info.max] * 3]
+            wavfile.write(str(path), 48000, data)
+        else:
+            data = rng.uniform(-1.0, 1.0, (40000, 3)).astype(kind)
+            data[:2] = [[0.0, -0.0, np.finfo(kind).tiny], [1.0, -1.0, np.finfo(kind).eps]]
+            wavfile.write(str(path), 48000, data)
+        raw = wavfile.read(str(path))[1]  # in memory, unmapped
+        samples = read_wav(str(path)).samples
+        assert samples.dtype == decoded
+        assert samples.flags.c_contiguous and samples.shape == (3, 40000)
+        oracle = raw.T.astype(np.float64) / self.FULL_SCALE[kind]
+        assert samples.astype(np.float64).tobytes() == oracle.tobytes()
+        mapped = open_wav(str(path))
+        for c in range(3):
+            assert mapped[c].dtype == np.float64
+            assert mapped[c].tobytes() == oracle[c].tobytes()
+
     PCM24 = np.array([[0, 1], [-8388608, 8388607], [123456, -5]])
 
-    def write_pcm24(self, path, extra_chunk=b""):
-        data = b"".join(int(v).to_bytes(3, "little", signed=True) for v in self.PCM24.ravel())
-        fmt = struct.pack("<HHIIHH", 1, 2, 48000, 48000 * 6, 6, 24)
+    def write_pcm24(self, path, extra_chunk=b"", data=PCM24):
+        channels = data.shape[1]
+        data = b"".join(int(v).to_bytes(3, "little", signed=True) for v in data.ravel())
+        fmt = struct.pack("<HHIIHH", 1, channels, 48000, 48000 * 3 * channels, 3 * channels, 24)
         body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + extra_chunk
                 + b"data" + struct.pack("<I", len(data)) + data)
         path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
@@ -191,6 +236,13 @@ class TestResampler:
         done = 1232 * ((length - 3896) // 3696 + 1)
         assert 0 < done <= prefix.size
         assert np.array_equal(whole[:done], prefix[:done])
+
+    def test_float32_input_decimates_like_its_float64_upcast(self):
+        x = np.random.default_rng(6).uniform(-1.0, 1.0, (2, 20000)).astype(np.float32)
+        narrow = resample_48k_to_16k(AudioBuffer(x, 48000)).samples
+        wide = resample_48k_to_16k(AudioBuffer(x.astype(np.float64), 48000)).samples
+        assert narrow.dtype == np.float64
+        assert narrow.tobytes() == wide.tobytes()
 
     def test_memory_beyond_the_output_does_not_grow_with_duration(self):
         def held_beyond_output(seconds):

@@ -94,6 +94,16 @@ class TestPipeline:
         with pytest.raises(ConfigError):
             extract_features(AudioBuffer(np.zeros((2, 16000)), 16000))
 
+    def test_float32_input_gives_the_features_of_its_float64_upcast(self):
+        x = noise_utterance(2).samples.astype(np.float32)
+        narrow = extract_features(AudioBuffer(x, 16000))
+        wide = extract_features(AudioBuffer(x.astype(np.float64), 16000))
+        assert len(narrow) == len(wide) > 5
+        for a, b in zip(narrow, wide):
+            assert (a.frame_index, a.has_delta) == (b.frame_index, b.has_delta)
+            assert a.static.tobytes() == b.static.tobytes()
+            assert a.delta.tobytes() == b.delta.tobytes()
+
     def test_transform_identity_without_lifter_and_cms(self, bank):
         utterance = noise_utterance(1)
         raw = extract_features(utterance, lifter=False, mean_subtract=False)

@@ -99,6 +99,27 @@ class TestMeasureQuality:
             expected = min(99.0, 10 * np.log10(target / rivals))
             assert row.output_sir_db == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("noise_kind", ["array", "mapped"])
+    def test_float32_inputs_score_like_their_float64_upcasts(self, tmp_path, noise_kind):
+        # every projection is summed in float64, whatever the inputs' type
+        render = synthesize(three_speaker_scene(60.0, duration_s=1.0, seed=22))
+        outputs = render.mixture.samples[:3].astype(np.float32)
+        references = [r.astype(np.float32) for r in render.clean_references]
+        noise = render.noise.astype(np.float32)
+        narrow_noise = noise
+        if noise_kind == "mapped":
+            path = str(tmp_path / "noise.wav")
+            write_wav(path, AudioBuffer(noise, 48000))
+            narrow_noise = open_wav(path)
+        narrow = measure_quality(list(outputs), references, narrow_noise)
+        wide = measure_quality([o.astype(np.float64) for o in outputs],
+                               [r.astype(np.float64) for r in references],
+                               noise.astype(np.float64))
+        for a, b in zip(narrow, wide, strict=True):
+            assert a.output_sir_db is not None and a.output_snr_db is not None
+            assert np.float64(a.output_sir_db).tobytes() == np.float64(b.output_sir_db).tobytes()
+            assert np.float64(a.output_snr_db).tobytes() == np.float64(b.output_snr_db).tobytes()
+
     def test_no_noise_reference_leaves_snr_undefined(self):
         a, b = orthogonal_references()
         rows = measure_quality([a], [a], None)

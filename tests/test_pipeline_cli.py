@@ -1,5 +1,6 @@
 """End-to-end pipeline runs and the command-line interface."""
 
+import collections
 import errno
 import logging
 import math
@@ -145,6 +146,67 @@ class TestRunPipeline:
         without, with_metrics = peak("without", False), peak("with", True)
         channel_bytes = render.noise.shape[1] * 8
         assert with_metrics <= without + 1.1 * channel_bytes
+
+    def test_each_input_is_scanned_for_non_finite_samples_once(self, short_scene, scene_dir,
+                                                                tmp_path, monkeypatch):
+        # open_wav rules out NaN and inf with one sum over the mapping; the
+        # quality report maps the references and the noise again, unscanned
+        spec, _ = short_scene
+        config = write_config(tmp_path / "c.yaml", spec, scene_dir, tmp_path / "out")
+        scans = collections.Counter()
+        original = np.memmap.sum
+
+        def counted(mapping, *args, **kwargs):
+            scans[os.path.realpath(mapping.filename)] += 1
+            return original(mapping, *args, **kwargs)
+
+        monkeypatch.setattr(np.memmap, "sum", counted)
+        run_pipeline(config)
+        inputs = [config.input_wav, *config.reference_wavs, config.noise_wav]
+        assert scans == {os.path.realpath(path): 1 for path in inputs}
+
+    def test_float32_mixture_gives_the_artifacts_of_its_float64_upcast(self, short_scene,
+                                                                      scene_dir, tmp_path):
+        # a float32 file decodes to float32, a float64 one to float64; every
+        # stage computes in float64, so no artifact can tell them apart
+        spec, render = short_scene
+        config = write_config(tmp_path / "c.yaml", spec, scene_dir, tmp_path / "out",
+                              dump_diagnostics=True)
+        config.input_wav = str(tmp_path / "mixture.wav")
+        trees = []
+        for dtype in (np.float32, np.float64):
+            wavfile.write(config.input_wav, 48000,
+                          render.mixture.samples.T.astype(np.float32).astype(dtype))
+            assert read_wav(config.input_wav).samples.dtype == dtype
+            run_pipeline(config)
+            trees.append(tree(config.output_dir))
+            shutil.rmtree(config.output_dir)
+        assert len(trees[0]) == 3 + 7 * len(spec.sources) and trees[0] == trees[1]
+
+    def test_peak_grows_by_less_than_a_float64_mixture_per_audio_second(self, tmp_path):
+        # an 8-channel float64 mixture alone is 8 x 8 B x 48 kHz = 3.07 MB per
+        # audio second; decoded from a float32 file it is half that
+        def peak(seconds):
+            spec = three_speaker_scene(90.0, duration_s=seconds, seed=12)
+            scene = tmp_path / f"scene{seconds}"
+            scene.mkdir()
+            render = synthesize(spec)
+            write_wav(str(scene / "mixture.wav"), render.mixture)
+            for source, reference in zip(spec.sources, render.clean_references):
+                write_wav(str(scene / f"{source.source_id}_ref.wav"), AudioBuffer(reference, 48000))
+            write_wav(str(scene / "noise.wav"), AudioBuffer(render.noise, 48000))
+            del render
+            config = write_config(tmp_path / "c.yaml", spec, scene, scene / "out")
+            tracemalloc.start()
+            try:
+                run_pipeline(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(0.25)  # warm lazy imports and caches
+        per_second = (peak(4.5) - peak(1.5)) / 3.0
+        assert per_second < 8 * 8 * 48000, per_second
 
     @pytest.mark.parametrize("noise_format", ["float32", "pcm16"])
     def test_quality_report_matches_fully_decoded_inputs(self, short_scene, scene_dir, tmp_path,

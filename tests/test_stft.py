@@ -76,6 +76,16 @@ class TestAnalyze:
             count = sum(1 for t in range(total) if t * 512 + 1024 <= total)
             assert len(frames) == count == frame_count(total, 1024, 512)
 
+    @pytest.mark.parametrize("fft_size, shift, rate", [(1024, 512, 48000), (400, 160, 16000)])
+    def test_float32_input_analyzes_like_its_float64_upcast(self, fft_size, shift, rate):
+        # the window is float64, so a float32 frame is widened before any arithmetic
+        x = np.random.default_rng(8).uniform(-1.0, 1.0, (8, 9000)).astype(np.float32)
+        narrow = list(stft_analyze(AudioBuffer(x, rate), fft_size, shift))
+        wide = list(stft_analyze(AudioBuffer(x.astype(np.float64), rate), fft_size, shift))
+        assert len(narrow) == len(wide) == frame_count(9000, fft_size, shift)
+        for a, b in zip(narrow, wide):
+            assert a.bins.tobytes() == b.bins.tobytes()
+
     def test_odd_fft_size_rejected(self):
         x = _noise(1, 4096, 48000)
         with pytest.raises(ConfigError):
