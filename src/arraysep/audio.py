@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -62,6 +63,10 @@ class AudioBuffer:
 
     def channel(self, index: int) -> np.ndarray:
         return self.samples[index]
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The samples as one block, as ``WavStream.blocks`` yields a file's."""
+        yield self.samples
 
 
 # Each WAV sample format's full scale, the power of two that takes its samples
@@ -137,24 +142,55 @@ def _map_wav(path: str) -> MappedWav:
     return MappedWav(rate, raw)
 
 
+def _refuse_non_finite(path: str, samples: np.ndarray, start: int) -> None:
+    """Raise for the first NaN or inf of ``samples``, (n, channels) from
+    sample ``start`` of ``path`` on."""
+    with np.errstate(all="ignore"):  # a finite sum rules out a non-finite sample
+        bad = () if np.isfinite(samples.sum()) else np.argwhere(~np.isfinite(samples))
+    if len(bad):
+        raise AudioIOError(f"{path}: non-finite sample {samples[tuple(bad[0])]} "
+                           f"at sample {start + bad[0][0]}, channel {bad[0][1]}")
+
+
 def open_wav(path: str) -> MappedWav:
     """Map and check a RIFF WAV file (PCM16, int32, float32 or float64, 1-8
     channels) without decoding it; NaN and inf samples are refused."""
     mapped = _map_wav(path)
-    raw = mapped.raw
-    if raw.dtype.kind == "f":  # integer samples are always finite
-        with np.errstate(all="ignore"):  # a finite sum rules out a non-finite sample
-            bad = () if np.isfinite(raw.sum()) else np.argwhere(~np.isfinite(raw))
-        if len(bad):
-            raise AudioIOError(f"{path}: non-finite sample {raw[tuple(bad[0])]} "
-                               f"at sample {bad[0][0]}, channel {bad[0][1]}")
+    if mapped.raw.dtype.kind == "f":  # integer samples are always finite
+        _refuse_non_finite(path, mapped.raw, 0)
     return mapped
 
 
-def read_wav(path: str) -> AudioBuffer:
+class WavStream:
+    """A checked WAV file that ``blocks`` decodes ``block`` samples at a time
+    (the last block may be shorter), as ``read_wav`` would decode the whole
+    file; each block is scanned for NaN and inf as it is decoded, so a bad
+    sample raises only when its block is reached.  The file is mapped, or
+    for 24-bit PCM read, once, when the stream is made."""
+
+    def __init__(self, path: str, block: int):
+        self.path, self.block = path, block
+        mapped = _map_wav(path)
+        self.rate, self._raw = mapped.rate, np.asarray(mapped.raw)  # no memmap per block
+        self.num_channels, self.num_samples = mapped.shape
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Each block decoded as ``read_wav`` decodes, (channels, n)."""
+        raw = self._raw
+        for start in range(0, raw.shape[0], self.block):
+            samples = _decode(raw[start : start + self.block])
+            if raw.dtype.kind == "f":
+                _refuse_non_finite(self.path, samples.T, start)
+            yield samples
+
+
+def read_wav(path: str, block: int | None = None) -> AudioBuffer | WavStream:
     """Read and decode a whole WAV file (formats and checks as ``open_wav``):
     PCM16 and float32 files to float32, int32, 24-bit and float64 files to
-    float64."""
+    float64.  Given ``block``, its block form: a ``WavStream`` that decodes
+    the file ``block`` samples at a time."""
+    if block is not None:
+        return WavStream(path, block)
     mapped = open_wav(path)
     return AudioBuffer(_decode(mapped.raw), mapped.rate)
 

@@ -97,9 +97,10 @@ def _cmd_features(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     if len(args.output) != len(args.reference):
         raise ConfigError("need one reference per separated output")
-    # Each output and reference is scored on its first channel, outputs one at
-    # a time, and the noise is decoded channel by channel; every mapping is
-    # dropped before --csv is written, since that may rewrite one of the inputs.
+    # Each output and reference is scored on its first channel, and each is
+    # decoded only while it is projected, as is each noise channel; every
+    # mapping is dropped before --csv is written, since that may rewrite one
+    # of the inputs.
     outputs = [open_wav(p) for p in args.output]
     references = [open_wav(p) for p in args.reference]
     noise = open_wav(args.noise) if args.noise else None
@@ -107,7 +108,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     if len(rates) > 1:
         raise StreamError(f"score inputs must share one sample rate, got {sorted(rates)} Hz")
     ids = [os.path.splitext(os.path.basename(p))[0] for p in args.output]
-    rows = measure_quality((w[0] for w in outputs), [w[0] for w in references], noise,
+    rows = measure_quality((w[0] for w in outputs), references, noise,
                            source_ids=ids)
     del outputs, references, noise
     report = QualityReport({args.stage: rows})

@@ -10,6 +10,7 @@ make the metric undefined (None).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -58,57 +59,73 @@ def projected_power(output: np.ndarray, reference: np.ndarray) -> float | None:
     return gain * gain * ref_power
 
 
-def _projection_ratio_db(output: np.ndarray, target_ref: np.ndarray,
-                         rivals: Iterable[np.ndarray], n: int) -> float | None:
-    """Projection power on ``target_ref`` over the summed projection powers on
-    ``rivals``, in dB, over the first ``n`` samples less EDGE_TRIM at both
-    ends.  Each rival is projected as the iteration yields it."""
+def _projection_ratio_db(output: np.ndarray, references: Iterable[np.ndarray],
+                         n: int) -> float | None:
+    """Projection power on the first of ``references`` (the target) over the
+    summed projection powers on the rest, in dB, over the first ``n``
+    samples less EDGE_TRIM at both ends.  Each reference is projected as the
+    iteration yields it and released before the next one is drawn."""
     lo, hi = (EDGE_TRIM, n - EDGE_TRIM) if n > 2 * EDGE_TRIM else (0, n)
     output = output[..., lo:hi]
-    target = projected_power(output, target_ref[..., lo:hi])
-    if target is None:
-        return None
-    residual = 0.0
-    for rival in rivals:
-        power = projected_power(output, rival[..., lo:hi])
-        del rival  # a decoded channel: release it before the next one decodes
-        if power is not None:
+    target, residual = None, 0.0
+    for reference in references:
+        power = projected_power(output, reference[..., lo:hi])
+        del reference  # perhaps a decoded channel: release it before the next one decodes
+        if target is None:
+            if power is None:
+                return None
+            target = power
+        elif power is not None:
             residual += power
     if residual <= target * 10.0 ** (-SIR_CAP_DB / 10.0):
         return SIR_CAP_DB
     return min(SIR_CAP_DB, 10.0 * np.log10(target / residual))
 
 
-def interference_ratio_db(output: np.ndarray, target_ref: np.ndarray,
-                          rival_refs: list[np.ndarray]) -> float | None:
-    """Target projection power over the summed rival projection powers, in dB."""
+def _decoded(references: list[np.ndarray | MappedWav]) -> Iterable[np.ndarray]:
+    """Each reference as an array, a mapped WAV file's first channel decoded
+    only once the iteration reaches it."""
+    return (r[0] if isinstance(r, MappedWav) else r for r in references)
+
+
+def interference_ratio_db(output: np.ndarray, target_ref: np.ndarray | MappedWav,
+                          rival_refs: list[np.ndarray | MappedWav]) -> float | None:
+    """Target projection power over the summed rival projection powers, in dB.
+
+    A reference is an array, or a mapped WAV file scored on its first
+    channel, which is decoded only while it is projected, so that no two
+    decoded references exist at once.
+    """
     output = np.asarray(output, dtype=np.float64)
-    n = min([output.shape[-1], target_ref.shape[-1]] + [r.shape[-1] for r in rival_refs])
-    return _projection_ratio_db(output, target_ref, rival_refs, n)
+    references = [target_ref, *rival_refs]
+    n = min([output.shape[-1]] + [r.shape[-1] for r in references])
+    return _projection_ratio_db(output, _decoded(references), n)
 
 
-def noise_ratio_db(output: np.ndarray, target_ref: np.ndarray,
+def noise_ratio_db(output: np.ndarray, target_ref: np.ndarray | MappedWav,
                    noise: np.ndarray | MappedWav) -> float | None:
     """Target projection power over the summed per-channel noise projections.
 
-    ``noise`` is (N, n): an array, or a mapped WAV file whose channels are
-    decoded one at a time as they are projected, so that no (N, n) float64
-    copy of it exists.
+    ``target_ref`` is as ``interference_ratio_db`` takes it.  ``noise`` is
+    (N, n): an array, or a mapped WAV file whose channels are decoded one at
+    a time as they are projected, so that no (N, n) float64 copy of it
+    exists.
     """
     output = np.asarray(output, dtype=np.float64)
     channels, length = noise.shape
     n = min(output.shape[-1], target_ref.shape[-1], length)
-    return _projection_ratio_db(output, target_ref, (noise[c] for c in range(channels)), n)
+    return _projection_ratio_db(
+        output, chain(_decoded([target_ref]), (noise[c] for c in range(channels))), n)
 
 
-def measure_quality(separated: Iterable[np.ndarray], references: list[np.ndarray],
+def measure_quality(separated: Iterable[np.ndarray], references: list[np.ndarray | MappedWav],
                     noise: np.ndarray | MappedWav | None = None,
                     source_ids: list[str] | None = None) -> list[SourceQuality]:
     """Quality rows for one stage: separated channel m against reference m.
     ``separated`` is read once, in order, so it may be a generator.
 
-    ``noise`` is as ``noise_ratio_db`` takes it; without one the noise ratio
-    is undefined.
+    The references are as ``interference_ratio_db`` takes them and ``noise``
+    as ``noise_ratio_db`` does; without noise the noise ratio is undefined.
     """
     rows = []
     for m, output in enumerate(separated):

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gss
-from .audio import (AudioBuffer, _map_wav, open_wav, read_wav, resample_48k_to_16k,
-                    write_wav)
+from .audio import (AudioBuffer, WavStream, _map_wav, open_wav, read_wav,
+                    resample_48k_to_16k, write_wav)
 from .config import PipelineConfig, serialize_config
 from .errors import AudioIOError, StreamError
 from .features import (NUM_BANDS, _encode_cells, _join_rows, _write_csv, extract_features,
@@ -32,7 +32,7 @@ from .geometry import steering_matrix
 from .masks import align_to_feature_frames, masks_from_records, write_mask_binary, write_mask_csv
 from .metrics import QualityReport, measure_quality
 from .postfilter import PostFilter
-from .stft import frame_count, stft_analyze, stft_synthesize
+from .stft import BLOCK_FRAMES, frame_count, stft_analyze, stft_synthesize
 
 logger = logging.getLogger(__name__)
 
@@ -49,10 +49,12 @@ class StreamOutput:
     bands: np.ndarray | None = None
 
 
-def run_stages(mixture: AudioBuffer, config: PipelineConfig, dump=None) -> StreamOutput:
+def run_stages(mixture: AudioBuffer | WavStream, config: PipelineConfig,
+               dump=None) -> StreamOutput:
     """Stream the mixture through separation, the optional post-filter and
-    overlap-add; no frame outlives its own step through the chain, and with
-    ``dump_diagnostics`` each one's internals go to ``dump(frame_index, internals)``."""
+    overlap-add, BLOCK_FRAMES frames at a time; no frame outlives its own
+    block's step through the chain, and with ``dump_diagnostics`` each
+    one's internals go to ``dump(frame_index, internals)``."""
     geometry = config.geometry()
     if mixture.num_channels != geometry.num_mics:
         raise StreamError(
@@ -70,20 +72,36 @@ def run_stages(mixture: AudioBuffer, config: PipelineConfig, dump=None) -> Strea
         postfilter = PostFilter(num_sources, num_bins, config)
         output.bands = np.zeros((num_frames, 3, num_sources, NUM_BANDS))
 
+    def filtered():
+        frames, bands, internals = postfilter.flush()
+        first = frames[0].frame_index
+        output.bands[first : first + len(frames)] = bands
+        if dump is not None and internals is not None:
+            for frame, frame_internals in zip(frames, internals):
+                dump(frame.frame_index, frame_internals)
+        return frames
+
     def stages(frames):
         for frame in frames:
             separated = gss.separate(state, frame)
             if config.stages.adapt:
                 gss.adapt(state, frame, separated)
-            if postfilter is not None:
-                separated, output.bands[frame.frame_index], internals = postfilter.process(separated)
-                if dump is not None and internals is not None:
-                    dump(frame.frame_index, internals)
-            yield separated
+            del frame  # a view of its analysis block: let the block go before the next one
+            if postfilter is None:
+                yield separated
+                continue
+            postfilter.process(separated)
+            if len(postfilter.queued) == BLOCK_FRAMES:
+                yield from filtered()
+        if postfilter is not None and postfilter.queued:
+            yield from filtered()
 
+    frames = stages(stft_analyze(mixture, config.fft_size, config.shift))
     if num_frames:
-        output.separated = stft_synthesize(
-            stages(stft_analyze(mixture, config.fft_size, config.shift)), config.shift, num_frames)
+        output.separated = stft_synthesize(frames, config.shift, num_frames)
+    else:
+        for _ in frames:  # there is no frame, but every sample is still read and scanned
+            pass
     logger.info("stages: %d frames, %d post-filter gain faults", num_frames,
                 postfilter.gains.fault_count if postfilter is not None else 0)
     return output
@@ -225,10 +243,11 @@ class _PostfilterDump:
 def _quality_rows(config: PipelineConfig, separated: AudioBuffer,
                   ids: list[str]) -> list:
     """Score the outputs against the first channel of each reference WAV and
-    the noise WAV, decoded channel by channel.  The files were checked when
-    the run began; they are mapped again because no file mapping may outlive
-    this call, since the run writes files on either side of it."""
-    references = [_map_wav(path)[0] for path in config.reference_wavs]
+    the noise WAV, decoded one channel at a time as each is projected.  The
+    files were checked when the run began; they are mapped again because no
+    file mapping may outlive this call, since the run writes files on either
+    side of it."""
+    references = [_map_wav(path) for path in config.reference_wavs]
     noise = _map_wav(config.noise_wav) if config.noise_wav else None
     return measure_quality([separated.samples[m] for m in range(len(ids))],
                            references, noise, source_ids=ids)
@@ -261,8 +280,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         with staged_outputs(config.output_dir) as staging:
             dump = _PostfilterDump(config.output_dir, ids, staging)
             try:
-                output = run_stages(read_wav(config.input_wav), config,
-                                    dump if config.dump_diagnostics else None)
+                output = run_stages(read_wav(config.input_wav, BLOCK_FRAMES * config.shift),
+                                    config, dump if config.dump_diagnostics else None)
             finally:
                 dump.close()
             return _emit(config, output, ids, staging)

@@ -11,9 +11,12 @@ Each frame also yields the input power, output power and stationary-noise
 level integrated over the 24 mask bands, (3, sources, 24); the mask stage
 consumes them without recomputing any gains.
 
-The per-frame recursions update preallocated arrays in place, one numpy
-call per arithmetic step, in the order the formulas in the comments give,
-so the results do not depend on whether an intermediate had its own array.
+Only the recursions run frame by frame; everything downstream of them runs
+over a block of frames at once, elementwise or along the bin axis, so a
+frame's values do not depend on the block it fell in.  Both update
+preallocated arrays in place, one numpy call per arithmetic step, in the
+order the formulas in the comments give, so the results do not depend on
+whether an intermediate had its own array.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .config import PipelineConfig
 from .errors import StreamError
 from .features import mel_energies
 from .masks import mask_filterbank
-from .stft import SpectralFrame
+from .stft import BLOCK_FRAMES, SpectralFrame
 
 _TINY = 1e-30
 GAIN_FLOOR = 0.001   # final gain floor; also replaces non-finite gains
@@ -315,6 +318,13 @@ class PostFilter:
     """Streaming multi-source suppressor operating on separated frames.
 
     Reads the post-filter keys of ``config`` (``PipelineConfig()`` if None).
+    The work is split in two.  ``process`` runs, frame by frame, the part
+    that feeds back into later frames: the noise update, the
+    decision-directed prior SNR and the speech-present gain.  It queues the
+    rest of each frame's inputs, up to BLOCK_FRAMES frames.  ``flush`` then
+    runs everything that does not feed back over all queued frames in one
+    pass: the absence prior, presence, the final gain and the output.
+    Where the flushes fall does not change any result.
     """
 
     def __init__(self, num_sources: int, num_bins: int, config: PipelineConfig | None = None):
@@ -322,15 +332,18 @@ class PostFilter:
         self.noise = NoiseState(num_sources, num_bins, self.config)
         self.gains = GainState(num_sources, num_bins)
         self._bank = mask_filterbank(2 * (num_bins - 1))
-        # input power, output power and stationary noise, banded together
-        self._band_input = np.zeros((3, num_sources, num_bins))
-        self._snr_post, self._upsilon, self._gain = np.zeros((3, num_sources, num_bins))
+        self._snr_post, self._scratch = np.zeros((2, num_sources, num_bins))
+        # queued frames: (frame_index, fft_size, rate), then per frame the
+        # input bins; input power, output power and stationary noise, banded
+        # together; and the leakage, prior SNR, upsilon and gain of process
+        self.queued = []
+        shape = (BLOCK_FRAMES, num_sources, num_bins)
+        self._bins = np.zeros(shape, dtype=np.complex128)
+        self._band_input = np.zeros((3,) + shape)
+        self._leakage, self._snr_prior, self._upsilon, self._gain = np.zeros((4,) + shape)
 
-    def process(self, frame: SpectralFrame) -> tuple[SpectralFrame, np.ndarray, np.ndarray | None]:
-        """The filtered frame; input, output and stationary-noise power over
-        the mask bands, (3, M, 24); and, with ``dump_diagnostics`` only, the
-        per-bin noise_stat, noise_leak, snr_prior, presence and gain,
-        (5, M, n_bins), else None."""
+    def process(self, frame: SpectralFrame) -> None:
+        """Advance the recursions by one frame and queue it for ``flush``."""
         cfg = self.config
         bins = frame.bins
         if bins.shape != self.noise.smoothed.shape:
@@ -338,7 +351,11 @@ class PostFilter:
                 f"frame {frame.frame_index}: shape {bins.shape}, "
                 f"post-filter expects {self.noise.smoothed.shape}"
             )
-        power, out_power, stationary = self._band_input
+        k = len(self.queued)
+        if k == len(self._bins):
+            raise StreamError(f"frame {frame.frame_index}: post-filter block is full; flush it")
+        self._bins[k] = bins
+        power = self._band_input[0, k]
         np.abs(bins, out=power)
         np.square(power, out=power)
 
@@ -346,41 +363,59 @@ class PostFilter:
         snr_post = self._snr_post
         np.maximum(noise_total, _TINY, out=snr_post)
         np.divide(power, snr_post, out=snr_post)
-        snr_prior = decision_directed_snr(
+        snr_prior = self._snr_prior[k]
+        snr_prior[...] = decision_directed_snr(
             self.gains.prev_gain, self.gains.prev_snr_post, snr_post, cfg.snr_smoothing
         )
-        # upsilon = snr_post * snr_prior / (1 + snr_prior), with gain as scratch
-        upsilon = self._upsilon
-        np.add(snr_prior, 1.0, out=self._gain)
+        # upsilon = snr_post * snr_prior / (1 + snr_prior)
+        upsilon = self._upsilon[k]
+        np.add(snr_prior, 1.0, out=self._scratch)
         np.multiply(snr_post, snr_prior, out=upsilon)
-        upsilon /= self._gain
+        upsilon /= self._scratch
 
         gain_h1, faults = _gain_core(upsilon, snr_post, cfg.spectral_exponent)
         np.maximum(gain_h1, 0.0, out=gain_h1)
         np.minimum(gain_h1, GAIN_MAX, out=gain_h1)
         self.gains.fault_count += faults
-
-        q = speech_absence_prior(snr_prior)
-        presence = speech_presence_prob(q, snr_prior, upsilon)
-
-        # gain = clip(presence ** (1 / exponent) * gain_h1, GAIN_FLOOR, GAIN_MAX)
-        gain = self._gain
-        gain[...] = presence
-        gain **= 1.0 / cfg.spectral_exponent
-        gain *= gain_h1
-        np.maximum(gain, GAIN_FLOOR, out=gain)
-        np.minimum(gain, GAIN_MAX, out=gain)
-        out_bins = gain * bins
+        self._gain[k] = gain_h1
 
         self.gains.prev_gain = gain_h1
         self.gains.prev_snr_post, self._snr_post = snr_post, self.gains.prev_snr_post
+        self._band_input[2, k] = self.noise.stationary
+        if cfg.dump_diagnostics:
+            self._leakage[k] = self.noise.leakage
+        self.queued.append((frame.frame_index, frame.fft_size, frame.rate))
 
+    def flush(self) -> tuple[list[SpectralFrame], np.ndarray, np.ndarray | None]:
+        """Filter every queued frame and empty the queue.  Returns the
+        filtered frames; their input, output and stationary-noise power over
+        the mask bands, (k, 3, M, 24); and, with ``dump_diagnostics`` only,
+        their per-bin noise_stat, noise_leak, snr_prior, presence and gain,
+        (k, 5, M, n_bins), else None."""
+        cfg = self.config
+        k = len(self.queued)
+        snr_prior, gain = self._snr_prior[:k], self._gain[:k]
+        q = speech_absence_prior(snr_prior)
+        presence = speech_presence_prob(q, snr_prior, self._upsilon[:k])
+
+        # gain = clip(presence ** (1 / exponent) * gain_h1, GAIN_FLOOR, GAIN_MAX)
+        q[...] = presence
+        q **= 1.0 / cfg.spectral_exponent  # the power operator's fast paths, as ever
+        gain *= q
+        np.maximum(gain, GAIN_FLOOR, out=gain)
+        np.minimum(gain, GAIN_MAX, out=gain)
+        out_bins = gain * self._bins[:k]
+
+        band_input = self._band_input[:, :k]
+        out_power = band_input[1]
         np.abs(out_bins, out=out_power)
         np.square(out_power, out=out_power)
-        stationary[...] = self.noise.stationary
-        bands = mel_energies(self._band_input, self._bank)
+        bands = mel_energies(band_input, self._bank).transpose(1, 0, 2, 3)
         internals = None
         if cfg.dump_diagnostics:
-            internals = np.stack((self.noise.stationary, self.noise.leakage, snr_prior,
-                                  presence, gain))
-        return SpectralFrame(out_bins, frame.frame_index, frame.fft_size, frame.rate), bands, internals
+            internals = np.stack((band_input[2], self._leakage[:k], snr_prior, presence, gain),
+                                 axis=1)
+        frames = [SpectralFrame(bins, index, fft_size, rate)
+                  for bins, (index, fft_size, rate) in zip(out_bins, self.queued)]
+        self.queued = []
+        return frames, bands, internals

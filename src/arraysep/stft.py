@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import AudioBuffer
+from .audio import AudioBuffer, WavStream
 from .errors import ConfigError, StreamError
 
 
@@ -48,14 +48,24 @@ def sqrt_hann_window(size: int) -> np.ndarray:
     return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * n / size))
 
 
-def analysis_frames(samples: np.ndarray, fft_size: int, shift: int) -> np.ndarray:
-    """A read-only (..., T, fft_size) view of ``samples`` (..., n_samples):
-    frame t covers samples [t*shift, t*shift + fft_size); trailing samples
-    that do not fill a frame are dropped."""
+# Frames the stage loop handles together: analysis transforms them in one
+# rfft, synthesis inverts them in one irfft and the post-filter runs its
+# non-recursive tail over them in one pass.
+BLOCK_FRAMES = 8
+
+
+def _check_framing(fft_size: int, shift: int) -> None:
     if fft_size % 2 != 0:
         raise ConfigError(f"fft_size must be even, got {fft_size}")
     if not 0 < shift <= fft_size:
         raise ConfigError(f"shift must satisfy 0 < shift <= fft_size, got {shift}")
+
+
+def analysis_frames(samples: np.ndarray, fft_size: int, shift: int) -> np.ndarray:
+    """A read-only (..., T, fft_size) view of ``samples`` (..., n_samples):
+    frame t covers samples [t*shift, t*shift + fft_size); trailing samples
+    that do not fill a frame are dropped."""
+    _check_framing(fft_size, shift)
     if samples.shape[-1] < fft_size:
         return np.empty(samples.shape[:-1] + (0, fft_size))
     return sliding_window_view(samples, fft_size, axis=-1)[..., ::shift, :]
@@ -66,13 +76,53 @@ def windowed_rfft(frames: np.ndarray, window: np.ndarray) -> np.ndarray:
     return np.fft.rfft(frames * window, axis=-1)
 
 
-def stft_analyze(audio: AudioBuffer, fft_size: int, shift: int) -> Iterator[SpectralFrame]:
+def stft_analyze(audio: AudioBuffer | WavStream, fft_size: int,
+                 shift: int) -> Iterator[SpectralFrame]:
     """Yield sqrt-Hann windowed half-spectrum frames from ``audio``, one at a
-    time, over the frames of ``analysis_frames``."""
-    frames = analysis_frames(audio.samples, fft_size, shift)
+    time, over the frames of ``analysis_frames``.
+
+    The samples arrive as ``audio.blocks()`` of any size and are copied,
+    at their own precision, into one buffer of BLOCK_FRAMES frames; each
+    full buffer is tapered and transformed in one rfft, and its last
+    ``fft_size - shift`` samples carry over to the next.  Every block is
+    read, trailing samples included, so a stream is scanned to its end.
+    The frames are views of their block's spectra, and the generator drops
+    each one as it yields it, so a block is freed once its consumer has
+    dropped the last of its frames.
+    """
+    _check_framing(fft_size, shift)
     window = sqrt_hann_window(fft_size)
-    for t in range(frames.shape[1]):
-        yield SpectralFrame(windowed_rfft(frames[:, t], window), t, fft_size, audio.rate)
+    span = (BLOCK_FRAMES - 1) * shift + fft_size
+    carry = fft_size - shift
+    buffer, filled, first = None, 0, 0
+
+    def transform(samples):  # the frames of ``samples``, each dropped as it is yielded
+        frames = analysis_frames(samples, fft_size, shift)  # (channels, k, fft_size)
+        if not frames.shape[1]:
+            return
+        spectra = np.fft.rfft(np.multiply(frames.transpose(1, 0, 2), window,
+                                          out=np.empty(frames.shape[1::-1] + (fft_size,))))
+        pending = [SpectralFrame(bins, first + t, fft_size, audio.rate)
+                   for t, bins in enumerate(spectra)][::-1]
+        del spectra
+        while pending:
+            yield pending.pop()
+
+    for block in audio.blocks():
+        if buffer is None:
+            buffer = np.empty((audio.num_channels, span), block.dtype)
+        while block.shape[1]:
+            taken = block[:, : span - filled]
+            buffer[:, filled : filled + taken.shape[1]] = taken
+            filled += taken.shape[1]
+            block = block[:, taken.shape[1] :]
+            if filled == span:
+                yield from transform(buffer)
+                first += BLOCK_FRAMES
+                buffer[:, :carry] = buffer[:, span - carry :]
+                filled = carry
+    if filled:
+        yield from transform(buffer[:, :filled])
 
 
 def stft_synthesize(frames: Iterable[SpectralFrame], shift: int, num_frames: int) -> AudioBuffer:
@@ -80,15 +130,24 @@ def stft_synthesize(frames: Iterable[SpectralFrame], shift: int, num_frames: int
 
     ``frames`` is consumed once, in order, and must yield exactly
     ``num_frames`` frames: a lazy stream cannot report its length, so the
-    output is sized from ``num_frames`` at the first frame and each frame
-    is added as it arrives.  The synthesis taper is the analysis one, so
-    dividing by the summed squared window makes interior samples exact for
-    any shift where that sum stays positive.  Within ``fft_size - shift``
-    of either end fewer frames overlap; there the divisor is floored at the
-    smallest sum of the fully overlapped interior (of the window's periodic
-    sum if there is none), so the edges fade instead of being amplified.
+    output is sized from ``num_frames`` at the first frame, and frames are
+    inverted BLOCK_FRAMES at a time in one irfft and added in frame order.
+    The synthesis taper is the analysis one, so dividing by the summed
+    squared window makes interior samples exact for any shift where that
+    sum stays positive.  Within ``fft_size - shift`` of either end fewer
+    frames overlap; there the divisor is floored at the smallest sum of the
+    fully overlapped interior (of the window's periodic sum if there is
+    none), so the edges fade instead of being amplified.
     """
-    out = None
+    out, block = None, []
+
+    def overlap_add(first):  # the frames from ``first`` on, inverted in one irfft
+        segments = np.fft.irfft(np.stack(block), n=fft_size, axis=-1)
+        segments *= window
+        for t, segment in enumerate(segments, first):
+            out[:, t * shift : t * shift + fft_size] += segment
+        block.clear()
+
     for t, frame in enumerate(frames):
         if t >= num_frames:
             raise StreamError(f"frame stream runs past the expected {num_frames} frames")
@@ -103,14 +162,15 @@ def stft_synthesize(frames: Iterable[SpectralFrame], shift: int, num_frames: int
         elif frame.frame_index <= last_index:
             raise StreamError(f"frame index {frame.frame_index} not increasing")
         last_index = frame.frame_index
-        start = t * shift
-        segment = np.fft.irfft(frame.bins, n=fft_size, axis=1)
-        segment *= window
-        out[:, start : start + fft_size] += segment
+        block.append(frame.bins)
+        if len(block) == BLOCK_FRAMES:
+            overlap_add(t + 1 - BLOCK_FRAMES)
     if out is None:
         raise StreamError("cannot synthesize from an empty frame stream")
     if t + 1 != num_frames:
         raise StreamError(f"frame stream ended after {t + 1} of {num_frames} frames")
+    if block:
+        overlap_add(t + 1 - len(block))
 
     # The window sum at a sample depends only on which frames cover it, so a
     # stand-in run of ceil(fft_size / shift) frames, summed in the same

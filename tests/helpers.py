@@ -1,5 +1,7 @@
 """Shared builders for scene-based tests."""
 
+import struct
+
 import numpy as np
 
 from arraysep.config import PipelineConfig, SourceDirection, StageToggles
@@ -28,6 +30,27 @@ def separate_scene(render, spec, adapt=True, postfilter=True, **overrides):
     return output.separated, output
 
 
+def write_pcm24(path, data, extra_chunk=b""):
+    """Write integer samples (n, channels) as a 48 kHz 24-bit PCM WAV file,
+    with ``extra_chunk`` between the fmt and data chunks; returns the path."""
+    channels = data.shape[1]
+    data = np.ascontiguousarray(data, dtype="<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    fmt = struct.pack("<HHIIHH", 1, channels, 48000, 48000 * 3 * channels, 3 * channels, 24)
+    body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + extra_chunk
+            + b"data" + struct.pack("<I", len(data)) + data)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    return str(path)
+
+
+def filter_frame(postfilter, frame):
+    """One frame through ``PostFilter.process`` and a ``flush`` of its own:
+    the filtered frame, its (3, M, 24) band powers and its (5, M, n_bins)
+    internals, or None without ``dump_diagnostics``."""
+    postfilter.process(frame)
+    frames, bands, internals = postfilter.flush()
+    return frames[0], bands[0], None if internals is None else internals[0]
+
+
 def stage_sir(render, spec, adapt, postfilter):
     audio, _ = separate_scene(render, spec, adapt=adapt, postfilter=postfilter)
     rows = measure_quality(
@@ -38,4 +61,5 @@ def stage_sir(render, spec, adapt, postfilter):
     return np.array([row.output_sir_db for row in rows])
 
 
-__all__ = ["box_array_geometry", "pipeline_config_for_scene", "separate_scene", "stage_sir"]
+__all__ = ["box_array_geometry", "filter_frame", "pipeline_config_for_scene", "separate_scene",
+           "stage_sir", "write_pcm24"]

@@ -26,7 +26,7 @@ from arraysep.postfilter import PostFilter
 from arraysep.simulate import (PRESET_ANGLES_DEG, SceneSource, SceneSpec, SignalSpec,
                                box_array_geometry, synthesize, three_speaker_scene)
 from arraysep.stft import SpectralFrame, frame_count, stft_analyze, stft_synthesize
-from helpers import pipeline_config_for_scene, separate_scene, stage_sir
+from helpers import filter_frame, pipeline_config_for_scene, separate_scene, stage_sir
 import mf_task
 
 
@@ -159,11 +159,11 @@ class TestCriterion4PostFilterReduction:
         for mixture_frame in stft_analyze(render.mixture, config.fft_size, config.shift):
             frame = gss.separate(state, mixture_frame)
             gss.adapt(state, mixture_frame, frame)
-            out_multi = multi.process(frame)[0]
+            out_multi = filter_frame(multi, frame)[0]
             for m in range(3):
                 single_frame = SpectralFrame(frame.bins[m : m + 1], frame.frame_index,
                                              frame.fft_size, frame.rate)
-                out_single = singles[m].process(single_frame)[0]
+                out_single = filter_frame(singles[m], single_frame)[0]
                 assert np.array_equal(out_multi.bins[m], out_single.bins[0])
             frames += 1
         report(f"[PASS] criterion 4: zero-leak multi-source gains bit-identical to "
@@ -217,7 +217,7 @@ class TestCriterion5MaskBehavior:
             separated = gss.separate(state, mixture_frame)
             contrib = [gss.separate(state, image_a).bins, gss.separate(state, image_b).bins]
             gss.adapt(state, mixture_frame, separated)
-            bands.append(postfilter.process(separated)[1])
+            bands.append(filter_frame(postfilter, separated)[1])
             for m in range(2):
                 target_bands[m].append(mel_energies(np.abs(contrib[m][m]) ** 2, bank))
                 rival_bands[m].append(mel_energies(np.abs(contrib[1 - m][m]) ** 2, bank))

@@ -11,6 +11,7 @@ from scipy.io import wavfile
 from arraysep.audio import (_DECIMATION_FILTER, AudioBuffer, open_wav, read_wav,
                             resample_48k_to_16k, write_wav)
 from arraysep.errors import AudioIOError, ConfigError
+from helpers import write_pcm24
 
 
 class TestAudioBuffer:
@@ -113,13 +114,7 @@ class TestWavRoundTrip:
     PCM24 = np.array([[0, 1], [-8388608, 8388607], [123456, -5]])
 
     def write_pcm24(self, path, extra_chunk=b"", data=PCM24):
-        channels = data.shape[1]
-        data = b"".join(int(v).to_bytes(3, "little", signed=True) for v in data.ravel())
-        fmt = struct.pack("<HHIIHH", 1, channels, 48000, 48000 * 3 * channels, 3 * channels, 24)
-        body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + extra_chunk
-                + b"data" + struct.pack("<I", len(data)) + data)
-        path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
-        return str(path)
+        return write_pcm24(path, data, extra_chunk)
 
     def test_pcm24_read_without_mapping(self, tmp_path):
         # 24-bit samples have no numpy dtype to map; they are unpacked to int32
@@ -168,6 +163,50 @@ class TestWavRoundTrip:
         path = str(tmp_path / "x.wav")
         wavfile.write(path, 48000, data)
         np.testing.assert_array_equal(read_wav(path).samples, data.T)
+
+    @pytest.mark.parametrize("kind", ["int16", "pcm24", "float32", "float64"])
+    def test_block_form_decodes_as_the_whole_file(self, tmp_path, kind, monkeypatch):
+        path = tmp_path / "x.wav"
+        rng = np.random.default_rng(6)
+        if kind == "pcm24":
+            self.write_pcm24(path, data=rng.integers(-2 ** 23, 2 ** 23, (10007, 3)))
+        elif kind == "int16":
+            wavfile.write(str(path), 48000, rng.integers(-2 ** 15, 2 ** 15, (10007, 3), dtype=kind))
+        else:
+            wavfile.write(str(path), 48000, rng.uniform(-1.0, 1.0, (10007, 3)).astype(kind))
+        whole = read_wav(str(path)).samples
+        reads = []
+        original = wavfile.read
+
+        def counted(*args, **kwargs):
+            reads.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(wavfile, "read", counted)
+        for block in (1, 4096, 10006, 10007, 20000):
+            reads.clear()
+            stream = read_wav(str(path), block)
+            assert (stream.rate, stream.num_channels, stream.num_samples) == (48000, 3, 10007)
+            blocks = list(stream.blocks())
+            assert [b.shape[1] for b in blocks[:-1]] == [block] * (len(blocks) - 1)
+            joined = np.concatenate(blocks, axis=1)
+            assert joined.dtype == whole.dtype and joined.tobytes() == whole.tobytes()
+            # a 24-bit file cannot be mapped: it is read into memory once, not once a block
+            assert reads == ([{"mmap": True}, {}] if kind == "pcm24" else [{"mmap": True}])
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_block_form_refuses_a_non_finite_sample_in_its_block(self, tmp_path, last):
+        data = np.zeros((10007, 3), dtype=np.float32)
+        bad = 10006 if last else 4100  # in the last, partial block or in the second
+        data[bad, 2] = np.nan
+        path = str(tmp_path / "x.wav")
+        wavfile.write(path, 48000, data)
+        blocks = read_wav(path, 4096).blocks()
+        for _ in range(bad // 4096):
+            assert np.all(np.isfinite(next(blocks)))
+        with pytest.raises(AudioIOError, match=rf"x\.wav: non-finite sample nan "
+                                               rf"at sample {bad}, channel 2"):
+            next(blocks)
 
 
 class TestResampler:

@@ -17,6 +17,7 @@ from arraysep.masks import (MaskMatrix, align_to_feature_frames, compute_mask,
 from arraysep.postfilter import PostFilter
 from arraysep.simulate import SceneSource, SceneSpec, box_array_geometry, synthesize
 from arraysep.stft import stft_analyze
+from helpers import filter_frame
 
 
 class TestComputeMask:
@@ -148,7 +149,7 @@ def postfilter_run():
     for frame in stft_analyze(render.mixture, 1024, 512):
         separated = gss.separate(state, frame)
         gss.adapt(state, frame, separated)
-        out, frame_bands, frame_internals = postfilter.process(separated)
+        out, frame_bands, frame_internals = filter_frame(postfilter, separated)
         inputs.append(separated.bins)
         outputs.append(out.bins)
         bands.append(frame_bands)

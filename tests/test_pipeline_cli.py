@@ -14,7 +14,7 @@ import pytest
 import yaml
 from scipy.io import wavfile
 
-from arraysep import cli, gss, pipeline
+from arraysep import audio, cli, gss, pipeline
 from arraysep.audio import AudioBuffer, read_wav, write_wav
 from arraysep.cli import main
 from arraysep.config import PipelineConfig, SourceDirection, scene_to_dict, serialize_config
@@ -27,7 +27,8 @@ from arraysep.postfilter import PostFilter
 from arraysep.simulate import (SceneSource, SceneSpec, SignalSpec, box_array_geometry,
                                synthesize, three_speaker_scene)
 from arraysep.stft import SpectralFrame, stft_analyze, stft_synthesize
-from helpers import pipeline_config_for_scene, separate_scene, stage_sir
+from helpers import (filter_frame, pipeline_config_for_scene, separate_scene, stage_sir,
+                     write_pcm24)
 
 
 @pytest.fixture(scope="module")
@@ -147,41 +148,84 @@ class TestRunPipeline:
         channel_bytes = render.noise.shape[1] * 8
         assert with_metrics <= without + 1.1 * channel_bytes
 
+    def test_quality_step_holds_one_decoded_reference_at_a_time(self, short_scene, scene_dir,
+                                                                 tmp_path):
+        # each reference and noise channel is decoded as it is projected and
+        # released before the next one, so beyond the outputs the step holds
+        # about one float64 channel; decoding every reference first held three
+        spec, render = short_scene
+        config = write_config(tmp_path / "c.yaml", spec, scene_dir, tmp_path / "out")
+        ids = [s.source_id for s in spec.sources]
+        separated = AudioBuffer(render.mixture.samples[: len(ids)].astype(np.float64), 48000)
+        expected = pipeline._quality_rows(config, separated, ids)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            rows = pipeline._quality_rows(config, separated, ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == expected and len(rows) == len(ids)
+        assert peak < 1.25 * render.noise.shape[1] * 8, peak
+
     def test_each_input_is_scanned_for_non_finite_samples_once(self, short_scene, scene_dir,
                                                                 tmp_path, monkeypatch):
-        # open_wav rules out NaN and inf with one sum over the mapping; the
-        # quality report maps the references and the noise again, unscanned
+        # open_wav rules out NaN and inf in the references and the noise with
+        # one sum over the mapping, and the mixture is scanned block by block
+        # as it is decoded; the quality report maps the references and the
+        # noise again, unscanned.  Every sample is counted, so a second scan
+        # of any part of any input fails.
         spec, _ = short_scene
         config = write_config(tmp_path / "c.yaml", spec, scene_dir, tmp_path / "out")
-        scans = collections.Counter()
-        original = np.memmap.sum
+        scanned = collections.Counter()
+        original = audio._refuse_non_finite
 
-        def counted(mapping, *args, **kwargs):
-            scans[os.path.realpath(mapping.filename)] += 1
-            return original(mapping, *args, **kwargs)
+        def counted(path, samples, start):
+            scanned[os.path.realpath(path)] += samples.size
+            return original(path, samples, start)
 
-        monkeypatch.setattr(np.memmap, "sum", counted)
+        monkeypatch.setattr(audio, "_refuse_non_finite", counted)
         run_pipeline(config)
         inputs = [config.input_wav, *config.reference_wavs, config.noise_wav]
-        assert scans == {os.path.realpath(path): 1 for path in inputs}
+        assert scanned == {os.path.realpath(path): wavfile.read(path, mmap=True)[1].size
+                           for path in inputs}
 
     def test_float32_mixture_gives_the_artifacts_of_its_float64_upcast(self, short_scene,
                                                                       scene_dir, tmp_path):
-        # a float32 file decodes to float32, a float64 one to float64; every
-        # stage computes in float64, so no artifact can tell them apart
+        # a float32 file decodes to float32, a float64 or 24-bit one to
+        # float64; every stage computes in float64, so no artifact can tell
+        # them apart.  The samples are on the 24-bit grid, which float32 holds.
         spec, render = short_scene
         config = write_config(tmp_path / "c.yaml", spec, scene_dir, tmp_path / "out",
                               dump_diagnostics=True)
         config.input_wav = str(tmp_path / "mixture.wav")
+        pcm24 = np.round(render.mixture.samples.T * 2.0 ** 23).astype(np.int64)
+        assert np.abs(pcm24).max() < 2 ** 23
+        reads = []  # of the mixture: whether mapped
+        original = wavfile.read
+
+        def counted(path, *args, **kwargs):
+            if path == config.input_wav:
+                reads.append(kwargs.get("mmap", False))
+            return original(path, *args, **kwargs)
+
         trees = []
-        for dtype in (np.float32, np.float64):
-            wavfile.write(config.input_wav, 48000,
-                          render.mixture.samples.T.astype(np.float32).astype(dtype))
-            assert read_wav(config.input_wav).samples.dtype == dtype
-            run_pipeline(config)
+        for dtype in (np.float32, np.float64, "pcm24"):
+            if dtype == "pcm24":
+                write_pcm24(tmp_path / "mixture.wav", pcm24)
+            else:
+                wavfile.write(config.input_wav, 48000, (pcm24 / 2.0 ** 23).astype(dtype))
+            assert read_wav(config.input_wav).samples.dtype == np.dtype(dtype if dtype == np.float32
+                                                                          else np.float64)
+            reads.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(wavfile, "read", counted)
+                run_pipeline(config)
+            # mapped once; a 24-bit file cannot be, and is read once, not once a block
+            assert reads == [True] + [False] * (dtype == "pcm24")
             trees.append(tree(config.output_dir))
             shutil.rmtree(config.output_dir)
-        assert len(trees[0]) == 3 + 7 * len(spec.sources) and trees[0] == trees[1]
+        assert len(trees[0]) == 3 + 7 * len(spec.sources)
+        assert trees[1] == trees[0] and trees[2] == trees[0]
 
     def test_peak_grows_by_less_than_a_float64_mixture_per_audio_second(self, tmp_path):
         # an 8-channel float64 mixture alone is 8 x 8 B x 48 kHz = 3.07 MB per
@@ -313,7 +357,8 @@ class TestRunPipeline:
 
         def failing(postfilter, frame):
             if frame.frame_index == 20:
-                # the dump of frames 0-19 is on disk, under temporary names
+                # the dump of the blocks before frame 16 is on disk, under
+                # temporary names
                 assert sum(name.endswith(".tmp") for name in os.listdir(output_dir)) == 3
                 raise StreamError("frame 20: injected failure")
             return process(postfilter, frame)
@@ -359,7 +404,7 @@ class TestRunPipeline:
                 steering_matrix(config.geometry(), config.directions(), config.fft_size))
             reference = PostFilter(1, config.fft_size // 2 + 1, config)
             for frame in stft_analyze(mixture, config.fft_size, config.shift):
-                reference.process(gss.separate(state, frame))
+                filter_frame(reference, gss.separate(state, frame))
         assert reference.gains.fault_count > 0
         assert (f"stages: {output.num_frames} frames, "
                 f"{reference.gains.fault_count} post-filter gain faults") in caplog.messages
@@ -529,23 +574,29 @@ class TestCli:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_mixture_sample_refused(self, tmp_path, capsys, adapt, bad):
         # a NaN would reach every later frame through the post-filter's
-        # recursions, or pass for a diverged demixing matrix while adapting
+        # recursions, or pass for a diverged demixing matrix while adapting.
+        # The mixture is scanned block by block as it is decoded: a bad sample
+        # mid-stream, or in the last, partial block after every frame (the
+        # last frame ends at sample 47616 of 48000), still commits nothing.
         scene_out = tmp_path / "scene"
         assert main(["simulate", "--preset", "trio-40deg", "--duration", "1.0",
                      "--seed", "7", "--output-dir", str(scene_out)]) == 0
         mixture = str(scene_out / "mixture.wav")
-        rate, samples = wavfile.read(mixture)
-        samples = samples.copy()
-        samples[20000, 0] = bad
-        wavfile.write(mixture, rate, samples)
+        rate, clean = wavfile.read(mixture)
         config = pipeline_config_for_scene(three_speaker_scene(40.0, duration_s=1.0, seed=7),
                                            adapt=adapt, features=True)
         config.input_wav, config.output_dir = mixture, str(tmp_path / "sep")
         serialize_config(config, str(tmp_path / "cfg.yaml"))
-        capsys.readouterr()
-        assert main(["separate", "--config", str(tmp_path / "cfg.yaml")]) == 3
-        assert f"non-finite sample {bad} at sample 20000, channel 0" in capsys.readouterr().err
-        assert not (tmp_path / "sep").exists()
+        for position in (20000, 47999):
+            samples = clean.copy()
+            samples[position, 0] = bad
+            wavfile.write(mixture, rate, samples)
+            capsys.readouterr()
+            assert main(["separate", "--config", str(tmp_path / "cfg.yaml")]) == 3
+            assert (f"non-finite sample {bad} at sample {position}, channel 0"
+                    in capsys.readouterr().err)
+            assert not (tmp_path / "sep").exists()
+            assert sorted(os.listdir(tmp_path)) == ["cfg.yaml", "scene"]
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_features_refuses_non_finite_sample(self, tmp_path, bad):

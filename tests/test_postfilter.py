@@ -13,7 +13,9 @@ from arraysep.postfilter import (GAIN_FLOOR, GAIN_MAX, Q_CEILING, Q_FLOOR, Q_HIG
                                  Q_LOW_DB, McraEstimator, NoiseState, PostFilter,
                                  _gain_core, _window_mean, decision_directed_snr, speech_absence_prior,
                                  speech_presence_prob)
-from arraysep.stft import SpectralFrame
+from arraysep.errors import StreamError
+from arraysep.stft import BLOCK_FRAMES, SpectralFrame
+from helpers import filter_frame
 
 
 class TestSmoothedSpectrum:
@@ -303,7 +305,7 @@ class TestGain:
         pf = PostFilter(1, 33, PipelineConfig(dump_diagnostics=True))
         for t, level in enumerate([1.0] * 20 + [1e3, 1e-3]):
             bins = level * (rng.standard_normal(33) + 1j * rng.standard_normal(33))
-            internals = pf.process(SpectralFrame(bins, t, 64, 48000))[2]
+            internals = filter_frame(pf, SpectralFrame(bins, t, 64, 48000))[2]
         snr_post, xi = pf.gains.prev_snr_post, internals[2]
         unclamped, _ = _gain_core(snr_post * xi / (1.0 + xi), snr_post, 1.0)
         assert unclamped.max() > 2.0 * GAIN_MAX
@@ -368,7 +370,7 @@ class TestPostFilter:
         rng = np.random.default_rng(5)
         pf = PostFilter(2, 33, PipelineConfig(dump_diagnostics=True))
         for t, bins in enumerate(random_frames(rng, 30, 2, 33)):
-            out, _, internals = pf.process(SpectralFrame(bins, t, 64, 48000))
+            out, _, internals = filter_frame(pf, SpectralFrame(bins, t, 64, 48000))
             gain = internals[4]
             np.testing.assert_allclose(out.bins, gain * bins)
             assert np.all(gain >= GAIN_FLOOR)
@@ -376,7 +378,7 @@ class TestPostFilter:
 
     def test_zero_input_zero_output(self):
         pf = PostFilter(2, 33)
-        out = pf.process(SpectralFrame(np.zeros((2, 33), dtype=complex), 0, 64, 48000))[0]
+        out = filter_frame(pf, SpectralFrame(np.zeros((2, 33), dtype=complex), 0, 64, 48000))[0]
         assert np.all(out.bins == 0)
 
     def test_zero_leak_matches_independent_single_source_filters(self):
@@ -385,9 +387,10 @@ class TestPostFilter:
         multi = PostFilter(3, 65, PipelineConfig(leak_factor=0.0))
         singles = [PostFilter(1, 65, PipelineConfig(leak_factor=0.0)) for _ in range(3)]
         for t, bins in enumerate(frames):
-            out_multi = multi.process(SpectralFrame(bins, t, 128, 48000))[0]
+            out_multi = filter_frame(multi, SpectralFrame(bins, t, 128, 48000))[0]
             for m in range(3):
-                out_single = singles[m].process(SpectralFrame(bins[m : m + 1], t, 128, 48000))[0]
+                single = SpectralFrame(bins[m : m + 1], t, 128, 48000)
+                out_single = filter_frame(singles[m], single)[0]
                 np.testing.assert_array_equal(out_multi.bins[m], out_single.bins[0])
 
     # a window of 10 frames restarts the minimum tracker within the 40 frames
@@ -403,15 +406,15 @@ class TestPostFilter:
         differs = False
         for t, bins in enumerate(random_frames(np.random.default_rng(10), 40, 3, 33)):
             frame = SpectralFrame(bins, t, 64, 48000)
-            differs |= not np.array_equal(default.process(frame)[0].bins,
-                                          changed.process(frame)[0].bins)
+            differs |= not np.array_equal(filter_frame(default, frame)[0].bins,
+                                          filter_frame(changed, frame)[0].bins)
         assert differs
 
     def test_noise_decomposition_every_frame(self):
         rng = np.random.default_rng(7)
         pf = PostFilter(3, 33)
         for t, bins in enumerate(random_frames(rng, 40, 3, 33)):
-            pf.process(SpectralFrame(bins, t, 64, 48000))
+            filter_frame(pf, SpectralFrame(bins, t, 64, 48000))
             np.testing.assert_array_equal(
                 pf.noise.total, pf.noise.stationary + pf.noise.leakage)
 
@@ -421,7 +424,7 @@ class TestPostFilter:
             rng = np.random.default_rng(8)
             pf = PostFilter(2, 33, PipelineConfig(dump_diagnostics=dump_diagnostics))
             for t, bins in enumerate(random_frames(rng, 3, 2, 33)):
-                out, bands, internals = pf.process(SpectralFrame(bins, t, 64, 48000))
+                out, bands, internals = filter_frame(pf, SpectralFrame(bins, t, 64, 48000))
                 per_bin = [np.abs(bins) ** 2, np.abs(out.bins) ** 2, pf.noise.stationary]
                 assert bands.shape == (3, 2, 24)
                 for k in range(3):
@@ -436,3 +439,47 @@ class TestPostFilter:
                 np.testing.assert_array_equal(internals[0], pf.noise.stationary)
                 np.testing.assert_array_equal(internals[1], pf.noise.leakage)
                 np.testing.assert_array_equal(out.bins, internals[4] * bins)
+
+
+class TestBlockPass:
+    @pytest.mark.parametrize("exponent", [1.0, 1.5, 2.0])
+    def test_results_do_not_depend_on_where_the_flushes_fall(self, exponent):
+        # 21 frames flushed after every frame, after every BLOCK_FRAMES (the
+        # last block holds 5) and after every 3.  Source 0 starts silent, so
+        # its stationary floor holds at zero, and the others stay silent until
+        # its impulse overflows the posterior SNR: gain faults count too.
+        rng = np.random.default_rng(12)
+        frames = random_frames(rng, 21, 3, 33)
+        frames[:6] = 0.0
+        frames[:9, 1:] = 0.0
+        frames[8, 0] *= 1e70
+        config = PipelineConfig(spectral_exponent=exponent, dump_diagnostics=True)
+        results = []
+        for every in (1, BLOCK_FRAMES, 3):
+            pf = PostFilter(3, 33, config)
+            out, bands, internals = [], [], []
+            with np.errstate(over="ignore", invalid="ignore"):
+                for t, bins in enumerate(frames):
+                    pf.process(SpectralFrame(bins, t, 64, 48000))
+                    if len(pf.queued) == every or t == len(frames) - 1:
+                        block = pf.flush()
+                        out += block[0]
+                        bands.append(block[1])
+                        internals.append(block[2])
+            assert [frame.frame_index for frame in out] == list(range(len(frames)))
+            results.append((np.stack([frame.bins for frame in out]).tobytes(),
+                            np.concatenate(bands).tobytes(), np.concatenate(internals).tobytes(),
+                            pf.gains.fault_count))
+        assert results[0][3] > 0
+        assert results[1] == results[0] and results[2] == results[0]
+
+    def test_process_refuses_a_frame_beyond_the_block(self):
+        pf = PostFilter(1, 33)
+        frames = [SpectralFrame(np.ones(33, dtype=complex), t, 64, 48000)
+                  for t in range(BLOCK_FRAMES + 1)]
+        for frame in frames[:-1]:
+            pf.process(frame)
+        with pytest.raises(StreamError, match=f"frame {BLOCK_FRAMES}: post-filter block is full"):
+            pf.process(frames[-1])
+        assert [frame.frame_index for frame in pf.flush()[0]] == list(range(BLOCK_FRAMES))
+        pf.process(frames[-1])

@@ -8,7 +8,7 @@ import pytest
 from arraysep.audio import AudioBuffer
 from arraysep.errors import ConfigError, StreamError
 from arraysep.simulate import synthesize, three_speaker_scene
-from arraysep.stft import (SpectralFrame, frame_count, sqrt_hann_window,
+from arraysep.stft import (SpectralFrame, analysis_frames, frame_count, sqrt_hann_window,
                            stft_analyze, stft_synthesize)
 
 from helpers import separate_scene
@@ -49,7 +49,40 @@ def _noise(channels, samples, rate, seed=0, scale=0.1):
     return AudioBuffer(rng.standard_normal((channels, samples)) * scale, rate)
 
 
+class Chunked:
+    """``samples`` (channels, n) handed out in blocks of ``sizes``, cycled,
+    the way ``WavStream.blocks`` hands out a file's."""
+
+    def __init__(self, samples, rate, sizes):
+        self.samples, self.rate, self.sizes = samples, rate, sizes
+        self.num_channels, self.num_samples = samples.shape
+
+    def blocks(self):
+        start, k = 0, 0
+        while start < self.num_samples:
+            size = self.sizes[k % len(self.sizes)]
+            yield self.samples[:, start : start + size]
+            start, k = start + size, k + 1
+
+
 class TestAnalyze:
+    @pytest.mark.parametrize("fft_size,shift", SYNTHESIS_SHAPES)
+    def test_chunked_input_gives_the_whole_buffer_frames(self, fft_size, shift):
+        # oracle: each frame of the whole buffer tapered and transformed on
+        # its own; lengths short of one frame, of exactly one, and of a
+        # frame count that is not a multiple of the analysis block
+        rng = np.random.default_rng(fft_size + shift)
+        window = sqrt_hann_window(fft_size)
+        for length in (fft_size - 1, fft_size, 19 * shift + fft_size + 7):
+            x = _noise(3, length, 48000, seed=length)
+            frames = analysis_frames(x.samples, fft_size, shift)
+            oracle = [np.fft.rfft(frames[:, t] * window, axis=-1) for t in range(frames.shape[1])]
+            for sizes in ([1], [shift - 1], list(rng.integers(1, 3 * fft_size, 16)), [length]):
+                got = list(stft_analyze(Chunked(x.samples, 48000, sizes), fft_size, shift))
+                assert [f.frame_index for f in got] == list(range(len(oracle))), sizes
+                for frame, bins in zip(got, oracle):
+                    assert frame.bins.tobytes() == bins.tobytes(), (sizes, frame.frame_index)
+
     def test_bin_centered_sine_concentrates(self):
         # the sqrt-Hann taper is sin(pi n / N), whose DFT falls off as
         # 1 / (1 - 4 d^2) at d bins from the center
