@@ -127,9 +127,9 @@ class TestRunPipeline:
 
     def test_metric_inputs_add_at_most_one_decoded_noise_channel_to_the_peak(
             self, short_scene, scene_dir, tmp_path):
-        # the references and the noise are decoded only once the mixture is
-        # gone, the noise one channel at a time, so they stay under the
-        # stage loop's peak
+        # the references and the noise are decoded only after the stage
+        # loop, one channel at a time, so they add at most one channel to
+        # the peak
         spec, render = short_scene
 
         def peak(name, metrics):
