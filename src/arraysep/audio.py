@@ -61,11 +61,8 @@ class AudioBuffer:
     def duration(self) -> float:
         return self.num_samples / self.rate
 
-    def channel(self, index: int) -> np.ndarray:
-        return self.samples[index]
-
     def blocks(self) -> Iterator[np.ndarray]:
-        """The samples as one block, as ``WavStream.blocks`` yields a file's."""
+        """The samples as one block, as ``WavFile.blocks`` yields a file's."""
         yield self.samples
 
 
@@ -76,7 +73,6 @@ class AudioBuffer:
 _DECODING = {np.dtype(np.int16): (32768.0, np.float32),
              np.dtype(np.int32): (2147483648.0, np.float64),
              np.dtype(np.float32): (1.0, np.float32), np.dtype(np.float64): (1.0, np.float64)}
-_DECODE_BLOCK = 16384  # samples transposed at a time, so a block stays in cache
 
 
 def _decode(raw: np.ndarray, dtype=None) -> np.ndarray:
@@ -85,61 +81,10 @@ def _decode(raw: np.ndarray, dtype=None) -> np.ndarray:
     ``dtype`` or else in the narrowest float type that holds them exactly."""
     scale, exact = _DECODING[raw.dtype]
     samples = np.empty(raw.shape[::-1], dtype or exact)
-    for start in range(0, raw.shape[0], _DECODE_BLOCK):
-        block = samples[:, start : start + _DECODE_BLOCK]
-        block[...] = raw[start : start + _DECODE_BLOCK].T
-        if scale != 1.0:
-            block /= scale
+    samples[...] = raw.T
+    if scale != 1.0:
+        samples /= scale
     return samples
-
-
-@dataclass
-class MappedWav:
-    """A checked WAV file whose samples are mapped from disk, not decoded.
-
-    ``raw`` is (n_samples, channels) in the file's own sample format.  The
-    mapping lasts as long as a reference to ``raw`` or a view of it does; a
-    file truncated under a live mapping faults on the next read, so drop it
-    before anything can rewrite the file.
-    """
-
-    rate: int
-    raw: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """(channels, n_samples), the shape of the decoded buffer."""
-        return self.raw.shape[1], self.raw.shape[0]
-
-    def __getitem__(self, channel: int) -> np.ndarray:
-        """One channel decoded to float64."""
-        return _decode(self.raw[:, channel : channel + 1], np.float64)[0]
-
-
-def _map_wav(path: str) -> MappedWav:
-    """``open_wav`` without the scan for non-finite samples, for a file that
-    this process has already opened through ``open_wav``."""
-    if not os.path.isfile(path):
-        raise AudioIOError(f"input file not found: {path}")
-    try:
-        try:
-            rate, raw = wavfile.read(path, mmap=True)
-        except ValueError:
-            # 24-bit PCM cannot be mapped, nor can a data chunk cut short;
-            # scipy reads both into memory, and the cut one must not pass
-            with warnings.catch_warnings():
-                warnings.filterwarnings("error", "Reached EOF prematurely", wavfile.WavFileWarning)
-                rate, raw = wavfile.read(path)
-    except (ValueError, OSError, wavfile.WavFileWarning) as exc:
-        raise AudioIOError(f"cannot read WAV file {path}: {exc}") from exc
-    if raw.ndim == 1:
-        raw = raw[:, np.newaxis]
-    if raw.shape[1] > 8:
-        raise AudioIOError(f"{path}: {raw.shape[1]} channels exceeds the 8-channel limit")
-    if raw.dtype not in _DECODING:
-        raise AudioIOError(f"{path}: unsupported sample format {raw.dtype}")
-    _check_rate(rate)
-    return MappedWav(rate, raw)
 
 
 def _refuse_non_finite(path: str, samples: np.ndarray, start: int) -> None:
@@ -152,31 +97,54 @@ def _refuse_non_finite(path: str, samples: np.ndarray, start: int) -> None:
                            f"at sample {start + bad[0][0]}, channel {bad[0][1]}")
 
 
-def open_wav(path: str) -> MappedWav:
-    """Map and check a RIFF WAV file (PCM16, int32, float32 or float64, 1-8
-    channels) without decoding it; NaN and inf samples are refused."""
-    mapped = _map_wav(path)
-    if mapped.raw.dtype.kind == "f":  # integer samples are always finite
-        _refuse_non_finite(path, mapped.raw, 0)
-    return mapped
+class WavFile:
+    """A checked WAV file (PCM16, int32, 24-bit, float32 or float64, 1-8
+    channels) whose samples are mapped from disk, not decoded.
 
+    ``raw`` is (n_samples, channels) in the file's own sample format; a
+    24-bit file cannot be mapped, nor can a data chunk cut short, so the
+    first is read into memory and the second refused.  ``wav[c]`` decodes
+    channel ``c`` to float64, and ``blocks`` decodes every channel
+    ``block`` samples at a time.  The mapping lasts as long as a reference
+    to ``raw`` or a view of it does; a file truncated under a live mapping
+    faults on the next read, so drop it before anything can rewrite the file.
+    """
 
-class WavStream:
-    """A checked WAV file that ``blocks`` decodes ``block`` samples at a time
-    (the last block may be shorter), as ``read_wav`` would decode the whole
-    file; each block is scanned for NaN and inf as it is decoded, so a bad
-    sample raises only when its block is reached.  The file is mapped, or
-    for 24-bit PCM read, once, when the stream is made."""
+    def __init__(self, path: str, block: int | None = None):
+        if not os.path.isfile(path):
+            raise AudioIOError(f"input file not found: {path}")
+        try:
+            try:
+                rate, raw = wavfile.read(path, mmap=True)
+            except ValueError:
+                # 24-bit PCM cannot be mapped, nor can a data chunk cut short;
+                # scipy reads both into memory, and the cut one must not pass
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("error", "Reached EOF prematurely",
+                                            wavfile.WavFileWarning)
+                    rate, raw = wavfile.read(path)
+        except (ValueError, OSError, wavfile.WavFileWarning) as exc:
+            raise AudioIOError(f"cannot read WAV file {path}: {exc}") from exc
+        if raw.ndim == 1:
+            raw = raw[:, np.newaxis]
+        if raw.shape[1] > 8:
+            raise AudioIOError(f"{path}: {raw.shape[1]} channels exceeds the 8-channel limit")
+        if raw.dtype not in _DECODING:
+            raise AudioIOError(f"{path}: unsupported sample format {raw.dtype}")
+        _check_rate(rate)
+        self.path, self.block, self.rate, self.raw = path, block, rate, raw
+        self.shape = self.num_channels, self.num_samples = raw.shape[::-1]  # decoded shape
 
-    def __init__(self, path: str, block: int):
-        self.path, self.block = path, block
-        mapped = _map_wav(path)
-        self.rate, self._raw = mapped.rate, np.asarray(mapped.raw)  # no memmap per block
-        self.num_channels, self.num_samples = mapped.shape
+    def __getitem__(self, channel: int) -> np.ndarray:
+        """One channel decoded to float64."""
+        return _decode(self.raw[:, channel : channel + 1], np.float64)[0]
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """Each block decoded as ``read_wav`` decodes, (channels, n)."""
-        raw = self._raw
+        """Each ``block`` samples (the last block may be shorter) decoded as
+        ``read_wav`` decodes the whole file, (channels, n); each block is
+        scanned for NaN and inf as it is decoded, so a bad sample raises
+        only when its block is reached."""
+        raw = np.asarray(self.raw)  # no memmap object per block
         for start in range(0, raw.shape[0], self.block):
             samples = _decode(raw[start : start + self.block])
             if raw.dtype.kind == "f":
@@ -184,15 +152,24 @@ class WavStream:
             yield samples
 
 
-def read_wav(path: str, block: int | None = None) -> AudioBuffer | WavStream:
+def open_wav(path: str) -> WavFile:
+    """Map and check a WAV file without decoding it; NaN and inf samples
+    are refused."""
+    wav = WavFile(path)
+    if wav.raw.dtype.kind == "f":  # integer samples are always finite
+        _refuse_non_finite(path, wav.raw, 0)
+    return wav
+
+
+def read_wav(path: str, block: int | None = None) -> AudioBuffer | WavFile:
     """Read and decode a whole WAV file (formats and checks as ``open_wav``):
     PCM16 and float32 files to float32, int32, 24-bit and float64 files to
-    float64.  Given ``block``, its block form: a ``WavStream`` that decodes
-    the file ``block`` samples at a time."""
+    float64.  Given ``block``, its block form: a ``WavFile`` whose
+    ``blocks`` decode the file ``block`` samples at a time."""
     if block is not None:
-        return WavStream(path, block)
-    mapped = open_wav(path)
-    return AudioBuffer(_decode(mapped.raw), mapped.rate)
+        return WavFile(path, block)
+    wav = open_wav(path)
+    return AudioBuffer(_decode(wav.raw), wav.rate)
 
 
 def write_wav(path: str, audio: AudioBuffer) -> None:

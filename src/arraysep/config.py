@@ -146,15 +146,20 @@ def config_from_dict(data: dict) -> PipelineConfig:
     return config.validate()
 
 
-def parse_config(path: str) -> PipelineConfig:
+def _load_yaml(path: str, what: str):
+    """The YAML document in ``path``, or {} for an empty file; ``what`` names
+    the file in the error."""
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            return yaml.safe_load(fh) or {}
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    return config_from_dict(data or {})
+        raise ConfigError(f"cannot parse {what} {path}: {exc}") from exc
+
+
+def parse_config(path: str) -> PipelineConfig:
+    return config_from_dict(_load_yaml(path, "config"))
 
 
 def serialize_config(config: PipelineConfig, path: str) -> None:
@@ -209,14 +214,7 @@ def scene_from_dict(data: dict) -> SceneSpec:
 
 
 def parse_scene_file(path: str) -> SceneSpec:
-    try:
-        with open(path) as fh:
-            data = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read scene file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse scene file {path}: {exc}") from exc
-    return scene_from_dict(data or {})
+    return scene_from_dict(_load_yaml(path, "scene file"))
 
 
 def write_scene_file(spec: SceneSpec, path: str) -> None:

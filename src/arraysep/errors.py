@@ -81,7 +81,10 @@ def check_fields(obj, where: str = "") -> None:
 
 
 def check_file_name(name, what: str) -> None:
-    """Source ids name output files, so each must be one plain file name."""
+    """Source ids name output files and CSV cells and columns, so each must
+    be one plain file name that no CSV cell would quote."""
     if (not isinstance(name, str) or name in ("", ".", "..")
-            or {"/", os.sep, os.altsep} & set(name)):
-        raise ConfigError(f"{what} {name!r} must be a file name without a path")
+            or {"/", os.sep, os.altsep, ",", '"'} & set(name)
+            or any(c < " " or c == "\x7f" for c in name)):
+        raise ConfigError(f"{what} {name!r} must be a file name without a path, "
+                          "comma, quote or control character")

@@ -63,6 +63,14 @@ class LabeledFeatureSet:
             raise ValueError("labels and features disagree on frame count")
 
 
+def _log_factors(x: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """(n, M, D) per-dimension Gaussian log factors of rows ``x`` (n, D)
+    under components of ``means`` and diagonal ``variances`` (M, D)."""
+    diff = x[:, np.newaxis, :] - means[np.newaxis, :, :]
+    return -0.5 * (_LOG_2PI + np.log(variances)[np.newaxis, :, :]
+                   + diff * diff / variances[np.newaxis, :, :])
+
+
 def marginal_log_likelihoods(model: GmmModel, features: np.ndarray,
                              masks: np.ndarray | None = None) -> np.ndarray:
     """Log-density of each frame over its reliable dimensions, (n,).
@@ -79,10 +87,7 @@ def marginal_log_likelihoods(model: GmmModel, features: np.ndarray,
     if masks.shape != x.shape:
         raise ValueError(f"mask shape {masks.shape} does not match features {x.shape}")
 
-    # (n, M, D) per-dimension log factors, masked then reduced.
-    diff = x[:, np.newaxis, :] - model.means[np.newaxis, :, :]
-    log_dim = -0.5 * (_LOG_2PI + np.log(model.variances)[np.newaxis, :, :]
-                      + diff * diff / model.variances[np.newaxis, :, :])
+    log_dim = _log_factors(x, model.means, model.variances)
     component_ll = np.sum(log_dim * masks[:, np.newaxis, :], axis=2)
     return logsumexp(component_ll + np.log(model.priors)[np.newaxis, :], axis=1)
 
@@ -115,10 +120,7 @@ def _fit_single_class(x: np.ndarray, num_components: int, rng: np.random.Generat
 
     previous = -np.inf
     for _ in range(EM_MAX_ITER):
-        diff = x[:, np.newaxis, :] - means[np.newaxis, :, :]
-        log_dim = -0.5 * (_LOG_2PI + np.log(variances)[np.newaxis, :, :]
-                          + diff * diff / variances[np.newaxis, :, :])
-        weighted = np.sum(log_dim, axis=2) + np.log(priors)[np.newaxis, :]
+        weighted = np.sum(_log_factors(x, means, variances), axis=2) + np.log(priors)
         frame_ll = logsumexp(weighted, axis=1)
         total = float(frame_ll.sum())
 

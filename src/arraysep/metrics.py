@@ -9,13 +9,14 @@ make the metric undefined (None).
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from .audio import MappedWav
+from .audio import WavFile
 
 SIR_CAP_DB = 99.0
 EDGE_TRIM = 1024  # analysis/synthesis edges carry partial windows; skip them
@@ -38,13 +39,14 @@ class QualityReport:
         """One row per stage and source.  The input-side ratio needs clean
         per-microphone source images, which no file interface carries, so
         its column is always ``nan``."""
-        with open(path, "w") as fh:
-            fh.write("stage,source,input_sir_db,output_sir_db,output_snr_db\n")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["stage", "source", "input_sir_db", "output_sir_db", "output_snr_db"])
             for stage, rows in self.stages.items():
                 for row in rows:
                     cells = ["nan" if v is None else f"{v:.4f}"
                              for v in (row.output_sir_db, row.output_snr_db)]
-                    fh.write(f"{stage},{row.source_id},nan," + ",".join(cells) + "\n")
+                    writer.writerow([stage, row.source_id, "nan", *cells])
 
 
 def projected_power(output: np.ndarray, reference: np.ndarray) -> float | None:
@@ -82,14 +84,14 @@ def _projection_ratio_db(output: np.ndarray, references: Iterable[np.ndarray],
     return min(SIR_CAP_DB, 10.0 * np.log10(target / residual))
 
 
-def _decoded(references: list[np.ndarray | MappedWav]) -> Iterable[np.ndarray]:
+def _decoded(references: list[np.ndarray | WavFile]) -> Iterable[np.ndarray]:
     """Each reference as an array, a mapped WAV file's first channel decoded
     only once the iteration reaches it."""
-    return (r[0] if isinstance(r, MappedWav) else r for r in references)
+    return (r[0] if isinstance(r, WavFile) else r for r in references)
 
 
-def interference_ratio_db(output: np.ndarray, target_ref: np.ndarray | MappedWav,
-                          rival_refs: list[np.ndarray | MappedWav]) -> float | None:
+def interference_ratio_db(output: np.ndarray, target_ref: np.ndarray | WavFile,
+                          rival_refs: list[np.ndarray | WavFile]) -> float | None:
     """Target projection power over the summed rival projection powers, in dB.
 
     A reference is an array, or a mapped WAV file scored on its first
@@ -102,8 +104,8 @@ def interference_ratio_db(output: np.ndarray, target_ref: np.ndarray | MappedWav
     return _projection_ratio_db(output, _decoded(references), n)
 
 
-def noise_ratio_db(output: np.ndarray, target_ref: np.ndarray | MappedWav,
-                   noise: np.ndarray | MappedWav) -> float | None:
+def noise_ratio_db(output: np.ndarray, target_ref: np.ndarray | WavFile,
+                   noise: np.ndarray | WavFile) -> float | None:
     """Target projection power over the summed per-channel noise projections.
 
     ``target_ref`` is as ``interference_ratio_db`` takes it.  ``noise`` is
@@ -118,8 +120,8 @@ def noise_ratio_db(output: np.ndarray, target_ref: np.ndarray | MappedWav,
         output, chain(_decoded([target_ref]), (noise[c] for c in range(channels))), n)
 
 
-def measure_quality(separated: Iterable[np.ndarray], references: list[np.ndarray | MappedWav],
-                    noise: np.ndarray | MappedWav | None = None,
+def measure_quality(separated: Iterable[np.ndarray], references: list[np.ndarray | WavFile],
+                    noise: np.ndarray | WavFile | None = None,
                     source_ids: list[str] | None = None) -> list[SourceQuality]:
     """Quality rows for one stage: separated channel m against reference m.
     ``separated`` is read once, in order, so it may be a generator.

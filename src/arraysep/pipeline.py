@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gss
-from .audio import (AudioBuffer, WavStream, _map_wav, open_wav, read_wav,
-                    resample_48k_to_16k, write_wav)
+from .audio import (AudioBuffer, WavFile, open_wav, read_wav, resample_48k_to_16k,
+                    write_wav)
 from .config import PipelineConfig, serialize_config
 from .errors import AudioIOError, StreamError
 from .features import (NUM_BANDS, _encode_cells, _join_rows, _write_csv, extract_features,
@@ -49,7 +49,7 @@ class StreamOutput:
     bands: np.ndarray | None = None
 
 
-def run_stages(mixture: AudioBuffer | WavStream, config: PipelineConfig,
+def run_stages(mixture: AudioBuffer | WavFile, config: PipelineConfig,
                dump=None) -> StreamOutput:
     """Stream the mixture through separation, the optional post-filter and
     overlap-add, BLOCK_FRAMES frames at a time; no frame outlives its own
@@ -247,8 +247,8 @@ def _quality_rows(config: PipelineConfig, separated: AudioBuffer,
     files were checked when the run began; they are mapped again because no
     file mapping may outlive this call, since the run writes files on either
     side of it."""
-    references = [_map_wav(path) for path in config.reference_wavs]
-    noise = _map_wav(config.noise_wav) if config.noise_wav else None
+    references = [WavFile(path) for path in config.reference_wavs]
+    noise = WavFile(config.noise_wav) if config.noise_wav else None
     return measure_quality([separated.samples[m] for m in range(len(ids))],
                            references, noise, source_ids=ids)
 

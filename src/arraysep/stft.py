@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import AudioBuffer, WavStream
+from .audio import AudioBuffer, WavFile
 from .errors import ConfigError, StreamError
 
 
@@ -76,7 +76,7 @@ def windowed_rfft(frames: np.ndarray, window: np.ndarray) -> np.ndarray:
     return np.fft.rfft(frames * window, axis=-1)
 
 
-def stft_analyze(audio: AudioBuffer | WavStream, fft_size: int,
+def stft_analyze(audio: AudioBuffer | WavFile, fft_size: int,
                  shift: int) -> Iterator[SpectralFrame]:
     """Yield sqrt-Hann windowed half-spectrum frames from ``audio``, one at a
     time, over the frames of ``analysis_frames``.

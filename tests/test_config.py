@@ -107,6 +107,16 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config(str(tmp_path / "none.yaml"))
 
+    @pytest.mark.parametrize("parse, what", [(parse_config, "config"),
+                                             (parse_scene_file, "scene file")])
+    def test_load_errors_name_the_file(self, tmp_path, parse, what):
+        missing, broken = str(tmp_path / "none.yaml"), tmp_path / "c.yaml"
+        broken.write_text("mic_positions_m: [[0.1, 0\n")
+        with pytest.raises(ConfigError, match=f"^cannot read {what} {re.escape(missing)}: "):
+            parse(missing)
+        with pytest.raises(ConfigError, match=f"^cannot parse {what} {re.escape(str(broken))}: "):
+            parse(str(broken))
+
 
 class TestRoundTrip:
     def test_serialize_parse_identity(self, tmp_path):

@@ -1,6 +1,7 @@
 """End-to-end pipeline runs and the command-line interface."""
 
 import collections
+import csv
 import errno
 import logging
 import math
@@ -265,7 +266,7 @@ class TestRunPipeline:
 
         separated = run_stages(read_wav(config.input_wav), config).separated
         rows = measure_quality([separated.samples[m] for m in range(len(spec.sources))],
-                               [read_wav(p).channel(0) for p in config.reference_wavs],
+                               [read_wav(p).samples[0] for p in config.reference_wavs],
                                read_wav(config.noise_wav).samples,
                                source_ids=[s.source_id for s in spec.sources])
         oracle = str(tmp_path / "oracle.csv")
@@ -700,7 +701,8 @@ class TestCli:
         assert main(["separate", "--config", str(config_path)]) == 2
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("source_id", ["../escaped", "c/../x", "..", ".", "", 7])
+    @pytest.mark.parametrize("source_id", ["../escaped", "c/../x", "..", ".", "", 7,
+                                           "a,b", 'say"hi', "tab\there"])
     def test_source_id_must_be_a_file_name(self, short_scene, scene_dir, tmp_path, source_id):
         spec, _ = short_scene
         config_path = tmp_path / "cfg.yaml"
@@ -734,7 +736,8 @@ class TestCli:
         assert main(["separate", "--config", str(config_path)]) == 2
         assert os.listdir(tmp_path) == ["cfg.yaml"]
 
-    @pytest.mark.parametrize("source_id", ["../escaped", "c/../x", "..", "", 7])
+    @pytest.mark.parametrize("source_id", ["../escaped", "c/../x", "..", "", 7,
+                                           "a,b", 'say"hi', "tab\there"])
     def test_scene_source_id_must_be_a_file_name(self, tmp_path, source_id):
         data = scene_to_dict(three_speaker_scene(90.0, duration_s=0.2, seed=7))
         data["sources"][0]["id"] = source_id
@@ -939,6 +942,20 @@ class TestCli:
         lines = open(tmp_path / "q.csv").read().splitlines()
         assert len(lines) == 3
 
+    def test_score_ids_and_stage_labels_round_trip_through_csv(self, tmp_path):
+        # a file stem or a --stage label holding a comma or a quote is one
+        # quoted cell, not two
+        a = np.sin(2 * np.pi * 500 * np.arange(24000) / 48000) * 0.4
+        output, reference = str(tmp_path / 'out,"a".wav'), str(tmp_path / "ref.wav")
+        write_wav(output, AudioBuffer(a, 48000))
+        write_wav(reference, AudioBuffer(a, 48000))
+        assert main(["score", "--output", output, "--reference", reference,
+                     "--stage", "post,filtered", "--csv", str(tmp_path / "q.csv")]) == 0
+        with open(tmp_path / "q.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows == [{"stage": "post,filtered", "source": 'out,"a"', "input_sir_db": "nan",
+                         "output_sir_db": "99.0000", "output_snr_db": "nan"}]
+
     @pytest.mark.parametrize("which", ["reference", "noise"])
     def test_score_inputs_must_share_one_rate(self, short_scene, scene_dir, tmp_path, which):
         _, render = short_scene
@@ -963,8 +980,8 @@ class TestCli:
         references = [str(scene_dir / f"{s.source_id}_ref.wav") for s in spec.sources]
         noise = str(scene_dir / "noise.wav")
         # the report as it reads with every input fully decoded
-        rows = measure_quality([read_wav(p).channel(0) for p in outputs],
-                               [read_wav(p).channel(0) for p in references],
+        rows = measure_quality([read_wav(p).samples[0] for p in outputs],
+                               [read_wav(p).samples[0] for p in references],
                                read_wav(noise).samples,
                                source_ids=[f"{s.source_id}_48k" for s in spec.sources])
         oracle = tmp_path / "oracle.csv"

@@ -51,7 +51,7 @@ def _noise(channels, samples, rate, seed=0, scale=0.1):
 
 class Chunked:
     """``samples`` (channels, n) handed out in blocks of ``sizes``, cycled,
-    the way ``WavStream.blocks`` hands out a file's."""
+    the way ``WavFile.blocks`` hands out a file's."""
 
     def __init__(self, samples, rate, sizes):
         self.samples, self.rate, self.sizes = samples, rate, sizes
