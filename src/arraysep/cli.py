@@ -130,16 +130,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         raise ConfigError(f"choose --preset (one of: {', '.join(preset_names())}) or --scene")
     render = synthesize(spec)
-    os.makedirs(args.output_dir, exist_ok=True)
-
+    rate = spec.geometry.rate
     mixture_path = os.path.join(args.output_dir, "mixture.wav")
-    write_wav(mixture_path, render.mixture)
-    for scene_source, reference in zip(spec.sources, render.clean_references):
-        write_wav(os.path.join(args.output_dir, f"{scene_source.source_id}_reference.wav"),
-                  AudioBuffer(reference, spec.geometry.rate))
-    write_wav(os.path.join(args.output_dir, "noise.wav"),
-              AudioBuffer(render.noise, spec.geometry.rate))
-    write_scene_file(spec, os.path.join(args.output_dir, "scene.yaml"))
+    with staged_outputs(args.output_dir) as staging:  # every file or none
+        write_wav(staging(mixture_path), render.mixture)
+        for scene_source, reference in zip(spec.sources, render.clean_references):
+            path = os.path.join(args.output_dir, f"{scene_source.source_id}_reference.wav")
+            write_wav(staging(path), AudioBuffer(reference, rate))
+        write_wav(staging(os.path.join(args.output_dir, "noise.wav")),
+                  AudioBuffer(render.noise, rate))
+        write_scene_file(spec, staging(os.path.join(args.output_dir, "scene.yaml")))
     print(f"scene -> {mixture_path} ({render.mixture.num_channels} channels, "
           f"{render.mixture.duration:.1f}s, {len(spec.sources)} sources)")
     return 0

@@ -69,12 +69,16 @@ class PipelineConfig:
         if not self.sources:
             raise ConfigError("config needs at least one source direction")
         for source in self.sources:
+            if not isinstance(source, SourceDirection):
+                raise ConfigError(f"sources rows must be SourceDirection, got {source!r}")
             check_file_name(source.id, "source id")
             check_fields(source, f"source {source.id}: ")
         ids = [s.id for s in self.sources]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate source ids: {ids}")
         check_fields(self)
+        if not isinstance(self.stages, StageToggles):
+            raise ConfigError(f"stages must be StageToggles, got {self.stages!r}")
         check_fields(self.stages, "stages: ")
         geometry = self.geometry()
         num_mics = geometry.num_mics
@@ -120,11 +124,7 @@ class PipelineConfig:
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
-    data = asdict(config)
-    data["sources"] = [asdict(s) if isinstance(s, SourceDirection) else dict(s)
-                       for s in config.sources]
-    data["stages"] = asdict(config.stages)
-    return data
+    return asdict(config)
 
 
 def config_from_dict(data: dict) -> PipelineConfig:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -88,12 +87,10 @@ def zero_lifter(cepstra: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class FeatureVector:
-    frame_index: int
-    static: np.ndarray           # (24,) log-mel-spectral values
-    delta: np.ndarray            # (24,) regression deltas, zero without context
-    has_delta: bool = True
+# One row per frame: log-mel-spectral values and their regression deltas,
+# zero where the frame lacks +-2 frames of context (has_delta false).
+FEATURE_RECORD = np.dtype([("frame_index", "<u4"), ("has_delta", "?"),
+                           ("static", "<f8", (NUM_BANDS,)), ("delta", "<f8", (NUM_BANDS,))])
 
 
 def delta_features(static: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,16 +110,18 @@ def delta_features(static: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def extract_features(audio: AudioBuffer, fft_size: int = FEATURE_FFT_SIZE,
                      shift: int = FEATURE_SHIFT, lifter: bool = True,
-                     mean_subtract: bool = True) -> list[FeatureVector]:
-    """Run the full feature pipeline on a mono 16 kHz utterance."""
+                     mean_subtract: bool = True) -> np.recarray:
+    """Run the full feature pipeline on a mono 16 kHz utterance: one
+    ``FEATURE_RECORD`` row per frame."""
     if audio.rate != FEATURE_RATE:
         raise ConfigError(f"feature pipeline expects {FEATURE_RATE} Hz input, got {audio.rate}")
     if audio.num_channels != 1:
         raise ConfigError("feature pipeline expects a mono buffer")
 
     frames = analysis_frames(audio.samples[0], fft_size, shift)
+    features = np.zeros(len(frames), FEATURE_RECORD).view(np.recarray)
     if not len(frames):
-        return []
+        return features
     power = np.abs(windowed_rfft(frames, sqrt_hann_window(fft_size))) ** 2
     energies = mel_energies(power, mel_filterbank(fft_size, audio.rate))
     floor = max(float(energies.max()) * RELATIVE_FLOOR, _LOG_FLOOR)
@@ -133,26 +132,30 @@ def extract_features(audio: AudioBuffer, fft_size: int = FEATURE_FFT_SIZE,
         cepstra = zero_lifter(cepstra)
     if mean_subtract:
         cepstra = cepstra - cepstra.mean(axis=0, keepdims=True)
-    static = sfft.idct(cepstra, type=2, norm="ortho", axis=1)
+    features["static"] = static = sfft.idct(cepstra, type=2, norm="ortho", axis=1)
 
     if len(frames) < 5:
         warnings.warn(f"utterance of {len(frames)} frames is too short for delta features")
-    deltas, valid = delta_features(static)
-    return [FeatureVector(t, static[t], deltas[t], bool(valid[t])) for t in range(len(frames))]
+    features["delta"], features["has_delta"] = delta_features(static)
+    features["frame_index"] = np.arange(len(frames))
+    return features
 
 
 # --------------------------------------------------------------------------
 # Feature files: CSV and a packed little-endian binary variant.
 #
-# Binary layout: one _FEATURE_HEADER, then one _FEATURE_FRAME record per frame.
+# Binary layout: one _FEATURE_HEADER, then one _FEATURE_FRAME record per
+# frame: FEATURE_RECORD's fields in order, at float32, with 3 zero pad bytes
+# after has_delta.
 # --------------------------------------------------------------------------
 
 _FEATURE_MAGIC = b"MELF"
 _FEATURE_VERSION = 1
 _FEATURE_HEADER = np.dtype([("magic", "S4"), ("version", "<u4"), ("count", "<u4"),
                             ("n_static", "<u2"), ("n_delta", "<u2")])
-_FEATURE_FRAME = np.dtype([("index", "<u4"), ("has_delta", "u1"), ("pad", "V3"),
-                           ("static", "<f4", (NUM_BANDS,)), ("delta", "<f4", (NUM_BANDS,))])
+_FEATURE_FRAME = np.dtype({"names": FEATURE_RECORD.names,
+                           "formats": ["<u4", "u1", ("<f4", (NUM_BANDS,)), ("<f4", (NUM_BANDS,))],
+                           "offsets": [0, 4, 8, 104], "itemsize": 200})
 
 
 def _write_records(path: str, header: np.ndarray, records: np.ndarray, kind: str) -> None:
@@ -305,33 +308,25 @@ def _write_csv(path: str, header: str, tables, fmt: list[str], kind: str) -> Non
         raise AudioIOError(f"cannot write {kind} file {path}: {exc}") from exc
 
 
-def write_features_csv(path: str, features: list[FeatureVector]) -> None:
+def write_features_csv(path: str, features: np.ndarray) -> None:
     names = [f"static_{i}" for i in range(NUM_BANDS)] + [f"delta_{i}" for i in range(NUM_BANDS)]
-    table = np.array([np.concatenate(([vec.frame_index, vec.has_delta], vec.static, vec.delta))
-                      for vec in features]).reshape(len(features), 2 + 2 * NUM_BANDS)
+    table = np.column_stack([features[name] for name in FEATURE_RECORD.names])
     _write_csv(path, "frame,has_delta," + ",".join(names), [table],
                ["%d", "%d"] + ["%.9e"] * (2 * NUM_BANDS), "feature")
 
 
-def write_features_binary(path: str, features: list[FeatureVector]) -> None:
+def write_features_binary(path: str, features: np.ndarray) -> None:
     header = np.array((_FEATURE_MAGIC, _FEATURE_VERSION, len(features), NUM_BANDS, NUM_BANDS),
                       _FEATURE_HEADER)
     records = np.zeros(len(features), _FEATURE_FRAME)
-    if features:
-        records["index"] = [vec.frame_index for vec in features]
-        records["has_delta"] = [vec.has_delta for vec in features]
-        records["static"] = [vec.static for vec in features]
-        records["delta"] = [vec.delta for vec in features]
+    records[...] = features  # field by field, in order; the pad bytes stay zero
     _write_records(path, header, records, "feature")
 
 
-def read_features_binary(path: str) -> list[FeatureVector]:
+def read_features_binary(path: str) -> np.recarray:
     head, records = _read_records(path, _FEATURE_HEADER, _FEATURE_MAGIC, _FEATURE_VERSION,
                                   "feature", lambda head: _FEATURE_FRAME)
     if (head["n_static"], head["n_delta"]) != (NUM_BANDS, NUM_BANDS):
         raise AudioIOError(f"{path}: {head['n_static']}+{head['n_delta']} values per frame, "
                            f"expected {NUM_BANDS}+{NUM_BANDS}")
-    static = records["static"].astype(np.float64)
-    delta = records["delta"].astype(np.float64)
-    return [FeatureVector(int(index), s, d, bool(has_delta))
-            for index, has_delta, s, d in zip(records["index"], records["has_delta"], static, delta)]
+    return records.astype(FEATURE_RECORD).view(np.recarray)

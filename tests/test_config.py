@@ -97,6 +97,15 @@ class TestParse:
         with pytest.raises(ConfigError):
             config_from_dict(dict(MINIMAL, reference_wavs=["a.wav", "b.wav"]))
 
+    @pytest.mark.parametrize("field, value", [
+        ("sources", [{"id": "talker", "azimuth_deg": 15.0}]), ("sources", ["talker"]),
+        ("stages", {"adapt": True}), ("stages", None)])
+    def test_rows_of_the_wrong_type_are_config_errors(self, field, value):
+        config = config_from_dict(dict(MINIMAL))
+        setattr(config, field, value)
+        with pytest.raises(ConfigError, match=f"^{field}( rows)? must be"):
+            config.validate()
+
     def test_unparseable_yaml(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text("mic_positions_m: [[0.1, 0\n")

@@ -10,7 +10,7 @@ from scipy import fft as sfft
 
 from arraysep.audio import AudioBuffer
 from arraysep.errors import ConfigError
-from arraysep.features import (FeatureVector, _encode_fixed, _encode_rows,
+from arraysep.features import (FEATURE_RECORD, _encode_fixed, _encode_rows,
                                _write_csv, delta_features, extract_features,
                                mel_energies, mel_filterbank, mel_from_hz,
                                read_features_binary, write_features_binary,
@@ -141,7 +141,7 @@ class TestPipeline:
                             16000)
         with pytest.warns(UserWarning):
             features = extract_features(short)
-        assert features
+        assert len(features) == 4
         assert not any(f.has_delta for f in features)
         assert all(np.all(f.delta == 0) for f in features)
 
@@ -177,7 +177,23 @@ class TestPipeline:
             extract_features(noise_utterance(7), fft_size=fft_size, shift=shift)
 
     def test_shorter_than_one_frame_gives_no_features(self):
-        assert extract_features(AudioBuffer(np.ones(399), 16000)) == []
+        features = extract_features(AudioBuffer(np.ones(399), 16000))
+        assert isinstance(features, np.recarray)
+        assert features.dtype == np.dtype((np.record, FEATURE_RECORD))
+        assert features.shape == (0,)
+
+    def test_rows_hold_the_field_arrays(self):
+        features = extract_features(noise_utterance(12, seconds=0.5))
+        assert isinstance(features, np.recarray) and len(features) == 48
+        assert features.dtype == np.dtype((np.record, FEATURE_RECORD))
+        rows = list(features)
+        assert [int(row.frame_index) for row in rows] == list(range(48))
+        assert [bool(row.has_delta) for row in rows] == list(features.has_delta)
+        np.testing.assert_array_equal(features.frame_index, features["frame_index"])
+        for name in ("static", "delta"):
+            got = np.stack([getattr(row, name) for row in rows])
+            assert got.dtype == np.float64 and got.shape == (48, 24)
+            assert got.tobytes() == np.ascontiguousarray(features[name]).tobytes()
 
 
 class TestLifterAndDeltas:
@@ -215,9 +231,17 @@ def hand_built_features():
     static[0, 5] = -0.0
     delta = rng.standard_normal((3, 24))
     delta[2, 0] = 1.0 / 3.0
-    return [FeatureVector(0, static[0], np.zeros(24), False),
-            FeatureVector(7, static[1], delta[1], True),
-            FeatureVector(2**32 - 1, static[2], delta[2], True)]
+    delta[0] = 0.0
+    features = np.zeros(3, FEATURE_RECORD).view(np.recarray)
+    features.frame_index = [0, 7, 2**32 - 1]
+    features.has_delta = [False, True, True]
+    features.static, features.delta = static, delta
+    return features
+
+
+def no_features():
+    """The features of an utterance shorter than one frame."""
+    return extract_features(AudioBuffer(np.ones(399), 16000))
 
 
 def feature_file_bytes(features):
@@ -225,7 +249,7 @@ def feature_file_bytes(features):
     u32 index, u8 has_delta, 3 pad bytes, f32[24] static, f32[24] delta."""
     out = b"MELF" + struct.pack("<IIHH", 1, len(features), 24, 24)
     for vec in features:
-        out += struct.pack("<IB3x", vec.frame_index, vec.has_delta)
+        out += struct.pack("<IB3x", int(vec.frame_index), int(vec.has_delta))
         out += struct.pack("<48f", *vec.static, *vec.delta)
     return out
 
@@ -252,10 +276,11 @@ class TestFeatureFiles:
             np.testing.assert_allclose(a.static, b.static, rtol=1e-6, atol=1e-6)
             np.testing.assert_allclose(a.delta, b.delta, rtol=1e-6, atol=1e-6)
 
-        for features in (hand_built_features(), []):
+        for features in (hand_built_features(), no_features()):
             write_features_binary(path, features)
             assert open(path, "rb").read() == feature_file_bytes(features)
             loaded = read_features_binary(path)
+            assert loaded.dtype == np.dtype((np.record, FEATURE_RECORD))
             assert len(loaded) == len(features)
             for a, b in zip(features, loaded):
                 assert (b.frame_index, b.has_delta) == (a.frame_index, a.has_delta)
@@ -273,7 +298,7 @@ class TestFeatureFiles:
         assert len(lines) == len(features) + 1
         assert len(lines[1].split(",")) == 2 + 48
 
-        for features in (hand_built_features(), []):
+        for features in (hand_built_features(), no_features()):
             write_features_csv(path, features)
             assert open(path, "rb").read() == feature_csv_text(features).encode()
 

@@ -8,7 +8,7 @@ import pytest
 from arraysep import gss
 from arraysep.config import PipelineConfig
 from arraysep.errors import AudioIOError
-from arraysep.features import (FeatureVector, mel_energies, read_features_binary,
+from arraysep.features import (FEATURE_RECORD, mel_energies, read_features_binary,
                                write_features_binary)
 from arraysep.geometry import steering_matrix
 from arraysep.masks import (MaskMatrix, align_to_feature_frames, compute_mask,
@@ -275,7 +275,8 @@ class TestMaskFiles:
             np.testing.assert_array_equal(loaded.delta, mask.delta)
 
     def test_damaged_binary_files_rejected(self, tmp_path):
-        features = [FeatureVector(0, np.ones(24), np.zeros(24), False)]
+        features = np.zeros(1, FEATURE_RECORD)
+        features["static"] = 1.0
         formats = [(write_features_binary, read_features_binary, features),
                    (write_mask_binary, read_mask_binary, hand_built_mask())]
         for write, read, content in formats:

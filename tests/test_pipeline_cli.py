@@ -928,6 +928,22 @@ class TestCli:
         assert main(["features", "--input", str(wav), "--output-dir", str(output_dir)]) == 3
         assert tree(tmp_path) == before
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_simulate_failure_leaves_nothing_behind(self, tmp_path, monkeypatch, existing):
+        output_dir = tmp_path / ("scene" if existing else "new/scene")
+        if existing:  # the scene file is written last and cannot be placed
+            os.makedirs(output_dir / "scene.yaml")
+            (output_dir / "mixture.wav").write_bytes(b"an earlier mixture")
+        else:
+            def failing(spec, path):
+                raise AudioIOError(f"cannot write scene file {path}: injected")
+
+            monkeypatch.setattr(cli, "write_scene_file", failing)
+        before = tree(tmp_path)
+        assert main(["simulate", "--preset", "trio-90deg", "--duration", "0.25",
+                     "--output-dir", str(output_dir)]) == 3
+        assert tree(tmp_path) == before
+
     def test_score_subcommand(self, tmp_path):
         n = 24000
         a = np.sin(2 * np.pi * 500 * np.arange(n) / 48000) * 0.4
