@@ -119,9 +119,8 @@ def extract_features(audio: AudioBuffer, fft_size: int = FEATURE_FFT_SIZE,
         raise ConfigError("feature pipeline expects a mono buffer")
 
     frames = analysis_frames(audio.samples[0], fft_size, shift)
-    features = np.zeros(len(frames), FEATURE_RECORD).view(np.recarray)
     if not len(frames):
-        return features
+        return np.zeros(0, FEATURE_RECORD).view(np.recarray)
     power = np.abs(windowed_rfft(frames, sqrt_hann_window(fft_size))) ** 2
     energies = mel_energies(power, mel_filterbank(fft_size, audio.rate))
     floor = max(float(energies.max()) * RELATIVE_FLOOR, _LOG_FLOOR)
@@ -132,12 +131,13 @@ def extract_features(audio: AudioBuffer, fft_size: int = FEATURE_FFT_SIZE,
         cepstra = zero_lifter(cepstra)
     if mean_subtract:
         cepstra = cepstra - cepstra.mean(axis=0, keepdims=True)
-    features["static"] = static = sfft.idct(cepstra, type=2, norm="ortho", axis=1)
+    static = sfft.idct(cepstra, type=2, norm="ortho", axis=1)
 
     if len(frames) < 5:
         warnings.warn(f"utterance of {len(frames)} frames is too short for delta features")
+    features = np.zeros(len(frames), FEATURE_RECORD).view(np.recarray)  # after the transforms' peak
+    features["frame_index"], features["static"] = np.arange(len(frames)), static
     features["delta"], features["has_delta"] = delta_features(static)
-    features["frame_index"] = np.arange(len(frames))
     return features
 
 
