@@ -135,7 +135,8 @@ def extract_features(audio: AudioBuffer, fft_size: int = FEATURE_FFT_SIZE,
 
     if len(frames) < 5:
         warnings.warn(f"utterance of {len(frames)} frames is too short for delta features")
-    features = np.zeros(len(frames), FEATURE_RECORD).view(np.recarray)  # after the transforms' peak
+    # allocated past the transforms' memory peak
+    features = np.zeros(len(frames), FEATURE_RECORD).view(np.recarray)
     features["frame_index"], features["static"] = np.arange(len(frames)), static
     features["delta"], features["has_delta"] = delta_features(static)
     return features
