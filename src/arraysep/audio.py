@@ -175,7 +175,7 @@ def read_wav(path: str, block: int | None = None) -> AudioBuffer | WavFile:
 def write_wav(path: str, audio: AudioBuffer) -> None:
     """Write ``audio`` as little-endian float32 RIFF WAV."""
     try:
-        wavfile.write(path, audio.rate, audio.samples.T.astype(np.float32))
+        wavfile.write(path, audio.rate, np.ascontiguousarray(audio.samples.T, dtype=np.float32))
     except OSError as exc:
         raise AudioIOError(f"cannot write WAV file {path}: {exc}") from exc
 

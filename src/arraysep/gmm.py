@@ -66,9 +66,12 @@ class LabeledFeatureSet:
 def _log_factors(x: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """(n, M, D) per-dimension Gaussian log factors of rows ``x`` (n, D)
     under components of ``means`` and diagonal ``variances`` (M, D)."""
-    diff = x[:, np.newaxis, :] - means[np.newaxis, :, :]
-    return -0.5 * (_LOG_2PI + np.log(variances)[np.newaxis, :, :]
-                   + diff * diff / variances[np.newaxis, :, :])
+    out = np.subtract(x[:, np.newaxis, :], means[np.newaxis, :, :])
+    np.multiply(out, out, out=out)
+    np.divide(out, variances[np.newaxis, :, :], out=out)
+    np.add(_LOG_2PI + np.log(variances)[np.newaxis, :, :], out, out=out)
+    np.multiply(-0.5, out, out=out)
+    return out
 
 
 def marginal_log_likelihoods(model: GmmModel, features: np.ndarray,
@@ -88,14 +91,19 @@ def marginal_log_likelihoods(model: GmmModel, features: np.ndarray,
         raise ValueError(f"mask shape {masks.shape} does not match features {x.shape}")
 
     log_dim = _log_factors(x, model.means, model.variances)
-    component_ll = np.sum(log_dim * masks[:, np.newaxis, :], axis=2)
+    np.multiply(log_dim, masks[:, np.newaxis, :], out=log_dim)
+    component_ll = np.sum(log_dim, axis=2)
     return logsumexp(component_ll + np.log(model.priors)[np.newaxis, :], axis=1)
 
 
 def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = x[rng.choice(x.shape[0], size=k, replace=False)]
+    squares = np.empty((x.shape[0], k, x.shape[1]))
+    distances = np.empty((x.shape[0], k))
     for _ in range(KMEANS_ITERATIONS):
-        distances = np.sum((x[:, np.newaxis, :] - centers[np.newaxis, :, :]) ** 2, axis=2)
+        np.subtract(x[:, np.newaxis, :], centers[np.newaxis, :, :], out=squares)
+        np.square(squares, out=squares)
+        np.sum(squares, axis=2, out=distances)
         assignment = np.argmin(distances, axis=1)
         for j in range(k):
             members = x[assignment == j]

@@ -145,6 +145,8 @@ def fractional_delay(x: np.ndarray, delay_samples: float) -> np.ndarray:
     if frac == 0.0:  # integer delays shift exactly, no interpolation error
         out = np.zeros_like(x)
         n = x.shape[0]
+        if abs(whole) >= n:  # shifted wholly outside the signal
+            return out
         if whole >= 0:
             out[whole:] = x[: n - whole]
         else:
@@ -244,11 +246,19 @@ def render_signal(spec: SignalSpec, rng: np.random.Generator, n: int, rate: int)
     else:
         out = _harmonic_train(spec, rng, n, rate)
     rms = np.sqrt(np.mean(out**2))
-    return out * (REFERENCE_RMS / max(rms, 1e-12))
+    out *= REFERENCE_RMS / max(rms, 1e-12)
+    return out
 
 
 def synthesize(spec: SceneSpec) -> SceneRender:
-    """Render a scene; bit-identical for identical specs."""
+    """Render a scene; bit-identical for identical specs.
+
+    Microphones whose delays toward a source are equal floats share one
+    fractional-delay convolution: on the box array at elevation 0, the
+    pairs that differ only in height do.  The mixture is summed in place
+    in the order of ``np.add.reduce(source_images) + noise``, which it
+    equals bit for bit.
+    """
     geometry = spec.geometry
     if len(spec.sources) > geometry.num_mics:
         raise OverDeterminedSceneError(
@@ -268,20 +278,27 @@ def synthesize(spec: SceneSpec) -> SceneRender:
         clean[:onset] = 0.0
         references.append(clean)
 
-        image = np.stack([
-            fractional_delay(clean, far_field_delay(geometry, mic, scene_source.direction))
-            for mic in range(geometry.num_mics)
-        ])
+        mics_by_delay: dict[float, list[int]] = {}
+        for mic in range(geometry.num_mics):
+            delay = far_field_delay(geometry, mic, scene_source.direction)
+            mics_by_delay.setdefault(delay, []).append(mic)
+        image = np.empty((geometry.num_mics, n))
+        for delay, mics in mics_by_delay.items():
+            image[mics] = fractional_delay(clean, delay)
         images.append(image)
 
     noise_rng = np.random.default_rng(streams[-1])
     if np.isneginf(spec.noise_level_db):
         noise = np.zeros((geometry.num_mics, n))
     else:
-        noise = 10.0 ** (spec.noise_level_db / 20.0) * noise_rng.standard_normal((geometry.num_mics, n))
+        noise = noise_rng.standard_normal((geometry.num_mics, n))
+        noise *= 10.0 ** (spec.noise_level_db / 20.0)
 
     if images:
-        mixture = np.add.reduce(images) + noise
+        mixture = images[0].copy()
+        for image in images[1:]:
+            mixture += image
+        mixture += noise
     else:
         mixture = noise.copy()
     return SceneRender(AudioBuffer(mixture, rate), images, references, noise, spec)

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import logsumexp
 
+from arraysep import gmm
 from arraysep.gmm import (GmmModel, LabeledFeatureSet, classify_frames, load_models,
                           marginal_log_likelihoods, save_models, train_gmm)
 
@@ -234,3 +236,55 @@ class TestInvariants:
         for i in range(10):
             single = marginal_log_likelihoods(model, frames[i : i + 1], masks[i : i + 1])[0]
             assert batch[i] == pytest.approx(single, rel=1e-12)
+
+
+def expression_log_factors(x, means, variances):
+    """The per-dimension log factors as one expression, temporaries and all."""
+    diff = x[:, np.newaxis, :] - means[np.newaxis, :, :]
+    return -0.5 * (np.log(2.0 * np.pi) + np.log(variances)[np.newaxis, :, :]
+                   + diff * diff / variances[np.newaxis, :, :])
+
+
+def expression_kmeans(x, k, rng):
+    centers = x[rng.choice(x.shape[0], size=k, replace=False)]
+    for _ in range(gmm.KMEANS_ITERATIONS):
+        distances = np.sum((x[:, np.newaxis, :] - centers[np.newaxis, :, :]) ** 2, axis=2)
+        assignment = np.argmin(distances, axis=1)
+        for j in range(k):
+            members = x[assignment == j]
+            centers[j] = (x[rng.integers(x.shape[0])] if members.shape[0] == 0
+                          else members.mean(axis=0))
+    return centers
+
+
+class TestInPlaceArithmetic:
+    """The in-place steps give the bits of the plain expressions."""
+
+    def _data(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((300, 48)) * rng.uniform(0.1, 30.0, 48)
+        means = rng.standard_normal((8, 48)) * 5.0
+        variances = rng.uniform(1e-4, 50.0, (8, 48))
+        return x, means, variances
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_log_factors(self, seed):
+        x, means, variances = self._data(seed)
+        got = gmm._log_factors(x, means, variances)
+        np.testing.assert_array_equal(got, expression_log_factors(x, means, variances))
+
+    @pytest.mark.parametrize("k", [1, 4, 8])
+    def test_kmeans(self, k):
+        x = self._data(2)[0]
+        got = gmm._kmeans(x, k, np.random.default_rng(3))
+        np.testing.assert_array_equal(got, expression_kmeans(x, k, np.random.default_rng(3)))
+
+    def test_masked_scores(self):
+        x, means, variances = self._data(4)
+        model = GmmModel(np.full(8, 0.125), means, variances)
+        masks = np.random.default_rng(5).random(x.shape) < 0.6
+        masks[0] = False
+        component_ll = np.sum(expression_log_factors(x, means, variances)
+                              * masks[:, np.newaxis, :], axis=2)
+        expected = logsumexp(component_ll + np.log(model.priors)[np.newaxis, :], axis=1)
+        np.testing.assert_array_equal(marginal_log_likelihoods(model, x, masks), expected)

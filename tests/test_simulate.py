@@ -4,10 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from arraysep import simulate
+from arraysep.audio import AudioBuffer, write_wav
 from arraysep.errors import ConfigError, OverDeterminedSceneError
-from arraysep.geometry import ArrayGeometry
+from arraysep.geometry import ArrayGeometry, far_field_delay
 from arraysep.simulate import (SceneSource, SceneSpec, SignalSpec, box_array_geometry,
                                fractional_delay, preset_names, preset_scene,
                                render_signal, synthesize, three_speaker_scene)
@@ -39,6 +41,15 @@ class TestFractionalDelay:
         x = self._band_limited(seed=2)
         got = fractional_delay(x, 3.0)
         np.testing.assert_allclose(got[200:-200], x[197:-203], atol=1e-9)
+
+    @pytest.mark.parametrize("n", [1, 10, 37])
+    def test_integer_delays_match_index_shift(self, n):
+        x = np.arange(1.0, n + 1.0)
+        for delay in (n, n + 2, 2 * n - 1, -(n + 2), 2 * n + 5, 1 - n, n - 1):
+            source = np.arange(n) - delay
+            inside = (source >= 0) & (source < n)
+            oracle = np.where(inside, x[np.clip(source, 0, n - 1)], 0.0)
+            np.testing.assert_array_equal(fractional_delay(x, float(delay)), oracle)
 
 
 class TestSignals:
@@ -222,6 +233,103 @@ class TestSynthesize:
         geom = box_array_geometry()
         with pytest.raises(ConfigError):
             SceneSpec(geom, (SceneSource("s", 0.0, onset_s=2.0),), duration_s=1.0)
+
+
+def stacked_render(spec):
+    """Every microphone's image through its own fractional delay, stacked,
+    and the mixture as one reduction over the stack plus the noise."""
+    geometry, n = spec.geometry, spec.num_samples
+    streams = np.random.SeedSequence(spec.seed).spawn(len(spec.sources) + 1)
+    references, images = [], []
+    for source, stream in zip(spec.sources, streams):
+        clean = render_signal(source.signal, np.random.default_rng(stream), n, geometry.rate)
+        clean = clean * 10.0 ** (source.gain_db / 20.0)
+        clean[: int(round(source.onset_s * geometry.rate))] = 0.0
+        references.append(clean)
+        images.append(np.stack([
+            fractional_delay(clean, far_field_delay(geometry, mic, source.direction))
+            for mic in range(geometry.num_mics)]))
+    noise = 10.0 ** (spec.noise_level_db / 20.0) * np.random.default_rng(
+        streams[-1]).standard_normal((geometry.num_mics, n))
+    return np.add.reduce(images) + noise, images, references, noise
+
+
+def irregular_scene():
+    # no two microphones share a delay toward a source 30 degrees up
+    positions = np.array([[0.03, 0.11, -0.02], [-0.07, 0.05, 0.04], [0.09, -0.06, 0.01],
+                          [-0.04, -0.08, -0.05], [0.01, 0.02, 0.09]])
+    return SceneSpec(ArrayGeometry(positions, 48000),
+                     (SceneSource("up", 35.0, elevation_deg=30.0),
+                      SceneSource("low", -110.0, elevation_deg=-12.0,
+                                  signal=SignalSpec(kind="am_noise"))),
+                     duration_s=0.2, seed=21)
+
+
+def integer_delay_scene():
+    # one meter per sample: delays of +-2 and +-45 samples, the latter
+    # beyond the 30-sample scene
+    positions = np.array([[2.0, 0, 0], [-2.0, 0, 0], [45.0, 0, 0], [-45.0, 0, 0]])
+    geometry = ArrayGeometry(positions, 48000, speed_of_sound=48000.0)
+    return SceneSpec(geometry, (SceneSource("front", 0.0), SceneSource("back", 180.0)),
+                     duration_s=30 / 48000, seed=22)
+
+
+SCENES = {
+    "box-trio": lambda: preset_scene("trio-40deg", duration_s=0.2, seed=20),
+    "irregular-elevated": irregular_scene,
+    "integer-delays": integer_delay_scene,
+    "one-sample": lambda: three_speaker_scene(70.0, duration_s=1 / 48000, seed=23),
+}
+
+
+def distinct_delays(spec):
+    """Per source, the number of distinct microphone delays."""
+    geometry = spec.geometry
+    return [len({far_field_delay(geometry, mic, source.direction)
+                 for mic in range(geometry.num_mics)}) for source in spec.sources]
+
+
+class TestRenderOracle:
+    """``synthesize`` against the per-microphone, stacked render."""
+
+    @pytest.mark.parametrize("name", sorted(SCENES))
+    def test_bit_identical_to_stacked_render(self, name):
+        spec = SCENES[name]()
+        render = synthesize(spec)
+        mixture, images, references, noise = stacked_render(spec)
+        np.testing.assert_array_equal(render.mixture.samples, mixture)
+        np.testing.assert_array_equal(render.noise, noise)
+        for got, expected in zip(render.source_images, images, strict=True):
+            np.testing.assert_array_equal(got, expected)
+        for got, expected in zip(render.clean_references, references, strict=True):
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("name", sorted(SCENES))
+    def test_one_convolution_per_distinct_delay(self, monkeypatch, name):
+        spec = SCENES[name]()
+        delayed = []
+
+        def counting_delay(x, delay_samples):
+            delayed.append(x)
+            return fractional_delay(x, delay_samples)
+
+        monkeypatch.setattr(simulate, "fractional_delay", counting_delay)
+        render = synthesize(spec)
+        calls = [sum(x is reference for x in delayed) for reference in render.clean_references]
+        assert calls == distinct_delays(spec)
+        assert len(delayed) == sum(calls)
+
+    def test_scenes_cover_shared_and_distinct_delays(self):
+        assert all(count < 8 for count in distinct_delays(SCENES["box-trio"]()))
+        assert distinct_delays(SCENES["irregular-elevated"]()) == [5, 5]
+
+
+@pytest.mark.parametrize("channels", [1, 8])
+def test_write_wav_bytes_match_scipy_writer(tmp_path, channels):
+    samples = np.random.default_rng(channels).uniform(-1.0, 1.0, (channels, 4801))
+    write_wav(str(tmp_path / "ours.wav"), AudioBuffer(samples, 48000))
+    wavfile.write(str(tmp_path / "scipy.wav"), 48000, samples.T.astype(np.float32))
+    assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
 
 
 class TestPresets:
