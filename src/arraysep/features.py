@@ -22,6 +22,7 @@ from scipy import fft as sfft
 
 from .audio import AudioBuffer
 from .errors import AudioIOError, ConfigError
+from .formats import read_records, write_csv, write_records
 from .stft import analysis_frames, sqrt_hann_window, windowed_rfft
 
 NUM_BANDS = 24
@@ -159,161 +160,11 @@ _FEATURE_FRAME = np.dtype({"names": FEATURE_RECORD.names,
                            "offsets": [0, 4, 8, 104], "itemsize": 200})
 
 
-def _write_records(path: str, header: np.ndarray, records: np.ndarray, kind: str) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header.tobytes() + records.tobytes())
-    except OSError as exc:
-        raise AudioIOError(f"cannot write {kind} file {path}: {exc}") from exc
-
-
-def _read_records(path: str, header: np.dtype, magic: bytes, version: int, kind: str,
-                  frame) -> tuple[np.void, np.ndarray]:
-    """Check a header-plus-records file and view its body as ``frame(header)`` records."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise AudioIOError(f"cannot read {kind} file {path}: {exc}") from exc
-    if data[:4] != magic:
-        raise AudioIOError(f"{path}: not a {kind} file")
-    if len(data) < header.itemsize:
-        raise AudioIOError(f"{path}: truncated {kind} file header")
-    head = np.frombuffer(data, header, count=1)[0]
-    if head["version"] != version:
-        raise AudioIOError(f"{path}: unsupported {kind} file version {head['version']}")
-    record = frame(head)
-    count = int(head["count"])
-    if len(data) != header.itemsize + count * record.itemsize:
-        raise AudioIOError(f"{path}: {len(data)} bytes do not hold {count} {kind} frames")
-    return head, np.frombuffer(data, record, count=count, offset=header.itemsize)
-
-
-# CSV text is printf text.  Each value becomes a fixed-width cell of
-# little-endian words gathered from byte-string tables (sign and lead digit,
-# 3-digit groups, exponent) and padded with NUL; the last byte of a cell is
-# always NUL and takes the separator.  Dropping the NULs leaves the printf
-# bytes.
-_CSV_SLICE_CELLS = 8192  # bounds the encoder's scratch memory (~100 B per cell)
-_SPAN = 340  # table offset: exponents of doubles span -324..309, scale powers -302..333
-_POW10 = np.array([float(f"1e{min(max(k, -300), 300)}") for k in range(-_SPAN, _SPAN + 1)])
-_EXPONENTS = np.array([f"e{e:+03d}" for e in range(-_SPAN, _SPAN + 1)], "S8").view("<u8")
-# index lead + 11·sign; a mantissa rounded up to 10^(places+1) has lead 10, "1."
-_LEADS = np.array([f"{sign}{d}." for sign in ("", "-") for d in (*range(10), 1)],
-                  "S4").view("<u4")
-_GROUPS = np.array([f"{g:03d}" for g in range(1000)], "S4").view("<u4")
-# groups of an integer with no nonzero group above them: unpadded, 0 prints nothing
-_INT_GROUPS = np.concatenate((np.array([b""] + [str(g) for g in range(1, 1000)], "S4")
-                              .view("<u4"), _GROUPS))
-
-
-def _encode_fixed(values: np.ndarray, places: int) -> tuple[np.ndarray, np.ndarray]:
-    """``%.{places}e`` cells, and a flag for each value they may not show.
-
-    The scaled value y = |x|·10^(places−e), with 10^k a correctly rounded
-    literal, is within 10^(places+1)·2.3e-16 of exact, so rint(y) is the
-    correctly rounded mantissa unless y lies that close to a tie.  Near-ties,
-    non-finite values and |places − e| > 300 are flagged.  e = ⌊log10|x|⌋
-    is off by one only within a relative 1e-13 of a power of ten, where y
-    rounds to 10^places or 10^(places+1) and both print as that power.
-    """
-    magnitude = np.fmin(np.abs(values), np.finfo(float).max)  # nan, inf: flagged below
-    nonzero = magnitude + (magnitude == 0)  # zero prints with exponent +00
-    exponent = np.floor(np.log10(nonzero)).astype(np.intp)
-    shift = places - exponent
-    scaled = magnitude * _POW10[shift + _SPAN]
-    mantissa = np.rint(scaled)
-    fallback = np.abs(np.abs(scaled - mantissa) - 0.5) <= 10.0 ** (places + 1) * 1e-15
-    fallback |= np.abs(shift) > 300
-    fallback |= ~np.isfinite(values)
-    exponent += mantissa >= 10.0 ** (places + 1)
-
-    digits = mantissa.astype(np.int64)
-    cells = np.empty((len(values), places // 3 + 3), "<u4")
-    for j in range(places // 3, 0, -1):
-        upper = digits // 1000
-        cells[:, j] = _GROUPS[digits - 1000 * upper]
-        digits = upper
-    digits += 11 * np.signbit(values)
-    cells[:, 0] = _LEADS.take(digits, mode="clip")  # flagged cells may hold any lead
-    cells[:, -2:] = _EXPONENTS[exponent + _SPAN].view("<u4").reshape(-1, 2)
-    return cells.view(np.uint8), fallback
-
-
-def _encode_int(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``%d`` cells (truncation toward zero) for |x| < 2^53, and a flag for the rest."""
-    fallback = ~(np.abs(values) < 2.0 ** 53)
-    truncated = np.fmax(np.fmin(values, 2.0 ** 53), -2.0 ** 53).astype(np.int64)
-    rest = np.abs(truncated)
-    count = (len(str(int(rest.max()))) + 2) // 3 if len(values) else 1
-    cells = np.zeros((len(values), count + 1), "<u4")
-    cells[:, 0] = (truncated < 0) * np.uint32(ord("-"))
-    cells[:, count] = (rest == 0) * np.uint32(ord("0"))
-    for j in range(count, 0, -1):
-        upper = rest // 1000
-        cells[:, j] |= _INT_GROUPS[rest - 1000 * upper + 1000 * (upper > 0)]
-        rest = upper
-    return cells.view(np.uint8), fallback
-
-
-_ENCODERS = {"%d": _encode_int, "%.6e": lambda v: _encode_fixed(v, 6),
-             "%.9e": lambda v: _encode_fixed(v, 9)}
-
-
-def _encode_cells(values: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """A (rows, columns) block of one format as (rows, width) bytes, each cell
-    ending in ``,``, and a flag for each row that they may not show."""
-    if fmt not in _ENCODERS:
-        raise ValueError(f"unsupported CSV format {fmt!r}")
-    cells, bad = _ENCODERS[fmt](values.ravel())
-    cells[:, -1] = ord(",")
-    return cells.reshape(len(values), -1), bad.reshape(len(values), -1).any(axis=1)
-
-
-def _join_rows(blocks: list[np.ndarray], fallback: np.ndarray, row, fmt: list[str]) -> bytes:
-    """The rows whose cells are ``blocks``, side by side, as text; flagged row
-    i is ``",".join(fmt) % row(i)`` instead."""
-    text = np.concatenate(blocks, axis=1)
-    text[:, -1] = ord("\n")
-    parts, done, line = [], 0, ",".join(fmt) + "\n"
-    for i in np.flatnonzero(fallback):
-        parts += [text[done:i].tobytes(), (line % row(i)).encode()]
-        done = i + 1
-    parts.append(text[done:].tobytes())
-    return b"".join(parts).translate(None, b"\0")
-
-
-def _encode_rows(table: np.ndarray, fmt: list[str]) -> bytes:
-    """The bytes of ``",".join(fmt) % tuple(row) + "\\n"`` for every row.
-
-    Formats are ``%d``, ``%.6e`` and ``%.9e``.  A row holding a value that
-    its cell cannot show exactly goes through ``%`` itself.
-    """
-    table = np.asarray(table, dtype=np.float64).reshape(-1, len(fmt))
-    edges = [0] + [j for j in range(1, len(fmt)) if fmt[j] != fmt[j - 1]] + [len(fmt)]
-    encoded = [_encode_cells(table[:, a:b], fmt[a]) for a, b in zip(edges, edges[1:])]
-    return _join_rows([cells for cells, _ in encoded], np.any([bad for _, bad in encoded], axis=0),
-                      lambda i: tuple(table[i]), fmt)
-
-
-def _write_csv(path: str, header: str, tables, fmt: list[str], kind: str) -> None:
-    """Write ``header`` and then each (rows, len(fmt)) table of ``tables``."""
-    step = max(1, _CSV_SLICE_CELLS // len(fmt))
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header.encode() + b"\n")
-            for table in tables:
-                for start in range(0, len(table), step):
-                    fh.write(_encode_rows(table[start:start + step], fmt))
-    except OSError as exc:
-        raise AudioIOError(f"cannot write {kind} file {path}: {exc}") from exc
-
-
 def write_features_csv(path: str, features: np.ndarray) -> None:
     names = [f"static_{i}" for i in range(NUM_BANDS)] + [f"delta_{i}" for i in range(NUM_BANDS)]
     table = np.column_stack([features[name] for name in FEATURE_RECORD.names])
-    _write_csv(path, "frame,has_delta," + ",".join(names), [table],
-               ["%d", "%d"] + ["%.9e"] * (2 * NUM_BANDS), "feature")
+    write_csv(path, "frame,has_delta," + ",".join(names), table,
+              ["%d", "%d"] + ["%.9e"] * (2 * NUM_BANDS), "feature")
 
 
 def write_features_binary(path: str, features: np.ndarray) -> None:
@@ -321,12 +172,12 @@ def write_features_binary(path: str, features: np.ndarray) -> None:
                       _FEATURE_HEADER)
     records = np.zeros(len(features), _FEATURE_FRAME)
     records[...] = features  # field by field, in order; the pad bytes stay zero
-    _write_records(path, header, records, "feature")
+    write_records(path, header, records, "feature")
 
 
 def read_features_binary(path: str) -> np.recarray:
-    head, records = _read_records(path, _FEATURE_HEADER, _FEATURE_MAGIC, _FEATURE_VERSION,
-                                  "feature", lambda head: _FEATURE_FRAME)
+    head, records = read_records(path, _FEATURE_HEADER, _FEATURE_MAGIC, _FEATURE_VERSION,
+                                 "feature", lambda head: _FEATURE_FRAME)
     if (head["n_static"], head["n_delta"]) != (NUM_BANDS, NUM_BANDS):
         raise AudioIOError(f"{path}: {head['n_static']}+{head['n_delta']} values per frame, "
                            f"expected {NUM_BANDS}+{NUM_BANDS}")

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import AudioIOError
+from .formats import write_records
 
 VARIANCE_FLOOR = 1e-4
 EM_TOL = 1e-5         # stop once the log-likelihood gain per frame falls below this
@@ -191,23 +192,18 @@ def classify_frames(models: dict[str, GmmModel], features: np.ndarray,
 
 def save_models(path: str, models: dict[str, GmmModel]) -> None:
     names = sorted(models)
+    if any(not name.isascii() or name.split() != [name] for name in names):
+        raise ValueError(f"class names must be nonempty ASCII without whitespace: {names}")
     components = {models[n].num_components for n in names}
     dims = {models[n].num_dims for n in names}
     if len(components) != 1 or len(dims) != 1:
         raise ValueError("all models in one file must share component count and dims")
-    m, d = components.pop(), dims.pop()
-    try:
-        with open(path, "wb") as fh:
-            header = (f"gmmset 1\nclasses {' '.join(names)}\n"
-                      f"components {m}\ndims {d}\n\n")
-            fh.write(header.encode("ascii"))
-            for name in names:
-                model = models[name]
-                fh.write(model.priors.astype("<f8").tobytes())
-                fh.write(model.means.astype("<f8").tobytes())
-                fh.write(model.variances.astype("<f8").tobytes())
-    except OSError as exc:
-        raise AudioIOError(f"cannot write model file {path}: {exc}") from exc
+    header = (f"gmmset 1\nclasses {' '.join(names)}\n"
+              f"components {components.pop()}\ndims {dims.pop()}\n\n")
+    body = [np.concatenate((models[n].priors, models[n].means.ravel(), models[n].variances.ravel()))
+            for n in names]
+    write_records(path, np.frombuffer(header.encode(), np.uint8), np.concatenate(body).astype("<f8"),
+                  "model")
 
 
 def load_models(path: str) -> dict[str, GmmModel]:
@@ -219,17 +215,17 @@ def load_models(path: str) -> dict[str, GmmModel]:
     split = data.find(b"\n\n")
     if split < 0 or not data.startswith(b"gmmset 1\n"):
         raise AudioIOError(f"{path}: not a model file")
-    fields = {}
-    for line in data[:split].decode("ascii").splitlines()[1:]:
-        key, _, value = line.partition(" ")
-        fields[key] = value
-    names = fields["classes"].split()
-    m = int(fields["components"])
-    d = int(fields["dims"])
-    block = np.frombuffer(data[split + 2 :], dtype="<f8")
+    try:
+        fields = dict(line.split(" ", 1) for line in data[:split].decode("ascii").splitlines()[1:])
+        names, m, d = fields["classes"].split(), int(fields["components"]), int(fields["dims"])
+        if min(m, d) < 1 or not names or len(set(names)) != len(names):
+            raise ValueError(f"{m} components, {d} dims, classes {names}")
+    except (KeyError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+        raise AudioIOError(f"{path}: unreadable model file header: {exc!r}") from exc
     per_class = m + 2 * m * d
-    if block.shape[0] != per_class * len(names):
+    if len(data) - split - 2 != 8 * per_class * len(names):
         raise AudioIOError(f"{path}: parameter block size mismatch")
+    block = np.frombuffer(data, "<f8", offset=split + 2)
     models = {}
     for i, name in enumerate(names):
         chunk = block[i * per_class : (i + 1) * per_class]

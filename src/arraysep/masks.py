@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .features import (FEATURE_FFT_SIZE, FEATURE_RATE, FEATURE_SHIFT, _read_records,
-                       _write_csv, _write_records, mel_filterbank)
+from .errors import AudioIOError, ConfigError
+from .features import FEATURE_FFT_SIZE, FEATURE_RATE, FEATURE_SHIFT, mel_filterbank
+from .formats import read_records, write_csv, write_records
 
 DEFAULT_THRESHOLD = 0.25
 # Bands carrying less than this fraction of the frame's total band energy
@@ -103,7 +104,7 @@ def align_to_feature_frames(mask: MaskMatrix, num_feature_frames: int,
 # Mask files: CSV and a packed little-endian binary variant.
 #
 # Binary layout: one _MASK_HEADER, then one _mask_frame(bands) record per
-# frame; bit i of the static/delta words is band i.
+# frame; bit i of the 32-bit static/delta words is band i, so at most 32 bands.
 # --------------------------------------------------------------------------
 
 _MASK_MAGIC = b"MASK"
@@ -119,17 +120,17 @@ def _mask_frame(bands: int) -> np.dtype:
 
 def write_mask_csv(path: str, mask: MaskMatrix) -> None:
     bands = mask.continuous.shape[1]
-    names = ([f"m_{i}" for i in range(bands)]
-             + [f"static_{i}" for i in range(bands)]
-             + [f"delta_{i}" for i in range(bands)])
+    names = [f"{kind}_{i}" for kind in ("m", "static", "delta") for i in range(bands)]
     table = np.hstack([np.arange(mask.num_frames)[:, np.newaxis], mask.continuous,
                        mask.static, mask.delta])
-    _write_csv(path, "frame," + ",".join(names), [table],
-               ["%d"] + ["%.9e"] * bands + ["%d"] * (2 * bands), "mask")
+    write_csv(path, "frame," + ",".join(names), table,
+              ["%d"] + ["%.9e"] * bands + ["%d"] * (2 * bands), "mask")
 
 
 def write_mask_binary(path: str, mask: MaskMatrix) -> None:
     bands = mask.continuous.shape[1]
+    if bands > 32:
+        raise ConfigError(f"a mask file holds at most 32 bands, not {bands}")
     header = np.array((_MASK_MAGIC, _MASK_VERSION, mask.num_frames, bands, b""), _MASK_HEADER)
     records = np.zeros(mask.num_frames, _mask_frame(bands))
     weights = 1 << np.arange(bands)
@@ -137,12 +138,14 @@ def write_mask_binary(path: str, mask: MaskMatrix) -> None:
     records["continuous"] = mask.continuous
     records["static"] = mask.static @ weights
     records["delta"] = mask.delta @ weights
-    _write_records(path, header, records, "mask")
+    write_records(path, header, records, "mask")
 
 
 def read_mask_binary(path: str) -> MaskMatrix:
-    head, records = _read_records(path, _MASK_HEADER, _MASK_MAGIC, _MASK_VERSION, "mask",
-                                  lambda head: _mask_frame(int(head["bands"])))
+    head, records = read_records(path, _MASK_HEADER, _MASK_MAGIC, _MASK_VERSION, "mask",
+                                 lambda head: _mask_frame(int(head["bands"])))
+    if head["bands"] > 32:
+        raise AudioIOError(f"{path}: {head['bands']} bands, a mask file holds at most 32")
     weights = 1 << np.arange(int(head["bands"]))
     static = (records["static"][:, np.newaxis] & weights) != 0
     delta = (records["delta"][:, np.newaxis] & weights) != 0

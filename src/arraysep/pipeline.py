@@ -26,8 +26,8 @@ from .audio import (AudioBuffer, WavFile, open_wav, read_wav, resample_48k_to_16
                     write_wav)
 from .config import PipelineConfig, serialize_config
 from .errors import AudioIOError, StreamError
-from .features import (NUM_BANDS, _encode_cells, _join_rows, _write_csv, extract_features,
-                       write_features_binary, write_features_csv)
+from .features import NUM_BANDS, extract_features, write_features_binary, write_features_csv
+from .formats import PostfilterDump, write_csv
 from .geometry import steering_matrix
 from .masks import align_to_feature_frames, masks_from_records, write_mask_binary, write_mask_csv
 from .metrics import QualityReport, measure_quality
@@ -135,8 +135,8 @@ def _dump_gss_state(path: str, state: gss.SeparationState, ids: list[str]) -> No
     header = ["bin"] + [f"w_{s}_{n}" for s in ids for n in range(state.num_mics)]
     magnitude = np.abs(state.demix).reshape(state.demix.shape[0], -1)
     table = np.column_stack((np.arange(magnitude.shape[0]), magnitude))
-    _write_csv(path, ",".join(header), [table], ["%d"] + ["%.6e"] * magnitude.shape[1],
-               "diagnostic")
+    write_csv(path, ",".join(header), table, ["%d"] + ["%.6e"] * magnitude.shape[1],
+              "diagnostic")
 
 
 class _Staging:
@@ -209,37 +209,6 @@ def staged_outputs(output_dir: str):
         raise
 
 
-class _PostfilterDump:
-    """Each source's ``<id>_postfilter.csv``, appended frame by frame under
-    the staged name; nothing is opened before the first frame."""
-
-    def __init__(self, output_dir: str, ids: list[str], staging: _Staging):
-        self.paths = [os.path.join(output_dir, f"{source_id}_postfilter.csv") for source_id in ids]
-        self.staging = staging
-        self.files = []
-
-    def __call__(self, frame_index: int, internals: np.ndarray) -> None:
-        """Append every source's rows of one frame's (5, M, n_bins) internals."""
-        num_sources, num_bins = internals.shape[1:]
-        if not self.files:
-            for path in self.paths:
-                self.files.append(open(self.staging(path), "xb"))
-                self.files[-1].write(b"frame,bin,noise_stat,noise_leak,snr_prior,presence,gain\n")
-            self.bins = _encode_cells(np.arange(num_bins)[:, np.newaxis], "%d")[0]
-        frame = np.frombuffer(b"%d," % frame_index, np.uint8)  # printf, once per frame
-        frame = np.broadcast_to(frame, (num_bins, len(frame)))
-        values, bad = _encode_cells(internals.transpose(1, 2, 0).reshape(-1, 5), "%.6e")
-        values, bad = values.reshape(num_sources, num_bins, -1), bad.reshape(num_sources, -1)
-        for m, fh in enumerate(self.files):
-            fh.write(_join_rows([frame, self.bins, values[m]], bad[m],
-                                lambda k: (frame_index, k, *internals[:, m, k]),
-                                ["%d", "%d"] + ["%.6e"] * 5))
-
-    def close(self) -> None:
-        for fh in self.files:
-            fh.close()
-
-
 def _quality_rows(config: PipelineConfig, separated: AudioBuffer,
                   ids: list[str]) -> list:
     """Score the outputs against the first channel of each reference WAV and
@@ -278,12 +247,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     ids = [s.id for s in config.sources]
     try:
         with staged_outputs(config.output_dir) as staging:
-            dump = _PostfilterDump(config.output_dir, ids, staging)
-            try:
+            with contextlib.closing(PostfilterDump(config.output_dir, ids, staging)) as dump:
                 output = run_stages(read_wav(config.input_wav, BLOCK_FRAMES * config.shift),
                                     config, dump if config.dump_diagnostics else None)
-            finally:
-                dump.close()
             return _emit(config, output, ids, staging)
     except OSError as exc:
         raise AudioIOError(f"cannot write to {config.output_dir}: {exc}") from exc

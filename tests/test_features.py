@@ -10,11 +10,11 @@ from scipy import fft as sfft
 
 from arraysep.audio import AudioBuffer
 from arraysep.errors import ConfigError
-from arraysep.features import (FEATURE_RECORD, _encode_fixed, _encode_rows,
-                               _write_csv, delta_features, extract_features,
+from arraysep.features import (FEATURE_RECORD, delta_features, extract_features,
                                mel_energies, mel_filterbank, mel_from_hz,
                                read_features_binary, write_features_binary,
                                write_features_csv, zero_lifter)
+from arraysep.formats import _encode_fixed, write_csv
 from arraysep.stft import stft_analyze
 
 
@@ -308,34 +308,36 @@ def printf_rows(table, fmt):
     return "".join(line % tuple(row) for row in table).encode()
 
 
-def assert_encodes_like_printf(values, fmt, columns=1):
+def assert_encodes_like_printf(directory, values, fmt, columns=1):
     table = np.asarray(values, dtype=np.float64).reshape(-1, columns)
+    path = directory / "t.csv"
     with np.errstate(all="raise"):
-        assert _encode_rows(table, fmt * columns) == printf_rows(table, fmt * columns)
+        write_csv(str(path), "h", table, fmt * columns, "test")
+    assert path.read_bytes() == b"h\n" + printf_rows(table, fmt * columns)
 
 
 class TestCsvEncoder:
-    """``_encode_rows`` against Python's ``%`` formatting, the printf oracle."""
+    """``formats.write_csv`` against Python's ``%`` formatting, the printf oracle."""
 
     @pytest.mark.parametrize("places", [6, 9])
-    def test_random_bit_patterns(self, places):
+    def test_random_bit_patterns(self, places, tmp_path):
         rng = np.random.default_rng(places)
         values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
         # the vectorized cells, not the per-row fallback, must carry most values
         assert _encode_fixed(values, places)[1].mean() < 0.05
-        assert_encodes_like_printf(values, [f"%.{places}e"], columns=2)
+        assert_encodes_like_printf(tmp_path, values, [f"%.{places}e"], columns=2)
 
     @pytest.mark.parametrize("places", [6, 9])
-    def test_ties_and_their_neighbours(self, places):
+    def test_ties_and_their_neighbours(self, places, tmp_path):
         rng = np.random.default_rng(100 + places)
         digits = rng.integers(10**places, 10 ** (places + 1), 400)
         ties = np.array([(int(k) + 0.5) * 10.0**j for k in digits for j in (-2, -1, 0, 3, 17)])
         ties = np.concatenate((ties, -ties))
         values = np.concatenate((ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)))
-        assert_encodes_like_printf(values, [f"%.{places}e"], columns=3)
+        assert_encodes_like_printf(tmp_path, values, [f"%.{places}e"], columns=3)
 
     @pytest.mark.parametrize("places", [6, 9])
-    def test_next_to_powers_of_ten(self, places):
+    def test_next_to_powers_of_ten(self, places, tmp_path):
         powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
         values = [powers]
         for direction in (np.inf, 0.0):
@@ -343,10 +345,10 @@ class TestCsvEncoder:
             for _ in range(3):
                 neighbour = np.nextafter(neighbour, direction)
                 values.append(neighbour)
-        assert_encodes_like_printf(np.concatenate(values), [f"%.{places}e"])
+        assert_encodes_like_printf(tmp_path, np.concatenate(values), [f"%.{places}e"])
 
     @pytest.mark.parametrize("places", [6, 9])
-    def test_special_values_carries_and_wide_exponents(self, places):
+    def test_special_values_carries_and_wide_exponents(self, places, tmp_path):
         big = np.finfo(float).max
         special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
                    big, -big, 1e-300, 1e300]
@@ -354,22 +356,23 @@ class TestCsvEncoder:
                    9.9999999999e99, 9.99999999e-101, 9.9999999999e-100, 0.5, 1.0, 10.0, 1e23]
         wide = [1.2345678e100, -1.2345678e-100, 3.5e250, 7.25e-250, 1e100, 1e-100, 1e-99]
         values = np.array(special + carries + wide)
-        assert_encodes_like_printf(values, [f"%.{places}e"])
-        assert_encodes_like_printf(np.concatenate((values, values * 0.7)), [f"%.{places}e"],
-                                   columns=2)
+        assert_encodes_like_printf(tmp_path, values, [f"%.{places}e"])
+        assert_encodes_like_printf(tmp_path, np.concatenate((values, values * 0.7)),
+                                   [f"%.{places}e"], columns=2)
 
-    def test_integers(self):
+    def test_integers(self, tmp_path):
         values = [0.0, -0.0, 1.0, -1.0, -0.3, 0.3, 2.7, -2.7, 999.0, 1000.0, -1001.0,
                   4294967295.0, 2.0**53 - 1, -(2.0**53 - 1), 2.0**53, -(2.0**53) - 2, 1e20,
                   -1e300, np.finfo(float).max]
-        assert_encodes_like_printf(values, ["%d"])
-        assert_encodes_like_printf(values[:18], ["%d"], columns=3)
-        assert_encodes_like_printf(np.arange(5000.0) - 2500.0, ["%d"])
+        assert_encodes_like_printf(tmp_path, values, ["%d"])
+        assert_encodes_like_printf(tmp_path, values[:18], ["%d"], columns=3)
+        assert_encodes_like_printf(tmp_path, np.arange(5000.0) - 2500.0, ["%d"])
         for bad in (np.nan, np.inf):
             with pytest.raises(Exception) as oracle:
                 "%d" % bad
             with pytest.raises(oracle.type):
-                _encode_rows(np.array([[1.0, bad]]), ["%d", "%d"])
+                write_csv(str(tmp_path / "bad.csv"), "h", np.array([[1.0, bad]]), ["%d", "%d"],
+                          "test")
 
     def test_mixed_formats_match_savetxt(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -379,7 +382,7 @@ class TestCsvEncoder:
         tables[0][::97, 2] = np.inf
         tables[0][::89, 5] = -0.0
         path = tmp_path / "mixed.csv"
-        _write_csv(str(path), "a,b", tables, fmt, "test")
+        write_csv(str(path), "a,b", np.concatenate(tables), fmt, "test")
         expected = io.BytesIO()
         np.savetxt(expected, np.concatenate(tables), fmt=fmt, delimiter=",", header="a,b",
                    comments="")
@@ -392,7 +395,7 @@ class TestCsvEncoder:
         path = tmp_path / "big.csv"
         tracemalloc.start()
         try:
-            _write_csv(str(path), "h", [table], ["%d"] + ["%.9e"] * 49, "test")
+            write_csv(str(path), "h", table, ["%d"] + ["%.9e"] * 49, "test")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -400,6 +403,6 @@ class TestCsvEncoder:
         with open(path, "rb") as fh:
             assert sum(1 for _ in fh) == 20_001
 
-    def test_other_formats_rejected(self):
+    def test_other_formats_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            _encode_rows(np.zeros((2, 2)), ["%d", "%.4f"])
+            write_csv(str(tmp_path / "t.csv"), "h", np.zeros((2, 2)), ["%d", "%.4f"], "test")

@@ -1,6 +1,8 @@
 """Marginalized mixture scoring, EM training and the model file format."""
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy import integrate
 from scipy.special import logsumexp
 
 from arraysep import gmm
+from arraysep.errors import AudioIOError
 from arraysep.gmm import (GmmModel, LabeledFeatureSet, classify_frames, load_models,
                           marginal_log_likelihoods, save_models, train_gmm)
 
@@ -216,6 +219,44 @@ class TestModelFiles:
         header = open(path, "rb").read(64).split(b"\n\n")[0].decode("ascii")
         assert header.splitlines()[0] == "gmmset 1"
         assert "classes c" in header
+
+    def test_file_bytes(self, tmp_path):
+        second = GmmModel(np.array([0.25, 0.75]), np.array([[3.0, -0.0], [1e-300, 7.5]]),
+                          np.array([[2.0, 0.125], [1e300, 0.5]]))
+        models = {"b": toy_model(), "a": second}
+        path = tmp_path / "m.gmm"
+        save_models(str(path), models)
+        expected = b"gmmset 1\nclasses a b\ncomponents 2\ndims 2\n\n"
+        for name in ("a", "b"):
+            model = models[name]
+            expected += struct.pack("<10d", *model.priors, *model.means.ravel(),
+                                    *model.variances.ravel())
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("name", ["", "x y", "x\ny", "tab\t", "caf\u00e9"],
+                             ids=["empty", "space", "newline", "tab", "non-ascii"])
+    def test_class_names_that_cannot_round_trip_refused(self, tmp_path, name):
+        path = tmp_path / "m.gmm"
+        with pytest.raises(ValueError, match="class names"):
+            save_models(str(path), {name: toy_model(), "c": toy_model()})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("header, values", [
+        (b"components 2\ndims 2", 10),
+        (b"classes c\ncomponents x\ndims 2", 10),
+        (b"classes c\ncomponents 2\ndims 2\nnote caf\xc3\xa9", 10),
+        (b"classes c\ncomponents 2\ndims 2\nnote", 10),
+        (b"classes\ncomponents 2\ndims 2", 0),
+        (b"classes c c\ncomponents 2\ndims 2", 20),
+        (b"classes c\ncomponents 0\ndims 2", 0),
+    ], ids=["no-classes", "components-x", "non-ascii", "no-value", "no-class", "repeated-class",
+            "zero-components"])
+    def test_unparseable_headers_rejected(self, tmp_path, header, values):
+        path = tmp_path / "m.gmm"
+        body = np.tile(np.concatenate((toy_model().priors, np.ones(8))), values // 10)
+        path.write_bytes(b"gmmset 1\n" + header + b"\n\n" + body.astype("<f8").tobytes())
+        with pytest.raises(AudioIOError, match=f"^{re.escape(str(path))}: unreadable model file"):
+            load_models(str(path))
 
 
 class TestInvariants:

@@ -7,7 +7,7 @@ import pytest
 
 from arraysep import gss
 from arraysep.config import PipelineConfig
-from arraysep.errors import AudioIOError
+from arraysep.errors import AudioIOError, ConfigError
 from arraysep.features import (FEATURE_RECORD, mel_energies, read_features_binary,
                                write_features_binary)
 from arraysep.geometry import steering_matrix
@@ -288,6 +288,26 @@ class TestMaskFiles:
                 path.write_bytes(damaged)
                 with pytest.raises(AudioIOError):
                     read(str(path))
+
+    def test_binary_files_hold_at_most_32_bands(self, tmp_path):
+        path = tmp_path / "m.bin"
+        full = MaskMatrix(np.ones((2, 32)), np.ones((2, 32), bool), np.ones((2, 32), bool))
+        write_mask_binary(str(path), full)
+        loaded = read_mask_binary(str(path))
+        assert loaded.static.all() and loaded.delta.all() and loaded.static.shape == (2, 32)
+        path.unlink()
+        wide = MaskMatrix(np.ones((2, 33)), np.ones((2, 33), bool), np.ones((2, 33), bool))
+        with pytest.raises(ConfigError, match="33"):
+            write_mask_binary(str(path), wide)
+        assert not path.exists()
+
+    def test_header_with_more_than_32_bands_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        static = np.zeros((2, 33), bool)
+        static[:, :32] = True
+        path.write_bytes(mask_file_bytes(MaskMatrix(np.ones((2, 33)), static, static)))
+        with pytest.raises(AudioIOError, match="33 bands"):
+            read_mask_binary(str(path))
 
     def test_csv_shape(self, tmp_path):
         mask = masks_from_records(synthetic_bands(num_frames=6, seed=6), 0)

@@ -22,8 +22,8 @@ from arraysep.config import PipelineConfig, SourceDirection, scene_to_dict, seri
 from arraysep.geometry import steering_matrix
 from arraysep.errors import AudioIOError, StreamError
 from arraysep.metrics import QualityReport, interference_ratio_db, measure_quality
-from arraysep.pipeline import (_dump_gss_state, _PostfilterDump, _Staging, bench_pipeline,
-                               run_pipeline, run_stages)
+from arraysep.formats import PostfilterDump
+from arraysep.pipeline import _dump_gss_state, _Staging, bench_pipeline, run_pipeline, run_stages
 from arraysep.postfilter import PostFilter
 from arraysep.simulate import (SceneSource, SceneSpec, SignalSpec, box_array_geometry,
                                synthesize, three_speaker_scene)
@@ -444,7 +444,7 @@ class TestDiagnosticDumps:
         printf_rows = ~np.isfinite(internals).all(axis=1)
         assert printf_rows.any(axis=2).all() and not printf_rows.all()
         staging = _Staging()
-        dump = _PostfilterDump(str(tmp_path), ["a", "b"], staging)
+        dump = PostfilterDump(str(tmp_path), ["a", "b"], staging)
         for t, frame in enumerate(internals):
             dump(t, frame)
         dump.close()
