@@ -10,6 +10,7 @@ and 16 kHz on the feature side.
 from __future__ import annotations
 
 import os
+import struct
 import warnings
 from dataclasses import dataclass
 from typing import Iterator
@@ -101,13 +102,13 @@ class WavFile:
     """A checked WAV file (PCM16, int32, 24-bit, float32 or float64, 1-8
     channels) whose samples are mapped from disk, not decoded.
 
-    ``raw`` is (n_samples, channels) in the file's own sample format; a
-    24-bit file cannot be mapped, nor can a data chunk cut short, so the
-    first is read into memory and the second refused.  ``wav[c]`` decodes
-    channel ``c`` to float64, and ``blocks`` decodes every channel
-    ``block`` samples at a time.  The mapping lasts as long as a reference
-    to ``raw`` or a view of it does; a file truncated under a live mapping
-    faults on the next read, so drop it before anything can rewrite the file.
+    ``raw`` is (n_samples, channels) in the file's own sample format, or for
+    a 24-bit file its (n_samples, channels, 3) bytes; a data chunk cut short
+    is refused.  ``wav[c]`` decodes channel ``c`` to float64, and ``blocks``
+    decodes every channel ``block`` samples at a time.  The mapping lasts as
+    long as a reference to ``raw`` or a view of it does; a file truncated
+    under a live mapping faults on the next read, so drop it before anything
+    can rewrite the file.
     """
 
     def __init__(self, path: str, block: int | None = None):
@@ -117,27 +118,28 @@ class WavFile:
             try:
                 rate, raw = wavfile.read(path, mmap=True)
             except ValueError:
-                # 24-bit PCM cannot be mapped, nor can a data chunk cut short;
-                # scipy reads both into memory, and the cut one must not pass
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("error", "Reached EOF prematurely",
-                                            wavfile.WavFileWarning)
-                    rate, raw = wavfile.read(path)
+                # scipy maps neither 3-byte samples nor a data chunk cut short
+                rate, raw = _map_pcm24(path)
+                if raw is None:  # scipy reads the cut chunk into memory; it must not pass
+                    with warnings.catch_warnings():
+                        warnings.filterwarnings("error", "Reached EOF prematurely",
+                                                wavfile.WavFileWarning)
+                        rate, raw = wavfile.read(path)
         except (ValueError, OSError, wavfile.WavFileWarning) as exc:
             raise AudioIOError(f"cannot read WAV file {path}: {exc}") from exc
         if raw.ndim == 1:
             raw = raw[:, np.newaxis]
         if raw.shape[1] > 8:
             raise AudioIOError(f"{path}: {raw.shape[1]} channels exceeds the 8-channel limit")
-        if raw.dtype not in _DECODING:
+        if raw.ndim == 2 and raw.dtype not in _DECODING:
             raise AudioIOError(f"{path}: unsupported sample format {raw.dtype}")
         _check_rate(rate)
         self.path, self.block, self.rate, self.raw = path, block, rate, raw
-        self.shape = self.num_channels, self.num_samples = raw.shape[::-1]  # decoded shape
+        self.shape = self.num_channels, self.num_samples = raw.shape[1::-1]  # decoded shape
 
     def __getitem__(self, channel: int) -> np.ndarray:
         """One channel decoded to float64."""
-        return _decode(self.raw[:, channel : channel + 1], np.float64)[0]
+        return _decode(_unpack(self.raw[:, channel : channel + 1]), np.float64)[0]
 
     def blocks(self) -> Iterator[np.ndarray]:
         """Each ``block`` samples (the last block may be shorter) decoded as
@@ -146,10 +148,59 @@ class WavFile:
         only when its block is reached."""
         raw = np.asarray(self.raw)  # no memmap object per block
         for start in range(0, raw.shape[0], self.block):
-            samples = _decode(raw[start : start + self.block])
+            samples = _decode(_unpack(raw[start : start + self.block]))
             if raw.dtype.kind == "f":
                 _refuse_non_finite(self.path, samples.T, start)
             yield samples
+
+
+# The subformat GUID of WAVE_FORMAT_EXTENSIBLE after its leading format tag.
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _map_pcm24(path: str) -> tuple[int | None, np.ndarray | None]:
+    """The rate and a read-only (n_samples, channels, 3) byte mapping of a
+    little-endian RIFF file's 3-byte PCM samples; (None, None) for any
+    other layout.  The chunks are walked as scipy walks them, each odd-sized
+    one followed by a pad byte.  A data chunk cut short raises ValueError."""
+    with open(path, "rb") as fh:
+        riff = fh.read(12)
+        if riff[:4] != b"RIFF" or riff[8:] != b"WAVE":
+            return None, None
+        layout = None
+        while len(head := fh.read(8)) == 8:
+            size = struct.unpack("<I", head[4:])[0]
+            if head[:4] == b"fmt ":
+                fmt = fh.read(size + size % 2)
+                if len(fmt) < 16:
+                    return None, None
+                tag, channels, rate, _, align, _ = struct.unpack("<HHIIHH", fmt[:16])
+                if tag == 0xFFFE and fmt[28:40] == _GUID_TAIL:  # WAVE_FORMAT_EXTENSIBLE
+                    tag = struct.unpack("<I", fmt[24:28])[0]
+                layout = (rate, channels) if tag == 1 and align == 3 * channels else None
+            elif head[:4] == b"data":
+                if layout is None or size % (3 * layout[1]):
+                    return None, None
+                offset, available = fh.tell(), os.fstat(fh.fileno()).st_size - fh.tell()
+                if size > available:
+                    raise ValueError(f"Reached EOF prematurely: the data chunk declares "
+                                     f"{size} bytes, {available} follow its header")
+                rate, channels = layout
+                return rate, np.memmap(fh, np.uint8, "r", offset,
+                                       (size // (3 * channels), channels, 3))
+            else:
+                fh.seek(size + size % 2, os.SEEK_CUR)
+    return None, None
+
+
+def _unpack(raw: np.ndarray) -> np.ndarray:
+    """File samples (n, channels) to decode: 24-bit ones, (n, channels, 3)
+    bytes, as the left-justified int32 that scipy reads them as."""
+    if raw.ndim == 2:
+        return raw
+    wide = np.zeros(raw.shape[:2] + (4,), np.uint8)
+    wide[..., 1:] = raw
+    return wide.view("<i4")[..., 0]
 
 
 def open_wav(path: str) -> WavFile:
@@ -169,7 +220,7 @@ def read_wav(path: str, block: int | None = None) -> AudioBuffer | WavFile:
     if block is not None:
         return WavFile(path, block)
     wav = open_wav(path)
-    return AudioBuffer(_decode(wav.raw), wav.rate)
+    return AudioBuffer(_decode(_unpack(wav.raw)), wav.rate)
 
 
 def write_wav(path: str, audio: AudioBuffer) -> None:

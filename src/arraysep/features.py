@@ -40,6 +40,12 @@ RELATIVE_FLOOR = 1e-5
 _LOG_FLOOR = 1e-30
 _DELTA_WEIGHTS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) / 10.0  # +-2 frame regression
 
+# Frames tapered and transformed together, so the windowed frames and their
+# complex spectra never exist for the whole utterance at once; each row's
+# rfft is the same whatever its batch.  The mel product stays one call over
+# all frames: BLAS rounds a small block's product differently.
+POWER_BLOCK_FRAMES = 64
+
 
 def mel_from_hz(freq_hz):
     return 2595.0 * np.log10(1.0 + np.asarray(freq_hz) / 700.0)
@@ -122,8 +128,14 @@ def extract_features(audio: AudioBuffer, fft_size: int = FEATURE_FFT_SIZE,
     frames = analysis_frames(audio.samples[0], fft_size, shift)
     if not len(frames):
         return np.zeros(0, FEATURE_RECORD).view(np.recarray)
-    power = np.abs(windowed_rfft(frames, sqrt_hann_window(fft_size))) ** 2
+    window = sqrt_hann_window(fft_size)
+    power = np.empty((len(frames), fft_size // 2 + 1))
+    for start in range(0, len(frames), POWER_BLOCK_FRAMES):
+        block = power[start : start + POWER_BLOCK_FRAMES]
+        np.abs(windowed_rfft(frames[start : start + POWER_BLOCK_FRAMES], window), out=block)
+        np.square(block, out=block)
     energies = mel_energies(power, mel_filterbank(fft_size, audio.rate))
+    del power
     floor = max(float(energies.max()) * RELATIVE_FLOOR, _LOG_FLOOR)
     log_mel = np.log(np.maximum(energies, floor))
 

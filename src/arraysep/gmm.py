@@ -36,10 +36,13 @@ class GmmModel:
         self.priors = np.asarray(self.priors, dtype=np.float64)
         self.means = np.asarray(self.means, dtype=np.float64)
         self.variances = np.asarray(self.variances, dtype=np.float64)
-        if abs(self.priors.sum() - 1.0) > 1e-9:
+        # each check is written to fail on NaN
+        if not abs(self.priors.sum() - 1.0) <= 1e-9:
             raise ValueError(f"mixture priors sum to {self.priors.sum()}, expected 1")
-        if np.any(self.variances <= 0):
-            raise ValueError("variances must be positive")
+        if not np.all(np.isfinite(self.means)):
+            raise ValueError("means must be finite")
+        if not np.all(np.isfinite(self.variances) & (self.variances > 0)):
+            raise ValueError("variances must be positive and finite")
 
     @property
     def num_components(self) -> int:
@@ -153,11 +156,12 @@ def train_gmm(dataset: LabeledFeatureSet, num_components: int,
 
     Training uses clean feature rows; masks matter only at scoring time.
     """
-    classes = sorted({str(label) for label in dataset.labels})
+    labels = dataset.labels.astype(str)
+    classes = np.unique(labels).tolist()
     seeds = np.random.SeedSequence(seed).spawn(len(classes))
     models = {}
     for class_seed, name in zip(seeds, classes):
-        rows = dataset.features[np.asarray([str(l) == name for l in dataset.labels])]
+        rows = dataset.features[labels == name]
         if rows.shape[0] < 10 * num_components:
             raise ValueError(
                 f"class {name!r} has {rows.shape[0]} frames, "
@@ -232,5 +236,8 @@ def load_models(path: str) -> dict[str, GmmModel]:
         priors = chunk[:m]
         means = chunk[m : m + m * d].reshape(m, d)
         variances = chunk[m + m * d :].reshape(m, d)
-        models[name] = GmmModel(priors.copy(), means.copy(), variances.copy())
+        try:
+            models[name] = GmmModel(priors.copy(), means.copy(), variances.copy())
+        except ValueError as exc:
+            raise AudioIOError(f"{path}: class {name}: {exc}") from exc
     return models

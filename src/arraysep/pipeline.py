@@ -272,33 +272,7 @@ def _emit(config: PipelineConfig, output: StreamOutput, ids: list[str],
         return result
 
     for m, source_id in enumerate(ids):
-        prefix = os.path.join(config.output_dir, f"{source_id}_")
-        mono = AudioBuffer(separated.samples[m], separated.rate)
-        write_wav(staging(prefix + "48k.wav"), mono)
-        mono16 = resample_48k_to_16k(mono)
-        write_wav(staging(prefix + "16k.wav"), mono16)
-        result.separated_48k[source_id] = prefix + "48k.wav"
-        result.separated_16k[source_id] = prefix + "16k.wav"
-        if not config.stages.features:
-            continue
-
-        features = extract_features(mono16, fft_size=config.feature_fft_size,
-                                    shift=config.feature_shift)
-        write_features_csv(staging(prefix + "features.csv"), features)
-        write_features_binary(staging(prefix + "features.bin"), features)
-        result.feature_files[source_id] = {"csv": prefix + "features.csv",
-                                           "binary": prefix + "features.bin"}
-        if output.bands is None:
-            continue
-
-        mask = align_to_feature_frames(
-            masks_from_records(output.bands, m, config.mask_threshold), len(features),
-            feature_shift=config.feature_shift, feature_size=config.feature_fft_size,
-            mask_shift=config.shift, mask_size=config.fft_size,
-        )
-        write_mask_csv(staging(prefix + "mask.csv"), mask)
-        write_mask_binary(staging(prefix + "mask.bin"), mask)
-        result.mask_files[source_id] = {"csv": prefix + "mask.csv", "binary": prefix + "mask.bin"}
+        _emit_source(config, output, m, source_id, staging, result)
 
     if config.reference_wavs:
         rows = _quality_rows(config, separated, ids)
@@ -307,6 +281,40 @@ def _emit(config: PipelineConfig, output: StreamOutput, ids: list[str],
         QualityReport({stage: rows}).to_csv(staging(result.report_csv))
 
     return result
+
+
+def _emit_source(config: PipelineConfig, output: StreamOutput, m: int, source_id: str,
+                 staging: _Staging, result: PipelineResult) -> None:
+    """Write source ``m``'s audio, features and mask under their staged
+    names and enter them in ``result``.  Its 16 kHz copy, features and mask
+    are released on return, before the next source or the quality report."""
+    prefix = os.path.join(config.output_dir, f"{source_id}_")
+    mono = AudioBuffer(output.separated.samples[m], output.separated.rate)
+    write_wav(staging(prefix + "48k.wav"), mono)
+    mono16 = resample_48k_to_16k(mono)
+    write_wav(staging(prefix + "16k.wav"), mono16)
+    result.separated_48k[source_id] = prefix + "48k.wav"
+    result.separated_16k[source_id] = prefix + "16k.wav"
+    if not config.stages.features:
+        return
+
+    features = extract_features(mono16, fft_size=config.feature_fft_size,
+                                shift=config.feature_shift)
+    write_features_csv(staging(prefix + "features.csv"), features)
+    write_features_binary(staging(prefix + "features.bin"), features)
+    result.feature_files[source_id] = {"csv": prefix + "features.csv",
+                                       "binary": prefix + "features.bin"}
+    if output.bands is None:
+        return
+
+    mask = align_to_feature_frames(
+        masks_from_records(output.bands, m, config.mask_threshold), len(features),
+        feature_shift=config.feature_shift, feature_size=config.feature_fft_size,
+        mask_shift=config.shift, mask_size=config.fft_size,
+    )
+    write_mask_csv(staging(prefix + "mask.csv"), mask)
+    write_mask_binary(staging(prefix + "mask.bin"), mask)
+    result.mask_files[source_id] = {"csv": prefix + "mask.csv", "binary": prefix + "mask.bin"}
 
 
 @dataclass

@@ -30,12 +30,16 @@ def separate_scene(render, spec, adapt=True, postfilter=True, **overrides):
     return output.separated, output
 
 
-def write_pcm24(path, data, extra_chunk=b""):
+def write_pcm24(path, data, extra_chunk=b"", extensible=False):
     """Write integer samples (n, channels) as a 48 kHz 24-bit PCM WAV file,
-    with ``extra_chunk`` between the fmt and data chunks; returns the path."""
+    with ``extra_chunk`` between the fmt and data chunks and, if
+    ``extensible``, a WAVE_FORMAT_EXTENSIBLE fmt chunk; returns the path."""
     channels = data.shape[1]
     data = np.ascontiguousarray(data, dtype="<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
-    fmt = struct.pack("<HHIIHH", 1, channels, 48000, 48000 * 3 * channels, 3 * channels, 24)
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else 1, channels, 48000,
+                      48000 * 3 * channels, 3 * channels, 24)
+    if extensible:  # cbSize, valid bits, channel mask, the PCM subformat GUID
+        fmt += struct.pack("<HHIH", 22, 24, 0, 1) + bytes.fromhex("000000001000800000aa00389b71")
     body = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + extra_chunk
             + b"data" + struct.pack("<I", len(data)) + data)
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)

@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,59 @@ class TestWavRoundTrip:
             samples = read_wav(path).samples
         np.testing.assert_array_equal(samples, self.PCM24.T / 2.0 ** 23)
 
+    @pytest.mark.parametrize("extra_chunk, extensible", [
+        (b"", False), (b"", True),
+        (b"abcd" + struct.pack("<I", 2) + b"\0\0", False),  # unknown, even-sized
+        (b"LIST" + struct.pack("<I", 5) + b"INFO\1\0", False),  # odd-sized, pad byte
+        (b"JUNK" + struct.pack("<I", 3) + b"xyz\0" + b"fact" + struct.pack("<I", 4) + b"\0" * 4,
+         True)], ids=["plain", "extensible", "unknown-chunk", "odd-chunk", "junk-and-fact"])
+    def test_pcm24_is_mapped_and_decodes_as_the_in_memory_read(self, tmp_path, extra_chunk,
+                                                                extensible):
+        data = np.random.default_rng(7).integers(-2 ** 23, 2 ** 23, (5003, 3))
+        data[:2] = [[-2 ** 23] * 3, [2 ** 23 - 1] * 3]
+        path = write_pcm24(tmp_path / "x.wav", data, extra_chunk, extensible)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", wavfile.WavFileWarning)  # the unknown chunk
+            oracle = wavfile.read(path)[1].T.astype(np.float64) / 2.0 ** 31  # in memory
+            wav = open_wav(path)
+            whole = read_wav(path).samples
+            blocks = np.concatenate(list(read_wav(path, 1000).blocks()), axis=1)
+        assert isinstance(wav.raw, np.memmap) and wav.shape == (3, 5003)
+        assert np.array_equal(oracle, data.T / 2.0 ** 23)
+        assert whole.dtype == blocks.dtype == np.float64
+        assert whole.tobytes() == blocks.tobytes() == oracle.tobytes()
+        for c in range(3):
+            assert wav[c].tobytes() == oracle[c].tobytes()
+
+    def test_cut_pcm24_data_chunk_rejected(self, tmp_path):
+        path = write_pcm24(tmp_path / "x.wav", np.zeros((1000, 8), dtype=np.int64))
+        whole = (tmp_path / "x.wav").read_bytes()
+        (tmp_path / "x.wav").write_bytes(whole[:-3 * 8 * 10])
+        with pytest.raises(AudioIOError, match="prematurely"):
+            open_wav(path)
+
+    def test_pcm24_peak_grows_with_duration_no_faster_than_pcm16(self, tmp_path):
+        # a whole 8-channel 24-bit read holds 8 x 4 B x 48 kHz = 1.5 MB of
+        # int32 per audio second; mapped, neither format holds any
+        def peak(kind, seconds):
+            data = np.random.default_rng(seconds).integers(-2 ** 15, 2 ** 15, (seconds * 48000, 8))
+            path = tmp_path / f"{kind}{seconds}.wav"
+            if kind == "pcm24":
+                write_pcm24(path, data << 8)
+            else:
+                wavfile.write(str(path), 48000, data.astype(np.int16))
+            del data
+            tracemalloc.start()
+            try:
+                for _ in read_wav(str(path), 4096).blocks():
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        growth = {kind: peak(kind, 4) - peak(kind, 1) for kind in ("pcm16", "pcm24")}
+        assert growth["pcm24"] <= growth["pcm16"] + 64 * 1024, growth
+
     def test_cut_data_chunk_rejected(self, tmp_path):
         # the mapped read refuses a data chunk shorter than its header says;
         # the in-memory read would return only the frames that are there
@@ -191,8 +245,8 @@ class TestWavRoundTrip:
             assert [b.shape[1] for b in blocks[:-1]] == [block] * (len(blocks) - 1)
             joined = np.concatenate(blocks, axis=1)
             assert joined.dtype == whole.dtype and joined.tobytes() == whole.tobytes()
-            # a 24-bit file cannot be mapped: it is read into memory once, not once a block
-            assert reads == ([{"mmap": True}, {}] if kind == "pcm24" else [{"mmap": True}])
+            # scipy maps the file or refuses to; it never reads it into memory
+            assert reads == [{"mmap": True}]
 
     @pytest.mark.parametrize("last", [False, True])
     def test_block_form_refuses_a_non_finite_sample_in_its_block(self, tmp_path, last):

@@ -3,6 +3,7 @@
 import io
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from scipy import fft as sfft
 
 from arraysep.audio import AudioBuffer
 from arraysep.errors import ConfigError
-from arraysep.features import (FEATURE_RECORD, delta_features, extract_features,
-                               mel_energies, mel_filterbank, mel_from_hz,
+from arraysep.features import (FEATURE_RECORD, POWER_BLOCK_FRAMES, delta_features,
+                               extract_features, mel_energies, mel_filterbank, mel_from_hz,
                                read_features_binary, write_features_binary,
                                write_features_csv, zero_lifter)
 from arraysep.formats import _encode_fixed, write_csv
@@ -170,6 +171,46 @@ class TestPipeline:
         assert np.array_equal(np.stack([f.static for f in got]), static)
         assert np.array_equal(np.stack([f.delta for f in got]), deltas)
         assert [f.has_delta for f in got] == list(valid)
+
+    @pytest.mark.parametrize("frames", [1, 5, POWER_BLOCK_FRAMES - 1, POWER_BLOCK_FRAMES,
+                                        POWER_BLOCK_FRAMES + 1, 3 * POWER_BLOCK_FRAMES + 17])
+    def test_blocked_power_matches_the_whole_array_formula(self, frames):
+        # reference: the windowed frames, their spectra and power spectra
+        # of the whole utterance at once, then the rest of the pipeline
+        utterance = noise_utterance(frames, seconds=(400 + (frames - 1) * 160 + 77) / 16000)
+        window = np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(400) / 400))
+        whole = np.lib.stride_tricks.sliding_window_view(utterance.samples[0], 400)[::160]
+        power = np.abs(np.fft.rfft(whole * window, axis=-1)) ** 2
+        energies = power @ mel_filterbank().T
+        log_mel = np.log(np.maximum(energies, max(float(energies.max()) * 1e-5, 1e-30)))
+        cepstra = zero_lifter(sfft.dct(log_mel, type=2, norm="ortho", axis=1))
+        cepstra = cepstra - cepstra.mean(axis=0, keepdims=True)
+        static = sfft.idct(cepstra, type=2, norm="ortho", axis=1)
+        deltas, valid = delta_features(static)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # fewer than 5 frames
+            got = extract_features(utterance)
+        assert len(got) == frames == len(whole)
+        assert got.static.tobytes() == static.tobytes()
+        assert got.delta.tobytes() == deltas.tobytes()
+        assert np.array_equal(got.has_delta, valid)
+
+    def test_memory_beyond_the_output_grows_by_at_most_3_kb_per_frame(self):
+        # the whole (T, 201) power array is 1.6 KB per frame; a (T, 400)
+        # windowed copy and (T, 201) complex spectra besides it were 6 KB
+        def held_beyond_output(seconds):
+            utterance = noise_utterance(seconds, seconds=seconds)
+            tracemalloc.start()
+            try:
+                features = extract_features(utterance)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - features.nbytes, len(features)
+
+        held_beyond_output(1)  # lazy imports and caches
+        (short, short_frames), (long, long_frames) = held_beyond_output(10), held_beyond_output(60)
+        assert (long - short) / (long_frames - short_frames) <= 3 * 1024
 
     @pytest.mark.parametrize("fft_size, shift", [(401, 160), (400, 0), (400, -160), (400, 401)])
     def test_bad_framing_rejected(self, fft_size, shift):

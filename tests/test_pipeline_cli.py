@@ -9,6 +9,7 @@ import os
 import shutil
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -168,6 +169,39 @@ class TestRunPipeline:
         assert rows == expected and len(rows) == len(ids)
         assert peak < 1.25 * render.noise.shape[1] * 8, peak
 
+    def test_each_source_is_released_before_the_next_and_the_quality_report(
+            self, short_scene, scene_dir, tmp_path, monkeypatch):
+        # a source's 16 kHz copy, features and mask are dropped before the
+        # next source's extraction starts and before the references are decoded
+        spec, _ = short_scene
+        config = write_config(tmp_path / "c.yaml", spec, scene_dir, tmp_path / "out")
+        held = []  # weak references to every source's 16 kHz copy, features and mask
+        extract, align, quality = (pipeline.extract_features, pipeline.align_to_feature_frames,
+                                   pipeline.measure_quality)
+
+        def released():
+            return all(ref() is None for ref in held)
+
+        def extracting(mono16, **kwargs):
+            assert released()
+            features = extract(mono16, **kwargs)
+            held.extend([weakref.ref(mono16), weakref.ref(features)])
+            return features
+
+        def aligning(*args, **kwargs):
+            mask = align(*args, **kwargs)
+            held.append(weakref.ref(mask))
+            return mask
+
+        def measuring(*args, **kwargs):
+            assert len(held) == 3 * len(spec.sources) and released()
+            return quality(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "extract_features", extracting)
+        monkeypatch.setattr(pipeline, "align_to_feature_frames", aligning)
+        monkeypatch.setattr(pipeline, "measure_quality", measuring)
+        assert run_pipeline(config).report_csv is not None
+
     def test_each_input_is_scanned_for_non_finite_samples_once(self, short_scene, scene_dir,
                                                                 tmp_path, monkeypatch):
         # open_wav rules out NaN and inf in the references and the noise with
@@ -221,8 +255,8 @@ class TestRunPipeline:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(wavfile, "read", counted)
                 run_pipeline(config)
-            # mapped once; a 24-bit file cannot be, and is read once, not once a block
-            assert reads == [True] + [False] * (dtype == "pcm24")
+            # mapped once, a 24-bit file too: scipy's mapping read is tried, never a whole read
+            assert reads == [True]
             trees.append(tree(config.output_dir))
             shutil.rmtree(config.output_dir)
         assert len(trees[0]) == 3 + 7 * len(spec.sources)
