@@ -39,6 +39,8 @@ class GmmModel:
         # each check is written to fail on NaN
         if not abs(self.priors.sum() - 1.0) <= 1e-9:
             raise ValueError(f"mixture priors sum to {self.priors.sum()}, expected 1")
+        if not np.all(self.priors >= 0):
+            raise ValueError("mixture priors must be nonnegative")
         if not np.all(np.isfinite(self.means)):
             raise ValueError("means must be finite")
         if not np.all(np.isfinite(self.variances) & (self.variances > 0)):

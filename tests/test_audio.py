@@ -118,7 +118,7 @@ class TestWavRoundTrip:
         return write_pcm24(path, data, extra_chunk)
 
     def test_pcm24_read_without_mapping(self, tmp_path):
-        # 24-bit samples have no numpy dtype to map; they are unpacked to int32
+        # 24-bit samples have no numpy dtype: their bytes are mapped and unpacked to int32
         path = self.write_pcm24(tmp_path / "x.wav")
         np.testing.assert_array_equal(read_wav(path).samples, self.PCM24.T / 2.0 ** 23)
 

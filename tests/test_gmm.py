@@ -260,18 +260,20 @@ class TestModelFiles:
 
 
     # toy_model's block: priors at 0-1, means at 2-5, variances at 6-9
-    @pytest.mark.parametrize("index, value, message", [
-        (9, -1.0, "variances must be positive"), (0, 0.7, "mixture priors sum to"),
-        (1, np.nan, "mixture priors sum to"), (3, np.nan, "means must be finite"),
-        (6, np.nan, "variances must be positive"), (8, np.inf, "variances must be positive"),
-    ], ids=["negative-variance", "priors-sum", "nan-prior", "nan-mean", "nan-variance",
-            "inf-variance"])
-    def test_corrupt_parameter_block_rejected(self, tmp_path, index, value, message):
+    @pytest.mark.parametrize("changes, message", [
+        ({9: -1.0}, "variances must be positive"), ({0: 0.7}, "mixture priors sum to"),
+        ({0: -0.6, 1: 1.6}, "mixture priors must be nonnegative"),
+        ({1: np.nan}, "mixture priors sum to"), ({3: np.nan}, "means must be finite"),
+        ({6: np.nan}, "variances must be positive"), ({8: np.inf}, "variances must be positive"),
+    ], ids=["negative-variance", "priors-sum", "negative-prior", "nan-prior", "nan-mean",
+            "nan-variance", "inf-variance"])
+    def test_corrupt_parameter_block_rejected(self, tmp_path, changes, message):
         path = tmp_path / "m.gmm"
         save_models(str(path), {"a": toy_model(), "b": toy_model()})
         data = bytearray(path.read_bytes())
-        offset = len(data) - 8 * 10 + 8 * index  # in the last class, "b"
-        data[offset : offset + 8] = struct.pack("<d", value)
+        for index, value in changes.items():  # in the last class, "b"
+            offset = len(data) - 8 * 10 + 8 * index
+            data[offset : offset + 8] = struct.pack("<d", value)
         path.write_bytes(bytes(data))
         with pytest.raises(AudioIOError, match=f"^{re.escape(str(path))}: class b: {message}"):
             load_models(str(path))
