@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import struct
-import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -105,10 +104,10 @@ class WavFile:
     ``raw`` is (n_samples, channels) in the file's own sample format, or for
     a 24-bit file its (n_samples, channels, 3) bytes; a data chunk cut short
     is refused.  ``wav[c]`` decodes channel ``c`` to float64, and ``blocks``
-    decodes every channel ``block`` samples at a time.  The mapping lasts as
-    long as a reference to ``raw`` or a view of it does; a file truncated
-    under a live mapping faults on the next read, so drop it before anything
-    can rewrite the file.
+    decodes every channel ``block`` samples at a time, or all at once if
+    ``block`` is None.  The mapping lasts as long as a reference to ``raw``
+    or a view of it does; a file truncated under a live mapping faults on
+    the next read, so drop it before anything can rewrite the file.
     """
 
     def __init__(self, path: str, block: int | None = None):
@@ -120,12 +119,9 @@ class WavFile:
             except ValueError:
                 # scipy maps neither 3-byte samples nor a data chunk cut short
                 rate, raw = _map_pcm24(path)
-                if raw is None:  # scipy reads the cut chunk into memory; it must not pass
-                    with warnings.catch_warnings():
-                        warnings.filterwarnings("error", "Reached EOF prematurely",
-                                                wavfile.WavFileWarning)
-                        rate, raw = wavfile.read(path)
-        except (ValueError, OSError, wavfile.WavFileWarning) as exc:
+                if raw is None:
+                    raise
+        except (ValueError, OSError) as exc:
             raise AudioIOError(f"cannot read WAV file {path}: {exc}") from exc
         if raw.ndim == 1:
             raw = raw[:, np.newaxis]
@@ -142,13 +138,15 @@ class WavFile:
         return _decode(_unpack(self.raw[:, channel : channel + 1]), np.float64)[0]
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """Each ``block`` samples (the last block may be shorter) decoded as
-        ``read_wav`` decodes the whole file, (channels, n); each block is
+        """Each ``block`` samples (the last block may be shorter), or without
+        a block size the whole file as one block, decoded as ``read_wav``
+        decodes the whole file, (channels, n); each block is
         scanned for NaN and inf as it is decoded, so a bad sample raises
         only when its block is reached."""
         raw = np.asarray(self.raw)  # no memmap object per block
-        for start in range(0, raw.shape[0], self.block):
-            samples = _decode(_unpack(raw[start : start + self.block]))
+        block = self.block or max(len(raw), 1)
+        for start in range(0, len(raw), block):
+            samples = _decode(_unpack(raw[start : start + block]))
             if raw.dtype.kind == "f":
                 _refuse_non_finite(self.path, samples.T, start)
             yield samples
@@ -162,7 +160,8 @@ def _map_pcm24(path: str) -> tuple[int | None, np.ndarray | None]:
     """The rate and a read-only (n_samples, channels, 3) byte mapping of a
     little-endian RIFF file's 3-byte PCM samples; (None, None) for any
     other layout.  The chunks are walked as scipy walks them, each odd-sized
-    one followed by a pad byte.  A data chunk cut short raises ValueError."""
+    one followed by a pad byte.  A data chunk cut short raises ValueError,
+    whatever its sample format, without reading it."""
     with open(path, "rb") as fh:
         riff = fh.read(12)
         if riff[:4] != b"RIFF" or riff[8:] != b"WAVE":
@@ -179,12 +178,12 @@ def _map_pcm24(path: str) -> tuple[int | None, np.ndarray | None]:
                     tag = struct.unpack("<I", fmt[24:28])[0]
                 layout = (rate, channels) if tag == 1 and align == 3 * channels else None
             elif head[:4] == b"data":
-                if layout is None or size % (3 * layout[1]):
-                    return None, None
                 offset, available = fh.tell(), os.fstat(fh.fileno()).st_size - fh.tell()
                 if size > available:
                     raise ValueError(f"Reached EOF prematurely: the data chunk declares "
                                      f"{size} bytes, {available} follow its header")
+                if layout is None or size % (3 * layout[1]):
+                    return None, None
                 rate, channels = layout
                 return rate, np.memmap(fh, np.uint8, "r", offset,
                                        (size // (3 * channels), channels, 3))

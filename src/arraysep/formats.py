@@ -66,26 +66,36 @@ def _encode_fixed(values: np.ndarray, places: int) -> tuple[np.ndarray, np.ndarr
     is off by one only within a relative 1e-13 of a power of ten, where y
     rounds to 10^places or 10^(places+1) and both print as that power.
     """
-    magnitude = np.fmin(np.abs(values), np.finfo(float).max)  # nan, inf: flagged below
-    nonzero = magnitude + (magnitude == 0)  # zero prints with exponent +00
-    exponent = np.floor(np.log10(nonzero)).astype(np.intp)
+    # temporaries are overwritten in place or dropped once used: the
+    # post-filter dump encodes every frame with this inside the stage loop
+    scaled = np.abs(values)
+    np.fmin(scaled, np.finfo(float).max, out=scaled)  # nan, inf: flagged below
+    exponent = scaled + (scaled == 0)  # zero prints with exponent +00
+    np.log10(exponent, out=exponent)
+    exponent = np.floor(exponent, out=exponent).astype(np.intp)
     shift = places - exponent
-    scaled = magnitude * _POW10[shift + _SPAN]
+    scaled *= _POW10[shift + _SPAN]
     mantissa = np.rint(scaled)
-    fallback = np.abs(np.abs(scaled - mantissa) - 0.5) <= 10.0 ** (places + 1) * 1e-15
-    fallback |= np.abs(shift) > 300
+    scaled -= mantissa
+    np.abs(scaled, out=scaled)
+    scaled -= 0.5
+    fallback = np.abs(scaled, out=scaled) <= 10.0 ** (places + 1) * 1e-15
+    del scaled
+    fallback |= np.abs(shift, out=shift) > 300
+    del shift
     fallback |= ~np.isfinite(values)
     exponent += mantissa >= 10.0 ** (places + 1)
 
     digits = mantissa.astype(np.int64)
+    del mantissa
     cells = np.empty((len(values), places // 3 + 3), "<u4")
     for j in range(places // 3, 0, -1):
-        upper = digits // 1000
-        cells[:, j] = _GROUPS[digits - 1000 * upper]
-        digits = upper
+        digits, group = np.divmod(digits, 1000)
+        cells[:, j] = _GROUPS[group]
     digits += 11 * np.signbit(values)
     cells[:, 0] = _LEADS.take(digits, mode="clip")  # flagged cells may hold any lead
-    cells[:, -2:] = _EXPONENTS[exponent + _SPAN].view("<u4").reshape(-1, 2)
+    exponent += _SPAN
+    cells[:, -2:] = _EXPONENTS[exponent].view("<u4").reshape(-1, 2)
     return cells.view(np.uint8), fallback
 
 
@@ -162,9 +172,10 @@ class PostfilterDump:
         self.staging = staging
         self.files = []
 
-    def __call__(self, frame_index: int, internals: np.ndarray) -> None:
-        """Append every source's rows of one frame's (5, M, n_bins) internals."""
-        num_sources, num_bins = internals.shape[1:]
+    def __call__(self, frame_index: int, internals) -> None:
+        """Append every source's rows of one frame's internals, five (M, n_bins)
+        arrays (noise_stat, noise_leak, snr_prior, presence, gain)."""
+        num_sources, num_bins = internals[0].shape
         if not self.files:
             for path in self.paths:
                 self.files.append(open(self.staging(path), "xb"))
@@ -172,11 +183,14 @@ class PostfilterDump:
             self.bins = _encode_cells(np.arange(num_bins)[:, np.newaxis], "%d")[0]
         frame = np.frombuffer(b"%d," % frame_index, np.uint8)  # printf, once per frame
         frame = np.broadcast_to(frame, (num_bins, len(frame)))
-        values, bad = _encode_cells(internals.transpose(1, 2, 0).reshape(-1, 5), "%.6e")
+        table = np.empty((num_sources, num_bins, 5))
+        for i, part in enumerate(internals):
+            table[:, :, i] = part
+        values, bad = _encode_cells(table.reshape(-1, 5), "%.6e")
         values, bad = values.reshape(num_sources, num_bins, -1), bad.reshape(num_sources, -1)
         for m, fh in enumerate(self.files):
             fh.write(_join_rows((frame, self.bins, values[m]), bad[m],
-                                lambda k: (frame_index, k, *internals[:, m, k]),
+                                lambda k: (frame_index, k, *table[m, k]),
                                 ["%d", "%d"] + ["%.6e"] * 5))
 
     def close(self) -> None:

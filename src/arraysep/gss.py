@@ -128,7 +128,8 @@ def _gradients(state: SeparationState, x: np.ndarray,
     grad_dec, grad_geo = np.empty((2,) + state.demix.shape, dtype=np.complex128)
     power = y.real ** 2 + y.imag ** 2
     ey = y * (np.sum(power, axis=1, keepdims=True) - power)
-    np.multiply(4.0 * ey[:, :, np.newaxis], x.T.conj()[:, np.newaxis, :], out=grad_dec)
+    grad_dec[...] = (4.0 * ey)[:, :, np.newaxis]  # then times x^H in place: no ufunc buffers
+    grad_dec *= x.T.conj()[:, np.newaxis, :]
     a_op, a_h_op = state._steering_operators
     residual = np.matmul(state.demix.view(np.float64), a_op)
     m = residual.shape[1]
@@ -159,12 +160,12 @@ def adapt(state: SeparationState, frame: SpectralFrame,
     if y.shape != state.demix.shape[:2]:
         raise StreamError(f"frame {frame.frame_index}: separated frame is {separated.bins.shape}, "
                           f"demix expects {(state.num_sources, state.demix.shape[0])}")
-    grad_dec, grad_geo = _gradients(state, x, y)
-
     # |x|^2 summed along a contiguous microphone axis: the memory layout sets
-    # the order of the sum, so it is fixed here, as that of WAV-decoded frames
+    # the order of the sum, so it is fixed here, as that of WAV-decoded frames;
+    # its scratch is freed before the gradients are allocated
     xpow = np.sum(np.abs(np.ascontiguousarray(x.T)) ** 2, axis=1)  # (n_bins,)
     scale = np.power(xpow, -2.0, out=np.zeros_like(xpow), where=xpow >= POWER_FLOOR)
+    grad_dec, grad_geo = _gradients(state, x, y)
 
     # demix -= step_size * (scale * grad_dec + grad_geo), on the float64 views
     step = grad_dec.view(np.float64)

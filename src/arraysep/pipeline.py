@@ -77,8 +77,8 @@ def run_stages(mixture: AudioBuffer | WavFile, config: PipelineConfig,
         first = frames[0].frame_index
         output.bands[first : first + len(frames)] = bands
         if dump is not None and internals is not None:
-            for frame, frame_internals in zip(frames, internals):
-                dump(frame.frame_index, frame_internals)
+            for t, frame in enumerate(frames):
+                dump(frame.frame_index, [part[t] for part in internals])
         return frames
 
     def stages(frames):

@@ -335,12 +335,14 @@ class PostFilter:
         self._snr_post, self._scratch = np.zeros((2, num_sources, num_bins))
         # queued frames: (frame_index, fft_size, rate), then per frame the
         # input bins; input power, output power and stationary noise, banded
-        # together; and the leakage, prior SNR, upsilon and gain of process
+        # together; the prior SNR, upsilon and gain of process; and, for the
+        # dump only, the leakage
         self.queued = []
         shape = (BLOCK_FRAMES, num_sources, num_bins)
         self._bins = np.zeros(shape, dtype=np.complex128)
         self._band_input = np.zeros((3,) + shape)
-        self._leakage, self._snr_prior, self._upsilon, self._gain = np.zeros((4,) + shape)
+        self._snr_prior, self._upsilon, self._gain = np.zeros((3,) + shape)
+        self._leakage = np.zeros(shape) if self.config.dump_diagnostics else None
 
     def process(self, frame: SpectralFrame) -> None:
         """Advance the recursions by one frame and queue it for ``flush``."""
@@ -382,16 +384,17 @@ class PostFilter:
         self.gains.prev_gain = gain_h1
         self.gains.prev_snr_post, self._snr_post = snr_post, self.gains.prev_snr_post
         self._band_input[2, k] = self.noise.stationary
-        if cfg.dump_diagnostics:
+        if self._leakage is not None:
             self._leakage[k] = self.noise.leakage
         self.queued.append((frame.frame_index, frame.fft_size, frame.rate))
 
-    def flush(self) -> tuple[list[SpectralFrame], np.ndarray, np.ndarray | None]:
+    def flush(self) -> tuple[list[SpectralFrame], np.ndarray, tuple[np.ndarray, ...] | None]:
         """Filter every queued frame and empty the queue.  Returns the
         filtered frames; their input, output and stationary-noise power over
         the mask bands, (k, 3, M, 24); and, with ``dump_diagnostics`` only,
         their per-bin noise_stat, noise_leak, snr_prior, presence and gain,
-        (k, 5, M, n_bins), else None."""
+        five (k, M, n_bins) arrays that stay valid until the next
+        ``process``, else None."""
         cfg = self.config
         k = len(self.queued)
         snr_prior, gain = self._snr_prior[:k], self._gain[:k]
@@ -412,9 +415,8 @@ class PostFilter:
         np.square(out_power, out=out_power)
         bands = mel_energies(band_input, self._bank).transpose(1, 0, 2, 3)
         internals = None
-        if cfg.dump_diagnostics:
-            internals = np.stack((band_input[2], self._leakage[:k], snr_prior, presence, gain),
-                                 axis=1)
+        if self._leakage is not None:
+            internals = band_input[2], self._leakage[:k], snr_prior, presence, gain
         frames = [SpectralFrame(bins, index, fft_size, rate)
                   for bins, (index, fft_size, rate) in zip(out_bins, self.queued)]
         self.queued = []

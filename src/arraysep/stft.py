@@ -139,7 +139,7 @@ def stft_synthesize(frames: Iterable[SpectralFrame], shift: int, num_frames: int
     fully overlapped interior (of the window's periodic sum if there is
     none), so the edges fade instead of being amplified.
     """
-    out, block = None, []
+    out, block, t = None, [], 0
 
     def overlap_add(first):  # the frames from ``first`` on, inverted in one irfft
         segments = np.fft.irfft(np.stack(block), n=fft_size, axis=-1)
@@ -148,7 +148,7 @@ def stft_synthesize(frames: Iterable[SpectralFrame], shift: int, num_frames: int
             out[:, t * shift : t * shift + fft_size] += segment
         block.clear()
 
-    for t, frame in enumerate(frames):
+    for frame in frames:  # not enumerate: its cached tuple would keep the last frame alive
         if t >= num_frames:
             raise StreamError(f"frame stream runs past the expected {num_frames} frames")
         if out is None:
@@ -163,14 +163,16 @@ def stft_synthesize(frames: Iterable[SpectralFrame], shift: int, num_frames: int
             raise StreamError(f"frame index {frame.frame_index} not increasing")
         last_index = frame.frame_index
         block.append(frame.bins)
+        del frame  # a view of its block: let the block go before the next one is made
+        t += 1
         if len(block) == BLOCK_FRAMES:
-            overlap_add(t + 1 - BLOCK_FRAMES)
+            overlap_add(t - BLOCK_FRAMES)
     if out is None:
         raise StreamError("cannot synthesize from an empty frame stream")
-    if t + 1 != num_frames:
-        raise StreamError(f"frame stream ended after {t + 1} of {num_frames} frames")
+    if t != num_frames:
+        raise StreamError(f"frame stream ended after {t} of {num_frames} frames")
     if block:
-        overlap_add(t + 1 - len(block))
+        overlap_add(t - len(block))
 
     # The window sum at a sample depends only on which frames cover it, so a
     # stand-in run of ceil(fft_size / shift) frames, summed in the same

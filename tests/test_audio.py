@@ -191,6 +191,24 @@ class TestWavRoundTrip:
         with pytest.raises(AudioIOError, match="prematurely"):
             open_wav(str(path))
 
+    def test_cut_file_is_refused_without_being_read(self, tmp_path):
+        # 10 s of 8-channel float32 is 15.4 MB; the chunk walk refuses it
+        # from the header sizes, for the mapped and the block form alike
+        path = tmp_path / "x.wav"
+        wavfile.write(str(path), 48000, np.zeros((480000, 8), dtype=np.float32))
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) - 100 * 8 * 4])
+        del whole
+        for read in (open_wav, lambda p: read_wav(p, 4096)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(AudioIOError, match="prematurely"):
+                    read(str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6, peak
+
     def test_unsupported_rate_rejected(self, tmp_path):
         path = str(tmp_path / "x.wav")
         wavfile.write(path, 44100, np.zeros(10, dtype=np.float32))

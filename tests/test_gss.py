@@ -1,5 +1,7 @@
 """Separation math: initialization, costs, gradients, adaptation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,22 @@ class TestGradients:
             assert np.abs(pair.decorrelation[0] - fd_dec).max() / scale_dec < 1e-4
             assert np.abs(pair.geometric[0] - fd_geo).max() / scale_geo < 1e-4
 
+    @pytest.mark.parametrize("num_sources", [1, 2, 3, 5])
+    def test_decorrelation_gradient_is_the_broadcast_product_bit_for_bit(self, num_sources):
+        # oracle: 4 E y times x^H as one broadcast ufunc call, on inputs whose
+        # magnitudes span 1e-8 to 1e8; one source has E y = 0, so the signs
+        # of zero products count too
+        rng = np.random.default_rng(30 + num_sources)
+        state = random_state(rng, 8, num_sources, num_bins=65)
+        x = ((rng.standard_normal((8, 65)) + 1j * rng.standard_normal((8, 65)))
+             * 10.0 ** rng.uniform(-8.0, 8.0, (8, 65)))
+        frame = frame_for(state, x)
+        y = gss.separate(state, frame).bins.T
+        power = y.real ** 2 + y.imag ** 2
+        ey = y * (np.sum(power, axis=1, keepdims=True) - power)
+        expected = np.multiply(4.0 * ey[:, :, np.newaxis], x.T.conj()[:, np.newaxis, :])
+        assert gss.gradients(state, frame).decorrelation.tobytes() == expected.tobytes()
+
 
 class TestAdapt:
     def test_zero_step_size_no_change(self):
@@ -283,6 +301,27 @@ class TestAdapt:
                 frame = SpectralFrame(np.asarray(x, order=layout), t, 1024, 48000)
                 gss.adapt(state, frame, gss.separate(state, frame))
             assert np.array_equal(states["C"].demix, states["F"].demix), t
+
+    def test_scratch_beyond_the_gradients_stays_small(self):
+        # M = 3, N = 8, K = 513: the two gradients take 2 x 197 KB; a
+        # broadcast outer product and the input power's temporaries beside
+        # them had adapt peak 0.79 MB above its entry
+        rng = np.random.default_rng(24)
+        geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (8, 3)), 48000)
+        sm = steering_matrix(geom, [direction_vector(a) for a in (0.5, -0.6, 1.4)], 1024)
+        state = gss.init_delay_and_sum(sm)
+        x = rng.standard_normal((8, 513)) + 1j * rng.standard_normal((8, 513))
+        frame = SpectralFrame(x, 0, 1024, 48000)
+        gss.adapt(state, frame, gss.separate(state, frame))  # builds the steering operators
+        separated = gss.separate(state, frame)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            gss.adapt(state, frame, separated)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.65e6, peak
 
     def test_separated_frame_shape_checked(self):
         rng = np.random.default_rng(18)

@@ -28,7 +28,7 @@ from arraysep.pipeline import _dump_gss_state, _Staging, bench_pipeline, run_pip
 from arraysep.postfilter import PostFilter
 from arraysep.simulate import (SceneSource, SceneSpec, SignalSpec, box_array_geometry,
                                synthesize, three_speaker_scene)
-from arraysep.stft import SpectralFrame, stft_analyze, stft_synthesize
+from arraysep.stft import BLOCK_FRAMES, SpectralFrame, stft_analyze, stft_synthesize
 from helpers import (filter_frame, pipeline_config_for_scene, separate_scene, stage_sir,
                      write_pcm24)
 
@@ -462,6 +462,35 @@ class TestRunPipeline:
         retained(0.25)  # warm lazy imports and caches
         per_second = retained(1.5) - retained(0.5)
         assert per_second < 1.6e6
+
+    @pytest.mark.parametrize("dump_diagnostics", [False, True])
+    def test_no_flushed_block_is_alive_when_the_next_block_starts(self, short_scene, monkeypatch,
+                                                                  dump_diagnostics):
+        # every frame a flush returns is a view of one (k, M, K) block of
+        # filtered bins; none may be alive once the next block's first frame
+        # reaches separation
+        spec, render = short_scene
+        config = pipeline_config_for_scene(spec, dump_diagnostics=dump_diagnostics)
+        flush, separate = PostFilter.flush, gss.separate
+        flushed, alive = [], []
+
+        def flushing(postfilter):
+            frames, bands, internals = flush(postfilter)
+            assert frames[0].bins.base.shape[0] == len(frames)
+            flushed.append(weakref.ref(frames[0].bins.base))
+            return frames, bands, internals
+
+        def separating(state, frame):
+            if frame.frame_index % BLOCK_FRAMES == 0:
+                alive.append(sum(ref() is not None for ref in flushed))
+            return separate(state, frame)
+
+        monkeypatch.setattr(PostFilter, "flush", flushing)
+        monkeypatch.setattr(gss, "separate", separating)
+        dump = (lambda frame_index, internals: None) if dump_diagnostics else None
+        num_frames = run_stages(render.mixture, config, dump).num_frames
+        assert len(flushed) == len(alive) == -(-num_frames // BLOCK_FRAMES)
+        assert alive == [0] * len(alive)
 
 
 class TestDiagnosticDumps:

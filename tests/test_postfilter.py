@@ -465,7 +465,7 @@ class TestBlockPass:
                         block = pf.flush()
                         out += block[0]
                         bands.append(block[1])
-                        internals.append(block[2])
+                        internals.append(np.stack(block[2], axis=1))  # before they are reused
             assert [frame.frame_index for frame in out] == list(range(len(frames)))
             results.append((np.stack([frame.bins for frame in out]).tobytes(),
                             np.concatenate(bands).tobytes(), np.concatenate(internals).tobytes(),

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from arraysep.audio import AudioBuffer
+from arraysep.audio import AudioBuffer, open_wav, read_wav, write_wav
 from arraysep.errors import ConfigError, StreamError
 from arraysep.simulate import synthesize, three_speaker_scene
 from arraysep.stft import (SpectralFrame, analysis_frames, frame_count, sqrt_hann_window,
@@ -82,6 +82,18 @@ class TestAnalyze:
                 assert [f.frame_index for f in got] == list(range(len(oracle))), sizes
                 for frame, bins in zip(got, oracle):
                     assert frame.bins.tobytes() == bins.tobytes(), (sizes, frame.frame_index)
+
+    def test_wav_file_without_a_block_size_is_analyzed_as_one_block(self, tmp_path):
+        # open_wav's WavFile has no block size; its blocks() is the whole file
+        path = str(tmp_path / "x.wav")
+        write_wav(path, _noise(3, 5 * 512 + 1024 + 100, 48000, seed=5))
+        decoded = read_wav(path)
+        blocks = list(open_wav(path).blocks())
+        assert len(blocks) == 1 and blocks[0].tobytes() == decoded.samples.tobytes()
+        got = list(stft_analyze(open_wav(path), 1024, 512))
+        expected = list(stft_analyze(decoded, 1024, 512))
+        assert [f.frame_index for f in got] == list(range(6))
+        assert [f.bins.tobytes() for f in got] == [f.bins.tobytes() for f in expected]
 
     def test_bin_centered_sine_concentrates(self):
         # the sqrt-Hann taper is sin(pi n / N), whose DFT falls off as
