@@ -21,7 +21,8 @@ from scipy.io import wavfile
 
 from .errors import AudioIOError, ConfigError
 
-SUPPORTED_RATES = (48000, 16000)
+SEPARATION_RATE = 48000  # the microphone array, separation and post-filter side
+SUPPORTED_RATES = (SEPARATION_RATE, 16000)
 
 
 def _check_rate(rate) -> None:
@@ -233,7 +234,7 @@ def write_wav(path: str, audio: AudioBuffer) -> None:
 def _design_decimation_filter() -> np.ndarray:
     # Kaiser lowpass for 48 -> 16 kHz decimation: flat (<0.01 dB) below 7 kHz,
     # > 60 dB rejection above 8 kHz so folded images stay out of the passband.
-    return signal.firwin(401, 7450.0, window=("kaiser", 8.0), fs=48000.0)
+    return signal.firwin(401, 7450.0, window=("kaiser", 8.0), fs=SEPARATION_RATE)
 
 
 _DECIMATION_FILTER = _design_decimation_filter()
@@ -259,8 +260,8 @@ def resample_48k_to_16k(audio: AudioBuffer) -> AudioBuffer:
     not grow with the input.  The FFT's rounding differs from the direct
     sum's by about 1e-15 of the input's peak.
     """
-    if audio.rate != 48000:
-        raise ConfigError(f"resampler expects 48000 Hz input, got {audio.rate}")
+    if audio.rate != SEPARATION_RATE:
+        raise ConfigError(f"resampler expects {SEPARATION_RATE} Hz input, got {audio.rate}")
     channels, num_samples = audio.samples.shape
     out = np.empty((channels, -(-num_samples // 3)))
     span = (_BATCH - 1) * _BLOCK_STEP + _BLOCK_FFT  # input samples of one batch

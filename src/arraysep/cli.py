@@ -19,7 +19,8 @@ import logging
 import os
 import sys
 
-from .audio import AudioBuffer, open_wav, read_wav, resample_48k_to_16k, write_wav
+from .audio import (SEPARATION_RATE, AudioBuffer, open_wav, read_wav, resample_48k_to_16k,
+                    write_wav)
 from .config import (PipelineConfig, SourceDirection, parse_config, parse_scene_file,
                      write_scene_file)
 from .errors import ArraySepError, AudioIOError, ConfigError, StreamError
@@ -81,7 +82,7 @@ def _cmd_features(args: argparse.Namespace) -> int:
     audio = read_wav(args.input)
     if audio.num_channels != 1:
         raise ConfigError("features expects a mono WAV; separate the mixture first")
-    if audio.rate == 48000:
+    if audio.rate == SEPARATION_RATE:
         audio = resample_48k_to_16k(audio)
     features = extract_features(audio)
     stem = os.path.splitext(os.path.basename(args.input))[0]

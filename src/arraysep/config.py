@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import yaml
 
+from .audio import SEPARATION_RATE
 from .errors import ConfigError, check_fields, check_file_name, ranged
 from .geometry import SPEED_OF_SOUND, ArrayGeometry, direction_vector
 from .simulate import SCENE_RATE, SceneSource, SceneSpec, SignalSpec
@@ -36,33 +37,24 @@ class StageToggles:
 class PipelineConfig:
     mic_positions_m: list = field(default_factory=list)
     sources: list = field(default_factory=list)          # SourceDirection rows
-    rate: int = ranged("(0, inf)", 48000)
     speed_of_sound: float = ranged("(0, inf)", 343.0)
 
     fft_size: int = ranged("(0, inf)", 1024)
     shift: int = ranged("(0, inf)", 512)
     step_size: float = ranged("[0, inf)", 0.01)          # separation adaptation rate
 
-    # post-filter and its minima-controlled (MCRA) stationary noise tracker
+    # post-filter
     leak_factor: float = ranged("[0, 1]", 0.25)         # power fraction of rival spectra (about -6 dB)
     spectral_exponent: float = ranged("(0, inf)", 1.0)  # amplitude power the MMSE estimator optimizes
-    snr_smoothing: float = ranged("[0, 1)", 0.98)       # decision-directed weight on the previous frame
-    spectrum_smoothing: float = ranged("(0, 1)", 0.7)   # leakage reference smoother
-    mcra_power_smoothing: float = ranged("[0, 1)", 0.95)
-    mcra_window_length: int = ranged("[1, inf)", 150)
-    mcra_presence_smoothing: float = ranged("[0, 1)", 0.95)
-    mcra_onset_threshold: float = ranged("(0, inf)", 5.0)
 
     mask_threshold: float = ranged("(0, inf)", 0.25)
-    feature_fft_size: int = ranged("(0, inf)", 400)
-    feature_shift: int = ranged("(0, inf)", 160)
 
     stages: StageToggles = field(default_factory=StageToggles)
     dump_diagnostics: bool = False
 
     input_wav: str | None = None
     output_dir: str | None = None
-    reference_wavs: list = field(default_factory=list)   # per source, for metrics
+    reference_wavs: list[str] = field(default_factory=list)  # per source, for metrics
     noise_wav: str | None = None
 
     def validate(self) -> "PipelineConfig":
@@ -82,15 +74,10 @@ class PipelineConfig:
         check_fields(self.stages, "stages: ")
         geometry = self.geometry()
         num_mics = geometry.num_mics
-        if self.rate != 48000:
-            raise ConfigError("separation pipeline runs at 48000 Hz")
         # The sqrt-Hann analysis/synthesis pair overlap-adds to a constant
         # only up to 50% overlap.
         if self.fft_size % 2 or 2 * self.shift > self.fft_size:
             raise ConfigError("fft_size must be even and shift at most fft_size / 2")
-        if self.feature_fft_size % 2 or self.feature_shift > self.feature_fft_size:
-            raise ConfigError("feature_fft_size must be even and feature_shift at most "
-                              "feature_fft_size")
         # Alone, the geometric term's gradient step converges only for
         # step_size < 1 / max over bins of the largest eigenvalue of A^H A.
         # With unit-modulus steering that is trace(A^H A) = N M, reached at
@@ -115,7 +102,7 @@ class PipelineConfig:
     # ---- object builders -------------------------------------------------
 
     def geometry(self) -> ArrayGeometry:
-        return ArrayGeometry(self.mic_positions_m, self.rate, self.speed_of_sound)
+        return ArrayGeometry(self.mic_positions_m, SEPARATION_RATE, self.speed_of_sound)
 
     def directions(self) -> list[np.ndarray]:
         """Far-field unit vector toward each source, in ``sources`` order."""

@@ -8,7 +8,8 @@ Every checked input field is declared once, on its dataclass, with
 ``tuple[float, ...]``) and what it admits is interval text such as
 ``"[0, 1)"`` (``[``/``]`` closed, ``(``/``)`` open, ``inf`` unbounded), or
 a tuple of the values a ``str`` field may hold.  ``check_fields`` reads
-those declarations, and checks every ``bool`` field by its type alone.
+those declarations, and checks every ``bool``, ``str | None`` and
+``list[str]`` field by its type alone.
 """
 
 import os
@@ -67,6 +68,11 @@ def check_fields(obj, where: str = "") -> None:
         value, allowed = getattr(obj, f.name), f.metadata.get("allowed")
         if f.type == "bool":
             ok, need = isinstance(value, bool), "true or false"
+        elif f.type == "str | None":
+            ok, need = value is None or isinstance(value, str), "a string or null"
+        elif f.type == "list[str]":
+            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+            need = "a list of strings"
         elif isinstance(allowed, tuple):
             ok, need = value in allowed, f"one of {', '.join(allowed)}"
         elif allowed:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .audio import SEPARATION_RATE
 from .errors import AudioIOError, ConfigError
 from .features import FEATURE_FFT_SIZE, FEATURE_RATE, FEATURE_SHIFT, mel_filterbank
 from .formats import read_records, write_csv, write_records
@@ -22,12 +23,11 @@ DEFAULT_THRESHOLD = 0.25
 # Bands carrying less than this fraction of the frame's total band energy
 # count as silence and stay reliable.
 SILENCE_FLOOR = 1e-10
-MASK_RATE = 48000  # the separation grid
 
 
 def mask_filterbank(fft_size: int = 1024) -> np.ndarray:
     """The feature mel bands evaluated on the separation FFT grid, (24, n_bins)."""
-    return mel_filterbank(fft_size, MASK_RATE)
+    return mel_filterbank(fft_size, SEPARATION_RATE)
 
 
 def compute_mask(band_in: np.ndarray, band_out: np.ndarray, band_noise: np.ndarray,
@@ -77,11 +77,10 @@ def masks_from_records(bands: np.ndarray, source: int,
     return MaskMatrix(continuous, static, delta)
 
 
-def align_to_feature_frames(mask: MaskMatrix, num_feature_frames: int,
-                            feature_shift: int = FEATURE_SHIFT,
-                            feature_size: int = FEATURE_FFT_SIZE, mask_shift: int = 512,
+def align_to_feature_frames(mask: MaskMatrix, num_feature_frames: int, mask_shift: int = 512,
                             mask_size: int = 1024) -> MaskMatrix:
-    """Resample mask rows onto the feature frame grid by nearest center time.
+    """Resample mask rows onto the feature frame grid (FEATURE_FFT_SIZE /
+    FEATURE_SHIFT at FEATURE_RATE) by nearest center time.
 
     The separation and feature pipelines run at slightly different frame
     rates (93.75 vs 100 frames/s); band-aligned masks tolerate this
@@ -90,8 +89,9 @@ def align_to_feature_frames(mask: MaskMatrix, num_feature_frames: int,
     if mask.num_frames == 0:
         empty = np.zeros((0, mask.continuous.shape[1]))
         return MaskMatrix(empty, empty.astype(bool), empty.astype(bool))
-    feature_centers = (np.arange(num_feature_frames) * feature_shift + feature_size / 2) / FEATURE_RATE
-    mask_centers = (np.arange(mask.num_frames) * mask_shift + mask_size / 2) / MASK_RATE
+    feature_centers = ((np.arange(num_feature_frames) * FEATURE_SHIFT + FEATURE_FFT_SIZE / 2)
+                       / FEATURE_RATE)
+    mask_centers = (np.arange(mask.num_frames) * mask_shift + mask_size / 2) / SEPARATION_RATE
     nearest = np.searchsorted(mask_centers, feature_centers)
     nearest = np.clip(nearest, 0, mask.num_frames - 1)
     left = np.maximum(nearest - 1, 0)

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gss
-from .audio import (AudioBuffer, WavFile, open_wav, read_wav, resample_48k_to_16k,
-                    write_wav)
-from .config import PipelineConfig, serialize_config
-from .errors import AudioIOError, StreamError
+from .audio import (SEPARATION_RATE, AudioBuffer, WavFile, open_wav, read_wav,
+                    resample_48k_to_16k, write_wav)
+from .config import PipelineConfig, config_to_dict, serialize_config
+from .errors import AudioIOError, ConfigError, StreamError
 from .features import NUM_BANDS, extract_features, write_features_binary, write_features_csv
 from .formats import PostfilterDump, write_csv
 from .geometry import steering_matrix
@@ -60,8 +60,8 @@ def run_stages(mixture: AudioBuffer | WavFile, config: PipelineConfig,
         raise StreamError(
             f"input has {mixture.num_channels} channels, geometry expects {geometry.num_mics}"
         )
-    if mixture.rate != config.rate:
-        raise StreamError(f"input is sampled at {mixture.rate} Hz, config expects {config.rate}")
+    if mixture.rate != SEPARATION_RATE:
+        raise StreamError(f"input is sampled at {mixture.rate} Hz, not {SEPARATION_RATE}")
     steering = steering_matrix(geometry, config.directions(), config.fft_size)
     state = gss.init_delay_and_sum(steering, config.step_size)
     num_frames = frame_count(mixture.num_samples, config.fft_size, config.shift)
@@ -119,16 +119,16 @@ class PipelineResult:
     frames_processed: int = 0
 
 
+# what the run header leaves out: the geometry, the sources and the file paths
+_UNLOGGED = {"mic_positions_m", "sources", "input_wav", "output_dir", "reference_wavs",
+             "noise_wav"}
+
+
 def _log_run_header(config: PipelineConfig) -> None:
-    logger.info(
-        "run config: step_size=%g leak_factor=%g spectral_exponent=%g "
-        "snr_smoothing=%g spectrum_smoothing=%g mask_threshold=%g "
-        "fft=%d/%d feature_fft=%d/%d stages(adapt=%s postfilter=%s features=%s)",
-        config.step_size, config.leak_factor, config.spectral_exponent,
-        config.snr_smoothing, config.spectrum_smoothing, config.mask_threshold,
-        config.fft_size, config.shift, config.feature_fft_size, config.feature_shift,
-        config.stages.adapt, config.stages.postfilter, config.stages.features,
-    )
+    if logger.isEnabledFor(logging.INFO):  # build no dict for a header nobody sees
+        settings = config_to_dict(config).items()
+        logger.info("run config: %s", " ".join(f"{key}={value}" for key, value in settings
+                                               if key not in _UNLOGGED))
 
 
 def _dump_gss_state(path: str, state: gss.SeparationState, ids: list[str]) -> None:
@@ -230,9 +230,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     found it and removes any directory it created."""
     config.validate()
     if not config.input_wav:
-        raise StreamError("pipeline needs an input WAV (input_wav)")
+        raise ConfigError("pipeline needs an input WAV (input_wav)")
     if not config.output_dir:
-        raise StreamError("pipeline needs an output directory (output_dir)")
+        raise ConfigError("pipeline needs an output directory (output_dir)")
     if os.path.exists(config.output_dir) and not os.path.isdir(config.output_dir):
         raise AudioIOError(f"output_dir {config.output_dir} exists and is not a directory")
 
@@ -240,8 +240,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     # they are decoded only for the quality report at the end.
     for path in [*config.reference_wavs, *([config.noise_wav] if config.noise_wav else [])]:
         rate = open_wav(path).rate
-        if rate != config.rate:
-            raise StreamError(f"{path} is sampled at {rate} Hz, config expects {config.rate}")
+        if rate != SEPARATION_RATE:
+            raise StreamError(f"{path} is sampled at {rate} Hz, not {SEPARATION_RATE}")
 
     _log_run_header(config)
     ids = [s.id for s in config.sources]
@@ -298,8 +298,7 @@ def _emit_source(config: PipelineConfig, output: StreamOutput, m: int, source_id
     if not config.stages.features:
         return
 
-    features = extract_features(mono16, fft_size=config.feature_fft_size,
-                                shift=config.feature_shift)
+    features = extract_features(mono16)
     write_features_csv(staging(prefix + "features.csv"), features)
     write_features_binary(staging(prefix + "features.bin"), features)
     result.feature_files[source_id] = {"csv": prefix + "features.csv",
@@ -307,11 +306,9 @@ def _emit_source(config: PipelineConfig, output: StreamOutput, m: int, source_id
     if output.bands is None:
         return
 
-    mask = align_to_feature_frames(
-        masks_from_records(output.bands, m, config.mask_threshold), len(features),
-        feature_shift=config.feature_shift, feature_size=config.feature_fft_size,
-        mask_shift=config.shift, mask_size=config.fft_size,
-    )
+    mask = align_to_feature_frames(masks_from_records(output.bands, m, config.mask_threshold),
+                                   len(features), mask_shift=config.shift,
+                                   mask_size=config.fft_size)
     write_mask_csv(staging(prefix + "mask.csv"), mask)
     write_mask_binary(staging(prefix + "mask.bin"), mask)
     result.mask_files[source_id] = {"csv": prefix + "mask.csv", "binary": prefix + "mask.bin"}

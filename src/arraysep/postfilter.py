@@ -41,6 +41,12 @@ Q_HIGH_DB = 5.0
 Q_FLOOR = 0.02       # absence-prior bounds
 Q_CEILING = 0.98
 UPSILON_MAX = 30.0   # clamp inside exp(-upsilon)
+SNR_SMOOTHING = 0.98            # decision-directed weight on the previous frame
+SPECTRUM_SMOOTHING = 0.7        # leakage reference smoother
+MCRA_POWER_SMOOTHING = 0.95     # stationary-noise recursion weight
+MCRA_WINDOW_LENGTH = 150        # minimum-tracking window, in frames
+MCRA_PRESENCE_SMOOTHING = 0.95  # presence score smoother
+MCRA_ONSET_THRESHOLD = 5.0      # smoothed power over tracked minimum that freezes the floor
 # The minimum tracker's input smoother, faster than the noise recursion so
 # the tracked minimum decays to the floor within sub-second speech pauses.
 TRACKING_SMOOTHING = 0.8
@@ -53,13 +59,12 @@ class McraEstimator:
     the onset threshold freezes the noise recursion instantly, and the
     smoothed presence score releases it gradually once the transient ends.
     Transients therefore barely leak into the floor while stationary noise
-    converges within a couple of tracking windows.  ``mcra_power_smoothing``
+    converges within a couple of tracking windows.  MCRA_POWER_SMOOTHING
     governs the noise recursion itself.  ``noise`` is one array, updated in
     place every frame.
     """
 
-    def __init__(self, shape: int | tuple[int, ...], config: PipelineConfig | None = None):
-        self.config = config or PipelineConfig()
+    def __init__(self, shape: int | tuple[int, ...]):
         self.noise = np.zeros(shape)
         self._smoothed = np.zeros(shape)
         self._minimum = np.zeros(shape)
@@ -70,22 +75,21 @@ class McraEstimator:
         self._frames_seen = 0
 
     def update(self, power: np.ndarray) -> np.ndarray:
-        cfg = self.config
         if self._frames_seen == 0:
             for state in (self._smoothed, self._minimum, self._scratch, self.noise):
                 state[...] = power
             self._frames_seen = 1
             return self.noise
 
-        a = cfg.mcra_power_smoothing
+        a = MCRA_POWER_SMOOTHING
         at = TRACKING_SMOOTHING
-        ap = cfg.mcra_presence_smoothing
+        ap = MCRA_PRESENCE_SMOOTHING
         smoothed, presence, work, onset = self._smoothed, self._presence, self._work, self._onset
         # smoothed = at * smoothed + (1 - at) * power
         smoothed *= at
         np.multiply(power, 1.0 - at, out=work)
         smoothed += work
-        if self._frames_seen % cfg.mcra_window_length == 0:
+        if self._frames_seen % MCRA_WINDOW_LENGTH == 0:
             np.minimum(self._scratch, smoothed, out=self._minimum)
             self._scratch[...] = smoothed
         else:
@@ -94,7 +98,7 @@ class McraEstimator:
 
         # onset = smoothed > threshold * max(minimum, tiny)
         np.maximum(self._minimum, _TINY, out=work)
-        work *= cfg.mcra_onset_threshold
+        work *= MCRA_ONSET_THRESHOLD
         np.greater(smoothed, work, out=onset)
         # presence = ap * presence + (1 - ap) * onset
         presence *= ap
@@ -128,7 +132,7 @@ class NoiseState:
     def __init__(self, num_sources: int, num_bins: int, config: PipelineConfig | None = None):
         self.config = config or PipelineConfig()
         self.smoothed = np.zeros((num_sources, num_bins))
-        self._mcra = McraEstimator((num_sources, num_bins), self.config)
+        self._mcra = McraEstimator((num_sources, num_bins))
         self.stationary = self._mcra.noise
         self.leakage = np.zeros((num_sources, num_bins))
         self.total = np.zeros((num_sources, num_bins))
@@ -143,7 +147,7 @@ class NoiseState:
             raise StreamError(
                 f"noise update expects {self.smoothed.shape}, got {power.shape}"
             )
-        a = self.config.spectrum_smoothing
+        a = SPECTRUM_SMOOTHING
         # smoothed = a * smoothed + (1 - a) * power, with total as scratch
         self.smoothed *= a
         np.multiply(power, 1.0 - a, out=self.total)
@@ -317,7 +321,8 @@ class GainState:
 class PostFilter:
     """Streaming multi-source suppressor operating on separated frames.
 
-    Reads the post-filter keys of ``config`` (``PipelineConfig()`` if None).
+    Reads ``leak_factor``, ``spectral_exponent`` and ``dump_diagnostics``
+    from ``config`` (``PipelineConfig()`` if None).
     The work is split in two.  ``process`` runs, frame by frame, the part
     that feeds back into later frames: the noise update, the
     decision-directed prior SNR and the speech-present gain.  It queues the
@@ -367,7 +372,7 @@ class PostFilter:
         np.divide(power, snr_post, out=snr_post)
         snr_prior = self._snr_prior[k]
         snr_prior[...] = decision_directed_snr(
-            self.gains.prev_gain, self.gains.prev_snr_post, snr_post, cfg.snr_smoothing
+            self.gains.prev_gain, self.gains.prev_snr_post, snr_post, SNR_SMOOTHING
         )
         # upsilon = snr_post * snr_prior / (1 + snr_prior)
         upsilon = self._upsilon[k]

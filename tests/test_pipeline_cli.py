@@ -6,10 +6,12 @@ import errno
 import logging
 import math
 import os
+import re
 import shutil
 import time
 import tracemalloc
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -444,6 +446,17 @@ class TestRunPipeline:
         assert (f"stages: {output.num_frames} frames, "
                 f"{reference.gains.fault_count} post-filter gain faults") in caplog.messages
 
+    def test_run_header_names_every_setting(self, caplog):
+        config = pipeline_config_for_scene(three_speaker_scene(40.0, duration_s=0.5, seed=3))
+        with caplog.at_level(logging.INFO, logger="arraysep.pipeline"):
+            pipeline._log_run_header(config)
+        [header] = caplog.messages
+        unlogged = {"mic_positions_m", "sources", "input_wav", "output_dir", "reference_wavs",
+                    "noise_wav"}
+        logged = set(re.findall(r"(\w+)=", header))
+        assert logged == {f.name for f in fields(PipelineConfig)} - unlogged
+        assert f"speed_of_sound={config.speed_of_sound}" in header.split()
+
     def test_run_stages_memory_does_not_keep_frames(self):
         # per audio second, 3 sources' separated spectra would be 2.3 MB; the
         # 48 kHz output is 1.15 MB and the band powers about 0.2 MB
@@ -763,6 +776,44 @@ class TestCli:
         config_path.write_text(yaml.safe_dump(data))
         assert main(["separate", "--config", str(config_path)]) == 2
         assert not (tmp_path / "out").exists()
+
+    # the nine keys that are module constants now, at the values they held:
+    # an effective_config.yaml written before they became constants names them
+    @pytest.mark.parametrize("key, value", [
+        ("rate", 48000), ("snr_smoothing", 0.98), ("spectrum_smoothing", 0.7),
+        ("mcra_power_smoothing", 0.95), ("mcra_window_length", 150),
+        ("mcra_presence_smoothing", 0.95), ("mcra_onset_threshold", 5.0),
+        ("feature_fft_size", 400), ("feature_shift", 160)])
+    def test_keys_that_are_constants_are_refused(self, short_scene, scene_dir, tmp_path,
+                                                 capsys, key, value):
+        spec, _ = short_scene
+        config_path = tmp_path / "cfg.yaml"
+        write_config(config_path, spec, scene_dir, tmp_path / "out")
+        data = yaml.safe_load(config_path.read_text())
+        data[key] = value
+        config_path.write_text(yaml.safe_dump(data))
+        assert main(["separate", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+        assert os.listdir(tmp_path) == ["cfg.yaml"]
+
+    @pytest.mark.parametrize("key, value", [
+        ("output_dir", 7), ("noise_wav", ["a.wav"]), ("reference_wavs", "abc"),
+        ("input_wav", None), ("output_dir", None)])
+    def test_path_keys_are_checked_before_any_output(self, short_scene, scene_dir, tmp_path,
+                                                     monkeypatch, capsys, key, value):
+        spec, _ = short_scene
+        config_path = tmp_path / "cfg.yaml"
+        write_config(config_path, spec, scene_dir, tmp_path / "out")
+        data = yaml.safe_load(config_path.read_text())
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+        config_path.write_text(yaml.safe_dump(data))
+        monkeypatch.chdir(tmp_path)  # where a relative output would land
+        assert main(["separate", "--config", str(config_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.yaml"]
 
     @pytest.mark.parametrize("source_id", ["../escaped", "c/../x", "..", ".", "", 7,
                                            "a,b", 'say"hi', "tab\there"])

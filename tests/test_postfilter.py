@@ -10,9 +10,9 @@ from arraysep.config import PipelineConfig
 from arraysep.features import mel_energies
 from arraysep.masks import mask_filterbank
 from arraysep.postfilter import (GAIN_FLOOR, GAIN_MAX, Q_CEILING, Q_FLOOR, Q_HIGH_DB,
-                                 Q_LOW_DB, McraEstimator, NoiseState, PostFilter,
-                                 _gain_core, _window_mean, decision_directed_snr, speech_absence_prior,
-                                 speech_presence_prob)
+                                 Q_LOW_DB, SPECTRUM_SMOOTHING, McraEstimator, NoiseState,
+                                 PostFilter, _gain_core, _window_mean, decision_directed_snr,
+                                 speech_absence_prior, speech_presence_prob)
 from arraysep.errors import StreamError
 from arraysep.stft import BLOCK_FRAMES, SpectralFrame
 from helpers import filter_frame
@@ -20,27 +20,29 @@ from helpers import filter_frame
 
 class TestSmoothedSpectrum:
     def test_constant_input_converges_geometrically(self):
-        noise = NoiseState(1, 4, PipelineConfig(spectrum_smoothing=0.7))
+        noise = NoiseState(1, 4)
         for _ in range(100):
             noise.update(np.full((1, 4), 3.0))
         np.testing.assert_allclose(noise.smoothed[0], 3.0, rtol=1e-10)
 
     def test_impulse_decay(self):
-        noise = NoiseState(1, 1, PipelineConfig(spectrum_smoothing=0.7))
+        a = SPECTRUM_SMOOTHING
+        noise = NoiseState(1, 1)
         noise.update(np.ones((1, 1)))
-        assert noise.smoothed[0, 0] == pytest.approx(0.3)
-        for expected in [0.3 * 0.7, 0.3 * 0.49]:
+        assert noise.smoothed[0, 0] == pytest.approx(1.0 - a)
+        for expected in [(1.0 - a) * a, (1.0 - a) * a * a]:
             noise.update(np.zeros((1, 1)))
             assert noise.smoothed[0, 0] == pytest.approx(expected)
 
     def test_matches_reference_recursion_bitwise(self):
         rng = np.random.default_rng(0)
-        noise = NoiseState(1, 8, PipelineConfig(spectrum_smoothing=0.7))
+        noise = NoiseState(1, 8)
+        a = SPECTRUM_SMOOTHING
         reference = np.zeros(8)
         for _ in range(50):
             power = rng.random(8)
             noise.update(power[np.newaxis])
-            reference = 0.7 * reference + (1.0 - 0.7) * power
+            reference = a * reference + (1.0 - a) * power
             np.testing.assert_array_equal(noise.smoothed[0], reference)
 
 
@@ -57,12 +59,13 @@ class TestLeakage:
         assert np.all(noise.leakage == 0.0)
 
     def test_direct_sum_example(self):
-        # no smoothing: the smoothed spectra are this frame's powers
-        noise = NoiseState(3, 1, PipelineConfig(leak_factor=0.25, spectrum_smoothing=0.0))
+        # from zero, the first frame's smoothed spectra are (1 - a) times its powers
+        noise = NoiseState(3, 1, PipelineConfig(leak_factor=0.25))
         noise.update(np.array([[2.0], [4.0], [6.0]]))
-        assert noise.leakage[0, 0] == pytest.approx(2.5)
-        assert noise.leakage[1, 0] == pytest.approx(0.25 * 8.0)
-        assert noise.leakage[2, 0] == pytest.approx(0.25 * 6.0)
+        scale = 0.25 * (1.0 - SPECTRUM_SMOOTHING)
+        assert noise.leakage[0, 0] == pytest.approx(scale * 10.0)
+        assert noise.leakage[1, 0] == pytest.approx(scale * 8.0)
+        assert noise.leakage[2, 0] == pytest.approx(scale * 6.0)
 
     def test_decomposition_exact(self):
         rng = np.random.default_rng(2)
@@ -132,14 +135,14 @@ class TestCrossSource:
     @pytest.mark.parametrize("num_sources", [2, 3, 5])
     def test_leakage_is_direct_sum_of_other_rows(self, num_sources):
         rng = np.random.default_rng(22)
-        noise = NoiseState(num_sources, 64,
-                           PipelineConfig(leak_factor=0.3, spectrum_smoothing=0.7))
+        noise = NoiseState(num_sources, 64, PipelineConfig(leak_factor=0.3))
+        a = SPECTRUM_SMOOTHING
         smoothed = np.zeros((num_sources, 64))
         for _ in range(6):
             power = wide_range_rows(rng, num_sources, 64)
             power[0] = 1e8  # one source far louder than every other
             noise.update(power)
-            smoothed = 0.7 * smoothed + 0.3 * power
+            smoothed = a * smoothed + (1.0 - a) * power
             for m in range(num_sources):
                 others = sum(smoothed[j] for j in range(num_sources) if j != m)
                 np.testing.assert_allclose(noise.leakage[m], 0.3 * others, rtol=1e-12, atol=0)
@@ -393,13 +396,7 @@ class TestPostFilter:
                 out_single = filter_frame(singles[m], single)[0]
                 np.testing.assert_array_equal(out_multi.bins[m], out_single.bins[0])
 
-    # a window of 10 frames restarts the minimum tracker within the 40 frames
-    @pytest.mark.parametrize("key, value", [
-        ("leak_factor", 0.5), ("spectral_exponent", 1.5), ("snr_smoothing", 0.9),
-        ("spectrum_smoothing", 0.5), ("mcra_power_smoothing", 0.8),
-        ("mcra_window_length", 10), ("mcra_presence_smoothing", 0.5),
-        ("mcra_onset_threshold", 2.0),
-    ])
+    @pytest.mark.parametrize("key, value", [("leak_factor", 0.5), ("spectral_exponent", 1.5)])
     def test_every_setting_reaches_the_output(self, key, value):
         assert getattr(PipelineConfig(), key) != value
         default, changed = PostFilter(3, 33), PostFilter(3, 33, PipelineConfig(**{key: value}))
