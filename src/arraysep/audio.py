@@ -22,7 +22,8 @@ from scipy.io import wavfile
 from .errors import AudioIOError, ConfigError
 
 SEPARATION_RATE = 48000  # the microphone array, separation and post-filter side
-SUPPORTED_RATES = (SEPARATION_RATE, 16000)
+FEATURE_RATE = 16000  # the decimated outputs and their features
+SUPPORTED_RATES = (SEPARATION_RATE, FEATURE_RATE)
 
 
 def _check_rate(rate) -> None:
@@ -280,4 +281,4 @@ def resample_48k_to_16k(audio: AudioBuffer) -> AudioBuffer:
             kept = filtered[:, len(_DECIMATION_FILTER) - 1 :: 3].reshape(-1)
             part = channel[first : first + per_batch]
             part[:] = kept[: part.size]
-    return AudioBuffer(out, 16000)
+    return AudioBuffer(out, FEATURE_RATE)

@@ -13,10 +13,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import yaml
 
-from .audio import SEPARATION_RATE
 from .errors import ConfigError, check_fields, check_file_name, ranged
 from .geometry import SPEED_OF_SOUND, ArrayGeometry, direction_vector
-from .simulate import SCENE_RATE, SceneSource, SceneSpec, SignalSpec
+from .simulate import SceneSource, SceneSpec, SignalSpec
 
 
 @dataclass
@@ -102,7 +101,7 @@ class PipelineConfig:
     # ---- object builders -------------------------------------------------
 
     def geometry(self) -> ArrayGeometry:
-        return ArrayGeometry(self.mic_positions_m, SEPARATION_RATE, self.speed_of_sound)
+        return ArrayGeometry(self.mic_positions_m, speed_of_sound=self.speed_of_sound)
 
     def directions(self) -> list[np.ndarray]:
         """Far-field unit vector toward each source, in ``sources`` order."""
@@ -162,7 +161,6 @@ def serialize_config(config: PipelineConfig, path: str) -> None:
 def scene_to_dict(spec: SceneSpec) -> dict:
     """The scene as a scene file holds it; numbers of float fields echo as floats."""
     return {
-        "rate": spec.geometry.rate,
         "speed_of_sound": float(spec.geometry.speed_of_sound),
         "mic_positions_m": [list(map(float, p)) for p in spec.geometry.mic_positions],
         "duration_s": float(spec.duration_s),
@@ -182,20 +180,23 @@ def scene_to_dict(spec: SceneSpec) -> dict:
     }
 
 
+def _scene_source(row: dict) -> SceneSource:
+    row = dict(row)
+    signal = dict(row.pop("signal", {}))
+    if "formants_hz" in signal:
+        signal["formants_hz"] = tuple(signal["formants_hz"])
+    return SceneSource(row.pop("id"), signal=SignalSpec(**signal), **row)
+
+
 def scene_from_dict(data: dict) -> SceneSpec:
-    """Values reach the scene classes as written, so their checks see them."""
+    """Values reach the scene classes as written, so their checks see them.  The
+    sources are built lazily: an unknown top-level key is named before any other."""
     try:
         data = dict(data)
-        geometry = ArrayGeometry(data.pop("mic_positions_m"), data.pop("rate", SCENE_RATE),
-                                 data.pop("speed_of_sound", SPEED_OF_SOUND))
-        sources = []
-        for row in data.pop("sources", []):
-            row = dict(row)
-            signal = dict(row.pop("signal", {}))
-            if "formants_hz" in signal:
-                signal["formants_hz"] = tuple(signal["formants_hz"])
-            sources.append(SceneSource(row.pop("id"), signal=SignalSpec(**signal), **row))
-        return SceneSpec(geometry, tuple(sources), **data)
+        geometry = ArrayGeometry(data.pop("mic_positions_m"),
+                                 speed_of_sound=data.pop("speed_of_sound", SPEED_OF_SOUND))
+        sources = (_scene_source(row) for row in data.pop("sources", []))
+        return SceneSpec(geometry, sources, **data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scene description: {exc}") from exc
 

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
 
-from .audio import AudioBuffer
+from .audio import FEATURE_RATE, AudioBuffer
 from .errors import AudioIOError, ConfigError
 from .formats import read_records, write_csv, write_records
 from .stft import analysis_frames, sqrt_hann_window, windowed_rfft
@@ -28,7 +28,6 @@ from .stft import analysis_frames, sqrt_hann_window, windowed_rfft
 NUM_BANDS = 24
 FEATURE_FFT_SIZE = 400
 FEATURE_SHIFT = 160
-FEATURE_RATE = 16000
 BAND_HIGH_HZ = 8000.0
 LIFTER_KEPT = range(1, 13)  # cepstra 0 and 13..23 are zeroed
 

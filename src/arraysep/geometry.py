@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio import SEPARATION_RATE
 from .errors import ConfigError, OverDeterminedSceneError, admits, check_fields, ranged
 
 SPEED_OF_SOUND = 343.0
@@ -17,21 +18,22 @@ SPEED_OF_SOUND = 343.0
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Microphone positions in meters, (N, 3), with N >= 2."""
+    """Microphone positions in meters, (N, 3), with N >= 2: the ``mic_positions_m`` key."""
 
     mic_positions: np.ndarray
-    rate: int = ranged("(0, inf)")
     speed_of_sound: float = ranged("(0, inf)", SPEED_OF_SOUND)
+    rate = SEPARATION_RATE  # a class attribute, not a field: every array runs at it
 
     def __post_init__(self):
         check_fields(self)
         positions = np.asarray(self.mic_positions, dtype=object)
         if positions.ndim != 2 or positions.shape[1] != 3:
-            raise ConfigError("mic_positions must be (N, 3)")
+            raise ConfigError(f"mic_positions_m must be (N, 3), got {self.mic_positions!r}")
         if positions.shape[0] < 2:
-            raise ConfigError("need at least two microphones")
+            raise ConfigError(f"mic_positions_m needs at least two microphones, "
+                              f"got {self.mic_positions!r}")
         if not all(admits("(-inf, inf)", v) for v in positions.flat):
-            raise ConfigError(f"mic positions must be finite numbers, got {self.mic_positions!r}")
+            raise ConfigError(f"mic_positions_m must be finite numbers, got {self.mic_positions!r}")
         object.__setattr__(self, "mic_positions", positions.astype(np.float64))
 
     @property

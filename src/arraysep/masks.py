@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import SEPARATION_RATE
+from .audio import FEATURE_RATE, SEPARATION_RATE
 from .errors import AudioIOError, ConfigError
-from .features import FEATURE_FFT_SIZE, FEATURE_RATE, FEATURE_SHIFT, mel_filterbank
+from .features import FEATURE_FFT_SIZE, FEATURE_SHIFT, mel_filterbank
 from .formats import read_records, write_csv, write_records
 
 DEFAULT_THRESHOLD = 0.25

@@ -3,8 +3,9 @@
 Outputs are decomposed by least-squares projection onto each clean
 reference; the target projection's power against the rival projections'
 power gives the interference ratio, and against the noise projections the
-noise ratio.  Perfect reconstructions cap at 99 dB, zero-power references
-make the metric undefined (None).
+noise ratio.  Perfect reconstructions cap at 99 dB; zero-power references,
+and a silent output (zero target power over zero residual), make the
+metric undefined (None).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _projection_ratio_db(output: np.ndarray, references: Iterable[np.ndarray],
         elif power is not None:
             residual += power
     if residual <= target * 10.0 ** (-SIR_CAP_DB / 10.0):
-        return SIR_CAP_DB
+        return SIR_CAP_DB if target > 0.0 else None
     return min(SIR_CAP_DB, 10.0 * np.log10(target / residual))
 
 

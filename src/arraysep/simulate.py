@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import signal as sp_signal
 
-from .audio import AudioBuffer
+from .audio import SEPARATION_RATE, AudioBuffer
 from .errors import ConfigError, OverDeterminedSceneError, check_fields, check_file_name, ranged
 from .geometry import ArrayGeometry, direction_vector, far_field_delay
 
-SCENE_RATE = 48000
 DELAY_TAPS = 64  # windowed-sinc length of the fractional-delay interpolator
 # Clean references are normalized to this RMS before per-source gain, leaving
 # headroom so three active sources plus noise stay inside [-1, 1].
@@ -31,6 +30,8 @@ REFERENCE_RMS = 0.05
 # hundred KB however long the signal is.  Any value gives the same bits.
 HARMONIC_BLOCK = 8192
 SIGNAL_KINDS = ("harmonic", "am_noise")
+PITCH_DRIFT = 0.06  # peak fractional deviation of a harmonic train's pitch
+ENVELOPE_RATE_HZ = 4.0  # syllabic rate of the slow amplitude envelope
 
 # Eight microphones on the corners of a 22 x 17 x 47 cm bounding box, a
 # body-mountable constraint rather than a free-standing array.
@@ -50,12 +51,9 @@ class SignalSpec:
     """
 
     kind: str = ranged(SIGNAL_KINDS, "harmonic")
-    pitch_hz: float = ranged("(0, inf)", 160.0)
-    pitch_drift: float = ranged("[0, 1)", 0.06)
-    envelope_rate_hz: float = ranged("[0, inf)", 4.0)
-    envelope_depth: float = ranged("[0, 1]", 1.0)  # 0 = steady level, 1 = full syllabic swings
+    pitch_hz: float = ranged("[20, inf)", 160.0)  # at most 1,132 harmonics below Nyquist
     band_low_hz: float = ranged("(0, inf)", 300.0)
-    band_high_hz: float = ranged("(0, inf)", 7000.0)
+    band_high_hz: float = ranged(f"(0, {SEPARATION_RATE // 2})", 7000.0)  # below Nyquist
     formants_hz: tuple[float, ...] = ranged("(0, inf)", (700.0, 2200.0))
 
     def __post_init__(self):
@@ -63,13 +61,13 @@ class SignalSpec:
         if not self.band_low_hz < self.band_high_hz:
             raise ConfigError("signal needs band_low_hz < band_high_hz")
         if self.kind == "harmonic" and self.num_harmonics < 1:
-            raise ConfigError(f"no harmonic of {self.pitch_hz} Hz (drift {self.pitch_drift}) "
+            raise ConfigError(f"no harmonic of {self.pitch_hz} Hz (drift {PITCH_DRIFT}) "
                               f"lies below band_high_hz {self.band_high_hz}")
 
     @property
     def num_harmonics(self) -> int:
         """Harmonics whose drifted frequency stays at or below ``band_high_hz``."""
-        return int(self.band_high_hz / (self.pitch_hz * (1.0 + self.pitch_drift)))
+        return int(self.band_high_hz / (self.pitch_hz * (1.0 + PITCH_DRIFT)))
 
 
 @dataclass(frozen=True)
@@ -112,9 +110,6 @@ class SceneSpec:
                 raise ConfigError(f"duplicate scene source id {src.source_id!r}")
             if src.onset_s > self.duration_s:
                 raise ConfigError(f"onset {src.onset_s}s outside scene duration")
-            if src.signal.band_high_hz >= self.geometry.rate / 2.0:
-                raise ConfigError(f"source {src.source_id!r}: band_high_hz "
-                                  f"{src.signal.band_high_hz} is not below Nyquist")
 
     @property
     def num_samples(self) -> int:
@@ -170,22 +165,21 @@ def fractional_delay(x: np.ndarray, delay_samples: float) -> np.ndarray:
     return out
 
 
-def _slow_envelope(rng: np.random.Generator, n: int, rate: int, rate_hz: float,
-                   depth: float = 1.0) -> np.ndarray:
+def _slow_envelope(rng: np.random.Generator, n: int, rate: int) -> np.ndarray:
     # Smoothed positive noise, normalized to unit mean: a syllabic-rate AM
     # track.  A slower soft gate inserts utterance-like pauses, without
     # which minimum-statistics noise tracking has no floor to find.
-    control = rng.standard_normal(max(8, int(np.ceil(n * rate_hz / rate)) + 4))
+    control = rng.standard_normal(max(8, int(np.ceil(n * ENVELOPE_RATE_HZ / rate)) + 4))
     dense = np.interp(np.linspace(0, len(control) - 1, n), np.arange(len(control)), control)
     envelope = np.maximum(dense, 0.0) + 0.05
 
-    pause_ctrl = rng.standard_normal(max(6, int(np.ceil(n * rate_hz / (3.0 * rate))) + 4))
+    pause_ctrl = rng.standard_normal(
+        max(6, int(np.ceil(n * ENVELOPE_RATE_HZ / (3.0 * rate))) + 4))
     pause = np.interp(np.linspace(0, len(pause_ctrl) - 1, n), np.arange(len(pause_ctrl)), pause_ctrl)
     gate = np.clip((pause + 0.4) * 6.0, 0.0, 1.0)
 
     envelope *= gate
-    envelope /= max(envelope.mean(), 1e-6)
-    return (1.0 - depth) + depth * envelope
+    return envelope / max(envelope.mean(), 1e-6)
 
 
 def _am_noise(spec: SignalSpec, rng: np.random.Generator, n: int, rate: int) -> np.ndarray:
@@ -193,14 +187,14 @@ def _am_noise(spec: SignalSpec, rng: np.random.Generator, n: int, rate: int) -> 
     taps = sp_signal.firwin(513, [spec.band_low_hz, spec.band_high_hz],
                             pass_zero=False, fs=rate)
     shaped = sp_signal.fftconvolve(raw, taps, mode="same")
-    return shaped * _slow_envelope(rng, n, rate, spec.envelope_rate_hz, spec.envelope_depth)
+    return shaped * _slow_envelope(rng, n, rate)
 
 
 def _pitch_phase(spec: SignalSpec, rng: np.random.Generator, n: int, rate: int) -> np.ndarray:
     """Fundamental phase in radians under a slow sinusoidal pitch drift."""
     t = np.arange(n) / rate
-    drift = spec.pitch_drift * np.sin(2.0 * np.pi * rng.uniform(0.1, 0.4) * t
-                                      + rng.uniform(0, 2 * np.pi))
+    drift = PITCH_DRIFT * np.sin(2.0 * np.pi * rng.uniform(0.1, 0.4) * t
+                                 + rng.uniform(0, 2 * np.pi))
     pitch = spec.pitch_hz * (1.0 + drift)
     return 2.0 * np.pi * np.cumsum(pitch) / rate
 
@@ -215,7 +209,7 @@ def _harmonic_train(spec: SignalSpec, rng: np.random.Generator, n: int, rate: in
                     for f0 in spec.formants_hz)
     amplitude = (0.05 + 2.0 * resonance) / np.sqrt(harmonics)
     coeffs = amplitude * np.exp(1j * rng.uniform(0, 2 * np.pi, size=harmonics.size))
-    return _sine_sum(phase_base, coeffs) * _slow_envelope(rng, n, rate, spec.envelope_rate_hz, spec.envelope_depth)
+    return _sine_sum(phase_base, coeffs) * _slow_envelope(rng, n, rate)
 
 
 def _sine_sum(theta: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -312,8 +306,8 @@ def synthesize(spec: SceneSpec) -> SceneRender:
 PRESET_ANGLES_DEG = tuple(range(10, 100, 10))
 
 
-def box_array_geometry(rate: int = SCENE_RATE) -> ArrayGeometry:
-    return ArrayGeometry(BOX_MIC_POSITIONS.copy(), rate)
+def box_array_geometry() -> ArrayGeometry:
+    return ArrayGeometry(BOX_MIC_POSITIONS.copy())
 
 
 def three_speaker_scene(angle_deg: float, duration_s: float = 10.0,

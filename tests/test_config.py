@@ -189,7 +189,7 @@ def build(cls, **changes):
         return config_from_dict(dict(MINIMAL, stages=changes))
     required = {SceneSource: {"source_id": "s", "azimuth_deg": 0.0},
                 SceneSpec: {"geometry": box_array_geometry(), "sources": ()},
-                ArrayGeometry: {"mic_positions": BOX_MIC_POSITIONS, "rate": 48000}}
+                ArrayGeometry: {"mic_positions": BOX_MIC_POSITIONS}}
     return cls(**{**required.get(cls, {}), **changes})
 
 
@@ -244,7 +244,7 @@ class TestStepSizeBound:
         rng = np.random.default_rng(seed)
         positions = BOX_MIC_POSITIONS if seed is None else rng.uniform(-0.3, 0.3, (
             rng.integers(2, 9), 3))
-        geometry = ArrayGeometry(positions, 48000)
+        geometry = ArrayGeometry(positions)
         for num_sources in range(2, geometry.num_mics + 1):
             directions = [direction_vector(rng.uniform(-np.pi, np.pi), rng.uniform(-1, 1))
                           for _ in range(num_sources)]

@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
+from arraysep.audio import SEPARATION_RATE
 from arraysep.errors import ConfigError, OverDeterminedSceneError
 from arraysep.geometry import ArrayGeometry, direction_vector, far_field_delay, steering_matrix
 
 
 def pair_geometry(offset=0.1):
-    return ArrayGeometry(np.array([[offset, 0.0, 0.0], [-offset, 0.0, 0.0]]), 48000)
+    return ArrayGeometry(np.array([[offset, 0.0, 0.0], [-offset, 0.0, 0.0]]))
 
 
 class TestDelays:
     def test_mic_at_origin_zero(self):
-        geom = ArrayGeometry(np.array([[0, 0, 0], [1, 0, 0], [-1, 0, 0]]), 48000)
+        geom = ArrayGeometry(np.array([[0, 0, 0], [1, 0, 0], [-1, 0, 0]]))
         for azimuth in [0.0, 0.7, 2.0]:
             assert far_field_delay(geom, 0, direction_vector(azimuth)) == 0.0
 
@@ -31,7 +32,7 @@ class TestDelays:
         assert forward == -backward
 
     def test_relative_to_centroid(self):
-        geom = ArrayGeometry(np.array([[0.3, 0, 0], [0.1, 0, 0]]), 48000)
+        geom = ArrayGeometry(np.array([[0.3, 0, 0], [0.1, 0, 0]]))
         d0 = far_field_delay(geom, 0, np.array([1.0, 0.0, 0.0]))
         d1 = far_field_delay(geom, 1, np.array([1.0, 0.0, 0.0]))
         assert d0 == pytest.approx(-d1)
@@ -43,7 +44,7 @@ class TestSteering:
         np.testing.assert_array_equal(sm[0], np.ones((2, 1)))
 
     def test_zero_delay_column_of_ones(self):
-        geom = ArrayGeometry(np.array([[0, 0.2, 0], [0, -0.2, 0]]), 48000)
+        geom = ArrayGeometry(np.array([[0, 0.2, 0], [0, -0.2, 0]]))
         # broadside source: both delays zero, every bin entry is exactly 1
         sm = steering_matrix(geom, [direction_vector(0.0)], 1024)
         np.testing.assert_allclose(sm[:, :, 0], 1.0, atol=1e-12)
@@ -54,14 +55,14 @@ class TestSteering:
         delay = k / 2
         phase = np.exp(-2j * np.pi * 1 * delay / k)
         assert phase == pytest.approx(-1.0)
-        geom = ArrayGeometry(np.array([[delay * 343.0 / 48000.0, 0, 0], [0, 0, 0]]), 48000)
+        geom = ArrayGeometry(np.array([[delay * 343.0 / 48000.0, 0, 0], [0, 0, 0]]))
         sm = steering_matrix(geom, [direction_vector(np.pi)], k)
         centered = geom.centered_positions[0, 0]
         expected = np.exp(-2j * np.pi * 1 * (centered * 48000 / 343.0) / k)
         assert sm[1, 0, 0] == pytest.approx(expected)
 
     def test_unit_modulus(self):
-        geom = ArrayGeometry(np.random.default_rng(0).uniform(-0.2, 0.2, (5, 3)), 48000)
+        geom = ArrayGeometry(np.random.default_rng(0).uniform(-0.2, 0.2, (5, 3)))
         sources = [direction_vector(0.9 * i, 0.2 * i) for i in range(4)]
         sm = steering_matrix(geom, sources, 1024)
         np.testing.assert_allclose(np.abs(sm), 1.0, atol=1e-12)
@@ -70,8 +71,8 @@ class TestSteering:
         rng = np.random.default_rng(4)
         positions = rng.uniform(-0.2, 0.2, (4, 3))
         sources = [direction_vector(0.3), direction_vector(-1.1)]
-        base = steering_matrix(ArrayGeometry(positions, 48000), sources, 256)
-        moved = steering_matrix(ArrayGeometry(positions + [1.0, -2.0, 0.5], 48000), sources, 256)
+        base = steering_matrix(ArrayGeometry(positions), sources, 256)
+        moved = steering_matrix(ArrayGeometry(positions + [1.0, -2.0, 0.5]), sources, 256)
         # positions are centered internally, so steering is translation invariant;
         # the delay-and-sum output power is therefore unchanged by construction
         np.testing.assert_allclose(base, moved, atol=1e-9)
@@ -85,9 +86,17 @@ class TestSteering:
 
 class TestValidation:
     def test_single_mic_rejected(self):
-        with pytest.raises(ConfigError):
-            ArrayGeometry(np.array([[0.0, 0.0, 0.0]]), 48000)
+        with pytest.raises(ConfigError, match="^mic_positions_m needs at least two"):
+            ArrayGeometry(np.array([[0.0, 0.0, 0.0]]))
 
     def test_nonfinite_positions_rejected(self):
-        with pytest.raises(ConfigError):
-            ArrayGeometry(np.array([[np.nan, 0, 0], [0, 0, 0]]), 48000)
+        with pytest.raises(ConfigError, match="^mic_positions_m must be finite"):
+            ArrayGeometry(np.array([[np.nan, 0, 0], [0, 0, 0]]))
+
+    def test_positions_not_n_by_3_rejected(self):
+        with pytest.raises(ConfigError, match=r"^mic_positions_m must be \(N, 3\)"):
+            ArrayGeometry(np.zeros((4, 2)))
+
+    def test_rate_is_the_separation_rate(self):
+        geom = ArrayGeometry(np.array([[0.1, 0, 0], [-0.1, 0, 0]]), speed_of_sound=300.0)
+        assert (geom.rate, geom.speed_of_sound) == (SEPARATION_RATE, 300.0)

@@ -52,13 +52,13 @@ def wirtinger_fd(cost, demix, h=1e-6):
 class TestInitAndSeparate:
     def test_single_mic_single_source_conjugate(self):
         rng = np.random.default_rng(0)
-        geom = ArrayGeometry(np.array([[0.05, 0, 0], [-0.05, 0, 0]]), 48000)
+        geom = ArrayGeometry(np.array([[0.05, 0, 0], [-0.05, 0, 0]]))
         sm = steering_matrix(geom, [direction_vector(0.3)], 64)
         state = gss.init_delay_and_sum(sm)
         np.testing.assert_allclose(state.demix[:, 0, :], sm[:, :, 0].conj() / 2)
 
     def test_zero_delay_rows_uniform(self):
-        geom = ArrayGeometry(np.array([[0, 0.1, 0], [0, -0.1, 0], [0, 0.2, 0], [0, -0.2, 0]]), 48000)
+        geom = ArrayGeometry(np.array([[0, 0.1, 0], [0, -0.1, 0], [0, 0.2, 0], [0, -0.2, 0]]))
         sm = steering_matrix(geom, [direction_vector(0.0)], 64)
         state = gss.init_delay_and_sum(sm)
         np.testing.assert_allclose(state.demix, 0.25, atol=1e-12)
@@ -180,7 +180,7 @@ class TestAdapt:
 
     def test_single_source_stays_at_delay_and_sum(self):
         rng = np.random.default_rng(11)
-        geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (4, 3)), 48000)
+        geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (4, 3)))
         sm = steering_matrix(geom, [direction_vector(0.5)], 64)
         state = gss.init_delay_and_sum(sm)
         reference = state.demix.copy()
@@ -236,7 +236,7 @@ class TestAdapt:
         # reference: the update with both gradients taken from gss.gradients,
         # which computes y = W x itself, instead of reusing separate's y
         rng = np.random.default_rng(17)
-        geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (8, 3)), 48000)
+        geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (8, 3)))
         sm = steering_matrix(geom, [direction_vector(a) for a in (0.5, -0.6, 1.4)], 1024)
         state, reference = gss.init_delay_and_sum(sm), gss.init_delay_and_sum(sm)
         for t in range(50):
@@ -292,7 +292,7 @@ class TestAdapt:
         # the same frames as C- and F-ordered arrays; 8 microphones, where
         # numpy sums a contiguous axis pairwise and a strided one in sequence
         rng = np.random.default_rng(23)
-        geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (8, 3)), 48000)
+        geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (8, 3)))
         sm = steering_matrix(geom, [direction_vector(a) for a in (0.5, -0.6, 1.4)], 1024)
         states = {layout: gss.init_delay_and_sum(sm) for layout in "CF"}
         for t in range(5):
@@ -307,7 +307,7 @@ class TestAdapt:
         # broadcast outer product and the input power's temporaries beside
         # them had adapt peak 0.79 MB above its entry
         rng = np.random.default_rng(24)
-        geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (8, 3)), 48000)
+        geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (8, 3)))
         sm = steering_matrix(geom, [direction_vector(a) for a in (0.5, -0.6, 1.4)], 1024)
         state = gss.init_delay_and_sum(sm)
         x = rng.standard_normal((8, 513)) + 1j * rng.standard_normal((8, 513))
@@ -350,7 +350,7 @@ class TestAdapt:
 
     def test_source_permutation_permutes_outputs(self):
         rng = np.random.default_rng(14)
-        geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (4, 3)), 48000)
+        geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (4, 3)))
         src = [direction_vector(a) for a in (0.5, -0.6, 1.4)]
         frames = [rng.standard_normal((4, 33)) + 1j * rng.standard_normal((4, 33))
                   for _ in range(20)]
@@ -376,7 +376,7 @@ class TestAdapt:
         # below 1 / (N M): 1/24 for the eight-microphone box and three sources.
         from arraysep.simulate import BOX_MIC_POSITIONS
 
-        geom = ArrayGeometry(BOX_MIC_POSITIONS, 48000)
+        geom = ArrayGeometry(BOX_MIC_POSITIONS)
         sm = steering_matrix(geom, [direction_vector(np.deg2rad(a)) for a in (0, 90, -90)], 1024)
         state = gss.init_delay_and_sum(sm, factor / 24)
         frame = SpectralFrame(np.zeros((8, 513)), 0, 1024, 48000)

@@ -37,6 +37,17 @@ class TestRatios:
         a, _ = orthogonal_references()
         assert interference_ratio_db(a, np.zeros_like(a), [a]) is None
 
+    def test_silent_output_undefined_not_capped(self, tmp_path):
+        # zero target power over zero residual shows no separation at all:
+        # it must not score the cap, and the report writes nan
+        a, b = orthogonal_references()
+        silent = np.zeros_like(a)
+        assert interference_ratio_db(silent, a, [b]) is None
+        assert noise_ratio_db(silent, a, np.stack([b, 0.5 * b])) is None
+        rows = measure_quality([silent, b], [a, b], np.stack([b, 0.5 * b]), ["a", "b"])
+        QualityReport({"gss": rows}).to_csv(str(tmp_path / "q.csv"))
+        assert (tmp_path / "q.csv").read_text().splitlines()[1] == "gss,a,nan,nan,nan"
+
     def test_known_mixture_ratio(self):
         a, b = orthogonal_references()
         mixed = a + 0.1 * b  # 20 dB target to interference

@@ -21,7 +21,8 @@ from scipy.io import wavfile
 from arraysep import audio, cli, gss, pipeline
 from arraysep.audio import AudioBuffer, read_wav, write_wav
 from arraysep.cli import main
-from arraysep.config import PipelineConfig, SourceDirection, scene_to_dict, serialize_config
+from arraysep.config import (PipelineConfig, SourceDirection, parse_scene_file, scene_to_dict,
+                             serialize_config, write_scene_file)
 from arraysep.geometry import steering_matrix
 from arraysep.errors import AudioIOError, StreamError
 from arraysep.metrics import QualityReport, interference_ratio_db, measure_quality
@@ -767,7 +768,7 @@ class TestCli:
                                             ("mic_positions_m", [["a", 0, 0], [1, 0, 0]]),
                                             ("mic_positions_m", [["0.1", 0, 0], [-0.1, 0, 0]])])
     def test_invalid_key_exits_before_any_output(self, short_scene, scene_dir, tmp_path,
-                                                 key, value):
+                                                 capsys, key, value):
         spec, _ = short_scene
         config_path = tmp_path / "cfg.yaml"
         write_config(config_path, spec, scene_dir, tmp_path / "out")
@@ -775,6 +776,7 @@ class TestCli:
         data[key] = value
         config_path.write_text(yaml.safe_dump(data))
         assert main(["separate", "--config", str(config_path)]) == 2
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     # the nine keys that are module constants now, at the values they held:
@@ -900,7 +902,7 @@ class TestCli:
     @pytest.mark.parametrize("source, key, value", [
         (0, "pitch_hz", 0), (0, "pitch_drift", -1.0), (0, "pitch_hz", "120"),
         (0, "pitch_hz", float("nan")), (2, "band_high_hz", 30000.0), (0, "pitch_hz", -100.0),
-        (0, "band_high_hz", 50.0),
+        (0, "band_high_hz", 50.0), (0, "pitch_hz", 19.99), (2, "band_high_hz", 24000.0),
     ])
     def test_bad_scene_signal_rejected(self, tmp_path, source, key, value):
         data = scene_to_dict(three_speaker_scene(90.0, duration_s=0.2, seed=7))
@@ -910,6 +912,60 @@ class TestCli:
         assert main(["simulate", "--scene", str(scene),
                      "--output-dir", str(tmp_path / "out")]) == 2
         assert os.listdir(tmp_path) == ["scene.yaml"]
+
+    # the four keys that are constants now, at their old defaults and at other
+    # values: a scene.yaml written before they became constants names them
+    @pytest.mark.parametrize("key, value", [
+        ("rate", 48000), ("rate", 16000), ("pitch_drift", 0.06), ("pitch_drift", 0.0),
+        ("envelope_rate_hz", 4.0), ("envelope_rate_hz", 2.0), ("envelope_depth", 1.0),
+        ("envelope_depth", 0.5)])
+    def test_scene_keys_that_are_constants_are_refused(self, tmp_path, capsys, key, value):
+        data = scene_to_dict(three_speaker_scene(90.0, duration_s=0.2, seed=7))
+        (data if key == "rate" else data["sources"][1]["signal"])[key] = value
+        scene = tmp_path / "scene.yaml"
+        scene.write_text(yaml.safe_dump(data))
+        assert main(["simulate", "--scene", str(scene),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert f"unexpected keyword argument '{key}'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["scene.yaml"]
+
+    def test_earlier_scene_file_names_its_first_removed_key(self, tmp_path, capsys):
+        data = scene_to_dict(three_speaker_scene(90.0, duration_s=0.2, seed=7))
+        data = {"rate": 48000, **data}  # as earlier versions wrote it, signals in full
+        for source in data["sources"]:
+            source["signal"].update(pitch_drift=0.06, envelope_rate_hz=4.0, envelope_depth=1.0)
+        scene = tmp_path / "scene.yaml"
+        scene.write_text(yaml.safe_dump(data, sort_keys=False))
+        assert main(["simulate", "--scene", str(scene),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.endswith("unexpected keyword argument 'rate'\n")
+        assert os.listdir(tmp_path) == ["scene.yaml"]
+
+    @pytest.mark.parametrize("name", ["trio-40deg", "varied"])
+    def test_written_scene_file_renders_its_spec(self, tmp_path, name):
+        # the scene.yaml that simulate writes renders the bits of the spec it came from
+        if name == "trio-40deg":
+            spec = three_speaker_scene(40.0, duration_s=0.5, seed=1234)
+            argv = ["--preset", name, "--duration", "0.5", "--seed", "1234"]
+        else:  # onsets, gains, elevations and am_noise bands
+            spec = SceneSpec(box_array_geometry(), (
+                SceneSource("up", 35.0, elevation_deg=30.0, gain_db=-4.5, onset_s=0.1),
+                SceneSource("hiss", -80.0, elevation_deg=-12.0, gain_db=3.0, onset_s=0.25,
+                            signal=SignalSpec(kind="am_noise", band_low_hz=2500.0,
+                                              band_high_hz=6000.0)),
+                SceneSource("low", 150.0, signal=SignalSpec(pitch_hz=95.0, band_high_hz=5000.0,
+                                                            formants_hz=(500.0, 1500.0)))),
+                duration_s=0.5, noise_level_db=-35.0, seed=99)
+            write_scene_file(spec, str(tmp_path / "given.yaml"))
+            argv = ["--scene", str(tmp_path / "given.yaml")]
+        assert main(["simulate", *argv, "--output-dir", str(tmp_path / "out")]) == 0
+        got = synthesize(parse_scene_file(str(tmp_path / "out" / "scene.yaml")))
+        expected = synthesize(spec)
+        np.testing.assert_array_equal(got.mixture.samples, expected.mixture.samples)
+        np.testing.assert_array_equal(got.noise, expected.noise)
+        for arrays in ("source_images", "clean_references"):
+            for a, b in zip(getattr(got, arrays), getattr(expected, arrays), strict=True):
+                np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("key, value", [
         ("azimuth_deg", float("nan")), ("elevation_deg", float("nan")),

@@ -75,18 +75,17 @@ def long_double_harmonic_train(spec, rng, n, rate=48000):
     the renderer computes, with the renderer's draws made one scalar at a
     time: drift rate and phase, each harmonic's phase, then the envelope."""
     t = np.arange(n) / rate
-    drift = spec.pitch_drift * np.sin(2.0 * np.pi * rng.uniform(0.1, 0.4) * t
-                                      + rng.uniform(0, 2 * np.pi))
+    drift = simulate.PITCH_DRIFT * np.sin(2.0 * np.pi * rng.uniform(0.1, 0.4) * t
+                                          + rng.uniform(0, 2 * np.pi))
     theta = (2.0 * np.pi * np.cumsum(spec.pitch_hz * (1.0 + drift)) / rate).astype(np.longdouble)
     out = np.zeros(n, dtype=np.longdouble)
-    for h in range(1, int(spec.band_high_hz / (spec.pitch_hz * (1.0 + spec.pitch_drift))) + 1):
+    for h in range(1, int(spec.band_high_hz / (spec.pitch_hz * (1.0 + simulate.PITCH_DRIFT))) + 1):
         freq = h * spec.pitch_hz
         resonance = sum(np.exp(-0.5 * ((freq - f0) / (0.2 * f0 + 120.0)) ** 2)
                         for f0 in spec.formants_hz)
         amplitude = np.longdouble((0.05 + 2.0 * resonance) / np.sqrt(h))
         out += amplitude * np.sin(h * theta + np.longdouble(rng.uniform(0, 2 * np.pi)))
-    return out * simulate._slow_envelope(rng, n, rate, spec.envelope_rate_hz,
-                                         spec.envelope_depth)
+    return out * simulate._slow_envelope(rng, n, rate)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
@@ -137,8 +136,9 @@ class TestHarmonicSummation:
 class TestSignalSpecChecks:
     @pytest.mark.parametrize("changes", [
         {"pitch_hz": 0.0}, {"pitch_hz": -100.0}, {"pitch_hz": "120"},
-        {"pitch_hz": float("nan")}, {"pitch_hz": True}, {"pitch_drift": -1.0},
-        {"pitch_drift": 1.0}, {"envelope_depth": 1.5}, {"envelope_rate_hz": float("inf")},
+        {"pitch_hz": float("nan")}, {"pitch_hz": True},
+        {"pitch_hz": 1e-3}, {"pitch_hz": 19.99},  # 1 mHz: 6,603,773 harmonics below 7 kHz
+        {"band_high_hz": 24000.0}, {"kind": "am_noise", "band_high_hz": 30000.0},
         {"band_low_hz": 0.0}, {"band_high_hz": 50.0}, {"formants_hz": (700.0, None)},
         {"band_low_hz": 10.0, "band_high_hz": 50.0},
     ])
@@ -147,10 +147,13 @@ class TestSignalSpecChecks:
             SignalSpec(**changes)
 
     def test_band_edge_must_be_below_nyquist(self):
-        signal = SignalSpec(kind="am_noise", band_high_hz=30000.0)
-        with pytest.raises(ConfigError, match="Nyquist"):
-            SceneSpec(box_array_geometry(), (SceneSource("s", 0.0, signal=signal),),
-                      duration_s=0.1)
+        with pytest.raises(ConfigError, match=r"band_high_hz must be a number in \(0, 24000\)"):
+            SignalSpec(kind="am_noise", band_high_hz=box_array_geometry().rate / 2)
+        SignalSpec(kind="am_noise", band_high_hz=np.nextafter(24000.0, 0.0))
+
+    def test_pitch_floor_bounds_the_harmonic_count(self):
+        lowest = SignalSpec(pitch_hz=20.0, band_high_hz=np.nextafter(24000.0, 0.0))
+        assert lowest.num_harmonics == 1132
 
     @pytest.mark.parametrize("duration_s", [0.0, 1e-6, -1.0, float("inf"), float("nan")])
     def test_scene_needs_a_sample(self, duration_s):
@@ -183,14 +186,14 @@ class TestSynthesize:
     def test_broadside_pair_identical_signals(self):
         # the source direction (azimuth 0 -> +x) is exactly orthogonal to the
         # microphone axis, so both delays are exactly zero
-        geom = ArrayGeometry(np.array([[0, 0.1, 0], [0, -0.1, 0]]), 48000)
+        geom = ArrayGeometry(np.array([[0, 0.1, 0], [0, -0.1, 0]]))
         spec = SceneSpec(geom, (SceneSource("s", 0.0),), duration_s=0.25,
                          noise_level_db=-np.inf, seed=1)
         render = synthesize(spec)
         np.testing.assert_array_equal(render.mixture.samples[0], render.mixture.samples[1])
 
     def test_silent_noise_gives_pure_delayed_copies(self):
-        geom = ArrayGeometry(np.array([[0.1, 0, 0], [-0.1, 0, 0]]), 48000)
+        geom = ArrayGeometry(np.array([[0.1, 0, 0], [-0.1, 0, 0]]))
         spec = SceneSpec(geom, (SceneSource("s", 0.0),), duration_s=0.25,
                          noise_level_db=-np.inf, seed=2)
         render = synthesize(spec)
@@ -198,7 +201,7 @@ class TestSynthesize:
                                       render.source_images[0])
 
     def test_cross_correlation_recovers_geometric_delay(self):
-        geom = ArrayGeometry(np.array([[0.15, 0, 0], [-0.15, 0, 0]]), 48000)
+        geom = ArrayGeometry(np.array([[0.15, 0, 0], [-0.15, 0, 0]]))
         azimuth = 37.0
         spec = SceneSpec(geom,
                          (SceneSource("s", azimuth, signal=SignalSpec(kind="am_noise")),),
@@ -223,7 +226,7 @@ class TestSynthesize:
         assert np.all(head == 0)
 
     def test_over_determined_rejected(self):
-        geom = ArrayGeometry(np.array([[0.1, 0, 0], [-0.1, 0, 0]]), 48000)
+        geom = ArrayGeometry(np.array([[0.1, 0, 0], [-0.1, 0, 0]]))
         spec = SceneSpec(geom, tuple(SceneSource(f"s{i}", 10.0 * i) for i in range(3)),
                          duration_s=0.2)
         with pytest.raises(OverDeterminedSceneError):
@@ -258,7 +261,7 @@ def irregular_scene():
     # no two microphones share a delay toward a source 30 degrees up
     positions = np.array([[0.03, 0.11, -0.02], [-0.07, 0.05, 0.04], [0.09, -0.06, 0.01],
                           [-0.04, -0.08, -0.05], [0.01, 0.02, 0.09]])
-    return SceneSpec(ArrayGeometry(positions, 48000),
+    return SceneSpec(ArrayGeometry(positions),
                      (SceneSource("up", 35.0, elevation_deg=30.0),
                       SceneSource("low", -110.0, elevation_deg=-12.0,
                                   signal=SignalSpec(kind="am_noise"))),
@@ -269,7 +272,7 @@ def integer_delay_scene():
     # one meter per sample: delays of +-2 and +-45 samples, the latter
     # beyond the 30-sample scene
     positions = np.array([[2.0, 0, 0], [-2.0, 0, 0], [45.0, 0, 0], [-45.0, 0, 0]])
-    geometry = ArrayGeometry(positions, 48000, speed_of_sound=48000.0)
+    geometry = ArrayGeometry(positions, speed_of_sound=48000.0)
     return SceneSpec(geometry, (SceneSource("front", 0.0), SceneSource("back", 180.0)),
                      duration_s=30 / 48000, seed=22)
 
