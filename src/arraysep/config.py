@@ -188,14 +188,40 @@ def _scene_source(row: dict) -> SceneSource:
     return SceneSource(row.pop("id"), signal=SignalSpec(**signal), **row)
 
 
+# The keys each level of a scene file admits: the scene's own values and the
+# array's, each source's (named by ``id``) and each signal's.
+_SCENE_KEYS = {"speed_of_sound", "mic_positions_m", *SceneSpec.__dataclass_fields__} - {"geometry"}
+_SOURCE_KEYS = {"id", *SceneSource.__dataclass_fields__} - {"source_id"}
+_SIGNAL_KEYS = set(SignalSpec.__dataclass_fields__)
+
+
+def _unknown_scene_keys(data: dict) -> list[str]:
+    """Every key that its level of the scene file does not admit, by its path, sorted."""
+    unknown = [str(key) for key in data if key not in _SCENE_KEYS]
+    sources = data.get("sources")
+    for i, row in enumerate(sources if isinstance(sources, list) else []):
+        if isinstance(row, dict):
+            unknown += [f"sources[{i}].{key}" for key in row if key not in _SOURCE_KEYS]
+            signal = row.get("signal")
+            if isinstance(signal, dict):
+                unknown += [f"sources[{i}].signal.{key}" for key in signal
+                            if key not in _SIGNAL_KEYS]
+    return sorted(unknown)
+
+
 def scene_from_dict(data: dict) -> SceneSpec:
-    """Values reach the scene classes as written, so their checks see them.  The
-    sources are built lazily: an unknown top-level key is named before any other."""
+    """Values reach the scene classes as written, so their checks see them.  Every
+    key that no level of the file admits is named first."""
+    if not isinstance(data, dict):
+        raise ConfigError("scene root must be a mapping")
+    unknown = _unknown_scene_keys(data)
+    if unknown:
+        raise ConfigError(f"unknown scene keys: {unknown}")
     try:
         data = dict(data)
         geometry = ArrayGeometry(data.pop("mic_positions_m"),
                                  speed_of_sound=data.pop("speed_of_sound", SPEED_OF_SOUND))
-        sources = (_scene_source(row) for row in data.pop("sources", []))
+        sources = [_scene_source(row) for row in data.pop("sources", [])]
         return SceneSpec(geometry, sources, **data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scene description: {exc}") from exc

@@ -3,9 +3,10 @@
 Outputs are decomposed by least-squares projection onto each clean
 reference; the target projection's power against the rival projections'
 power gives the interference ratio, and against the noise projections the
-noise ratio.  Perfect reconstructions cap at 99 dB; zero-power references,
-and a silent output (zero target power over zero residual), make the
-metric undefined (None).
+noise ratio.  Perfect reconstructions cap at 99 dB, and an output with no
+projection on its target floors at -99 dB; zero-power references, and a
+silent output (zero target power over zero residual), make the metric
+undefined (None).
 """
 
 from __future__ import annotations
@@ -82,6 +83,8 @@ def _projection_ratio_db(output: np.ndarray, references: Iterable[np.ndarray],
             residual += power
     if residual <= target * 10.0 ** (-SIR_CAP_DB / 10.0):
         return SIR_CAP_DB if target > 0.0 else None
+    if target <= residual * 10.0 ** (-SIR_CAP_DB / 10.0):
+        return -SIR_CAP_DB
     return min(SIR_CAP_DB, 10.0 * np.log10(target / residual))
 
 

@@ -18,6 +18,7 @@ import os
 import shutil
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -32,79 +33,79 @@ from .geometry import steering_matrix
 from .masks import align_to_feature_frames, masks_from_records, write_mask_binary, write_mask_csv
 from .metrics import QualityReport, measure_quality
 from .postfilter import PostFilter
-from .stft import BLOCK_FRAMES, frame_count, stft_analyze, stft_synthesize
+from .stft import BLOCK_FRAMES, SpectralFrame, frame_count, stft_analyze, stft_synthesize
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass
-class StreamOutput:
-    """The separated 48 kHz streams (None for an input shorter than one
-    frame), the frame count and the GSS state.  With the post-filter, row t
-    of ``bands`` holds frame t's band powers, (T, 3, M, 24); else None."""
+class StageLoop:
+    """The frame loop's state: GSS, the optional post-filter with its (T, 3, M, 24) band
+    powers ``bands`` (else None), and the dump sink.  ``step`` and ``finish`` return the
+    frames ready for synthesis; ``run_stages`` sets ``separated`` (None if no frame)."""
 
-    separated: AudioBuffer | None
-    num_frames: int
-    state: gss.SeparationState
-    bands: np.ndarray | None = None
+    def __init__(self, config: PipelineConfig, num_frames: int, dump=None):
+        steering = steering_matrix(config.geometry(), config.directions(), config.fft_size)
+        self.state = gss.init_delay_and_sum(steering, config.step_size)
+        self.adapt, self.dump = config.stages.adapt, dump
+        self.num_frames, self.separated, self.bands = num_frames, None, None
+        self.postfilter, self.gain_faults = None, 0
+        if config.stages.postfilter:
+            num_sources, num_bins = len(config.sources), config.fft_size // 2 + 1
+            self.postfilter = PostFilter(num_sources, num_bins, config)
+            self.bands = np.zeros((num_frames, 3, num_sources, NUM_BANDS))
+
+    def step(self, frame: SpectralFrame) -> list[SpectralFrame]:
+        """Separate the next analysis frame and adapt on it; the separated
+        frame, or with the post-filter the block that it completes, if any."""
+        separated = gss.separate(self.state, frame)
+        if self.adapt:
+            gss.adapt(self.state, frame, separated)
+        del frame  # a view of its analysis block: let the block go before the flush
+        if self.postfilter is None:
+            return [separated]
+        self.postfilter.process(separated)
+        return self._flush() if len(self.postfilter.queued) == BLOCK_FRAMES else []
+
+    def finish(self) -> list[SpectralFrame]:
+        """The queued frames, filtered; the post-filter goes, its gain-fault count stays."""
+        if self.postfilter is None:
+            return []
+        frames = self._flush() if self.postfilter.queued else []
+        self.gain_faults, self.postfilter = self.postfilter.gains.fault_count, None
+        return frames
+
+    def _flush(self) -> list[SpectralFrame]:
+        frames, bands, internals = self.postfilter.flush()
+        first = frames[0].frame_index
+        self.bands[first : first + len(frames)] = bands
+        if self.dump is not None and internals is not None:
+            for t, frame in enumerate(frames):
+                self.dump(frame.frame_index, [part[t] for part in internals])
+        return frames
 
 
 def run_stages(mixture: AudioBuffer | WavFile, config: PipelineConfig,
-               dump=None) -> StreamOutput:
-    """Stream the mixture through separation, the optional post-filter and
-    overlap-add, BLOCK_FRAMES frames at a time; no frame outlives its own
-    block's step through the chain, and with ``dump_diagnostics`` each
-    one's internals go to ``dump(frame_index, internals)``."""
-    geometry = config.geometry()
-    if mixture.num_channels != geometry.num_mics:
-        raise StreamError(
-            f"input has {mixture.num_channels} channels, geometry expects {geometry.num_mics}"
-        )
+               dump=None) -> StageLoop:
+    """Stream the mixture's analysis frames through a ``StageLoop`` into overlap-add and
+    return the loop; no frame outlives its own block's step through the chain, and with
+    ``dump_diagnostics`` each one's internals go to ``dump(frame_index, internals)``."""
+    num_frames = frame_count(mixture.num_samples, config.fft_size, config.shift)
+    loop = StageLoop(config, num_frames, dump)
+    if mixture.num_channels != loop.state.num_mics:
+        raise StreamError(f"input has {mixture.num_channels} channels, "
+                          f"geometry expects {loop.state.num_mics}")
     if mixture.rate != SEPARATION_RATE:
         raise StreamError(f"input is sampled at {mixture.rate} Hz, not {SEPARATION_RATE}")
-    steering = steering_matrix(geometry, config.directions(), config.fft_size)
-    state = gss.init_delay_and_sum(steering, config.step_size)
-    num_frames = frame_count(mixture.num_samples, config.fft_size, config.shift)
-    output = StreamOutput(None, num_frames, state)
-    postfilter = None
-    if config.stages.postfilter:
-        num_sources, num_bins = len(config.sources), config.fft_size // 2 + 1
-        postfilter = PostFilter(num_sources, num_bins, config)
-        output.bands = np.zeros((num_frames, 3, num_sources, NUM_BANDS))
-
-    def filtered():
-        frames, bands, internals = postfilter.flush()
-        first = frames[0].frame_index
-        output.bands[first : first + len(frames)] = bands
-        if dump is not None and internals is not None:
-            for t, frame in enumerate(frames):
-                dump(frame.frame_index, [part[t] for part in internals])
-        return frames
-
-    def stages(frames):
-        for frame in frames:
-            separated = gss.separate(state, frame)
-            if config.stages.adapt:
-                gss.adapt(state, frame, separated)
-            del frame  # a view of its analysis block: let the block go before the next one
-            if postfilter is None:
-                yield separated
-                continue
-            postfilter.process(separated)
-            if len(postfilter.queued) == BLOCK_FRAMES:
-                yield from filtered()
-        if postfilter is not None and postfilter.queued:
-            yield from filtered()
-
-    frames = stages(stft_analyze(mixture, config.fft_size, config.shift))
+    frames = stft_analyze(mixture, config.fft_size, config.shift)
+    # in CPython 3.11+ step holds the only reference to its frame; finish runs last
+    steps = iter(lambda: loop.step(next(frames)), None)
+    ready = chain.from_iterable(chain(steps, map(StageLoop.finish, [loop])))
     if num_frames:
-        output.separated = stft_synthesize(frames, config.shift, num_frames)
-    else:
-        for _ in frames:  # there is no frame, but every sample is still read and scanned
-            pass
-    logger.info("stages: %d frames, %d post-filter gain faults", num_frames,
-                postfilter.gains.fault_count if postfilter is not None else 0)
-    return output
+        loop.separated = stft_synthesize(ready, config.shift, num_frames)
+    for _ in ready:  # with no frame, every sample is still read and scanned
+        pass
+    logger.info("stages: %d frames, %d post-filter gain faults", num_frames, loop.gain_faults)
+    return loop
 
 
 @dataclass
@@ -255,7 +256,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         raise AudioIOError(f"cannot write to {config.output_dir}: {exc}") from exc
 
 
-def _emit(config: PipelineConfig, output: StreamOutput, ids: list[str],
+def _emit(config: PipelineConfig, output: StageLoop, ids: list[str],
           staging: _Staging) -> PipelineResult:
     """Write every artifact of a finished stage loop under its staged name;
     the result names the final paths."""
@@ -267,15 +268,14 @@ def _emit(config: PipelineConfig, output: StreamOutput, ids: list[str],
     if config.dump_diagnostics:
         _dump_gss_state(staging(os.path.join(config.output_dir, "gss_state.csv")),
                         output.state, ids)
-    separated = output.separated
-    if separated is None:
+    if output.separated is None:
         return result
 
     for m, source_id in enumerate(ids):
         _emit_source(config, output, m, source_id, staging, result)
 
     if config.reference_wavs:
-        rows = _quality_rows(config, separated, ids)
+        rows = _quality_rows(config, output.separated, ids)
         stage = "gss+pf" if config.stages.postfilter else ("gss" if config.stages.adapt else "delay-and-sum")
         result.report_csv = os.path.join(config.output_dir, "quality_report.csv")
         QualityReport({stage: rows}).to_csv(staging(result.report_csv))
@@ -283,7 +283,7 @@ def _emit(config: PipelineConfig, output: StreamOutput, ids: list[str],
     return result
 
 
-def _emit_source(config: PipelineConfig, output: StreamOutput, m: int, source_id: str,
+def _emit_source(config: PipelineConfig, output: StageLoop, m: int, source_id: str,
                  staging: _Staging, result: PipelineResult) -> None:
     """Write source ``m``'s audio, features and mask under their staged
     names and enter them in ``result``.  Its 16 kHz copy, features and mask

@@ -171,6 +171,17 @@ class TestSceneFiles:
             scene_from_dict({"mic_positions_m": [[0, 0, 0], [1, 0, 0]],
                              "sources": [{"azimuth_deg": 10.0}]})  # id missing
 
+    def test_unknown_scene_keys_are_all_named_at_every_level(self):
+        data = scene_to_dict(three_speaker_scene(40.0, duration_s=0.2, seed=5))
+        data["colour"] = "red"
+        data["sources"][2]["volume"] = 1.0
+        data["sources"][0]["signal"]["vibrato"] = 0.1
+        named = ["colour", "sources[0].signal.vibrato", "sources[2].volume"]
+        with pytest.raises(ConfigError, match=re.escape(f"unknown scene keys: {named}")):
+            scene_from_dict(data)
+        with pytest.raises(ConfigError, match="scene root must be a mapping"):
+            scene_from_dict([data])
+
 
 # Every class whose fields declare what they admit, and how the program checks it.
 TABLE = (PipelineConfig, SourceDirection, StageToggles, SignalSpec, SceneSource, SceneSpec,

@@ -28,6 +28,12 @@ class TestRatios:
         a, b = orthogonal_references()
         assert interference_ratio_db(a, a, [b]) == 99.0
 
+    def test_output_without_its_target_floors_at_minus_99(self):
+        # no projection on the target over some on a rival: the mirror of the cap
+        a, b = orthogonal_references()
+        assert interference_ratio_db(b, a, [b]) == -99.0
+        assert noise_ratio_db(b, a, b[None]) == -99.0
+
     def test_equal_power_sum_is_zero_db(self):
         a, b = orthogonal_references()
         mixed = a + b

@@ -19,7 +19,7 @@ import yaml
 from scipy.io import wavfile
 
 from arraysep import audio, cli, gss, pipeline
-from arraysep.audio import AudioBuffer, read_wav, write_wav
+from arraysep.audio import AudioBuffer, read_wav, resample_48k_to_16k, write_wav
 from arraysep.cli import main
 from arraysep.config import (PipelineConfig, SourceDirection, parse_scene_file, scene_to_dict,
                              serialize_config, write_scene_file)
@@ -27,11 +27,13 @@ from arraysep.geometry import steering_matrix
 from arraysep.errors import AudioIOError, StreamError
 from arraysep.metrics import QualityReport, interference_ratio_db, measure_quality
 from arraysep.formats import PostfilterDump
-from arraysep.pipeline import _dump_gss_state, _Staging, bench_pipeline, run_pipeline, run_stages
+from arraysep.masks import masks_from_records
+from arraysep.pipeline import (StageLoop, _dump_gss_state, _Staging, bench_pipeline, run_pipeline,
+                               run_stages)
 from arraysep.postfilter import PostFilter
 from arraysep.simulate import (SceneSource, SceneSpec, SignalSpec, box_array_geometry,
                                synthesize, three_speaker_scene)
-from arraysep.stft import BLOCK_FRAMES, SpectralFrame, stft_analyze, stft_synthesize
+from arraysep.stft import BLOCK_FRAMES, SpectralFrame, frame_count, stft_analyze, stft_synthesize
 from helpers import (filter_frame, pipeline_config_for_scene, separate_scene, stage_sir,
                      write_pcm24)
 
@@ -506,6 +508,81 @@ class TestRunPipeline:
         assert len(flushed) == len(alive) == -(-num_frames // BLOCK_FRAMES)
         assert alive == [0] * len(alive)
 
+    @pytest.mark.parametrize("adapt, postfilter", [(True, True), (True, False), (False, True),
+                                                   (False, False)])
+    def test_stepping_the_loop_by_hand_gives_run_stages_outputs(self, short_scene, adapt,
+                                                                postfilter):
+        spec, render = short_scene
+        config = pipeline_config_for_scene(spec, adapt=adapt, postfilter=postfilter)
+        num_frames = frame_count(render.mixture.num_samples, config.fft_size, config.shift)
+        assert num_frames % BLOCK_FRAMES  # the last block is a partial one
+        loop, ready = StageLoop(config, num_frames), []
+        for frame in stft_analyze(render.mixture, config.fft_size, config.shift):
+            ready += loop.step(frame)
+        ready += loop.finish()
+        by_hand = stft_synthesize(ready, config.shift, num_frames)
+        output = run_stages(render.mixture, config)
+        assert by_hand.samples.tobytes() == output.separated.samples.tobytes()
+        if postfilter:
+            assert loop.bands.tobytes() == output.bands.tobytes()
+        else:
+            assert loop.bands is None and output.bands is None
+        assert loop.state.demix.tobytes() == output.state.demix.tobytes()
+
+    def test_no_post_filter_outlives_run_stages(self, short_scene, monkeypatch):
+        # its block buffers must be gone before emission, whose peak they would raise
+        spec, render = short_scene
+        config = pipeline_config_for_scene(spec)
+        flush, made = PostFilter.flush, []
+
+        def flushing(postfilter):
+            made.append(weakref.ref(postfilter))
+            return flush(postfilter)
+
+        monkeypatch.setattr(PostFilter, "flush", flushing)
+        output = run_stages(render.mixture, config)  # held while checking
+        assert made and output.bands is not None
+        assert all(ref() is None for ref in made)
+
+    @pytest.mark.parametrize("extra", [0, 137])
+    def test_a_cut_input_gives_a_prefix_of_the_whole_input_outputs(self, short_scene, extra):
+        # The latency contract.  Cut at n, where n - fft_size is a multiple of
+        # shift, or ``extra`` samples later, which fall in no frame.  Up to
+        # its last fft_size - shift samples, which lack the next frame's
+        # overlap, the cut run's 48 kHz output is the whole run's.  A 16 kHz
+        # sample is final once every input of its decimator block is: block b
+        # reads the 48 kHz samples from _BLOCK_STEP * b - reach, _BLOCK_FFT of
+        # them, and gives _BLOCK_STEP / 3 outputs.  The band powers, and so the
+        # static and continuous masks, are final with their frame; a delta bit
+        # waits for the two frames after it.
+        spec, render = short_scene
+        config = pipeline_config_for_scene(spec)
+        fft_size, shift = config.fft_size, config.shift
+        n = fft_size + (10 * BLOCK_FRAMES + 4) * shift + extra  # 85 frames: a partial last block
+        whole = run_stages(render.mixture, config)
+        cut = run_stages(AudioBuffer(render.mixture.samples[:, :n], 48000), config)
+        assert cut.num_frames == frame_count(n, fft_size, shift) == 85
+        assert n - cut.separated.num_samples == extra  # fewer than shift: no output
+        final = cut.separated.num_samples - (fft_size - shift)
+        assert np.array_equal(cut.separated.samples[:, :final],
+                              whole.separated.samples[:, :final])
+        reach = len(audio._DECIMATION_FILTER) // 2
+        final16 = audio._BLOCK_STEP // 3 * ((final - (audio._BLOCK_FFT - reach))
+                                            // audio._BLOCK_STEP + 1)
+        assert final16 > 0
+
+        def at_16k(output, m):
+            return resample_48k_to_16k(AudioBuffer(output.separated.samples[m], 48000)).samples[0]
+
+        for m in range(len(spec.sources)):
+            assert np.array_equal(at_16k(cut, m)[:final16], at_16k(whole, m)[:final16])
+            got = masks_from_records(cut.bands, m, config.mask_threshold)
+            expected = masks_from_records(whole.bands[: cut.num_frames], m,
+                                          config.mask_threshold)
+            assert np.array_equal(got.continuous, expected.continuous)
+            assert np.array_equal(got.static, expected.static)
+            assert np.array_equal(got.delta[:-2], expected.delta[:-2])
+
 
 class TestDiagnosticDumps:
     """Dump files against text built element by element with f-strings."""
@@ -921,15 +998,16 @@ class TestCli:
         ("envelope_depth", 0.5)])
     def test_scene_keys_that_are_constants_are_refused(self, tmp_path, capsys, key, value):
         data = scene_to_dict(three_speaker_scene(90.0, duration_s=0.2, seed=7))
+        path = key if key == "rate" else f"sources[1].signal.{key}"
         (data if key == "rate" else data["sources"][1]["signal"])[key] = value
         scene = tmp_path / "scene.yaml"
         scene.write_text(yaml.safe_dump(data))
         assert main(["simulate", "--scene", str(scene),
                      "--output-dir", str(tmp_path / "out")]) == 2
-        assert f"unexpected keyword argument '{key}'" in capsys.readouterr().err
+        assert f"unknown scene keys: ['{path}']" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["scene.yaml"]
 
-    def test_earlier_scene_file_names_its_first_removed_key(self, tmp_path, capsys):
+    def test_earlier_scene_file_names_every_removed_key(self, tmp_path, capsys):
         data = scene_to_dict(three_speaker_scene(90.0, duration_s=0.2, seed=7))
         data = {"rate": 48000, **data}  # as earlier versions wrote it, signals in full
         for source in data["sources"]:
@@ -938,7 +1016,9 @@ class TestCli:
         scene.write_text(yaml.safe_dump(data, sort_keys=False))
         assert main(["simulate", "--scene", str(scene),
                      "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.endswith("unexpected keyword argument 'rate'\n")
+        removed = ["rate"] + [f"sources[{i}].signal.{key}" for i in range(3)
+                              for key in ("envelope_depth", "envelope_rate_hz", "pitch_drift")]
+        assert capsys.readouterr().err.endswith(f"unknown scene keys: {removed}\n")
         assert os.listdir(tmp_path) == ["scene.yaml"]
 
     @pytest.mark.parametrize("name", ["trio-40deg", "varied"])
