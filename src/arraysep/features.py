@@ -114,26 +114,25 @@ def delta_features(static: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return deltas, valid
 
 
-def extract_features(audio: AudioBuffer, fft_size: int = FEATURE_FFT_SIZE,
-                     shift: int = FEATURE_SHIFT, lifter: bool = True,
+def extract_features(audio: AudioBuffer, lifter: bool = True,
                      mean_subtract: bool = True) -> np.recarray:
     """Run the full feature pipeline on a mono 16 kHz utterance: one
-    ``FEATURE_RECORD`` row per frame."""
+    ``FEATURE_RECORD`` row per FEATURE_FFT_SIZE / FEATURE_SHIFT frame."""
     if audio.rate != FEATURE_RATE:
         raise ConfigError(f"feature pipeline expects {FEATURE_RATE} Hz input, got {audio.rate}")
     if audio.num_channels != 1:
         raise ConfigError("feature pipeline expects a mono buffer")
 
-    frames = analysis_frames(audio.samples[0], fft_size, shift)
+    frames = analysis_frames(audio.samples[0], FEATURE_FFT_SIZE, FEATURE_SHIFT)
     if not len(frames):
         return np.zeros(0, FEATURE_RECORD).view(np.recarray)
-    window = sqrt_hann_window(fft_size)
-    power = np.empty((len(frames), fft_size // 2 + 1))
+    window = sqrt_hann_window(FEATURE_FFT_SIZE)
+    power = np.empty((len(frames), FEATURE_FFT_SIZE // 2 + 1))
     for start in range(0, len(frames), POWER_BLOCK_FRAMES):
         block = power[start : start + POWER_BLOCK_FRAMES]
         np.abs(windowed_rfft(frames[start : start + POWER_BLOCK_FRAMES], window), out=block)
         np.square(block, out=block)
-    energies = mel_energies(power, mel_filterbank(fft_size, audio.rate))
+    energies = mel_energies(power, mel_filterbank())
     del power
     floor = max(float(energies.max()) * RELATIVE_FLOOR, _LOG_FLOOR)
     log_mel = np.log(np.maximum(energies, floor))

@@ -88,7 +88,7 @@ def _check_frame(state: SeparationState, frame: SpectralFrame) -> np.ndarray:
 def separate(state: SeparationState, frame: SpectralFrame) -> SpectralFrame:
     """Apply the demixing matrices: one output channel per source."""
     y = _demix(state, _check_frame(state, frame))
-    return SpectralFrame(y.T, frame.frame_index, frame.fft_size, frame.rate)
+    return SpectralFrame(y.T, frame.frame_index)
 
 
 def decorrelation_cost(state: SeparationState, frame: SpectralFrame) -> float:

@@ -41,7 +41,7 @@ logger = logging.getLogger(__name__)
 class StageLoop:
     """The frame loop's state: GSS, the optional post-filter with its (T, 3, M, 24) band
     powers ``bands`` (else None), and the dump sink.  ``step`` and ``finish`` return the
-    frames ready for synthesis; ``run_stages`` sets ``separated`` (None if no frame)."""
+    blocks ready for synthesis; ``run_stages`` sets ``separated`` (None if no frame)."""
 
     def __init__(self, config: PipelineConfig, num_frames: int, dump=None):
         steering = steering_matrix(config.geometry(), config.directions(), config.fft_size)
@@ -54,34 +54,35 @@ class StageLoop:
             self.postfilter = PostFilter(num_sources, num_bins, config)
             self.bands = np.zeros((num_frames, 3, num_sources, NUM_BANDS))
 
-    def step(self, frame: SpectralFrame) -> list[SpectralFrame]:
+    def step(self, frame: SpectralFrame) -> list[np.ndarray]:
         """Separate the next analysis frame and adapt on it; the separated
-        frame, or with the post-filter the block that it completes, if any."""
+        bins as a block of one, or with the post-filter the block that the
+        frame completes, if any."""
         separated = gss.separate(self.state, frame)
         if self.adapt:
             gss.adapt(self.state, frame, separated)
         del frame  # a view of its analysis block: let the block go before the flush
         if self.postfilter is None:
-            return [separated]
+            return [separated.bins[np.newaxis]]
         self.postfilter.process(separated)
         return self._flush() if len(self.postfilter.queued) == BLOCK_FRAMES else []
 
-    def finish(self) -> list[SpectralFrame]:
+    def finish(self) -> list[np.ndarray]:
         """The queued frames, filtered; the post-filter goes, its gain-fault count stays."""
         if self.postfilter is None:
             return []
-        frames = self._flush() if self.postfilter.queued else []
+        blocks = self._flush() if self.postfilter.queued else []
         self.gain_faults, self.postfilter = self.postfilter.gains.fault_count, None
-        return frames
+        return blocks
 
-    def _flush(self) -> list[SpectralFrame]:
-        frames, bands, internals = self.postfilter.flush()
-        first = frames[0].frame_index
-        self.bands[first : first + len(frames)] = bands
+    def _flush(self) -> list[np.ndarray]:
+        first = self.postfilter.queued[0]
+        block, bands, internals = self.postfilter.flush()
+        self.bands[first : first + len(block)] = bands
         if self.dump is not None and internals is not None:
-            for t, frame in enumerate(frames):
-                self.dump(frame.frame_index, [part[t] for part in internals])
-        return frames
+            for t in range(len(block)):
+                self.dump(first + t, [part[t] for part in internals])
+        return [block]
 
 
 def run_stages(mixture: AudioBuffer | WavFile, config: PipelineConfig,
@@ -89,19 +90,20 @@ def run_stages(mixture: AudioBuffer | WavFile, config: PipelineConfig,
     """Stream the mixture's analysis frames through a ``StageLoop`` into overlap-add and
     return the loop; no frame outlives its own block's step through the chain, and with
     ``dump_diagnostics`` each one's internals go to ``dump(frame_index, internals)``."""
-    num_frames = frame_count(mixture.num_samples, config.fft_size, config.shift)
-    loop = StageLoop(config, num_frames, dump)
-    if mixture.num_channels != loop.state.num_mics:
+    if mixture.num_channels != len(config.mic_positions_m):
         raise StreamError(f"input has {mixture.num_channels} channels, "
-                          f"geometry expects {loop.state.num_mics}")
+                          f"geometry expects {len(config.mic_positions_m)}")
     if mixture.rate != SEPARATION_RATE:
         raise StreamError(f"input is sampled at {mixture.rate} Hz, not {SEPARATION_RATE}")
+    num_frames = frame_count(mixture.num_samples, config.fft_size, config.shift)
+    loop = StageLoop(config, num_frames, dump)
     frames = stft_analyze(mixture, config.fft_size, config.shift)
-    # in CPython 3.11+ step holds the only reference to its frame; finish runs last
+    # step holds the only reference to its frame; finish runs last
     steps = iter(lambda: loop.step(next(frames)), None)
     ready = chain.from_iterable(chain(steps, map(StageLoop.finish, [loop])))
     if num_frames:
-        loop.separated = stft_synthesize(ready, config.shift, num_frames)
+        loop.separated = AudioBuffer(stft_synthesize(ready, config.shift, num_frames),
+                                     mixture.rate)
     for _ in ready:  # with no frame, every sample is still read and scanned
         pass
     logger.info("stages: %d frames, %d post-filter gain faults", num_frames, loop.gain_faults)

@@ -338,10 +338,9 @@ class PostFilter:
         self.gains = GainState(num_sources, num_bins)
         self._bank = mask_filterbank(2 * (num_bins - 1))
         self._snr_post, self._scratch = np.zeros((2, num_sources, num_bins))
-        # queued frames: (frame_index, fft_size, rate), then per frame the
-        # input bins; input power, output power and stationary noise, banded
-        # together; the prior SNR, upsilon and gain of process; and, for the
-        # dump only, the leakage
+        # the queued frames' indexes, then per frame the input bins; input
+        # power, output power and stationary noise, banded together; the prior
+        # SNR, upsilon and gain of process; and, for the dump only, the leakage
         self.queued = []
         shape = (BLOCK_FRAMES, num_sources, num_bins)
         self._bins = np.zeros(shape, dtype=np.complex128)
@@ -391,15 +390,15 @@ class PostFilter:
         self._band_input[2, k] = self.noise.stationary
         if self._leakage is not None:
             self._leakage[k] = self.noise.leakage
-        self.queued.append((frame.frame_index, frame.fft_size, frame.rate))
+        self.queued.append(frame.frame_index)
 
-    def flush(self) -> tuple[list[SpectralFrame], np.ndarray, tuple[np.ndarray, ...] | None]:
+    def flush(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...] | None]:
         """Filter every queued frame and empty the queue.  Returns the
-        filtered frames; their input, output and stationary-noise power over
-        the mask bands, (k, 3, M, 24); and, with ``dump_diagnostics`` only,
-        their per-bin noise_stat, noise_leak, snr_prior, presence and gain,
-        five (k, M, n_bins) arrays that stay valid until the next
-        ``process``, else None."""
+        filtered bins, a new (k, M, n_bins) block; their input, output and
+        stationary-noise power over the mask bands, (k, 3, M, 24); and, with
+        ``dump_diagnostics`` only, their per-bin noise_stat, noise_leak,
+        snr_prior, presence and gain, five (k, M, n_bins) arrays that stay
+        valid until the next ``process``, else None."""
         cfg = self.config
         k = len(self.queued)
         snr_prior, gain = self._snr_prior[:k], self._gain[:k]
@@ -422,7 +421,5 @@ class PostFilter:
         internals = None
         if self._leakage is not None:
             internals = band_input[2], self._leakage[:k], snr_prior, presence, gain
-        frames = [SpectralFrame(bins, index, fft_size, rate)
-                  for bins, (index, fft_size, rate) in zip(out_bins, self.queued)]
         self.queued = []
-        return frames, bands, internals
+        return out_bins, bands, internals

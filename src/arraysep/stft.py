@@ -24,22 +24,11 @@ class SpectralFrame:
 
     bins: np.ndarray
     frame_index: int
-    fft_size: int
-    rate: int
 
     def __post_init__(self):
         self.bins = np.asarray(self.bins, dtype=np.complex128)
         if self.bins.ndim == 1:
             self.bins = self.bins[np.newaxis, :]
-        expected = self.fft_size // 2 + 1
-        if self.bins.shape[1] != expected:
-            raise StreamError(
-                f"frame {self.frame_index}: {self.bins.shape[1]} bins, expected {expected}"
-            )
-
-    @property
-    def num_channels(self) -> int:
-        return self.bins.shape[0]
 
 
 def sqrt_hann_window(size: int) -> np.ndarray:
@@ -49,8 +38,8 @@ def sqrt_hann_window(size: int) -> np.ndarray:
 
 
 # Frames the stage loop handles together: analysis transforms them in one
-# rfft, synthesis inverts them in one irfft and the post-filter runs its
-# non-recursive tail over them in one pass.
+# rfft, the post-filter runs its non-recursive tail over them in one pass and
+# synthesis inverts its filtered block in one irfft.
 BLOCK_FRAMES = 8
 
 
@@ -102,7 +91,7 @@ def stft_analyze(audio: AudioBuffer | WavFile, fft_size: int,
             return
         spectra = np.fft.rfft(np.multiply(frames.transpose(1, 0, 2), window,
                                           out=np.empty(frames.shape[1::-1] + (fft_size,))))
-        pending = [SpectralFrame(bins, first + t, fft_size, audio.rate)
+        pending = [SpectralFrame(bins, first + t)
                    for t, bins in enumerate(spectra)][::-1]
         del spectra
         while pending:
@@ -125,13 +114,16 @@ def stft_analyze(audio: AudioBuffer | WavFile, fft_size: int,
         yield from transform(buffer[:, :filled])
 
 
-def stft_synthesize(frames: Iterable[SpectralFrame], shift: int, num_frames: int) -> AudioBuffer:
-    """Overlap-add synthesis, normalized by the accumulated window product.
+def stft_synthesize(blocks: Iterable[np.ndarray], shift: int, num_frames: int) -> np.ndarray:
+    """Overlap-add synthesis, normalized by the accumulated window product:
+    the (channels, samples) output of ``blocks``, (k, channels, bins) half
+    spectra of consecutive frames from frame 0 on.
 
-    ``frames`` is consumed once, in order, and must yield exactly
+    ``blocks`` is consumed once, in order, and must hold exactly
     ``num_frames`` frames: a lazy stream cannot report its length, so the
-    output is sized from ``num_frames`` at the first frame, and frames are
-    inverted BLOCK_FRAMES at a time in one irfft and added in frame order.
+    output is sized from ``num_frames`` at the first block.  Each block is
+    inverted as given in one irfft and added in frame order; the block and
+    its inverse are dropped before the next block is pulled.
     The synthesis taper is the analysis one, so dividing by the summed
     squared window makes interior samples exact for any shift where that
     sum stays positive.  Within ``fft_size - shift`` of either end fewer
@@ -139,40 +131,29 @@ def stft_synthesize(frames: Iterable[SpectralFrame], shift: int, num_frames: int
     fully overlapped interior (of the window's periodic sum if there is
     none), so the edges fade instead of being amplified.
     """
-    out, block, t = None, [], 0
-
-    def overlap_add(first):  # the frames from ``first`` on, inverted in one irfft
-        segments = np.fft.irfft(np.stack(block), n=fft_size, axis=-1)
-        segments *= window
-        for t, segment in enumerate(segments, first):
-            out[:, t * shift : t * shift + fft_size] += segment
-        block.clear()
-
-    for frame in frames:  # not enumerate: its cached tuple would keep the last frame alive
-        if t >= num_frames:
-            raise StreamError(f"frame stream runs past the expected {num_frames} frames")
+    out, t = None, 0
+    for block in blocks:
         if out is None:
-            fft_size, rate, channels = frame.fft_size, frame.rate, frame.num_channels
+            channels, num_bins = block.shape[1:]
+            fft_size = 2 * (num_bins - 1)
             window = sqrt_hann_window(fft_size)
             out = np.zeros((channels, (num_frames - 1) * shift + fft_size))
-        elif frame.fft_size != fft_size or frame.rate != rate:
-            raise StreamError(f"frame {frame.frame_index}: fft_size/rate changed mid-stream")
-        elif frame.num_channels != channels:
-            raise StreamError(f"frame {frame.frame_index}: channel count changed")
-        elif frame.frame_index <= last_index:
-            raise StreamError(f"frame index {frame.frame_index} not increasing")
-        last_index = frame.frame_index
-        block.append(frame.bins)
-        del frame  # a view of its block: let the block go before the next one is made
-        t += 1
-        if len(block) == BLOCK_FRAMES:
-            overlap_add(t - BLOCK_FRAMES)
+        elif block.shape[1:] != (channels, num_bins):
+            raise StreamError(f"block of {block.shape[1:]} (channels, bins) after "
+                              f"{(channels, num_bins)}")
+        if t + len(block) > num_frames:
+            raise StreamError(f"frame stream runs past the expected {num_frames} frames")
+        segments = np.fft.irfft(block, n=fft_size, axis=-1)
+        del block  # not alive while the next block is made, nor is its inverse below
+        segments *= window
+        for s in range(len(segments)):
+            out[:, (t + s) * shift : (t + s) * shift + fft_size] += segments[s]
+        t += len(segments)
+        del segments
     if out is None:
         raise StreamError("cannot synthesize from an empty frame stream")
     if t != num_frames:
         raise StreamError(f"frame stream ended after {t} of {num_frames} frames")
-    if block:
-        overlap_add(t - len(block))
 
     # The window sum at a sample depends only on which frames cover it, so a
     # stand-in run of ceil(fft_size / shift) frames, summed in the same
@@ -198,7 +179,7 @@ def stft_synthesize(frames: Iterable[SpectralFrame], shift: int, num_frames: int
     middle = out[:, head : head + repeats * shift].reshape(channels, repeats, shift)  # a view
     middle /= norm[head - shift : head]
     out[:, head + repeats * shift :] /= norm[head:]
-    return AudioBuffer(out, rate)
+    return out
 
 
 def frame_count(num_samples: int, fft_size: int, shift: int) -> int:

@@ -48,11 +48,11 @@ def write_pcm24(path, data, extra_chunk=b"", extensible=False):
 
 def filter_frame(postfilter, frame):
     """One frame through ``PostFilter.process`` and a ``flush`` of its own:
-    the filtered frame, its (3, M, 24) band powers and a (5, M, n_bins)
-    copy of its internals, or None without ``dump_diagnostics``."""
+    the filtered (M, n_bins) bins, their (3, M, 24) band powers and a
+    (5, M, n_bins) copy of the internals, or None without ``dump_diagnostics``."""
     postfilter.process(frame)
-    frames, bands, internals = postfilter.flush()
-    return frames[0], bands[0], None if internals is None else np.stack(internals)[:, 0]
+    block, bands, internals = postfilter.flush()
+    return block[0], bands[0], None if internals is None else np.stack(internals)[:, 0]
 
 
 def stage_sir(render, spec, adapt, postfilter):

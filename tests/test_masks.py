@@ -151,7 +151,7 @@ def postfilter_run():
         gss.adapt(state, frame, separated)
         out, frame_bands, frame_internals = filter_frame(postfilter, separated)
         inputs.append(separated.bins)
-        outputs.append(out.bins)
+        outputs.append(out)
         bands.append(frame_bands)
         internals.append(frame_internals)
     return inputs, outputs, np.array(bands), internals

@@ -308,7 +308,7 @@ class TestGain:
         pf = PostFilter(1, 33, PipelineConfig(dump_diagnostics=True))
         for t, level in enumerate([1.0] * 20 + [1e3, 1e-3]):
             bins = level * (rng.standard_normal(33) + 1j * rng.standard_normal(33))
-            internals = filter_frame(pf, SpectralFrame(bins, t, 64, 48000))[2]
+            internals = filter_frame(pf, SpectralFrame(bins, t))[2]
         snr_post, xi = pf.gains.prev_snr_post, internals[2]
         unclamped, _ = _gain_core(snr_post * xi / (1.0 + xi), snr_post, 1.0)
         assert unclamped.max() > 2.0 * GAIN_MAX
@@ -373,16 +373,16 @@ class TestPostFilter:
         rng = np.random.default_rng(5)
         pf = PostFilter(2, 33, PipelineConfig(dump_diagnostics=True))
         for t, bins in enumerate(random_frames(rng, 30, 2, 33)):
-            out, _, internals = filter_frame(pf, SpectralFrame(bins, t, 64, 48000))
+            out, _, internals = filter_frame(pf, SpectralFrame(bins, t))
             gain = internals[4]
-            np.testing.assert_allclose(out.bins, gain * bins)
+            np.testing.assert_allclose(out, gain * bins)
             assert np.all(gain >= GAIN_FLOOR)
             assert np.all(gain <= GAIN_MAX)
 
     def test_zero_input_zero_output(self):
         pf = PostFilter(2, 33)
-        out = filter_frame(pf, SpectralFrame(np.zeros((2, 33), dtype=complex), 0, 64, 48000))[0]
-        assert np.all(out.bins == 0)
+        out = filter_frame(pf, SpectralFrame(np.zeros((2, 33), dtype=complex), 0))[0]
+        assert np.all(out == 0)
 
     def test_zero_leak_matches_independent_single_source_filters(self):
         rng = np.random.default_rng(6)
@@ -390,11 +390,11 @@ class TestPostFilter:
         multi = PostFilter(3, 65, PipelineConfig(leak_factor=0.0))
         singles = [PostFilter(1, 65, PipelineConfig(leak_factor=0.0)) for _ in range(3)]
         for t, bins in enumerate(frames):
-            out_multi = filter_frame(multi, SpectralFrame(bins, t, 128, 48000))[0]
+            out_multi = filter_frame(multi, SpectralFrame(bins, t))[0]
             for m in range(3):
-                single = SpectralFrame(bins[m : m + 1], t, 128, 48000)
+                single = SpectralFrame(bins[m : m + 1], t)
                 out_single = filter_frame(singles[m], single)[0]
-                np.testing.assert_array_equal(out_multi.bins[m], out_single.bins[0])
+                np.testing.assert_array_equal(out_multi[m], out_single[0])
 
     @pytest.mark.parametrize("key, value", [("leak_factor", 0.5), ("spectral_exponent", 1.5)])
     def test_every_setting_reaches_the_output(self, key, value):
@@ -402,16 +402,16 @@ class TestPostFilter:
         default, changed = PostFilter(3, 33), PostFilter(3, 33, PipelineConfig(**{key: value}))
         differs = False
         for t, bins in enumerate(random_frames(np.random.default_rng(10), 40, 3, 33)):
-            frame = SpectralFrame(bins, t, 64, 48000)
-            differs |= not np.array_equal(filter_frame(default, frame)[0].bins,
-                                          filter_frame(changed, frame)[0].bins)
+            frame = SpectralFrame(bins, t)
+            differs |= not np.array_equal(filter_frame(default, frame)[0],
+                                          filter_frame(changed, frame)[0])
         assert differs
 
     def test_noise_decomposition_every_frame(self):
         rng = np.random.default_rng(7)
         pf = PostFilter(3, 33)
         for t, bins in enumerate(random_frames(rng, 40, 3, 33)):
-            filter_frame(pf, SpectralFrame(bins, t, 64, 48000))
+            filter_frame(pf, SpectralFrame(bins, t))
             np.testing.assert_array_equal(
                 pf.noise.total, pf.noise.stationary + pf.noise.leakage)
 
@@ -421,8 +421,8 @@ class TestPostFilter:
             rng = np.random.default_rng(8)
             pf = PostFilter(2, 33, PipelineConfig(dump_diagnostics=dump_diagnostics))
             for t, bins in enumerate(random_frames(rng, 3, 2, 33)):
-                out, bands, internals = filter_frame(pf, SpectralFrame(bins, t, 64, 48000))
-                per_bin = [np.abs(bins) ** 2, np.abs(out.bins) ** 2, pf.noise.stationary]
+                out, bands, internals = filter_frame(pf, SpectralFrame(bins, t))
+                per_bin = [np.abs(bins) ** 2, np.abs(out) ** 2, pf.noise.stationary]
                 assert bands.shape == (3, 2, 24)
                 for k in range(3):
                     for m in range(2):
@@ -435,7 +435,7 @@ class TestPostFilter:
                 assert internals.shape == (5, 2, 33)
                 np.testing.assert_array_equal(internals[0], pf.noise.stationary)
                 np.testing.assert_array_equal(internals[1], pf.noise.leakage)
-                np.testing.assert_array_equal(out.bins, internals[4] * bins)
+                np.testing.assert_array_equal(out, internals[4] * bins)
 
 
 class TestBlockPass:
@@ -457,14 +457,14 @@ class TestBlockPass:
             out, bands, internals = [], [], []
             with np.errstate(over="ignore", invalid="ignore"):
                 for t, bins in enumerate(frames):
-                    pf.process(SpectralFrame(bins, t, 64, 48000))
+                    pf.process(SpectralFrame(bins, t))
                     if len(pf.queued) == every or t == len(frames) - 1:
                         block = pf.flush()
-                        out += block[0]
+                        out.append(block[0])
                         bands.append(block[1])
                         internals.append(np.stack(block[2], axis=1))  # before they are reused
-            assert [frame.frame_index for frame in out] == list(range(len(frames)))
-            results.append((np.stack([frame.bins for frame in out]).tobytes(),
+            assert sum(map(len, out)) == len(frames)
+            results.append((np.concatenate(out).tobytes(),
                             np.concatenate(bands).tobytes(), np.concatenate(internals).tobytes(),
                             pf.gains.fault_count))
         assert results[0][3] > 0
@@ -472,11 +472,12 @@ class TestBlockPass:
 
     def test_process_refuses_a_frame_beyond_the_block(self):
         pf = PostFilter(1, 33)
-        frames = [SpectralFrame(np.ones(33, dtype=complex), t, 64, 48000)
+        frames = [SpectralFrame(np.ones(33, dtype=complex), t)
                   for t in range(BLOCK_FRAMES + 1)]
         for frame in frames[:-1]:
             pf.process(frame)
         with pytest.raises(StreamError, match=f"frame {BLOCK_FRAMES}: post-filter block is full"):
             pf.process(frames[-1])
-        assert [frame.frame_index for frame in pf.flush()[0]] == list(range(BLOCK_FRAMES))
+        assert pf.queued == list(range(BLOCK_FRAMES))
+        assert pf.flush()[0].shape == (BLOCK_FRAMES, 1, 33)
         pf.process(frames[-1])
