@@ -98,10 +98,10 @@ def _cmd_features(args: argparse.Namespace) -> int:
 def _cmd_score(args: argparse.Namespace) -> int:
     if len(args.output) != len(args.reference):
         raise ConfigError("need one reference per separated output")
-    # Each output and reference is scored on its first channel, and each is
-    # decoded only while it is projected, as is each noise channel; every
-    # mapping is dropped before --csv is written, since that may rewrite one
-    # of the inputs.
+    # Each output and reference is scored on its first channel.  The outputs
+    # are decoded and held while each reference and noise channel is decoded
+    # once and projected onto all of them; every mapping is dropped before
+    # --csv is written, since that may rewrite one of the inputs.
     outputs = [open_wav(p) for p in args.output]
     references = [open_wav(p) for p in args.reference]
     noise = open_wav(args.noise) if args.noise else None

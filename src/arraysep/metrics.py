@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -63,23 +62,19 @@ def projected_power(output: np.ndarray, reference: np.ndarray) -> float | None:
     return gain * gain * ref_power
 
 
-def _projection_ratio_db(output: np.ndarray, references: Iterable[np.ndarray],
-                         n: int) -> float | None:
-    """Projection power on the first of ``references`` (the target) over the
-    summed projection powers on the rest, in dB, over the first ``n``
-    samples less EDGE_TRIM at both ends.  Each reference is projected as the
-    iteration yields it and released before the next one is drawn."""
-    lo, hi = (EDGE_TRIM, n - EDGE_TRIM) if n > 2 * EDGE_TRIM else (0, n)
-    output = output[..., lo:hi]
-    target, residual = None, 0.0
-    for reference in references:
-        power = projected_power(output, reference[..., lo:hi])
-        del reference  # perhaps a decoded channel: release it before the next one decodes
-        if target is None:
-            if power is None:
-                return None
-            target = power
-        elif power is not None:
+def _span(n: int) -> slice:
+    """The first ``n`` samples less EDGE_TRIM at both ends, or all of them if too few."""
+    return slice(EDGE_TRIM, n - EDGE_TRIM) if n > 2 * EDGE_TRIM else slice(0, n)
+
+
+def _ratio_db(target: float | None, rivals: list[float | None]) -> float | None:
+    """Projection power on the target over the rivals' summed in order, in dB;
+    a rival with no power (a zero-power reference) is left out."""
+    if target is None:
+        return None
+    residual = 0.0
+    for power in rivals:
+        if power is not None:
             residual += power
     if residual <= target * 10.0 ** (-SIR_CAP_DB / 10.0):
         return SIR_CAP_DB if target > 0.0 else None
@@ -88,24 +83,16 @@ def _projection_ratio_db(output: np.ndarray, references: Iterable[np.ndarray],
     return min(SIR_CAP_DB, 10.0 * np.log10(target / residual))
 
 
-def _decoded(references: list[np.ndarray | WavFile]) -> Iterable[np.ndarray]:
-    """Each reference as an array, a mapped WAV file's first channel decoded
-    only once the iteration reaches it."""
-    return (r[0] if isinstance(r, WavFile) else r for r in references)
-
-
 def interference_ratio_db(output: np.ndarray, target_ref: np.ndarray | WavFile,
                           rival_refs: list[np.ndarray | WavFile]) -> float | None:
-    """Target projection power over the summed rival projection powers, in dB.
+    """Target projection power over the summed rival projection powers, in dB,
+    over the shortest input's length less EDGE_TRIM at both ends.
 
     A reference is an array, or a mapped WAV file scored on its first
     channel, which is decoded only while it is projected, so that no two
     decoded references exist at once.
     """
-    output = np.asarray(output, dtype=np.float64)
-    references = [target_ref, *rival_refs]
-    n = min([output.shape[-1]] + [r.shape[-1] for r in references])
-    return _projection_ratio_db(output, _decoded(references), n)
+    return measure_quality([output], [target_ref, *rival_refs])[0].output_sir_db
 
 
 def noise_ratio_db(output: np.ndarray, target_ref: np.ndarray | WavFile,
@@ -117,27 +104,47 @@ def noise_ratio_db(output: np.ndarray, target_ref: np.ndarray | WavFile,
     a time as they are projected, so that no (N, n) float64 copy of it
     exists.
     """
-    output = np.asarray(output, dtype=np.float64)
-    channels, length = noise.shape
-    n = min(output.shape[-1], target_ref.shape[-1], length)
-    return _projection_ratio_db(
-        output, chain(_decoded([target_ref]), (noise[c] for c in range(channels))), n)
+    return measure_quality([output], [target_ref], noise)[0].output_snr_db
 
 
 def measure_quality(separated: Iterable[np.ndarray], references: list[np.ndarray | WavFile],
                     noise: np.ndarray | WavFile | None = None,
                     source_ids: list[str] | None = None) -> list[SourceQuality]:
     """Quality rows for one stage: separated channel m against reference m.
-    ``separated`` is read once, in order, so it may be a generator.
 
     The references are as ``interference_ratio_db`` takes them and ``noise``
     as ``noise_ratio_db`` does; without noise the noise ratio is undefined.
+    Every output is held while each reference, then each noise channel, is
+    decoded once, projected onto all of them and released before the next
+    one decodes.  Each output's interference ratio spans the shortest of it
+    and the references, and its noise ratio the shortest of it, its own
+    reference and the noise.
     """
+    outputs = [np.asarray(output, dtype=np.float64) for output in separated]
+    shortest = min((r.shape[-1] for r in references), default=0)
+    sir_spans = [_span(min(o.shape[-1], shortest)) for o in outputs]
+    snr_spans = [_span(min(o.shape[-1], references[m].shape[-1], noise.shape[-1]))
+                 for m, o in enumerate(outputs)] if noise is not None else []
+    on_references = [[] for _ in outputs]  # over each output's interference span
+    on_noise = [[] for _ in outputs]  # own reference, then each noise channel
+    for j, reference in enumerate(references):
+        channel = reference[0] if isinstance(reference, WavFile) else reference
+        for m, output in enumerate(outputs):
+            span = sir_spans[m]
+            on_references[m].append(projected_power(output[..., span], channel[..., span]))
+            if j == m and noise is not None:
+                span = snr_spans[m]
+                on_noise[m].append(projected_power(output[..., span], channel[..., span]))
+        del channel  # perhaps a decoded channel: release it before the next one decodes
+    for c in range(0 if noise is None else noise.shape[0]):
+        channel = noise[c]
+        for m, output in enumerate(outputs):
+            on_noise[m].append(projected_power(output[..., snr_spans[m]],
+                                               channel[..., snr_spans[m]]))
+        del channel
     rows = []
-    for m, output in enumerate(separated):
-        rivals = [references[j] for j in range(len(references)) if j != m]
-        sir = interference_ratio_db(output, references[m], rivals)
-        snr = None if noise is None else noise_ratio_db(output, references[m], noise)
-        name = source_ids[m] if source_ids else f"source_{m}"
-        rows.append(SourceQuality(name, sir, snr))
+    for m, powers in enumerate(on_references):
+        sir = _ratio_db(powers[m], powers[:m] + powers[m + 1 :])
+        snr = None if noise is None else _ratio_db(on_noise[m][0], on_noise[m][1:])
+        rows.append(SourceQuality(source_ids[m] if source_ids else f"source_{m}", sir, snr))
     return rows

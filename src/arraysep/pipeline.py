@@ -53,29 +53,37 @@ class StageLoop:
             num_sources, num_bins = len(config.sources), config.fft_size // 2 + 1
             self.postfilter = PostFilter(num_sources, num_bins, config)
             self.bands = np.zeros((num_frames, 3, num_sources, NUM_BANDS))
+        else:
+            self.pending = []  # the separated bins not yet in a block
 
     def step(self, frame: SpectralFrame) -> list[np.ndarray]:
-        """Separate the next analysis frame and adapt on it; the separated
-        bins as a block of one, or with the post-filter the block that the
-        frame completes, if any."""
+        """Separate the next analysis frame and adapt on it; the block of
+        BLOCK_FRAMES separated, or with the post-filter filtered, frames that
+        the frame completes, if any."""
         separated = gss.separate(self.state, frame)
         if self.adapt:
             gss.adapt(self.state, frame, separated)
         del frame  # a view of its analysis block: let the block go before the flush
         if self.postfilter is None:
-            return [separated.bins[np.newaxis]]
-        self.postfilter.process(separated)
-        return self._flush() if len(self.postfilter.queued) == BLOCK_FRAMES else []
+            self.pending.append(separated.bins)
+        else:
+            self.postfilter.process(separated)
+        return self._flush() if self._queued() == BLOCK_FRAMES else []
 
     def finish(self) -> list[np.ndarray]:
-        """The queued frames, filtered; the post-filter goes, its gain-fault count stays."""
-        if self.postfilter is None:
-            return []
-        blocks = self._flush() if self.postfilter.queued else []
-        self.gain_faults, self.postfilter = self.postfilter.gains.fault_count, None
+        """The queued frames as a last block; the post-filter goes, its gain-fault count stays."""
+        blocks = self._flush() if self._queued() else []
+        if self.postfilter is not None:
+            self.gain_faults, self.postfilter = self.postfilter.gains.fault_count, None
         return blocks
 
+    def _queued(self) -> int:
+        return len(self.pending) if self.postfilter is None else len(self.postfilter.queued)
+
     def _flush(self) -> list[np.ndarray]:
+        if self.postfilter is None:
+            block, self.pending = np.stack(self.pending), []
+            return [block]
         first = self.postfilter.queued[0]
         block, bands, internals = self.postfilter.flush()
         self.bands[first : first + len(block)] = bands
@@ -215,10 +223,10 @@ def staged_outputs(output_dir: str):
 def _quality_rows(config: PipelineConfig, separated: AudioBuffer,
                   ids: list[str]) -> list:
     """Score the outputs against the first channel of each reference WAV and
-    the noise WAV, decoded one channel at a time as each is projected.  The
-    files were checked when the run began; they are mapped again because no
-    file mapping may outlive this call, since the run writes files on either
-    side of it."""
+    the noise WAV, each channel decoded once and projected onto every output.
+    The files were checked when the run began; they are mapped again because
+    no file mapping may outlive this call, since the run writes files on
+    either side of it."""
     references = [WavFile(path) for path in config.reference_wavs]
     noise = WavFile(config.noise_wav) if config.noise_wav else None
     return measure_quality([separated.samples[m] for m in range(len(ids))],

@@ -16,7 +16,7 @@ from arraysep.features import (FEATURE_FFT_SIZE, FEATURE_RECORD, FEATURE_SHIFT,
                                extract_features, mel_energies, mel_filterbank, mel_from_hz,
                                read_features_binary, write_features_binary,
                                write_features_csv, zero_lifter)
-from arraysep.formats import _encode_fixed, write_csv
+from arraysep.formats import _encode_cells, write_csv
 from arraysep.stft import stft_analyze
 
 
@@ -362,7 +362,7 @@ class TestCsvEncoder:
         rng = np.random.default_rng(places)
         values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
         # the vectorized cells, not the per-row fallback, must carry most values
-        assert _encode_fixed(values, places)[1].mean() < 0.05
+        assert _encode_cells(values[:, np.newaxis], f"%.{places}e")[1].mean() < 0.05
         assert_encodes_like_printf(tmp_path, values, [f"%.{places}e"], columns=2)
 
     @pytest.mark.parametrize("places", [6, 9])

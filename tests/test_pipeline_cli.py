@@ -174,6 +174,28 @@ class TestRunPipeline:
         assert rows == expected and len(rows) == len(ids)
         assert peak < 1.25 * render.noise.shape[1] * 8, peak
 
+    def test_quality_step_decodes_each_channel_once(self, short_scene, scene_dir, tmp_path,
+                                                   monkeypatch):
+        # every reference and noise channel is decoded once and projected onto
+        # all outputs: 3 + 8 decodes for a trio, where scoring each output in
+        # turn decoded 3 references and 1 + 8 channels per output, 36 in all
+        spec, render = short_scene
+        config = write_config(tmp_path / "c.yaml", spec, scene_dir, tmp_path / "out")
+        ids = [s.source_id for s in spec.sources]
+        separated = AudioBuffer(render.mixture.samples[: len(ids)].astype(np.float64), 48000)
+        decoded = collections.Counter()
+        decode = audio.WavFile.__getitem__
+
+        def counting(self, channel):
+            decoded[self.path, channel] += 1
+            return decode(self, channel)
+
+        monkeypatch.setattr(audio.WavFile, "__getitem__", counting)
+        rows = pipeline._quality_rows(config, separated, ids)
+        assert len(rows) == len(ids) and all(row.output_snr_db is not None for row in rows)
+        assert len(decoded) == len(ids) + render.noise.shape[0] == 11
+        assert set(decoded.values()) == {1}
+
     def test_each_source_is_released_before_the_next_and_the_quality_report(
             self, short_scene, scene_dir, tmp_path, monkeypatch):
         # a source's 16 kHz copy, features and mask are dropped before the
@@ -547,6 +569,39 @@ class TestRunPipeline:
             assert loop.bands is None and output.bands is None
         assert loop.state.demix.tobytes() == output.state.demix.tobytes()
 
+    @pytest.mark.parametrize("num_frames", [0, 1, 7, 8, 9, 17])
+    def test_without_post_filter_blocks_synthesize_like_single_frames(self, short_scene,
+                                                                      num_frames, monkeypatch):
+        # without the post-filter the loop hands synthesis one block per
+        # BLOCK_FRAMES separated frames and the rest from finish; the 48 kHz
+        # output is bit for bit that of inverting each frame alone
+        spec, render = short_scene
+        config = pipeline_config_for_scene(spec, postfilter=False)
+        length = config.fft_size + (num_frames - 1) * config.shift
+        mixture = AudioBuffer(render.mixture.samples[:, :length], 48000)
+        synthesize, sizes = pipeline.stft_synthesize, []
+
+        def synthesizing(blocks, *args):
+            return synthesize((sizes.append(len(b)) or b for b in blocks), *args)
+
+        monkeypatch.setattr(pipeline, "stft_synthesize", synthesizing)
+        output = run_stages(mixture, config)
+        assert output.num_frames == num_frames
+        full, rest = divmod(num_frames, BLOCK_FRAMES)
+        assert sizes == [BLOCK_FRAMES] * full + [rest] * (rest > 0)
+        steering = steering_matrix(config.geometry(), config.directions(), config.fft_size)
+        state, frames = gss.init_delay_and_sum(steering, config.step_size), []
+        for frame in stft_analyze(mixture, config.fft_size, config.shift):
+            separated = gss.separate(state, frame)
+            gss.adapt(state, frame, separated)
+            frames.append(separated.bins[np.newaxis])
+        assert len(frames) == num_frames
+        if num_frames:
+            single = synthesize(frames, config.shift, num_frames)
+            assert single.tobytes() == output.separated.samples.tobytes()
+        else:
+            assert output.separated is None
+
     def test_no_post_filter_outlives_run_stages(self, short_scene, monkeypatch):
         # its block buffers must be gone before emission, whose peak they would raise
         spec, render = short_scene
@@ -630,6 +685,50 @@ class TestDiagnosticDumps:
                     expected += f"{t},{k}," + ",".join(
                         f"{internals[t, i, source, k]:.6e}" for i in range(5)) + "\n"
             assert (tmp_path / f"{source_id}_postfilter.csv").read_text() == expected
+
+    def test_postfilter_dumps_of_a_run_match_printf(self, tmp_path, monkeypatch):
+        # every row of a whole run's dumps, at the general exponent's gains,
+        # against Python's % over the internals the sink was handed
+        spec = three_speaker_scene(90.0, duration_s=1.5, seed=7)
+        write_wav(str(tmp_path / "mixture.wav"), synthesize(spec).mixture)
+        config = pipeline_config_for_scene(spec, spectral_exponent=1.5, dump_diagnostics=True)
+        config.input_wav, config.output_dir = str(tmp_path / "mixture.wav"), str(tmp_path / "out")
+        recorded = []
+
+        class Recording(PostfilterDump):
+            def __call__(self, frame_index, internals):
+                recorded.append((frame_index, np.stack(internals)))  # (5, M, n_bins)
+                super().__call__(frame_index, internals)
+
+        monkeypatch.setattr(pipeline, "PostfilterDump", Recording)
+        result = run_pipeline(config)
+        assert [t for t, _ in recorded] == list(range(result.frames_processed))
+        line = "%d,%d," + ",".join(["%.6e"] * 5) + "\n"
+        for m, source in enumerate(spec.sources):
+            expected = "frame,bin,noise_stat,noise_leak,snr_prior,presence,gain\n" + "".join(
+                line % (t, k, *internals[:, m, k]) for t, internals in recorded
+                for k in range(internals.shape[2]))
+            path = tmp_path / "out" / f"{source.source_id}_postfilter.csv"
+            assert path.read_bytes() == expected.encode()
+
+    def test_one_frame_of_the_dump_holds_bounded_scratch(self, tmp_path):
+        # one frame at M = 3 and K = 513 peaks above its entry by no more than
+        # the 540,277 bytes measured the same way for the encoder that built
+        # (M·K, 5) cells of 20 bytes and a concatenated copy of each source's rows
+        rng = np.random.default_rng(41)
+        internals = [rng.standard_normal((3, 513)) * 10.0 ** rng.integers(-30, 30, (3, 513))
+                     for _ in range(5)]
+        dump = PostfilterDump(str(tmp_path), ["a", "b", "c"], _Staging())
+        try:
+            dump(0, internals)  # opens the files and encodes the bin column
+            tracemalloc.start()
+            entry = tracemalloc.get_traced_memory()[0]
+            dump(1, internals)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+            dump.close()
+        assert peak <= 540_277, peak
 
     def test_gss_state_golden(self, tmp_path):
         values = np.array(self.special * 6).reshape(3, 2, 7)[:, :, :2]
