@@ -30,45 +30,10 @@ from .pipeline import bench_pipeline, run_pipeline, staged_outputs
 from .simulate import preset_names, preset_scene, synthesize
 
 
-def _add_separate(subparsers) -> None:
-    p = subparsers.add_parser("separate", help="run the separation pipeline over a WAV")
-    p.add_argument("--config", required=True, help="pipeline config YAML")
-    p.add_argument("--input", help="override input WAV")
-    p.add_argument("--output-dir", help="override output directory")
-    p.add_argument("--step-size", type=float, help="separation adaptation rate")
-    p.add_argument("--leak-factor", type=float, help="post-filter leakage fraction")
-    p.add_argument("--spectral-exponent", type=float, help="MMSE amplitude exponent")
-    p.add_argument("--mask-threshold", type=float, help="reliability threshold")
-    p.add_argument("--no-adapt", action="store_true", help="hold delay-and-sum weights")
-    p.add_argument("--no-postfilter", action="store_true")
-    p.add_argument("--no-features", action="store_true")
-    p.add_argument("--dump-diagnostics", action="store_true",
-                   help="write demix and post-filter CSV dumps")
-    p.set_defaults(func=_cmd_separate)
-
-
-def _apply_overrides(config: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
-    if args.input:
-        config.input_wav = args.input
-    if args.output_dir:
-        config.output_dir = args.output_dir
-    for name in ("step_size", "leak_factor", "spectral_exponent", "mask_threshold"):
-        value = getattr(args, name)
-        if value is not None:
-            setattr(config, name, value)
-    if args.no_adapt:
-        config.stages.adapt = False
-    if args.no_postfilter:
-        config.stages.postfilter = False
-    if args.no_features:
-        config.stages.features = False
-    if args.dump_diagnostics:
-        config.dump_diagnostics = True
-    return config.validate()
-
-
 def _cmd_separate(args: argparse.Namespace) -> int:
-    config = _apply_overrides(parse_config(args.config), args)
+    config = parse_config(args.config)
+    config.input_wav = args.input or config.input_wav
+    config.output_dir = args.output_dir or config.output_dir
     result = run_pipeline(config)
     print(f"processed {result.frames_processed} frames into {result.output_dir}")
     for source_id, path in result.separated_48k.items():
@@ -172,7 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log stage details")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    _add_separate(subparsers)
+    p = subparsers.add_parser("separate", help="run the separation pipeline over a WAV")
+    p.add_argument("--config", required=True, help="pipeline config YAML; every tunable comes from it")
+    p.add_argument("--input", help="override input WAV")
+    p.add_argument("--output-dir", help="override output directory")
+    p.set_defaults(func=_cmd_separate)
 
     p = subparsers.add_parser("features", help="extract log-mel features from one WAV")
     p.add_argument("--input", required=True)

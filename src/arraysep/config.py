@@ -15,6 +15,8 @@ import yaml
 
 from .errors import ConfigError, check_fields, check_file_name, ranged
 from .geometry import SPEED_OF_SOUND, ArrayGeometry, direction_vector
+from .gss import DEFAULT_STEP_SIZE
+from .masks import DEFAULT_THRESHOLD
 from .simulate import SceneSource, SceneSpec, SignalSpec
 
 
@@ -36,17 +38,17 @@ class StageToggles:
 class PipelineConfig:
     mic_positions_m: list = field(default_factory=list)
     sources: list = field(default_factory=list)          # SourceDirection rows
-    speed_of_sound: float = ranged("(0, inf)", 343.0)
+    speed_of_sound: float = ranged("(0, inf)", SPEED_OF_SOUND)
 
     fft_size: int = ranged("(0, inf)", 1024)
     shift: int = ranged("(0, inf)", 512)
-    step_size: float = ranged("[0, inf)", 0.01)          # separation adaptation rate
+    step_size: float = ranged("[0, inf)", DEFAULT_STEP_SIZE)  # separation adaptation rate
 
     # post-filter
     leak_factor: float = ranged("[0, 1]", 0.25)         # power fraction of rival spectra (about -6 dB)
     spectral_exponent: float = ranged("(0, inf)", 1.0)  # amplitude power the MMSE estimator optimizes
 
-    mask_threshold: float = ranged("(0, inf)", 0.25)
+    mask_threshold: float = ranged("(0, inf)", DEFAULT_THRESHOLD)
 
     stages: StageToggles = field(default_factory=StageToggles)
     dump_diagnostics: bool = False
@@ -113,13 +115,42 @@ def config_to_dict(config: PipelineConfig) -> dict:
     return asdict(config)
 
 
-def config_from_dict(data: dict) -> PipelineConfig:
+def _unknown_keys(data: dict, schema: dict, path: str = "") -> list[str]:
+    """Every key in ``data``, and below it, that ``schema`` does not admit,
+    by its path.  ``schema`` maps each key to None, or to the schema of the
+    mapping it holds or of each mapping in the list it holds."""
+    unknown = []
+    for key, value in data.items():
+        if key not in schema:
+            unknown.append(f"{path}{key}")
+        elif schema[key] is not None:
+            rows = ({f"{key}[{i}]": row for i, row in enumerate(value)}
+                    if isinstance(value, list) else {key: value})
+            for name, row in rows.items():
+                if isinstance(row, dict):
+                    unknown += _unknown_keys(row, schema[key], f"{path}{name}.")
+    return unknown
+
+
+def _check_keys(data, schema: dict, what: str) -> None:
+    """Refuse a ``what`` file whose root is not a mapping, or that holds any
+    key its level does not admit, naming every such key by its path."""
     if not isinstance(data, dict):
-        raise ConfigError("config root must be a mapping")
-    known = {f for f in PipelineConfig.__dataclass_fields__}
-    unknown = set(data) - known
+        raise ConfigError(f"{what} root must be a mapping")
+    unknown = _unknown_keys(data, schema)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+# The keys each level of a pipeline config admits.
+_CONFIG_KEYS = {**dict.fromkeys(PipelineConfig.__dataclass_fields__),
+                "sources": dict.fromkeys(SourceDirection.__dataclass_fields__),
+                "stages": dict.fromkeys(StageToggles.__dataclass_fields__)}
+
+
+def config_from_dict(data: dict) -> PipelineConfig:
+    """Every key that no level of the config admits is named first."""
+    _check_keys(data, _CONFIG_KEYS, "config")
     kwargs = dict(data)
     try:
         if "sources" in kwargs:
@@ -190,33 +221,17 @@ def _scene_source(row: dict) -> SceneSource:
 
 # The keys each level of a scene file admits: the scene's own values and the
 # array's, each source's (named by ``id``) and each signal's.
-_SCENE_KEYS = {"speed_of_sound", "mic_positions_m", *SceneSpec.__dataclass_fields__} - {"geometry"}
-_SOURCE_KEYS = {"id", *SceneSource.__dataclass_fields__} - {"source_id"}
-_SIGNAL_KEYS = set(SignalSpec.__dataclass_fields__)
-
-
-def _unknown_scene_keys(data: dict) -> list[str]:
-    """Every key that its level of the scene file does not admit, by its path, sorted."""
-    unknown = [str(key) for key in data if key not in _SCENE_KEYS]
-    sources = data.get("sources")
-    for i, row in enumerate(sources if isinstance(sources, list) else []):
-        if isinstance(row, dict):
-            unknown += [f"sources[{i}].{key}" for key in row if key not in _SOURCE_KEYS]
-            signal = row.get("signal")
-            if isinstance(signal, dict):
-                unknown += [f"sources[{i}].signal.{key}" for key in signal
-                            if key not in _SIGNAL_KEYS]
-    return sorted(unknown)
+_SOURCE_KEYS = {**dict.fromkeys({"id", *SceneSource.__dataclass_fields__} - {"source_id"}),
+                "signal": dict.fromkeys(SignalSpec.__dataclass_fields__)}
+_SCENE_KEYS = {**dict.fromkeys({"speed_of_sound", "mic_positions_m",
+                                *SceneSpec.__dataclass_fields__} - {"geometry"}),
+               "sources": _SOURCE_KEYS}
 
 
 def scene_from_dict(data: dict) -> SceneSpec:
     """Values reach the scene classes as written, so their checks see them.  Every
     key that no level of the file admits is named first."""
-    if not isinstance(data, dict):
-        raise ConfigError("scene root must be a mapping")
-    unknown = _unknown_scene_keys(data)
-    if unknown:
-        raise ConfigError(f"unknown scene keys: {unknown}")
+    _check_keys(data, _SCENE_KEYS, "scene")
     try:
         data = dict(data)
         geometry = ArrayGeometry(data.pop("mic_positions_m"),

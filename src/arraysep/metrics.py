@@ -95,25 +95,15 @@ def interference_ratio_db(output: np.ndarray, target_ref: np.ndarray | WavFile,
     return measure_quality([output], [target_ref, *rival_refs])[0].output_sir_db
 
 
-def noise_ratio_db(output: np.ndarray, target_ref: np.ndarray | WavFile,
-                   noise: np.ndarray | WavFile) -> float | None:
-    """Target projection power over the summed per-channel noise projections.
-
-    ``target_ref`` is as ``interference_ratio_db`` takes it.  ``noise`` is
-    (N, n): an array, or a mapped WAV file whose channels are decoded one at
-    a time as they are projected, so that no (N, n) float64 copy of it
-    exists.
-    """
-    return measure_quality([output], [target_ref], noise)[0].output_snr_db
-
-
 def measure_quality(separated: Iterable[np.ndarray], references: list[np.ndarray | WavFile],
                     noise: np.ndarray | WavFile | None = None,
                     source_ids: list[str] | None = None) -> list[SourceQuality]:
     """Quality rows for one stage: separated channel m against reference m.
 
-    The references are as ``interference_ratio_db`` takes them and ``noise``
-    as ``noise_ratio_db`` does; without noise the noise ratio is undefined.
+    The references are as ``interference_ratio_db`` takes them.  ``noise``
+    is (N, n): an array, or a mapped WAV file whose channels are decoded one
+    at a time as they are projected, so that no (N, n) float64 copy of it
+    exists; without noise the noise ratio is undefined.
     Every output is held while each reference, then each noise channel, is
     decoded once, projected onto all of them and released before the next
     one decodes.  Each output's interference ratio spans the shortest of it

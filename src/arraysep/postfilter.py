@@ -235,18 +235,13 @@ def _window_counts(num_bins: int, halfwidth: int) -> np.ndarray:
     return counts
 
 
-def _window_mean(values: np.ndarray, halfwidth: int, out: np.ndarray | None = None) -> np.ndarray:
+def _window_mean(values: np.ndarray, halfwidth: int, out: np.ndarray) -> np.ndarray:
     """Mean over the +-halfwidth bins inside the row, along the last axis
-    (at least two bins), written to ``out`` if given.
+    (at least two bins; halfwidth at least 1), written to and returned in ``out``.
 
     Window sums are direct, never differences of cumulative sums, which
     cancel on spectra spanning many decades.
     """
-    if out is None:
-        out = np.empty(np.shape(values))
-    if halfwidth <= 0:
-        out[...] = values
-        return out
     ndimage.correlate1d(values, np.ones(2 * halfwidth + 1), axis=-1, output=out, mode="constant")
     out /= _window_counts(out.shape[-1], halfwidth)
     return out

@@ -55,6 +55,12 @@ def filter_frame(postfilter, frame):
     return block[0], bands[0], None if internals is None else np.stack(internals)[:, 0]
 
 
+def noise_ratio_db(output, target, noise):
+    """The noise ratio, in dB, that the quality report gives ``output``
+    against ``target`` and the (N, n) ``noise``."""
+    return measure_quality([output], [target], noise)[0].output_snr_db
+
+
 def stage_sir(render, spec, adapt, postfilter):
     audio, _ = separate_scene(render, spec, adapt=adapt, postfilter=postfilter)
     rows = measure_quality(
@@ -65,5 +71,5 @@ def stage_sir(render, spec, adapt, postfilter):
     return np.array([row.output_sir_db for row in rows])
 
 
-__all__ = ["box_array_geometry", "filter_frame", "pipeline_config_for_scene", "separate_scene",
-           "stage_sir", "write_pcm24"]
+__all__ = ["box_array_geometry", "filter_frame", "noise_ratio_db", "pipeline_config_for_scene",
+           "separate_scene", "stage_sir", "write_pcm24"]

@@ -219,6 +219,18 @@ class TestWavRoundTrip:
         with pytest.raises(AudioIOError):
             read_wav(str(tmp_path / "nope.wav"))
 
+    @pytest.mark.parametrize("pcm24", [False, True])
+    def test_nine_channels_rejected(self, tmp_path, pcm24):
+        data = np.zeros((100, 9), dtype=np.float32)
+        path = str(tmp_path / "x.wav")
+        if pcm24:
+            write_pcm24(tmp_path / "x.wav", data.astype(np.int32))
+        else:
+            wavfile.write(path, 48000, data)
+        for read in (open_wav, read_wav):
+            with pytest.raises(AudioIOError, match=r"x\.wav: 9 channels exceeds the 8-channel limit"):
+                read(path)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sample_rejected(self, tmp_path, dtype, bad):

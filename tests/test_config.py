@@ -31,12 +31,23 @@ class TestParse:
         assert config.spectral_exponent == 1.0
         assert config.leak_factor == 0.25
         assert config.step_size == 0.01
+        assert config.speed_of_sound == 343.0
         assert (postfilter.SPECTRUM_SMOOTHING, postfilter.SNR_SMOOTHING) == (0.7, 0.98)
 
     def test_unknown_keys_rejected(self):
         bad = dict(MINIMAL, wavelet_order=3)
         with pytest.raises(ConfigError, match="wavelet_order"):
             config_from_dict(bad)
+        # every one, at every level, by its path
+        bad = dict(MINIMAL, colour="red", stages={"adapt": True, "fast": True},
+                   sources=[{"id": "a", "azimuth_deg": 0, "bogus": 1, "other": 2}])
+        named = ["colour", "sources[0].bogus", "sources[0].other", "stages.fast"]
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'unknown config keys: {named}')}$"):
+            config_from_dict(bad)
+
+    def test_missing_source_key_is_a_bad_value(self):
+        with pytest.raises(ConfigError, match="^bad config value: .*'azimuth_deg'"):
+            config_from_dict(dict(MINIMAL, sources=[{"id": "a"}]))
 
     def test_requires_sources(self):
         with pytest.raises(ConfigError):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import arraysep
+from arraysep import features
 from arraysep.errors import AudioIOError
 from arraysep.features import FEATURE_RECORD, read_features_binary, write_features_binary
 from arraysep.formats import read_records, write_csv, write_records
@@ -15,6 +16,20 @@ from arraysep.gmm import GmmModel, load_models, save_models
 from arraysep.masks import MaskMatrix, read_mask_binary, write_mask_binary, write_mask_csv
 
 SOURCES = sorted(Path(arraysep.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parent.parent
+# What is not a test: the package (less the re-exports of __init__.py), the
+# benchmark and the frozen missing-feature task that both it and the tests drive.
+USERS = [*(path for path in SOURCES if path.name != "__init__.py"),
+         *sorted((REPO / "perfbench").glob("*.py")), REPO / "tests" / "mf_task.py"]
+# Public names that only tests reach, each kept for the ROADMAP item that
+# gives it a user or removes it, or for the acceptance test that reads it.
+TEST_ONLY = {
+    "gmm.save_models": "item 6",
+    "gmm.load_models": "item 6",
+    "gss.geometric_cost": "item 4",
+    "gss.decorrelation_cost": "item 4",
+    "gss.gradients": "criterion 1's gradient oracle in test_acceptance.py",
+}
 
 
 def private(name: str) -> bool:
@@ -53,6 +68,50 @@ def test_guard_sees_each_form_of_private_use(tmp_path):
     assert sorted(private_uses(path)) == ["arraysep.masks._c", "features._a", "gss._e", "s._f"]
 
 
+def public_names(path: Path) -> list[str]:
+    """Each public name that ``path`` defines or assigns at its top level."""
+    names = []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names += [t.id for t in getattr(target, "elts", [target]) if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Each name that ``path`` reads, reads off an object or imports by name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {a.name for a in node.names}
+    return names
+
+
+def unreached(sources: list[Path], users: list[Path]) -> set[str]:
+    """Each ``module.name`` of ``sources`` that no file of ``users`` references."""
+    referenced = set().union(*map(referenced_names, users))
+    return {f"{path.stem}.{name}" for path in sources for name in public_names(path)
+            if name not in referenced}
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    assert unreached(SOURCES, USERS) == set(TEST_ONLY)
+
+
+def test_reach_guard_sees_each_form_of_definition_and_use(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text("A = 1\nB, C = 2, 3\nD: int = 4\n_E = 5\ndef f(): return A\n"
+                   "class G: pass\ndef h(): pass\nclass I: pass\n")
+    user.write_text("from lib import B\nimport lib\nlib.G()\nD = 6\n")
+    assert unreached([lib], [lib, user]) == {"lib.C", "lib.D", "lib.f", "lib.h", "lib.I"}
+
+
 RECORD_HEADER = np.dtype([("magic", "S4"), ("version", "<u4"), ("count", "<u4"), ("width", "<u4")])
 
 
@@ -86,3 +145,17 @@ def test_os_errors_name_the_file_kind(tmp_path):
             call(missing, *content)
     with pytest.raises(AudioIOError, match=f"^cannot write test file {re.escape(missing)}: "):
         write_csv(missing, "h", np.zeros((1, 1)), ["%d"], "test")
+
+
+@pytest.mark.parametrize("bands", [(23, 24), (24, 25), (0, 0)])
+def test_feature_file_must_hold_24_static_and_24_delta_values(tmp_path, bands):
+    path = tmp_path / "f.bin"
+    write_features_binary(str(path), np.zeros(2, FEATURE_RECORD))
+    data = bytearray(path.read_bytes())
+    header = np.frombuffer(data, features._FEATURE_HEADER, count=1)
+    header["n_static"], header["n_delta"] = bands
+    path.write_bytes(data)
+    expected = f"{path}: {bands[0]}+{bands[1]} values per frame, expected 24+24"
+    with pytest.raises(AudioIOError, match=f"^{re.escape(expected)}$") as refused:
+        read_features_binary(str(path))
+    assert refused.value.exit_code == 3

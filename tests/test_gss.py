@@ -88,6 +88,12 @@ class TestInitAndSeparate:
         with pytest.raises(StreamError):
             gss.separate(state, SpectralFrame(np.zeros((3, 3), dtype=complex), 0))
 
+    @pytest.mark.parametrize("bins", [1, 4])  # one bin would broadcast unchecked
+    def test_bin_count_mismatch_rejected(self, bins):
+        state = random_state(np.random.default_rng(3), 4, 2, num_bins=3)
+        with pytest.raises(StreamError, match=f"^frame 5: {bins} bins, demix expects 3$"):
+            gss.separate(state, SpectralFrame(np.zeros((4, bins), dtype=complex), 5))
+
 
 class TestCosts:
     def test_single_source_no_decorrelation_cost(self):
@@ -384,9 +390,8 @@ class TestAdapt:
 
 class TestOnScenes:
     def test_delay_and_sum_snr_beats_best_microphone(self):
-        from arraysep.metrics import noise_ratio_db
         from arraysep.simulate import SceneSource, SceneSpec, SignalSpec, box_array_geometry, synthesize
-        from helpers import separate_scene
+        from helpers import noise_ratio_db, separate_scene
 
         geom = box_array_geometry()
         spec = SceneSpec(geom, (SceneSource("s", 20.0, signal=SignalSpec(kind="am_noise")),),

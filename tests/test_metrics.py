@@ -7,8 +7,9 @@ import pytest
 
 from arraysep.audio import AudioBuffer, open_wav, write_wav
 from arraysep.metrics import (EDGE_TRIM, QualityReport, SourceQuality, interference_ratio_db,
-                              measure_quality, noise_ratio_db)
+                              measure_quality)
 from arraysep.simulate import synthesize, three_speaker_scene
+from helpers import noise_ratio_db
 
 
 def orthogonal_references(half=9000, seed=0):

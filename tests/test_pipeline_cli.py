@@ -25,6 +25,7 @@ from arraysep.config import (PipelineConfig, SourceDirection, parse_scene_file, 
                              serialize_config, write_scene_file)
 from arraysep.geometry import steering_matrix
 from arraysep.errors import AudioIOError, StreamError
+from arraysep.features import extract_features, write_features_binary, write_features_csv
 from arraysep.metrics import QualityReport, interference_ratio_db, measure_quality
 from arraysep.formats import PostfilterDump
 from arraysep.masks import masks_from_records
@@ -101,6 +102,28 @@ class TestRunPipeline:
             + [f"{s.source_id}_{kind}" for s in spec.sources for kind in kinds])
         assert read_wav(result.separated_48k["center"]).rate == 48000
         assert read_wav(result.separated_16k["center"]).rate == 16000
+
+    def test_features_without_post_filter_come_with_no_masks(self, short_scene, scene_dir,
+                                                            tmp_path):
+        spec, _ = short_scene
+        config = write_config(tmp_path / "cfg.yaml", spec, scene_dir, tmp_path / "out",
+                              postfilter=False)
+        result = run_pipeline(config)
+        assert result.mask_files == {}
+        ids = [s.source_id for s in spec.sources]
+        kinds = ("48k.wav", "16k.wav", "features.csv", "features.bin")
+        assert set(os.listdir(tmp_path / "out")) == {
+            "effective_config.yaml", "quality_report.csv",
+            *(f"{source_id}_{kind}" for source_id in ids for kind in kinds)}
+        separated = run_stages(read_wav(config.input_wav), config).separated
+        for m, source_id in enumerate(ids):
+            mono = AudioBuffer(separated.samples[m], separated.rate)
+            expected = extract_features(resample_48k_to_16k(mono))
+            write_features_csv(str(tmp_path / "f.csv"), expected)
+            write_features_binary(str(tmp_path / "f.bin"), expected)
+            files = result.feature_files[source_id]
+            assert open(files["csv"], "rb").read() == (tmp_path / "f.csv").read_bytes()
+            assert open(files["binary"], "rb").read() == (tmp_path / "f.bin").read_bytes()
 
     def test_byte_determinism(self, short_scene, scene_dir, tmp_path):
         spec, _ = short_scene
@@ -1270,6 +1293,64 @@ class TestCli:
         path.write_text("not: [valid")
         assert main(["separate", "--config", str(path)]) == 2
 
+    def test_config_root_must_be_a_mapping(self, tmp_path, capsys):
+        path = tmp_path / "list.yaml"
+        path.write_text("- mic_positions_m: [[0.1, 0, 0], [-0.1, 0, 0]]\n")
+        assert main(["separate", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: config root must be a mapping\n"
+        assert os.listdir(tmp_path) == ["list.yaml"]
+
+    def test_unknown_keys_at_every_level_are_named_in_one_message(self, short_scene, scene_dir,
+                                                                  tmp_path, capsys):
+        spec, _ = short_scene
+        config_path = tmp_path / "cfg.yaml"
+        write_config(config_path, spec, scene_dir, tmp_path / "out")
+        data = yaml.safe_load(config_path.read_text())
+        data["colour"] = "red"
+        data["sources"][1]["bogus"] = 1
+        data["stages"]["fast"] = True
+        config_path.write_text(yaml.safe_dump(data))
+        assert main(["separate", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == ("error: unknown config keys: "
+                                           "['colour', 'sources[1].bogus', 'stages.fast']\n")
+        assert os.listdir(tmp_path) == ["cfg.yaml"]
+
+    def test_separate_takes_the_config_and_two_paths_only(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["separate", "--help"])
+        assert done.value.code == 0
+        options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert options == {"--config", "--help", "--input", "--output-dir"}
+
+    # every tunable comes from the config file: these flags repeated config keys
+    @pytest.mark.parametrize("flag", [
+        ["--step-size", "0.001"], ["--leak-factor", "0.5"], ["--spectral-exponent", "2"],
+        ["--mask-threshold", "0.5"], ["--no-adapt"], ["--no-postfilter"], ["--no-features"],
+        ["--dump-diagnostics"]], ids=lambda flag: flag[0])
+    def test_tunable_flags_are_refused(self, short_scene, scene_dir, tmp_path, capsys, flag):
+        spec, _ = short_scene
+        config_path = tmp_path / "cfg.yaml"
+        write_config(config_path, spec, scene_dir, tmp_path / "out")
+        with pytest.raises(SystemExit) as done:
+            main(["separate", "--config", str(config_path), *flag])
+        assert done.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_input_shorter_than_one_frame_writes_no_post_filter_dump(self, short_scene, scene_dir,
+                                                                     tmp_path, capsys, dump):
+        spec, render = short_scene
+        short = tmp_path / "short.wav"
+        write_wav(str(short), AudioBuffer(render.mixture.samples[:, :1000], 48000))
+        config_path = tmp_path / "cfg.yaml"
+        write_config(config_path, spec, scene_dir, tmp_path / "out", dump_diagnostics=dump)
+        assert main(["separate", "--config", str(config_path), "--input", str(short)]) == 0
+        assert capsys.readouterr().out == f"processed 0 frames into {tmp_path / 'out'}\n"
+        expected = {"effective_config.yaml", *(["gss_state.csv"] if dump else [])}
+        assert set(os.listdir(tmp_path / "out")) == expected
+
     def test_features_subcommand(self, tmp_path):
         rng = np.random.default_rng(1)
         wav = tmp_path / "mono.wav"
@@ -1387,6 +1468,10 @@ class TestCli:
             for row in rows]
         # decoded: the references, one output and the noise a channel at a time
         assert peak < render.noise.nbytes
+
+    def test_bench_shorter_than_one_frame_reports_no_frames(self, capsys):
+        assert main(["bench", "--seconds", "0.01"]) == 0
+        assert capsys.readouterr().out == "bench: no frames processed\n"
 
     def test_bench_zero_duration_empty_report(self, capsys):
         assert main(["bench", "--seconds", "0"]) == 0

@@ -1,6 +1,7 @@
 """Noise tracking, MMSE gains, speech presence and the per-source suppressor."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ class TestCrossSource:
     def test_window_mean_matches_per_row_convolution(self, halfwidth):
         values = wide_range_rows(np.random.default_rng(20), 4, 257)
         kernel = np.ones(2 * halfwidth + 1)
-        got = _window_mean(values, halfwidth)
+        got = _window_mean(values, halfwidth, out=np.empty_like(values))
         den = np.convolve(np.ones(values.shape[1]), kernel, mode="same")
         for m in range(values.shape[0]):
             expected = np.convolve(values[m], kernel, mode="same") / den
@@ -109,7 +110,8 @@ class TestCrossSource:
         num = ndimage.correlate1d(values, np.ones(2 * halfwidth + 1), axis=-1, mode="constant")
         k = np.arange(values.shape[1])
         den = np.minimum(k, halfwidth) + np.minimum(k[::-1], halfwidth) + 1.0
-        assert np.array_equal(_window_mean(values, halfwidth), num / den)
+        got = _window_mean(values, halfwidth, out=np.empty_like(values))
+        assert np.array_equal(got, num / den)
 
     def test_absence_prior_matches_per_row_oracle(self):
         snr_prior = wide_range_rows(np.random.default_rng(21), 3, 513)
@@ -378,6 +380,15 @@ class TestPostFilter:
             np.testing.assert_allclose(out, gain * bins)
             assert np.all(gain >= GAIN_FLOOR)
             assert np.all(gain <= GAIN_MAX)
+
+    # one source would broadcast unchecked into the two-source block
+    @pytest.mark.parametrize("shape", [(1, 33), (3, 33), (2, 32)])
+    def test_process_refuses_a_frame_of_another_shape(self, shape):
+        pf = PostFilter(2, 33)
+        expected = f"frame 4: shape {shape}, post-filter expects (2, 33)"
+        with pytest.raises(StreamError, match=f"^{re.escape(expected)}$"):
+            pf.process(SpectralFrame(np.ones(shape, dtype=complex), 4))
+        assert pf.queued == []
 
     def test_zero_input_zero_output(self):
         pf = PostFilter(2, 33)
