@@ -79,16 +79,14 @@ def masks_from_records(bands: np.ndarray, source: int,
 
 def align_to_feature_frames(mask: MaskMatrix, num_feature_frames: int, mask_shift: int = 512,
                             mask_size: int = 1024) -> MaskMatrix:
-    """Resample mask rows onto the feature frame grid (FEATURE_FFT_SIZE /
-    FEATURE_SHIFT at FEATURE_RATE) by nearest center time.
+    """Resample the rows of ``mask``, which has at least one frame, onto the
+    feature frame grid (FEATURE_FFT_SIZE / FEATURE_SHIFT at FEATURE_RATE)
+    by nearest center time.
 
     The separation and feature pipelines run at slightly different frame
     rates (93.75 vs 100 frames/s); band-aligned masks tolerate this
     nearest-neighbour mapping.
     """
-    if mask.num_frames == 0:
-        empty = np.zeros((0, mask.continuous.shape[1]))
-        return MaskMatrix(empty, empty.astype(bool), empty.astype(bool))
     feature_centers = ((np.arange(num_feature_frames) * FEATURE_SHIFT + FEATURE_FFT_SIZE / 2)
                        / FEATURE_RATE)
     mask_centers = (np.arange(mask.num_frames) * mask_shift + mask_size / 2) / SEPARATION_RATE

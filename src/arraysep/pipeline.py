@@ -17,7 +17,7 @@ import logging
 import os
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -41,7 +41,8 @@ logger = logging.getLogger(__name__)
 class StageLoop:
     """The frame loop's state: GSS, the optional post-filter with its (T, 3, M, 24) band
     powers ``bands`` (else None), and the dump sink.  ``step`` and ``finish`` return the
-    blocks ready for synthesis; ``run_stages`` sets ``separated`` (None if no frame)."""
+    blocks ready for synthesis, a post-filtered one valid until the next ``step``;
+    ``run_stages`` sets ``separated`` (None if no frame)."""
 
     def __init__(self, config: PipelineConfig, num_frames: int, dump=None):
         steering = steering_matrix(config.geometry(), config.directions(), config.fft_size)
@@ -63,7 +64,7 @@ class StageLoop:
         separated = gss.separate(self.state, frame)
         if self.adapt:
             gss.adapt(self.state, frame, separated)
-        del frame  # a view of its analysis block: let the block go before the flush
+        del frame  # the only reference to its spectra: they go before the flush
         if self.postfilter is None:
             self.pending.append(separated.bins)
         else:
@@ -71,10 +72,12 @@ class StageLoop:
         return self._flush() if self._queued() == BLOCK_FRAMES else []
 
     def finish(self) -> list[np.ndarray]:
-        """The queued frames as a last block; the post-filter goes, its gain-fault count stays."""
+        """The queued frames as a last block; the post-filter goes, its gain-fault count
+        stays, and GSS keeps its matrices but not the operators ``adapt`` cached."""
         blocks = self._flush() if self._queued() else []
         if self.postfilter is not None:
             self.gain_faults, self.postfilter = self.postfilter.gains.fault_count, None
+        self.state = replace(self.state)
         return blocks
 
     def _queued(self) -> int:

@@ -143,10 +143,6 @@ class NoiseState:
 
     def update(self, power: np.ndarray) -> np.ndarray:
         """Advance one frame; ``power`` is (num_sources, num_bins).  Returns total."""
-        if power.shape != self.smoothed.shape:
-            raise StreamError(
-                f"noise update expects {self.smoothed.shape}, got {power.shape}"
-            )
         a = SPECTRUM_SMOOTHING
         # smoothed = a * smoothed + (1 - a) * power, with total as scratch
         self.smoothed *= a
@@ -388,12 +384,13 @@ class PostFilter:
         self.queued.append(frame.frame_index)
 
     def flush(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...] | None]:
-        """Filter every queued frame and empty the queue.  Returns the
-        filtered bins, a new (k, M, n_bins) block; their input, output and
-        stationary-noise power over the mask bands, (k, 3, M, 24); and, with
-        ``dump_diagnostics`` only, their per-bin noise_stat, noise_leak,
-        snr_prior, presence and gain, five (k, M, n_bins) arrays that stay
-        valid until the next ``process``, else None."""
+        """Filter every queued frame in place and empty the queue.  Returns
+        the filtered bins, (k, M, n_bins); their input, output and
+        stationary-noise power over the mask bands, a new (k, 3, M, 24)
+        array; and, with ``dump_diagnostics`` only, their per-bin noise_stat,
+        noise_leak, snr_prior, presence and gain, five (k, M, n_bins) arrays,
+        else None.  The bins and the internals stay valid until the next
+        ``process``."""
         cfg = self.config
         k = len(self.queued)
         snr_prior, gain = self._snr_prior[:k], self._gain[:k]
@@ -406,7 +403,8 @@ class PostFilter:
         gain *= q
         np.maximum(gain, GAIN_FLOOR, out=gain)
         np.minimum(gain, GAIN_MAX, out=gain)
-        out_bins = gain * self._bins[:k]
+        out_bins = self._bins[:k]
+        out_bins *= gain
 
         band_input = self._band_input[:, :k]
         out_power = band_input[1]

@@ -37,9 +37,9 @@ def sqrt_hann_window(size: int) -> np.ndarray:
     return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * n / size))
 
 
-# Frames the stage loop handles together: analysis transforms them in one
-# rfft, the post-filter runs its non-recursive tail over them in one pass and
-# synthesis inverts its filtered block in one irfft.
+# Frames the stage loop handles together: analysis reads their samples into
+# one buffer, the post-filter runs its non-recursive tail over them in one
+# pass and synthesis inverts its filtered block in one irfft.
 BLOCK_FRAMES = 8
 
 
@@ -71,13 +71,12 @@ def stft_analyze(audio: AudioBuffer | WavFile, fft_size: int,
     time, over the frames of ``analysis_frames``.
 
     The samples arrive as ``audio.blocks()`` of any size and are copied,
-    at their own precision, into one buffer of BLOCK_FRAMES frames; each
-    full buffer is tapered and transformed in one rfft, and its last
-    ``fft_size - shift`` samples carry over to the next.  Every block is
-    read, trailing samples included, so a stream is scanned to its end.
-    The frames are views of their block's spectra, and the generator drops
-    each one as it yields it, so a block is freed once its consumer has
-    dropped the last of its frames.
+    at their own precision, into one buffer of BLOCK_FRAMES frames, whose
+    last ``fft_size - shift`` samples carry over to the next.  Each frame
+    is tapered and transformed as it is yielded, and the generator keeps
+    no reference to it, so one frame's spectra are alive at a time if the
+    consumer drops each before it asks for the next.  Every block is read,
+    trailing samples included, so a stream is scanned to its end.
     """
     _check_framing(fft_size, shift)
     window = sqrt_hann_window(fft_size)
@@ -85,17 +84,10 @@ def stft_analyze(audio: AudioBuffer | WavFile, fft_size: int,
     carry = fft_size - shift
     buffer, filled, first = None, 0, 0
 
-    def transform(samples):  # the frames of ``samples``, each dropped as it is yielded
+    def transform(samples):  # the frames of ``samples``, each transformed as it is yielded
         frames = analysis_frames(samples, fft_size, shift)  # (channels, k, fft_size)
-        if not frames.shape[1]:
-            return
-        spectra = np.fft.rfft(np.multiply(frames.transpose(1, 0, 2), window,
-                                          out=np.empty(frames.shape[1::-1] + (fft_size,))))
-        pending = [SpectralFrame(bins, first + t)
-                   for t, bins in enumerate(spectra)][::-1]
-        del spectra
-        while pending:
-            yield pending.pop()
+        for t in range(frames.shape[1]):
+            yield SpectralFrame(windowed_rfft(frames[:, t], window), first + t)
 
     for block in audio.blocks():
         if buffer is None:

@@ -579,11 +579,14 @@ class TestRunPipeline:
         config = pipeline_config_for_scene(spec, adapt=adapt, postfilter=postfilter)
         num_frames = frame_count(render.mixture.num_samples, config.fft_size, config.shift)
         assert num_frames % BLOCK_FRAMES  # the last block is a partial one
-        loop, ready = StageLoop(config, num_frames), []
-        for frame in stft_analyze(render.mixture, config.fft_size, config.shift):
-            ready += loop.step(frame)
-        ready += loop.finish()
-        by_hand = stft_synthesize(ready, config.shift, num_frames)
+        loop = StageLoop(config, num_frames)
+
+        def stepped():  # each block is synthesized before the next step reuses its buffer
+            for frame in stft_analyze(render.mixture, config.fft_size, config.shift):
+                yield from loop.step(frame)
+            yield from loop.finish()
+
+        by_hand = stft_synthesize(stepped(), config.shift, num_frames)
         output = run_stages(render.mixture, config)
         assert by_hand.tobytes() == output.separated.samples.tobytes()
         if postfilter:
@@ -639,6 +642,52 @@ class TestRunPipeline:
         output = run_stages(render.mixture, config)  # held while checking
         assert made and output.bands is not None
         assert all(ref() is None for ref in made)
+
+    def test_analysis_holds_one_frame_of_spectra(self, short_scene, monkeypatch):
+        # when GSS adapts on a frame, the only analysis spectra alive are that
+        # frame's (channels, bins), not the rest of its block
+        spec, render = short_scene
+        config = pipeline_config_for_scene(spec)
+        rfft, adapt = np.fft.rfft, gss.adapt
+        spectra, alive = [], []
+
+        def transforming(*args, **kwargs):
+            bins = rfft(*args, **kwargs)
+            spectra.append((weakref.ref(bins), bins.nbytes))
+            return bins
+
+        def adapting(state, frame, separated):
+            alive.append(sum(nbytes for ref, nbytes in spectra if ref() is not None))
+            return adapt(state, frame, separated)
+
+        monkeypatch.setattr(np.fft, "rfft", transforming)
+        monkeypatch.setattr(gss, "adapt", adapting)
+        num_frames = run_stages(render.mixture, config).num_frames
+        assert len(alive) == num_frames > BLOCK_FRAMES
+        assert max(alive) <= render.mixture.num_channels * (config.fft_size // 2 + 1) * 16
+
+    def test_the_loop_ends_without_the_steering_operators(self, short_scene, monkeypatch):
+        # adapt caches A and A^H as real operators on the state; the adapted
+        # matrices outlive the loop, the operators do not
+        spec, render = short_scene
+        config = pipeline_config_for_scene(spec)
+        adapt, operators = gss.adapt, []
+
+        def adapting(state, frame, separated):
+            if not operators:
+                operators.extend(map(weakref.ref, state._steering_operators))
+            return adapt(state, frame, separated)
+
+        monkeypatch.setattr(gss, "adapt", adapting)
+        loop = run_stages(render.mixture, config)
+        assert len(operators) == 2 and all(ref() is None for ref in operators)
+        steering = steering_matrix(config.geometry(), config.directions(), config.fft_size)
+        state = gss.init_delay_and_sum(steering, config.step_size)
+        for frame in stft_analyze(render.mixture, config.fft_size, config.shift):
+            adapt(state, frame, gss.separate(state, frame))
+        assert loop.state.demix.tobytes() == state.demix.tobytes()
+        assert loop.state.step_size == config.step_size
+        assert loop.state.steering.tobytes() == steering.tobytes()
 
     @pytest.mark.parametrize("extra", [0, 137])
     def test_a_cut_input_gives_a_prefix_of_the_whole_input_outputs(self, short_scene, extra):

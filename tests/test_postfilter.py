@@ -471,9 +471,9 @@ class TestBlockPass:
                     pf.process(SpectralFrame(bins, t))
                     if len(pf.queued) == every or t == len(frames) - 1:
                         block = pf.flush()
-                        out.append(block[0])
+                        out.append(block[0].copy())  # as the internals: process reuses them
                         bands.append(block[1])
-                        internals.append(np.stack(block[2], axis=1))  # before they are reused
+                        internals.append(np.stack(block[2], axis=1))
             assert sum(map(len, out)) == len(frames)
             results.append((np.concatenate(out).tobytes(),
                             np.concatenate(bands).tobytes(), np.concatenate(internals).tobytes(),
