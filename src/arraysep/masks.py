@@ -48,6 +48,12 @@ def compute_mask(band_in: np.ndarray, band_out: np.ndarray, band_noise: np.ndarr
     return continuous, binary
 
 
+def band_reliability(bands: np.ndarray) -> np.ndarray:
+    """The continuous reliability, (frames, sources, 24), of the post-filter's
+    (frames, 3, sources, 24) band powers: input, output, stationary noise."""
+    return compute_mask(bands[:, 0], bands[:, 1], bands[:, 2])[0]
+
+
 @dataclass
 class MaskMatrix:
     """Frame-by-band reliability: continuous values plus static/delta bits."""
@@ -61,18 +67,19 @@ class MaskMatrix:
         return self.continuous.shape[0]
 
 
-def masks_from_records(bands: np.ndarray, source: int,
+def masks_from_records(reliability: np.ndarray, source: int,
                        threshold: float = DEFAULT_THRESHOLD) -> MaskMatrix:
-    """Build the mask matrix for one separated source from the post-filter's
-    band powers, (frames, 3, sources, 24): input, output, stationary noise.
+    """Build the mask matrix for one separated source from the continuous
+    reliability record, (frames, sources, 24), that ``band_reliability``
+    gives; its static bits are those of ``compute_mask`` at ``threshold``.
 
     A delta bit is reliable when all five frames its regression spans are;
     the two frames at each end, which lack that context, keep delta = 0.
     """
-    bands = bands[:, :, source]
-    continuous, static = compute_mask(bands[:, 0], bands[:, 1], bands[:, 2], threshold)
+    continuous = reliability[:, source]
+    static = continuous > threshold
     delta = np.zeros_like(static)
-    if len(bands) >= 5:
+    if len(continuous) >= 5:
         delta[2:-2] = sliding_window_view(static, 5, axis=0).all(axis=-1)
     return MaskMatrix(continuous, static, delta)
 

@@ -11,6 +11,7 @@ end.  Identical config and inputs give byte-identical outputs.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import errno
 import logging
@@ -18,7 +19,8 @@ import os
 import shutil
 import time
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from collections import defaultdict
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -30,7 +32,8 @@ from .errors import AudioIOError, ConfigError, StreamError
 from .features import NUM_BANDS, extract_features, write_features_binary, write_features_csv
 from .formats import PostfilterDump, write_csv
 from .geometry import steering_matrix
-from .masks import align_to_feature_frames, masks_from_records, write_mask_binary, write_mask_csv
+from .masks import (align_to_feature_frames, band_reliability, masks_from_records,
+                    write_mask_binary, write_mask_csv)
 from .metrics import QualityReport, measure_quality
 from .postfilter import PostFilter
 from .stft import BLOCK_FRAMES, SpectralFrame, frame_count, stft_analyze, stft_synthesize
@@ -38,37 +41,101 @@ from .stft import BLOCK_FRAMES, SpectralFrame, frame_count, stft_analyze, stft_s
 logger = logging.getLogger(__name__)
 
 
+class StageClock:
+    """Wall time and calls per stage, and each frame's chain time in a fixed
+    histogram, so memory stays flat however long the run.
+
+    ``add(stage, start)`` charges the ns since ``start``, a ``perf_counter_ns``
+    reading, to ``stage`` and returns the reading it took, so back-to-back
+    stages share one.  A frame's chain time is its own stages' time plus an
+    equal share of its block's flush; past ``deadline_ns``, the hop, it is a
+    deadline miss.
+    """
+
+    EDGES_NS = [round(10 ** (3 + i / 20)) for i in range(141)]  # 1 us to 10 s, 20 per decade
+
+    def __init__(self, deadline_ns: float):
+        self.deadline_ns, self.deadline_misses = deadline_ns, 0
+        self.totals = defaultdict(lambda: [0, 0])  # stage -> [ns, calls], in first-call order
+        self.histogram = [0] * (len(self.EDGES_NS) + 1)  # bin i holds [EDGES_NS[i-1], EDGES_NS[i])
+        self.unflushed = []  # the chain ns so far of each frame in the open block
+
+    def add(self, stage: str, start: int) -> int:
+        now = time.perf_counter_ns()
+        total = self.totals[stage]
+        total[0] += now - start
+        total[1] += 1
+        return now
+
+    def end_block(self, start: int) -> None:
+        """Share the time since ``start``, when the block's flush began, among its frames."""
+        share = (time.perf_counter_ns() - start) / len(self.unflushed)
+        for ns in self.unflushed:
+            self.record(ns + share)
+        self.unflushed = []
+
+    def record(self, chain_ns: float) -> None:
+        """Count one frame's chain time."""
+        self.histogram[bisect.bisect_right(self.EDGES_NS, chain_ns)] += 1
+        self.deadline_misses += chain_ns > self.deadline_ns
+
+    def percentile_ns(self, q: float) -> int:
+        """The upper edge of the histogram bin that holds the q-th percentile
+        chain time (the last edge for the overflow bin)."""
+        cumulative = list(accumulate(self.histogram))
+        i = bisect.bisect_right(cumulative, q / 100 * (cumulative[-1] - 1))
+        return self.EDGES_NS[min(i, len(self.EDGES_NS) - 1)]
+
+    def lines(self, frames: int) -> list[str]:
+        """Each stage's ms per frame, then the chain time's p50/p99 and the misses."""
+        rows = [f"{stage}: {ns / 1e6 / frames:.3f} ms/frame over {calls} calls"
+                for stage, (ns, calls) in self.totals.items()]
+        return rows + [f"frame chain: p50 <= {self.percentile_ns(50) / 1e6:.3f} ms, "
+                       f"p99 <= {self.percentile_ns(99) / 1e6:.3f} ms, {self.deadline_misses} "
+                       f"over the {self.deadline_ns / 1e6:.2f} ms hop"]
+
+
 class StageLoop:
-    """The frame loop's state: GSS, the optional post-filter with its (T, 3, M, 24) band
-    powers ``bands`` (else None), and the dump sink.  ``step`` and ``finish`` return the
-    blocks ready for synthesis, a post-filtered one valid until the next ``step``;
-    ``run_stages`` sets ``separated`` (None if no frame)."""
+    """The frame loop's state: GSS, the optional post-filter with the (T, M, 24)
+    continuous mask reliabilities ``reliability`` (else None), the dump sink and the
+    stage clock.  ``step`` and ``finish`` return the blocks ready for synthesis, a
+    post-filtered one valid until the next ``step``; ``run_stages`` sets ``separated``
+    (None if no frame)."""
 
     def __init__(self, config: PipelineConfig, num_frames: int, dump=None):
         steering = steering_matrix(config.geometry(), config.directions(), config.fft_size)
         self.state = gss.init_delay_and_sum(steering, config.step_size)
         self.adapt, self.dump = config.stages.adapt, dump
-        self.num_frames, self.separated, self.bands = num_frames, None, None
+        self.num_frames, self.separated, self.reliability = num_frames, None, None
         self.postfilter, self.gain_faults = None, 0
+        self.clock = StageClock(config.shift * 1e9 / SEPARATION_RATE)
         if config.stages.postfilter:
             num_sources, num_bins = len(config.sources), config.fft_size // 2 + 1
             self.postfilter = PostFilter(num_sources, num_bins, config)
-            self.bands = np.zeros((num_frames, 3, num_sources, NUM_BANDS))
+            self.reliability = np.zeros((num_frames, num_sources, NUM_BANDS))
         else:
             self.pending = []  # the separated bins not yet in a block
 
-    def step(self, frame: SpectralFrame) -> list[np.ndarray]:
+    def step(self, frame: SpectralFrame, start: int | None = None) -> list[np.ndarray]:
         """Separate the next analysis frame and adapt on it; the block of
         BLOCK_FRAMES separated, or with the post-filter filtered, frames that
-        the frame completes, if any."""
+        the frame completes, if any.  ``start``, a ``perf_counter_ns`` reading
+        from before the frame's analysis, charges that analysis to the clock."""
+        clock = self.clock
+        now = time.perf_counter_ns() if start is None else clock.add("analysis", start)
+        begun = now if start is None else start
         separated = gss.separate(self.state, frame)
+        now = clock.add("gss.separate", now)
         if self.adapt:
             gss.adapt(self.state, frame, separated)
+            now = clock.add("gss.adapt", now)
         del frame  # the only reference to its spectra: they go before the flush
         if self.postfilter is None:
             self.pending.append(separated.bins)
         else:
             self.postfilter.process(separated)
+            now = clock.add("postfilter.process", now)
+        clock.unflushed.append(now - begun)
         return self._flush() if self._queued() == BLOCK_FRAMES else []
 
     def finish(self) -> list[np.ndarray]:
@@ -84,15 +151,20 @@ class StageLoop:
         return len(self.pending) if self.postfilter is None else len(self.postfilter.queued)
 
     def _flush(self) -> list[np.ndarray]:
+        clock, start = self.clock, time.perf_counter_ns()
         if self.postfilter is None:
             block, self.pending = np.stack(self.pending), []
-            return [block]
-        first = self.postfilter.queued[0]
-        block, bands, internals = self.postfilter.flush()
-        self.bands[first : first + len(block)] = bands
-        if self.dump is not None and internals is not None:
-            for t in range(len(block)):
-                self.dump(first + t, [part[t] for part in internals])
+            clock.add("stack", start)
+        else:
+            first = self.postfilter.queued[0]
+            block, bands, internals = self.postfilter.flush()
+            self.reliability[first : first + len(block)] = band_reliability(bands)
+            now = clock.add("postfilter.flush", start)
+            if self.dump is not None and internals is not None:
+                for t in range(len(block)):
+                    self.dump(first + t, [part[t] for part in internals])
+                clock.add("dump", now)
+        clock.end_block(start)
         return [block]
 
 
@@ -109,8 +181,9 @@ def run_stages(mixture: AudioBuffer | WavFile, config: PipelineConfig,
     num_frames = frame_count(mixture.num_samples, config.fft_size, config.shift)
     loop = StageLoop(config, num_frames, dump)
     frames = stft_analyze(mixture, config.fft_size, config.shift)
-    # step holds the only reference to its frame; finish runs last
-    steps = iter(lambda: loop.step(next(frames)), None)
+    # step holds the only reference to its frame; finish runs last.  Keyword
+    # arguments are evaluated in order, so start is read before the analysis.
+    steps = iter(lambda: loop.step(start=time.perf_counter_ns(), frame=next(frames)), None)
     ready = chain.from_iterable(chain(steps, map(StageLoop.finish, [loop])))
     if num_frames:
         loop.separated = AudioBuffer(stft_synthesize(ready, config.shift, num_frames),
@@ -131,6 +204,7 @@ class PipelineResult:
     report_csv: str | None = None
     effective_config: str | None = None
     frames_processed: int = 0
+    clock: StageClock | None = None  # the stage loop's, with the emission stages added
 
 
 # what the run header leaves out: the geometry, the sources and the file paths
@@ -264,16 +338,21 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
             with contextlib.closing(PostfilterDump(config.output_dir, ids, staging)) as dump:
                 output = run_stages(read_wav(config.input_wav, BLOCK_FRAMES * config.shift),
                                     config, dump if config.dump_diagnostics else None)
-            return _emit(config, output, ids, staging)
+            result = _emit(config, output, ids, staging)
     except OSError as exc:
         raise AudioIOError(f"cannot write to {config.output_dir}: {exc}") from exc
+    if result.frames_processed:
+        for line in result.clock.lines(result.frames_processed):
+            logger.info("stage %s", line)
+    return result
 
 
 def _emit(config: PipelineConfig, output: StageLoop, ids: list[str],
           staging: _Staging) -> PipelineResult:
     """Write every artifact of a finished stage loop under its staged name;
     the result names the final paths."""
-    result = PipelineResult(output_dir=config.output_dir, frames_processed=output.num_frames)
+    result = PipelineResult(output_dir=config.output_dir, frames_processed=output.num_frames,
+                            clock=output.clock)
 
     result.effective_config = os.path.join(config.output_dir, "effective_config.yaml")
     serialize_config(config, staging(result.effective_config))
@@ -285,13 +364,17 @@ def _emit(config: PipelineConfig, output: StageLoop, ids: list[str],
         return result
 
     for m, source_id in enumerate(ids):
+        start = time.perf_counter_ns()
         _emit_source(config, output, m, source_id, staging, result)
+        output.clock.add("emit.source", start)
 
     if config.reference_wavs:
+        start = time.perf_counter_ns()
         rows = _quality_rows(config, output.separated, ids)
         stage = "gss+pf" if config.stages.postfilter else ("gss" if config.stages.adapt else "delay-and-sum")
         result.report_csv = os.path.join(config.output_dir, "quality_report.csv")
         QualityReport({stage: rows}).to_csv(staging(result.report_csv))
+        output.clock.add("emit.quality", start)
 
     return result
 
@@ -316,10 +399,11 @@ def _emit_source(config: PipelineConfig, output: StageLoop, m: int, source_id: s
     write_features_binary(staging(prefix + "features.bin"), features)
     result.feature_files[source_id] = {"csv": prefix + "features.csv",
                                        "binary": prefix + "features.bin"}
-    if output.bands is None:
+    if output.reliability is None:
         return
 
-    mask = align_to_feature_frames(masks_from_records(output.bands, m, config.mask_threshold),
+    mask = align_to_feature_frames(masks_from_records(output.reliability, m,
+                                                      config.mask_threshold),
                                    len(features), mask_shift=config.shift,
                                    mask_size=config.fft_size)
     write_mask_csv(staging(prefix + "mask.csv"), mask)
@@ -333,12 +417,14 @@ class BenchReport:
     wall_seconds: float
     frames: int
     real_time_factor: float | None
+    clock: StageClock
 
     def summary(self) -> str:
         if self.real_time_factor is None:
             return "bench: no frames processed"
-        return (f"bench: {self.audio_seconds:.2f}s audio in {self.wall_seconds:.3f}s wall, "
-                f"real-time factor {self.real_time_factor:.3f} over {self.frames} frames")
+        return "\n  ".join([f"bench: {self.audio_seconds:.2f}s audio in {self.wall_seconds:.3f}s "
+                            f"wall, real-time factor {self.real_time_factor:.3f} over "
+                            f"{self.frames} frames", *self.clock.lines(self.frames)])
 
 
 def bench_pipeline(mixture: AudioBuffer, config: PipelineConfig) -> BenchReport:
@@ -346,9 +432,9 @@ def bench_pipeline(mixture: AudioBuffer, config: PipelineConfig) -> BenchReport:
     excluding file I/O."""
     start = time.perf_counter()
     output = run_stages(mixture, config)
-    if output.bands is not None:
+    if output.reliability is not None:
         for m in range(output.state.num_sources):
-            masks_from_records(output.bands, m, config.mask_threshold)
+            masks_from_records(output.reliability, m, config.mask_threshold)
     wall = time.perf_counter() - start
     rtf = (wall / mixture.duration) if output.num_frames else None
-    return BenchReport(mixture.duration, wall, output.num_frames, rtf)
+    return BenchReport(mixture.duration, wall, output.num_frames, rtf, output.clock)

@@ -8,8 +8,9 @@ probability, is then applied.  With one source, or a zero leak factor,
 each channel reduces exactly to an independent single-channel suppressor.
 
 Each frame also yields the input power, output power and stationary-noise
-level integrated over the 24 mask bands, (3, sources, 24); the mask stage
-consumes them without recomputing any gains.
+level integrated over the 24 mask bands, (3, sources, 24), each banded
+where it is computed; the mask stage consumes them without recomputing any
+gains.
 
 Only the recursions run frame by frame; everything downstream of them runs
 over a block of frames at once, elementwise or along the bin axis, so a
@@ -29,7 +30,7 @@ from scipy import ndimage, special
 
 from .config import PipelineConfig
 from .errors import StreamError
-from .features import mel_energies
+from .features import NUM_BANDS, mel_energies
 from .masks import mask_filterbank
 from .stft import BLOCK_FRAMES, SpectralFrame
 
@@ -316,11 +317,12 @@ class PostFilter:
     from ``config`` (``PipelineConfig()`` if None).
     The work is split in two.  ``process`` runs, frame by frame, the part
     that feeds back into later frames: the noise update, the
-    decision-directed prior SNR and the speech-present gain.  It queues the
-    rest of each frame's inputs, up to BLOCK_FRAMES frames.  ``flush`` then
-    runs everything that does not feed back over all queued frames in one
-    pass: the absence prior, presence, the final gain and the output.
-    Where the flushes fall does not change any result.
+    decision-directed prior SNR and the speech-present gain.  It bands the
+    frame's input power and stationary noise onto the mask bands and queues
+    the rest of its inputs, up to BLOCK_FRAMES frames.  ``flush`` then runs
+    everything that does not feed back over all queued frames in one pass:
+    the absence prior, presence, the final gain, the output and its banded
+    power.  Where the flushes fall does not change any result.
     """
 
     def __init__(self, num_sources: int, num_bins: int, config: PipelineConfig | None = None):
@@ -328,16 +330,18 @@ class PostFilter:
         self.noise = NoiseState(num_sources, num_bins, self.config)
         self.gains = GainState(num_sources, num_bins)
         self._bank = mask_filterbank(2 * (num_bins - 1))
-        self._snr_post, self._scratch = np.zeros((2, num_sources, num_bins))
+        self._power, self._snr_post, self._scratch = np.zeros((3, num_sources, num_bins))
         # the queued frames' indexes, then per frame the input bins; input
-        # power, output power and stationary noise, banded together; the prior
-        # SNR, upsilon and gain of process; and, for the dump only, the leakage
+        # power, output power and stationary noise over the mask bands; the
+        # prior SNR, upsilon and gain of process; and, for the dump only, the
+        # stationary noise and the leakage per bin
         self.queued = []
         shape = (BLOCK_FRAMES, num_sources, num_bins)
         self._bins = np.zeros(shape, dtype=np.complex128)
-        self._band_input = np.zeros((3,) + shape)
+        self._bands = np.zeros((BLOCK_FRAMES, 3, num_sources, NUM_BANDS))
         self._snr_prior, self._upsilon, self._gain = np.zeros((3,) + shape)
-        self._leakage = np.zeros(shape) if self.config.dump_diagnostics else None
+        self._stationary, self._leakage = (np.zeros((2,) + shape) if self.config.dump_diagnostics
+                                           else (None, None))
 
     def process(self, frame: SpectralFrame) -> None:
         """Advance the recursions by one frame and queue it for ``flush``."""
@@ -352,9 +356,10 @@ class PostFilter:
         if k == len(self._bins):
             raise StreamError(f"frame {frame.frame_index}: post-filter block is full; flush it")
         self._bins[k] = bins
-        power = self._band_input[0, k]
+        power = self._power
         np.abs(bins, out=power)
         np.square(power, out=power)
+        self._bands[k, 0] = mel_energies(power, self._bank)
 
         noise_total = self.noise.update(power)
         snr_post = self._snr_post
@@ -378,8 +383,9 @@ class PostFilter:
 
         self.gains.prev_gain = gain_h1
         self.gains.prev_snr_post, self._snr_post = snr_post, self.gains.prev_snr_post
-        self._band_input[2, k] = self.noise.stationary
+        self._bands[k, 2] = mel_energies(self.noise.stationary, self._bank)
         if self._leakage is not None:
+            self._stationary[k] = self.noise.stationary
             self._leakage[k] = self.noise.leakage
         self.queued.append(frame.frame_index)
 
@@ -406,13 +412,13 @@ class PostFilter:
         out_bins = self._bins[:k]
         out_bins *= gain
 
-        band_input = self._band_input[:, :k]
-        out_power = band_input[1]
+        out_power = self._upsilon[:k]  # upsilon is spent once presence is known
         np.abs(out_bins, out=out_power)
         np.square(out_power, out=out_power)
-        bands = mel_energies(band_input, self._bank).transpose(1, 0, 2, 3)
+        bands = self._bands[:k]
+        bands[:, 1] = mel_energies(out_power, self._bank)
         internals = None
         if self._leakage is not None:
-            internals = band_input[2], self._leakage[:k], snr_prior, presence, gain
+            internals = self._stationary[:k], self._leakage[:k], snr_prior, presence, gain
         self.queued = []
-        return out_bins, bands, internals
+        return out_bins, bands.copy(), internals

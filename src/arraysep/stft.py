@@ -85,9 +85,9 @@ def stft_analyze(audio: AudioBuffer | WavFile, fft_size: int,
     buffer, filled, first = None, 0, 0
 
     def transform(samples):  # the frames of ``samples``, each transformed as it is yielded
-        frames = analysis_frames(samples, fft_size, shift)  # (channels, k, fft_size)
-        for t in range(frames.shape[1]):
-            yield SpectralFrame(windowed_rfft(frames[:, t], window), first + t)
+        for t in range(frame_count(samples.shape[1], fft_size, shift)):
+            frame = samples[:, t * shift : t * shift + fft_size]
+            yield SpectralFrame(windowed_rfft(frame, window), first + t)
 
     for block in audio.blocks():
         if buffer is None:

@@ -88,7 +88,7 @@ def run_trial(models, seed: int):
     stream16 = resample_48k_to_16k(AudioBuffer(output.separated.samples[0], 48000))
     features = extract_features(stream16)
     vectors = np.stack([np.concatenate([f.static, f.delta]) for f in features])
-    mask = align_to_feature_frames(masks_from_records(output.bands, 0), len(features))
+    mask = align_to_feature_frames(masks_from_records(output.reliability, 0), len(features))
     bits = np.concatenate([mask.static, mask.delta], axis=1)
 
     reference16 = resample_48k_to_16k(AudioBuffer(render.clean_references[0], 48000))

@@ -19,7 +19,7 @@ from arraysep.config import PipelineConfig, serialize_config
 from arraysep.features import mel_energies
 from arraysep.geometry import steering_matrix
 from arraysep.gmm import GmmModel, marginal_log_likelihoods
-from arraysep.masks import mask_filterbank, masks_from_records
+from arraysep.masks import band_reliability, mask_filterbank, masks_from_records
 from arraysep.metrics import measure_quality
 from arraysep.pipeline import bench_pipeline, run_pipeline
 from arraysep.postfilter import PostFilter
@@ -178,7 +178,7 @@ class TestCriterion5MaskBehavior:
                          duration_s=4.0, noise_level_db=-40.0, seed=77)
         render = synthesize(spec)
         _, output = separate_scene(render, spec, adapt=True, postfilter=True)
-        mask = masks_from_records(output.bands, 0)
+        mask = masks_from_records(output.reliability, 0)
         centers = (np.arange(mask.num_frames) * 512 + 512) / 48000
         silent = (centers > 0.1) & (centers < 0.9)
         fraction = float(mask.static[silent].mean())
@@ -223,7 +223,7 @@ class TestCriterion5MaskBehavior:
 
         fractions = []
         for m in range(2):
-            mask = masks_from_records(np.array(bands), m)
+            mask = masks_from_records(band_reliability(np.array(bands)), m)
             target = np.stack(target_bands[m])
             rival = np.stack(rival_bands[m])
             floor = np.array(bands)[:, 2, m]

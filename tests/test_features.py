@@ -83,6 +83,30 @@ class TestMelEnergies:
         with pytest.raises(ConfigError):
             mel_energies(np.ones(513), bank)
 
+    @pytest.mark.parametrize("sources", [1, 2, 3, 4])
+    def test_stacked_powers_band_like_single_frames(self, sources):
+        # The post-filter bands each frame's (M, K) powers as it computes them,
+        # where it once banded a (3, k, M, K) slice of its block buffer, and a
+        # block's (k, M, K) output powers in one call: the bits must not depend
+        # on how many frames one call takes, nor on where a block is split.
+        bank = mel_filterbank(1024, 48000)
+        rng = np.random.default_rng(sources)
+        shape = (3, 8, sources, 513)  # (kinds, BLOCK_FRAMES, M, K)
+        buffer = rng.random(shape) * 10.0 ** rng.integers(-20, 10, shape)
+        for k in range(1, 9):
+            powers = buffer[:, :k]
+            stacked = mel_energies(powers, bank)
+            assert stacked.shape == (3, k, sources, 24)
+            single = np.array([[mel_energies(powers[i, t], bank) for t in range(k)]
+                               for i in range(3)])
+            assert single.tobytes() == stacked.tobytes()
+            blocks = np.array([mel_energies(powers[i], bank) for i in range(3)])
+            assert blocks.tobytes() == stacked.tobytes()
+            for split in range(1, k):
+                halves = np.concatenate([mel_energies(powers[:, :split], bank),
+                                         mel_energies(powers[:, split:], bank)], axis=1)
+                assert halves.tobytes() == stacked.tobytes()
+
 
 def noise_utterance(seed=0, seconds=1.0, scale=0.1):
     rng = np.random.default_rng(seed)

@@ -11,7 +11,7 @@ from arraysep.errors import AudioIOError, ConfigError
 from arraysep.features import (FEATURE_RECORD, mel_energies, read_features_binary,
                                write_features_binary)
 from arraysep.geometry import steering_matrix
-from arraysep.masks import (MaskMatrix, align_to_feature_frames, compute_mask,
+from arraysep.masks import (MaskMatrix, align_to_feature_frames, band_reliability, compute_mask,
                             mask_filterbank, masks_from_records,
                             read_mask_binary, write_mask_binary, write_mask_csv)
 from arraysep.postfilter import PostFilter
@@ -95,20 +95,20 @@ class TestDeltaMask:
     """A delta bit is reliable when all five frames of its regression window are."""
 
     def test_all_reliable(self):
-        mask = masks_from_records(bands_with_static(np.ones((5, 24))), 0)
+        mask = masks_from_records(band_reliability(bands_with_static(np.ones((5, 24)))), 0)
         assert np.all(mask.delta[2])
 
     def test_any_zero_breaks(self):
         rows = np.ones((5, 24), dtype=bool)
         rows[3, 7] = False
-        out = masks_from_records(bands_with_static(rows), 0).delta[2]
+        out = masks_from_records(band_reliability(bands_with_static(rows)), 0).delta[2]
         assert not out[7]
         assert np.all(np.delete(out, 7))
 
     def test_matches_product_oracle(self):
         rng = np.random.default_rng(3)
         rows = rng.random((9, 24)) > 0.2
-        delta = masks_from_records(bands_with_static(rows), 0).delta
+        delta = masks_from_records(band_reliability(bands_with_static(rows)), 0).delta
         for t in range(2, 7):
             oracle = rows[t - 2] & rows[t - 1] & rows[t] & rows[t + 1] & rows[t + 2]
             np.testing.assert_array_equal(delta[t], oracle)
@@ -116,7 +116,7 @@ class TestDeltaMask:
     def test_needs_five_rows(self):
         # a stream shorter than the window has no delta context: all bits 0, no error
         for n in (0, 1, 4, 5, 6):
-            mask = masks_from_records(bands_with_static(np.ones((n, 24))), 0)
+            mask = masks_from_records(band_reliability(bands_with_static(np.ones((n, 24)))), 0)
             expected = np.zeros((n, 24), dtype=bool)
             expected[2 : n - 2] = True
             np.testing.assert_array_equal(mask.delta, expected)
@@ -178,7 +178,7 @@ class TestMasksFromPostFilter:
     @pytest.mark.parametrize("source", [0, 1])
     def test_matches_per_frame_oracle(self, postfilter_run, frames, source):
         inputs, outputs, bands, internals = (part[:frames] for part in postfilter_run)
-        mask = masks_from_records(bands, source, threshold=0.3)
+        mask = masks_from_records(band_reliability(bands), source, threshold=0.3)
         continuous, static, delta = per_frame_masks(inputs, outputs, internals, source, 0.3)
         assert mask.continuous.shape == (len(bands), 24)
         np.testing.assert_allclose(mask.continuous, continuous, rtol=1e-12, atol=0.0)
@@ -190,18 +190,18 @@ class TestMasksFromPostFilter:
 
 class TestMaskMatrix:
     def test_boundary_delta_rows_zero(self):
-        mask = masks_from_records(synthetic_bands(), 0)
+        mask = masks_from_records(band_reliability(synthetic_bands()), 0)
         assert np.all(~mask.delta[:2])
         assert np.all(~mask.delta[-2:])
 
     def test_delta_rows_product_of_statics(self):
-        mask = masks_from_records(synthetic_bands(), 0)
+        mask = masks_from_records(band_reliability(synthetic_bands()), 0)
         for t in range(2, mask.num_frames - 2):
             oracle = np.prod(mask.static[t - 2 : t + 3].astype(np.uint8), axis=0).astype(bool)
             np.testing.assert_array_equal(mask.delta[t], oracle)
 
     def test_alignment_maps_nearest_center(self):
-        mask = masks_from_records(synthetic_bands(num_frames=20), 0)
+        mask = masks_from_records(band_reliability(synthetic_bands(num_frames=20)), 0)
         aligned = align_to_feature_frames(mask, 24)
         assert aligned.num_frames == 24
         feature_centers = (np.arange(24) * 160 + 200) / 16000
@@ -211,7 +211,7 @@ class TestMaskMatrix:
             np.testing.assert_array_equal(aligned.static[t], mask.static[row])
 
     def test_band_count_matches_filterbank(self, postfilter_run):
-        mask = masks_from_records(postfilter_run[2], 0)
+        mask = masks_from_records(band_reliability(postfilter_run[2]), 0)
         assert mask.continuous.shape[1] == mask_filterbank().shape[0] == 24
 
 
@@ -255,7 +255,7 @@ def empty_mask():
 
 class TestMaskFiles:
     def test_binary_round_trip(self, tmp_path):
-        mask = masks_from_records(synthetic_bands(num_frames=9, seed=5), 0)
+        mask = masks_from_records(band_reliability(synthetic_bands(num_frames=9, seed=5)), 0)
         path = str(tmp_path / "m.bin")
         write_mask_binary(path, mask)
         loaded = read_mask_binary(path)
@@ -310,7 +310,7 @@ class TestMaskFiles:
             read_mask_binary(str(path))
 
     def test_csv_shape(self, tmp_path):
-        mask = masks_from_records(synthetic_bands(num_frames=6, seed=6), 0)
+        mask = masks_from_records(band_reliability(synthetic_bands(num_frames=6, seed=6)), 0)
         path = str(tmp_path / "m.csv")
         write_mask_csv(path, mask)
         lines = open(path).read().splitlines()

@@ -1,5 +1,6 @@
 """End-to-end pipeline runs and the command-line interface."""
 
+import bisect
 import collections
 import csv
 import errno
@@ -25,12 +26,13 @@ from arraysep.config import (PipelineConfig, SourceDirection, parse_scene_file, 
                              serialize_config, write_scene_file)
 from arraysep.geometry import steering_matrix
 from arraysep.errors import AudioIOError, StreamError
-from arraysep.features import extract_features, write_features_binary, write_features_csv
+from arraysep.features import (extract_features, mel_filterbank, write_features_binary,
+                               write_features_csv)
 from arraysep.metrics import QualityReport, interference_ratio_db, measure_quality
 from arraysep.formats import PostfilterDump
-from arraysep.masks import masks_from_records
-from arraysep.pipeline import (StageLoop, _dump_gss_state, _Staging, bench_pipeline, run_pipeline,
-                               run_stages)
+from arraysep.masks import compute_mask, masks_from_records
+from arraysep.pipeline import (StageClock, StageLoop, _dump_gss_state, _Staging, bench_pipeline,
+                               run_pipeline, run_stages)
 from arraysep.postfilter import PostFilter
 from arraysep.simulate import (SceneSource, SceneSpec, SignalSpec, box_array_geometry,
                                synthesize, three_speaker_scene)
@@ -520,7 +522,7 @@ class TestRunPipeline:
 
     def test_run_stages_memory_does_not_keep_frames(self):
         # per audio second, 3 sources' separated spectra would be 2.3 MB; the
-        # 48 kHz output is 1.15 MB and the band powers about 0.2 MB
+        # 48 kHz output is 1.15 MB and the reliability record 0.05 MB
         def retained(seconds):
             spec = three_speaker_scene(90.0, duration_s=seconds, seed=12)
             render = synthesize(spec)
@@ -590,9 +592,9 @@ class TestRunPipeline:
         output = run_stages(render.mixture, config)
         assert by_hand.tobytes() == output.separated.samples.tobytes()
         if postfilter:
-            assert loop.bands.tobytes() == output.bands.tobytes()
+            assert loop.reliability.tobytes() == output.reliability.tobytes()
         else:
-            assert loop.bands is None and output.bands is None
+            assert loop.reliability is None and output.reliability is None
         assert loop.state.demix.tobytes() == output.state.demix.tobytes()
 
     @pytest.mark.parametrize("num_frames", [0, 1, 7, 8, 9, 17])
@@ -640,7 +642,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(PostFilter, "flush", flushing)
         output = run_stages(render.mixture, config)  # held while checking
-        assert made and output.bands is not None
+        assert made and output.reliability is not None
         assert all(ref() is None for ref in made)
 
     def test_analysis_holds_one_frame_of_spectra(self, short_scene, monkeypatch):
@@ -721,12 +723,134 @@ class TestRunPipeline:
 
         for m in range(len(spec.sources)):
             assert np.array_equal(at_16k(cut, m)[:final16], at_16k(whole, m)[:final16])
-            got = masks_from_records(cut.bands, m, config.mask_threshold)
-            expected = masks_from_records(whole.bands[: cut.num_frames], m,
+            got = masks_from_records(cut.reliability, m, config.mask_threshold)
+            expected = masks_from_records(whole.reliability[: cut.num_frames], m,
                                           config.mask_threshold)
             assert np.array_equal(got.continuous, expected.continuous)
             assert np.array_equal(got.static, expected.static)
             assert np.array_equal(got.delta[:-2], expected.delta[:-2])
+
+    @pytest.mark.parametrize("dump_diagnostics", [False, True])
+    def test_reliability_record_is_that_of_bands_rebuilt_frame_by_frame(self, short_scene,
+                                                                        dump_diagnostics):
+        # the oracle drives its own post-filter one frame at a time and bands
+        # |bins|^2, the stationary floor and |filtered|^2 on the mel filterbank;
+        # the separated bins are bin-major, and a product's bits follow its
+        # operand's layout, so their power is banded from a C-ordered copy, as
+        # the post-filter's own buffer holds it
+        spec, render = short_scene
+        config = pipeline_config_for_scene(spec, dump_diagnostics=dump_diagnostics)
+        dump = (lambda frame_index, internals: None) if dump_diagnostics else None
+        loop = run_stages(render.mixture, config, dump)
+        weights = mel_filterbank(config.fft_size, 48000).T
+        steering = steering_matrix(config.geometry(), config.directions(), config.fft_size)
+        state = gss.init_delay_and_sum(steering, config.step_size)
+        postfilter = PostFilter(len(spec.sources), config.fft_size // 2 + 1, config)
+        expected = []
+        for frame in stft_analyze(render.mixture, config.fft_size, config.shift):
+            separated = gss.separate(state, frame)
+            gss.adapt(state, frame, separated)
+            band_in = np.ascontiguousarray(np.abs(separated.bins) ** 2) @ weights
+            filtered = filter_frame(postfilter, separated)[0]
+            band_noise = postfilter.noise.stationary @ weights
+            band_out = (np.abs(filtered) ** 2) @ weights
+            expected.append(compute_mask(band_in, band_out, band_noise)[0])
+        assert loop.reliability.shape == (loop.num_frames, len(spec.sources), 24)
+        assert np.array(expected).tobytes() == loop.reliability.tobytes()
+
+    def test_run_stages_peak_grows_by_the_output_and_the_reliability_record(self):
+        # Per audio second from 2 s to 4 s of input, the peak may grow by what
+        # the 48 kHz output and the (frames, sources, 24) reliability record
+        # grow by, and by less than one 8-byte pointer per added frame: room
+        # for the few objects whose number does not grow with the input (ints
+        # past CPython's small-int cache once a counter passes 256), none for
+        # anything kept per frame.
+        def peak(seconds):
+            spec = three_speaker_scene(90.0, duration_s=seconds, seed=12)
+            render = synthesize(spec)
+            config = pipeline_config_for_scene(spec)
+            tracemalloc.start()
+            try:
+                output = run_stages(render.mixture, config)
+                top = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            arrays = output.separated.samples.nbytes + output.reliability.nbytes
+            return top, arrays, output.num_frames
+
+        peak(0.25)  # warm lazy imports and caches
+        (short, short_arrays, short_frames), (long, long_arrays, long_frames) = peak(2.0), peak(4.0)
+        bound = (long_arrays - short_arrays + 8 * (long_frames - short_frames)) / 2.0
+        assert (long - short) / 2.0 < bound, (long - short, long_arrays - short_arrays)
+
+    @pytest.mark.parametrize("postfilter, dump_diagnostics", [(True, False), (True, True),
+                                                              (False, False)])
+    def test_stage_totals_fit_inside_the_run_stages_wall_time(self, short_scene, postfilter,
+                                                              dump_diagnostics):
+        spec, render = short_scene
+        config = pipeline_config_for_scene(spec, postfilter=postfilter,
+                                           dump_diagnostics=dump_diagnostics)
+        dump = (lambda frame_index, internals: None) if dump_diagnostics else None
+        start = time.perf_counter_ns()
+        loop = run_stages(render.mixture, config, dump)
+        wall = time.perf_counter_ns() - start
+        blocks = -(-loop.num_frames // BLOCK_FRAMES)
+        per_frame = ["analysis", "gss.separate", "gss.adapt"] + ["postfilter.process"] * postfilter
+        per_block = (["postfilter.flush"] + ["dump"] * dump_diagnostics) if postfilter else ["stack"]
+        totals = loop.clock.totals
+        assert list(totals) == per_frame + per_block
+        assert [totals[stage][1] for stage in totals] == ([loop.num_frames] * len(per_frame)
+                                                          + [blocks] * len(per_block))
+        assert 0 < sum(ns for ns, _ in totals.values()) <= wall
+        assert sum(loop.clock.histogram) == loop.num_frames
+
+    def test_chain_time_percentiles_are_the_bins_of_the_recorded_times(self, short_scene,
+                                                                              monkeypatch):
+        # in a run, each frame's chain time is its own stages' time and a share
+        # of its block's flush; then on a spread of times that misses the hop.
+        # The histogram's percentile is the bin of the recorded time at rank
+        # floor(q/100 (n - 1)), np.percentile's "lower" method; the default
+        # method interpolates, toward a far outlier as readily as not.
+        spec, render = short_scene
+        config = pipeline_config_for_scene(spec)
+        record, recorded = StageClock.record, []
+
+        def recording(clock, chain_ns):
+            recorded.append(chain_ns)
+            record(clock, chain_ns)
+
+        monkeypatch.setattr(StageClock, "record", recording)
+        loop = run_stages(render.mixture, config)
+        monkeypatch.undo()
+        assert len(recorded) == loop.num_frames
+        assert sum(recorded) >= sum(ns for ns, _ in loop.clock.totals.values())
+        assert loop.clock.deadline_ns == config.shift * 1e9 / 48000
+        rng = np.random.default_rng(5)
+        spread = StageClock(loop.clock.deadline_ns)
+        times = list(10.0 ** rng.uniform(4.0, 7.5, 2000))
+        for ns in times:
+            spread.record(ns)
+        edges = StageClock.EDGES_NS
+        for clock, durations in ((loop.clock, recorded), (spread, times)):
+            for q in (50, 99):
+                got = bisect.bisect_left(edges, clock.percentile_ns(q))
+                lower = np.percentile(durations, q, method="lower")
+                assert got == min(bisect.bisect_right(edges, lower), len(edges) - 1)
+            assert clock.deadline_misses == sum(ns > clock.deadline_ns for ns in durations)
+        assert spread.deadline_misses > 0
+
+    def test_run_pipeline_logs_each_stage(self, short_scene, scene_dir, tmp_path, caplog):
+        spec, _ = short_scene
+        config = write_config(tmp_path / "c.yaml", spec, scene_dir, tmp_path / "out")
+        with caplog.at_level(logging.INFO, logger="arraysep.pipeline"):
+            result = run_pipeline(config)
+        stages = [*result.clock.totals]
+        assert stages[-2:] == ["emit.source", "emit.quality"]
+        assert result.clock.totals["emit.source"][1] == len(spec.sources)
+        logged = [m for m in caplog.messages if m.startswith("stage ")]
+        assert [m.split(":")[0] for m in logged] == [f"stage {s}" for s in stages] + [
+            "stage frame chain"]
+        assert all(" ms/frame over " in m for m in logged[:-1])
 
 
 class TestDiagnosticDumps:
@@ -1529,6 +1653,16 @@ class TestCli:
     def test_bench_runs(self, capsys):
         assert main(["bench", "--seconds", "1.0", "--preset", "trio-50deg"]) == 0
         assert "real-time factor" in capsys.readouterr().out
+
+    def test_bench_prints_ms_per_frame_for_each_stage(self, capsys):
+        assert main(["bench", "--seconds", "1.0", "--sources", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        stages = ["analysis", "gss.separate", "gss.adapt", "postfilter.process", "postfilter.flush"]
+        assert [line.split(":")[0] for line in lines[1:]] == [f"  {s}" for s in stages] + [
+            "  frame chain"]
+        assert all(re.fullmatch(r"  \S+: \d+\.\d{3} ms/frame over \d+ calls", line)
+                   for line in lines[1:-1])
+        assert lines[-1].endswith(" over the 10.67 ms hop")
 
     @pytest.mark.parametrize("sources", [-1, 0, 5])
     def test_bench_source_count_checked_before_rendering(self, monkeypatch, sources):
