@@ -25,7 +25,7 @@ from .config import (PipelineConfig, SourceDirection, parse_config, parse_scene_
                      write_scene_file)
 from .errors import ArraySepError, AudioIOError, ConfigError, StreamError
 from .features import extract_features, write_features_binary, write_features_csv
-from .metrics import QualityReport, measure_quality
+from .metrics import measure_quality, write_quality_report
 from .pipeline import bench_pipeline, run_pipeline, staged_outputs
 from .simulate import preset_names, preset_scene, synthesize
 
@@ -77,9 +77,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
     rows = measure_quality((w[0] for w in outputs), references, noise,
                            source_ids=ids)
     del outputs, references, noise
-    report = QualityReport({args.stage: rows})
     if args.csv:
-        report.to_csv(args.csv)
+        write_quality_report(args.csv, args.stage, rows)
         print(f"wrote {args.csv}")
     for row in rows:
         sir = "n/a" if row.output_sir_db is None else f"{row.output_sir_db:.2f} dB"
@@ -112,7 +111,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.seconds <= 0:
+    if args.seconds == 0:
         print("bench: empty input, nothing to measure")
         return 0
     spec = preset_scene(args.preset, duration_s=args.seconds, seed=args.seed)

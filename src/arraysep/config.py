@@ -111,10 +111,6 @@ class PipelineConfig:
                                  float(np.deg2rad(s.elevation_deg))) for s in self.sources]
 
 
-def config_to_dict(config: PipelineConfig) -> dict:
-    return asdict(config)
-
-
 def _unknown_keys(data: dict, schema: dict, path: str = "") -> list[str]:
     """Every key in ``data``, and below it, that ``schema`` does not admit,
     by its path.  ``schema`` maps each key to None, or to the schema of the
@@ -181,7 +177,7 @@ def parse_config(path: str) -> PipelineConfig:
 
 def serialize_config(config: PipelineConfig, path: str) -> None:
     with open(path, "w") as fh:
-        yaml.safe_dump(config_to_dict(config), fh, sort_keys=False)
+        yaml.safe_dump(asdict(config), fh, sort_keys=False)
 
 
 # --------------------------------------------------------------------------

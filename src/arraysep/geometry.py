@@ -46,7 +46,7 @@ class ArrayGeometry:
         return self.mic_positions - self.mic_positions.mean(axis=0)
 
 
-def direction_vector(azimuth: float, elevation: float = 0.0) -> np.ndarray:
+def direction_vector(azimuth: float, elevation: float) -> np.ndarray:
     """Unit vector toward (azimuth, elevation), both in radians."""
     cos_el = np.cos(elevation)
     return np.array([cos_el * np.cos(azimuth), cos_el * np.sin(azimuth), np.sin(elevation)])

@@ -146,8 +146,7 @@ def gradients(state: SeparationState, frame: SpectralFrame) -> GradientPair:
     return GradientPair(*_gradients(state, x, _demix(state, x)))
 
 
-def adapt(state: SeparationState, frame: SpectralFrame,
-          separated: SpectralFrame) -> SeparationState:
+def adapt(state: SeparationState, frame: SpectralFrame, separated: SpectralFrame) -> None:
     """One stochastic-gradient update of the demixing matrices (in place).
 
     ``separated`` is what ``separate(state, frame)`` returned for this frame
@@ -179,5 +178,4 @@ def adapt(state: SeparationState, frame: SpectralFrame,
             raise StreamError(
                 f"frame {frame.frame_index}: demixing matrices diverged (non-finite entries)"
             )
-    return state
 

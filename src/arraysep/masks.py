@@ -30,28 +30,24 @@ def mask_filterbank(fft_size: int = 1024) -> np.ndarray:
     return mel_filterbank(fft_size, SEPARATION_RATE)
 
 
-def compute_mask(band_in: np.ndarray, band_out: np.ndarray, band_noise: np.ndarray,
-                 threshold: float = DEFAULT_THRESHOLD) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous and binary reliability of band energies; bands run along the last axis.
+def compute_mask(band_in: np.ndarray, band_out: np.ndarray, band_noise: np.ndarray) -> np.ndarray:
+    """Continuous reliability of band energies; bands run along the last axis.
 
-    The continuous value is (output + stationary noise) / input; the binary
-    mask is its comparison against ``threshold``.  Bands whose input energy
-    falls under SILENCE_FLOOR times the frame total are forced reliable
-    with a continuous value of 1.
+    The value is (output + stationary noise) / input.  Bands whose input
+    energy falls under SILENCE_FLOOR times the frame total are forced
+    reliable with a value of 1.
     """
     band_in = np.asarray(band_in, dtype=np.float64)
     floor = SILENCE_FLOOR * band_in.sum(axis=-1, keepdims=True)
     silent = band_in <= floor
     safe_in = np.where(silent, 1.0, band_in)
-    continuous = np.where(silent, 1.0, (band_out + band_noise) / safe_in)
-    binary = continuous > threshold
-    return continuous, binary
+    return np.where(silent, 1.0, (band_out + band_noise) / safe_in)
 
 
 def band_reliability(bands: np.ndarray) -> np.ndarray:
     """The continuous reliability, (frames, sources, 24), of the post-filter's
     (frames, 3, sources, 24) band powers: input, output, stationary noise."""
-    return compute_mask(bands[:, 0], bands[:, 1], bands[:, 2])[0]
+    return compute_mask(bands[:, 0], bands[:, 1], bands[:, 2])
 
 
 @dataclass
@@ -71,7 +67,7 @@ def masks_from_records(reliability: np.ndarray, source: int,
                        threshold: float = DEFAULT_THRESHOLD) -> MaskMatrix:
     """Build the mask matrix for one separated source from the continuous
     reliability record, (frames, sources, 24), that ``band_reliability``
-    gives; its static bits are those of ``compute_mask`` at ``threshold``.
+    gives; a static bit is reliable when its value exceeds ``threshold``.
 
     A delta bit is reliable when all five frames its regression spans are;
     the two frames at each end, which lack that context, keep delta = 0.

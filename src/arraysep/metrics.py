@@ -30,24 +30,17 @@ class SourceQuality:
     output_snr_db: float | None
 
 
-@dataclass
-class QualityReport:
-    """Per-stage, per-source quality rows."""
-
-    stages: dict[str, list[SourceQuality]]
-
-    def to_csv(self, path: str) -> None:
-        """One row per stage and source.  The input-side ratio needs clean
-        per-microphone source images, which no file interface carries, so
-        its column is always ``nan``."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["stage", "source", "input_sir_db", "output_sir_db", "output_snr_db"])
-            for stage, rows in self.stages.items():
-                for row in rows:
-                    cells = ["nan" if v is None else f"{v:.4f}"
-                             for v in (row.output_sir_db, row.output_snr_db)]
-                    writer.writerow([stage, row.source_id, "nan", *cells])
+def write_quality_report(path: str, stage: str, rows: list[SourceQuality]) -> None:
+    """One CSV row per source, each labelled ``stage``.  The input-side ratio
+    needs clean per-microphone source images, which no file interface
+    carries, so its column is always ``nan``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["stage", "source", "input_sir_db", "output_sir_db", "output_snr_db"])
+        for row in rows:
+            cells = ["nan" if v is None else f"{v:.4f}"
+                     for v in (row.output_sir_db, row.output_snr_db)]
+            writer.writerow([stage, row.source_id, "nan", *cells])
 
 
 def projected_power(output: np.ndarray, reference: np.ndarray) -> float | None:

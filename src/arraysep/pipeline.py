@@ -18,7 +18,7 @@ import logging
 import os
 import shutil
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from collections import defaultdict
 from itertools import accumulate, chain
 
@@ -27,14 +27,14 @@ import numpy as np
 from . import gss
 from .audio import (SEPARATION_RATE, AudioBuffer, WavFile, open_wav, read_wav,
                     resample_48k_to_16k, write_wav)
-from .config import PipelineConfig, config_to_dict, serialize_config
+from .config import PipelineConfig, serialize_config
 from .errors import AudioIOError, ConfigError, StreamError
 from .features import NUM_BANDS, extract_features, write_features_binary, write_features_csv
 from .formats import PostfilterDump, write_csv
 from .geometry import steering_matrix
 from .masks import (align_to_feature_frames, band_reliability, masks_from_records,
                     write_mask_binary, write_mask_csv)
-from .metrics import QualityReport, measure_quality
+from .metrics import measure_quality, write_quality_report
 from .postfilter import PostFilter
 from .stft import BLOCK_FRAMES, SpectralFrame, frame_count, stft_analyze, stft_synthesize
 
@@ -102,7 +102,7 @@ class StageLoop:
     post-filtered one valid until the next ``step``; ``run_stages`` sets ``separated``
     (None if no frame)."""
 
-    def __init__(self, config: PipelineConfig, num_frames: int, dump=None):
+    def __init__(self, config: PipelineConfig, num_frames: int, dump):
         steering = steering_matrix(config.geometry(), config.directions(), config.fft_size)
         self.state = gss.init_delay_and_sum(steering, config.step_size)
         self.adapt, self.dump = config.stages.adapt, dump
@@ -116,14 +116,13 @@ class StageLoop:
         else:
             self.pending = []  # the separated bins not yet in a block
 
-    def step(self, frame: SpectralFrame, start: int | None = None) -> list[np.ndarray]:
+    def step(self, frame: SpectralFrame, start: int) -> list[np.ndarray]:
         """Separate the next analysis frame and adapt on it; the block of
         BLOCK_FRAMES separated, or with the post-filter filtered, frames that
         the frame completes, if any.  ``start``, a ``perf_counter_ns`` reading
         from before the frame's analysis, charges that analysis to the clock."""
         clock = self.clock
-        now = time.perf_counter_ns() if start is None else clock.add("analysis", start)
-        begun = now if start is None else start
+        now = clock.add("analysis", start)
         separated = gss.separate(self.state, frame)
         now = clock.add("gss.separate", now)
         if self.adapt:
@@ -135,7 +134,7 @@ class StageLoop:
         else:
             self.postfilter.process(separated)
             now = clock.add("postfilter.process", now)
-        clock.unflushed.append(now - begun)
+        clock.unflushed.append(now - start)
         return self._flush() if self._queued() == BLOCK_FRAMES else []
 
     def finish(self) -> list[np.ndarray]:
@@ -197,14 +196,14 @@ def run_stages(mixture: AudioBuffer | WavFile, config: PipelineConfig,
 @dataclass
 class PipelineResult:
     output_dir: str
+    effective_config: str
+    frames_processed: int
+    clock: StageClock  # the stage loop's, with the emission stages added
     separated_48k: dict = field(default_factory=dict)
     separated_16k: dict = field(default_factory=dict)
     feature_files: dict = field(default_factory=dict)
     mask_files: dict = field(default_factory=dict)
     report_csv: str | None = None
-    effective_config: str | None = None
-    frames_processed: int = 0
-    clock: StageClock | None = None  # the stage loop's, with the emission stages added
 
 
 # what the run header leaves out: the geometry, the sources and the file paths
@@ -214,7 +213,7 @@ _UNLOGGED = {"mic_positions_m", "sources", "input_wav", "output_dir", "reference
 
 def _log_run_header(config: PipelineConfig) -> None:
     if logger.isEnabledFor(logging.INFO):  # build no dict for a header nobody sees
-        settings = config_to_dict(config).items()
+        settings = asdict(config).items()
         logger.info("run config: %s", " ".join(f"{key}={value}" for key, value in settings
                                                if key not in _UNLOGGED))
 
@@ -351,10 +350,9 @@ def _emit(config: PipelineConfig, output: StageLoop, ids: list[str],
           staging: _Staging) -> PipelineResult:
     """Write every artifact of a finished stage loop under its staged name;
     the result names the final paths."""
-    result = PipelineResult(output_dir=config.output_dir, frames_processed=output.num_frames,
-                            clock=output.clock)
-
-    result.effective_config = os.path.join(config.output_dir, "effective_config.yaml")
+    result = PipelineResult(config.output_dir,
+                            os.path.join(config.output_dir, "effective_config.yaml"),
+                            output.num_frames, output.clock)
     serialize_config(config, staging(result.effective_config))
 
     if config.dump_diagnostics:
@@ -371,9 +369,10 @@ def _emit(config: PipelineConfig, output: StageLoop, ids: list[str],
     if config.reference_wavs:
         start = time.perf_counter_ns()
         rows = _quality_rows(config, output.separated, ids)
-        stage = "gss+pf" if config.stages.postfilter else ("gss" if config.stages.adapt else "delay-and-sum")
+        stage = ("gss" if config.stages.adapt else "delay-and-sum") + (
+            "+pf" if config.stages.postfilter else "")
         result.report_csv = os.path.join(config.output_dir, "quality_report.csv")
-        QualityReport({stage: rows}).to_csv(staging(result.report_csv))
+        write_quality_report(staging(result.report_csv), stage, rows)
         output.clock.add("emit.quality", start)
 
     return result

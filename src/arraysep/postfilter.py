@@ -75,12 +75,12 @@ class McraEstimator:
         self._onset = np.zeros(shape, dtype=bool)
         self._frames_seen = 0
 
-    def update(self, power: np.ndarray) -> np.ndarray:
+    def update(self, power: np.ndarray) -> None:
         if self._frames_seen == 0:
             for state in (self._smoothed, self._minimum, self._scratch, self.noise):
                 state[...] = power
             self._frames_seen = 1
-            return self.noise
+            return
 
         a = MCRA_POWER_SMOOTHING
         at = TRACKING_SMOOTHING
@@ -115,7 +115,6 @@ class McraEstimator:
         work *= power
         self.noise += work
         self._frames_seen += 1
-        return self.noise
 
 
 class NoiseState:
@@ -127,11 +126,12 @@ class NoiseState:
     then sum leakage).  Each source's leakage is a direct sum over the
     other rows, never a total minus the row itself: that difference
     cancels when one source is many orders of magnitude louder.  All four
-    arrays are updated in place.
+    arrays are updated in place.  ``leak_factor`` is the power fraction of
+    each rival's smoothed spectrum counted as leakage.
     """
 
-    def __init__(self, num_sources: int, num_bins: int, config: PipelineConfig | None = None):
-        self.config = config or PipelineConfig()
+    def __init__(self, num_sources: int, num_bins: int, leak_factor: float):
+        self.leak_factor = leak_factor
         self.smoothed = np.zeros((num_sources, num_bins))
         self._mcra = McraEstimator((num_sources, num_bins))
         self.stationary = self._mcra.noise
@@ -152,7 +152,7 @@ class NoiseState:
         self._mcra.update(power)
         np.take(self.smoothed, self._others, axis=0, out=self._rows, mode="clip")
         np.add.reduce(self._rows, axis=1, out=self.leakage)
-        self.leakage *= self.config.leak_factor
+        self.leakage *= self.leak_factor
         np.add(self.stationary, self.leakage, out=self.total)
         return self.total
 
@@ -327,7 +327,7 @@ class PostFilter:
 
     def __init__(self, num_sources: int, num_bins: int, config: PipelineConfig | None = None):
         self.config = config or PipelineConfig()
-        self.noise = NoiseState(num_sources, num_bins, self.config)
+        self.noise = NoiseState(num_sources, num_bins, self.config.leak_factor)
         self.gains = GainState(num_sources, num_bins)
         self._bank = mask_filterbank(2 * (num_bins - 1))
         self._power, self._snr_post, self._scratch = np.zeros((3, num_sources, num_bins))
@@ -392,11 +392,10 @@ class PostFilter:
     def flush(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...] | None]:
         """Filter every queued frame in place and empty the queue.  Returns
         the filtered bins, (k, M, n_bins); their input, output and
-        stationary-noise power over the mask bands, a new (k, 3, M, 24)
-        array; and, with ``dump_diagnostics`` only, their per-bin noise_stat,
-        noise_leak, snr_prior, presence and gain, five (k, M, n_bins) arrays,
-        else None.  The bins and the internals stay valid until the next
-        ``process``."""
+        stationary-noise power over the mask bands, (k, 3, M, 24); and, with
+        ``dump_diagnostics`` only, their per-bin noise_stat, noise_leak,
+        snr_prior, presence and gain, five (k, M, n_bins) arrays, else None.
+        All three stay valid until the next ``process``."""
         cfg = self.config
         k = len(self.queued)
         snr_prior, gain = self._snr_prior[:k], self._gain[:k]
@@ -421,4 +420,4 @@ class PostFilter:
         if self._leakage is not None:
             internals = self._stationary[:k], self._leakage[:k], snr_prior, presence, gain
         self.queued = []
-        return out_bins, bands.copy(), internals
+        return out_bins, bands, internals

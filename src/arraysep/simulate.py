@@ -310,8 +310,7 @@ def box_array_geometry() -> ArrayGeometry:
     return ArrayGeometry(BOX_MIC_POSITIONS.copy())
 
 
-def three_speaker_scene(angle_deg: float, duration_s: float = 10.0,
-                        seed: int = 1234) -> SceneSpec:
+def three_speaker_scene(angle_deg: float, duration_s: float, seed: int) -> SceneSpec:
     """Center talker plus two at +-angle, distinct signal recipes per seat."""
     voices = (
         SignalSpec(kind="harmonic", pitch_hz=120.0, formants_hz=(600.0, 1800.0)),
@@ -330,7 +329,7 @@ def preset_names() -> list[str]:
     return [f"trio-{angle}deg" for angle in PRESET_ANGLES_DEG]
 
 
-def preset_scene(name: str, duration_s: float = 10.0, seed: int = 1234) -> SceneSpec:
+def preset_scene(name: str, duration_s: float, seed: int) -> SceneSpec:
     for angle in PRESET_ANGLES_DEG:
         if name == f"trio-{angle}deg":
             return three_speaker_scene(float(angle), duration_s=duration_s, seed=seed)

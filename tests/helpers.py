@@ -48,11 +48,12 @@ def write_pcm24(path, data, extra_chunk=b"", extensible=False):
 
 def filter_frame(postfilter, frame):
     """One frame through ``PostFilter.process`` and a ``flush`` of its own:
-    a copy of the filtered (M, n_bins) bins, their (3, M, 24) band powers and
-    a (5, M, n_bins) copy of the internals, or None without ``dump_diagnostics``."""
+    copies of the filtered (M, n_bins) bins and their (3, M, 24) band powers,
+    and a (5, M, n_bins) copy of the internals, or None without ``dump_diagnostics``."""
     postfilter.process(frame)
     block, bands, internals = postfilter.flush()
-    return block[0].copy(), bands[0], None if internals is None else np.stack(internals)[:, 0]
+    return (block[0].copy(), bands[0].copy(),
+            None if internals is None else np.stack(internals)[:, 0])
 
 
 def noise_ratio_db(output, target, noise):

@@ -1,7 +1,7 @@
 """Config parsing, validation and round trips."""
 
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +10,8 @@ import yaml
 
 from arraysep import postfilter
 from arraysep.config import (PipelineConfig, SourceDirection, StageToggles, config_from_dict,
-                             config_to_dict, parse_config, parse_scene_file,
-                             scene_from_dict, scene_to_dict, serialize_config,
-                             write_scene_file)
+                             parse_config, parse_scene_file, scene_from_dict, scene_to_dict,
+                             serialize_config, write_scene_file)
 from arraysep.errors import ConfigError
 from arraysep.geometry import ArrayGeometry, direction_vector, steering_matrix
 from arraysep.simulate import (BOX_MIC_POSITIONS, SIGNAL_KINDS, SceneSource, SceneSpec, SignalSpec,
@@ -148,7 +147,7 @@ class TestRoundTrip:
         serialize_config(config, path)
         again = parse_config(path)
         assert again == config
-        assert config_to_dict(again) == config_to_dict(config)
+        assert asdict(again) == asdict(config)
 
     def test_builders(self):
         config = config_from_dict(dict(MINIMAL))

@@ -16,7 +16,7 @@ class TestDelays:
     def test_mic_at_origin_zero(self):
         geom = ArrayGeometry(np.array([[0, 0, 0], [1, 0, 0], [-1, 0, 0]]))
         for azimuth in [0.0, 0.7, 2.0]:
-            assert far_field_delay(geom, 0, direction_vector(azimuth)) == 0.0
+            assert far_field_delay(geom, 0, direction_vector(azimuth, 0.0)) == 0.0
 
     def test_hand_computed_value(self):
         # 0.1 m toward the source at 48 kHz, c=343: 0.1*48000/343 samples early
@@ -40,13 +40,13 @@ class TestDelays:
 
 class TestSteering:
     def test_dc_bin_all_ones(self):
-        sm = steering_matrix(pair_geometry(), [direction_vector(0.4)], 1024)
+        sm = steering_matrix(pair_geometry(), [direction_vector(0.4, 0.0)], 1024)
         np.testing.assert_array_equal(sm[0], np.ones((2, 1)))
 
     def test_zero_delay_column_of_ones(self):
         geom = ArrayGeometry(np.array([[0, 0.2, 0], [0, -0.2, 0]]))
         # broadside source: both delays zero, every bin entry is exactly 1
-        sm = steering_matrix(geom, [direction_vector(0.0)], 1024)
+        sm = steering_matrix(geom, [direction_vector(0.0, 0.0)], 1024)
         np.testing.assert_allclose(sm[:, :, 0], 1.0, atol=1e-12)
 
     def test_half_period_delay_is_minus_one(self):
@@ -56,7 +56,7 @@ class TestSteering:
         phase = np.exp(-2j * np.pi * 1 * delay / k)
         assert phase == pytest.approx(-1.0)
         geom = ArrayGeometry(np.array([[delay * 343.0 / 48000.0, 0, 0], [0, 0, 0]]))
-        sm = steering_matrix(geom, [direction_vector(np.pi)], k)
+        sm = steering_matrix(geom, [direction_vector(np.pi, 0.0)], k)
         centered = geom.centered_positions[0, 0]
         expected = np.exp(-2j * np.pi * 1 * (centered * 48000 / 343.0) / k)
         assert sm[1, 0, 0] == pytest.approx(expected)
@@ -70,7 +70,7 @@ class TestSteering:
     def test_common_translation_changes_common_phase_only(self):
         rng = np.random.default_rng(4)
         positions = rng.uniform(-0.2, 0.2, (4, 3))
-        sources = [direction_vector(0.3), direction_vector(-1.1)]
+        sources = [direction_vector(0.3, 0.0), direction_vector(-1.1, 0.0)]
         base = steering_matrix(ArrayGeometry(positions), sources, 256)
         moved = steering_matrix(ArrayGeometry(positions + [1.0, -2.0, 0.5]), sources, 256)
         # positions are centered internally, so steering is translation invariant;
@@ -79,7 +79,7 @@ class TestSteering:
 
     def test_over_determined_rejected(self):
         geom = pair_geometry()
-        sources = [direction_vector(0.1 * i) for i in range(3)]
+        sources = [direction_vector(0.1 * i, 0.0) for i in range(3)]
         with pytest.raises(OverDeterminedSceneError):
             steering_matrix(geom, sources, 1024)
 

@@ -48,13 +48,13 @@ class TestInitAndSeparate:
     def test_single_mic_single_source_conjugate(self):
         rng = np.random.default_rng(0)
         geom = ArrayGeometry(np.array([[0.05, 0, 0], [-0.05, 0, 0]]))
-        sm = steering_matrix(geom, [direction_vector(0.3)], 64)
+        sm = steering_matrix(geom, [direction_vector(0.3, 0.0)], 64)
         state = gss.init_delay_and_sum(sm)
         np.testing.assert_allclose(state.demix[:, 0, :], sm[:, :, 0].conj() / 2)
 
     def test_zero_delay_rows_uniform(self):
         geom = ArrayGeometry(np.array([[0, 0.1, 0], [0, -0.1, 0], [0, 0.2, 0], [0, -0.2, 0]]))
-        sm = steering_matrix(geom, [direction_vector(0.0)], 64)
+        sm = steering_matrix(geom, [direction_vector(0.0, 0.0)], 64)
         state = gss.init_delay_and_sum(sm)
         np.testing.assert_allclose(state.demix, 0.25, atol=1e-12)
 
@@ -182,7 +182,7 @@ class TestAdapt:
     def test_single_source_stays_at_delay_and_sum(self):
         rng = np.random.default_rng(11)
         geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (4, 3)))
-        sm = steering_matrix(geom, [direction_vector(0.5)], 64)
+        sm = steering_matrix(geom, [direction_vector(0.5, 0.0)], 64)
         state = gss.init_delay_and_sum(sm)
         reference = state.demix.copy()
         for t in range(100):
@@ -238,7 +238,7 @@ class TestAdapt:
         # which computes y = W x itself, instead of reusing separate's y
         rng = np.random.default_rng(17)
         geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (8, 3)))
-        sm = steering_matrix(geom, [direction_vector(a) for a in (0.5, -0.6, 1.4)], 1024)
+        sm = steering_matrix(geom, [direction_vector(a, 0.0) for a in (0.5, -0.6, 1.4)], 1024)
         state, reference = gss.init_delay_and_sum(sm), gss.init_delay_and_sum(sm)
         for t in range(50):
             x = rng.standard_normal((8, 513)) + 1j * rng.standard_normal((8, 513))
@@ -294,7 +294,7 @@ class TestAdapt:
         # numpy sums a contiguous axis pairwise and a strided one in sequence
         rng = np.random.default_rng(23)
         geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (8, 3)))
-        sm = steering_matrix(geom, [direction_vector(a) for a in (0.5, -0.6, 1.4)], 1024)
+        sm = steering_matrix(geom, [direction_vector(a, 0.0) for a in (0.5, -0.6, 1.4)], 1024)
         states = {layout: gss.init_delay_and_sum(sm) for layout in "CF"}
         for t in range(5):
             x = rng.standard_normal((8, 513)) + 1j * rng.standard_normal((8, 513))
@@ -309,7 +309,7 @@ class TestAdapt:
         # them had adapt peak 0.79 MB above its entry
         rng = np.random.default_rng(24)
         geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (8, 3)))
-        sm = steering_matrix(geom, [direction_vector(a) for a in (0.5, -0.6, 1.4)], 1024)
+        sm = steering_matrix(geom, [direction_vector(a, 0.0) for a in (0.5, -0.6, 1.4)], 1024)
         state = gss.init_delay_and_sum(sm)
         x = rng.standard_normal((8, 513)) + 1j * rng.standard_normal((8, 513))
         frame = SpectralFrame(x, 0)
@@ -352,7 +352,7 @@ class TestAdapt:
     def test_source_permutation_permutes_outputs(self):
         rng = np.random.default_rng(14)
         geom = ArrayGeometry(rng.uniform(-0.2, 0.2, (4, 3)))
-        src = [direction_vector(a) for a in (0.5, -0.6, 1.4)]
+        src = [direction_vector(a, 0.0) for a in (0.5, -0.6, 1.4)]
         frames = [rng.standard_normal((4, 33)) + 1j * rng.standard_normal((4, 33))
                   for _ in range(20)]
 
@@ -378,7 +378,7 @@ class TestAdapt:
         from arraysep.simulate import BOX_MIC_POSITIONS
 
         geom = ArrayGeometry(BOX_MIC_POSITIONS)
-        sm = steering_matrix(geom, [direction_vector(np.deg2rad(a)) for a in (0, 90, -90)], 1024)
+        sm = steering_matrix(geom, [direction_vector(np.deg2rad(a), 0.0) for a in (0, 90, -90)], 1024)
         state = gss.init_delay_and_sum(sm, factor / 24)
         frame = SpectralFrame(np.zeros((8, 513)), 0)
         before = gss.geometric_cost(state)

@@ -11,8 +11,8 @@ from arraysep.errors import AudioIOError, ConfigError
 from arraysep.features import (FEATURE_RECORD, mel_energies, read_features_binary,
                                write_features_binary)
 from arraysep.geometry import steering_matrix
-from arraysep.masks import (MaskMatrix, align_to_feature_frames, band_reliability, compute_mask,
-                            mask_filterbank, masks_from_records,
+from arraysep.masks import (DEFAULT_THRESHOLD, MaskMatrix, align_to_feature_frames,
+                            band_reliability, compute_mask, mask_filterbank, masks_from_records,
                             read_mask_binary, write_mask_binary, write_mask_csv)
 from arraysep.postfilter import PostFilter
 from arraysep.simulate import SceneSource, SceneSpec, box_array_geometry, synthesize
@@ -22,23 +22,23 @@ from helpers import filter_frame
 
 class TestComputeMask:
     def test_unity_gain_reliable(self):
-        m, bits = compute_mask(np.array([4.0]), np.array([4.0]), np.array([0.0]))
-        assert m[0] == 1.0 and bits[0]
+        m = compute_mask(np.array([4.0]), np.array([4.0]), np.array([0.0]))
+        assert m[0] == 1.0 and m[0] > DEFAULT_THRESHOLD
 
     def test_fully_suppressed_unreliable(self):
-        m, bits = compute_mask(np.array([4.0]), np.array([0.0]), np.array([0.0]))
-        assert m[0] == 0.0 and not bits[0]
+        m = compute_mask(np.array([4.0]), np.array([0.0]), np.array([0.0]))
+        assert m[0] == 0.0 and not m[0] > DEFAULT_THRESHOLD
 
     def test_noise_only_band_reliable(self):
         # output suppressed but the stationary estimate explains the input
-        m, bits = compute_mask(np.array([4.0]), np.array([0.01]), np.array([3.9]))
-        assert m[0] > 0.9 and bits[0]
+        m = compute_mask(np.array([4.0]), np.array([0.01]), np.array([3.9]))
+        assert m[0] > 0.9 and m[0] > DEFAULT_THRESHOLD
 
     def test_silent_band_convention(self):
         band_in = np.array([1.0, 1e-14])
-        m, bits = compute_mask(band_in, np.zeros(2), np.zeros(2))
-        assert not bits[0]          # active band, fully suppressed
-        assert bits[1] and m[1] == 1.0  # silent band forced reliable
+        m = compute_mask(band_in, np.zeros(2), np.zeros(2))
+        assert not m[0] > DEFAULT_THRESHOLD               # active band, fully suppressed
+        assert m[1] > DEFAULT_THRESHOLD and m[1] == 1.0  # silent band forced reliable
 
     def test_frames_along_first_axis_are_independent(self):
         # frame totals span 20 decades; a band is silent only relative to its own frame
@@ -47,18 +47,18 @@ class TestComputeMask:
         band_in = rng.random((40, 24)) * scale * 10.0 ** rng.integers(-14, 1, (40, 24))
         band_out = rng.random((40, 24)) * band_in
         noise = rng.random((40, 24)) * 0.1 * band_in
-        m, bits = compute_mask(band_in, band_out, noise)
+        m = compute_mask(band_in, band_out, noise)
         for t in range(40):
-            m_t, bits_t = compute_mask(band_in[t], band_out[t], noise[t])
-            np.testing.assert_array_equal(m[t], m_t)
-            np.testing.assert_array_equal(bits[t], bits_t)
+            np.testing.assert_array_equal(m[t], compute_mask(band_in[t], band_out[t], noise[t]))
 
     def test_binary_follows_continuous_threshold(self):
+        # the static bits the masks take from the continuous values
         rng = np.random.default_rng(0)
         band_in = rng.random(24) + 0.1
         band_out = rng.random(24) * band_in
         noise = rng.random(24) * 0.1
-        m, bits = compute_mask(band_in, band_out, noise, threshold=0.25)
+        m = compute_mask(band_in, band_out, noise)
+        bits = masks_from_records(m[np.newaxis, np.newaxis], 0, threshold=0.25).static[0]
         np.testing.assert_array_equal(bits, m > 0.25)
 
     def test_threshold_sensitivity_set_relation(self):
@@ -67,9 +67,10 @@ class TestComputeMask:
         band_out = rng.random(200) * band_in
         noise = rng.random(200) * 0.05
         low, high = 0.15, 0.30
-        m, bits_low = compute_mask(band_in, band_out, noise, threshold=low)
-        _, bits_high = compute_mask(band_in, band_out, noise, threshold=high)
-        differ = bits_low != bits_high
+        m = compute_mask(band_in, band_out, noise)
+        bits_low, bits_high = (masks_from_records(m[:, np.newaxis, np.newaxis], 0, threshold).static
+                               for threshold in (low, high))
+        differ = (bits_low != bits_high)[:, 0]
         inside = (m > low) & (m <= high)
         np.testing.assert_array_equal(differ, inside)
 
@@ -79,8 +80,8 @@ class TestComputeMask:
         noise = rng.random(24) * 0.02
         out_small = 0.1 * band_in
         out_big = 0.4 * band_in
-        _, bits_small = compute_mask(band_in, out_small, noise)
-        _, bits_big = compute_mask(band_in, out_big, noise)
+        bits_small = compute_mask(band_in, out_small, noise) > DEFAULT_THRESHOLD
+        bits_big = compute_mask(band_in, out_big, noise) > DEFAULT_THRESHOLD
         # growing the kept energy can only add reliable bands
         assert np.all(bits_big | ~bits_small)
 
@@ -164,9 +165,10 @@ def per_frame_masks(inputs, outputs, internals, source, threshold):
     static = np.ones((len(inputs), 24), dtype=bool)
     for t, (x, y, frame_internals) in enumerate(zip(inputs, outputs, internals)):
         noise_stat = frame_internals[0]
-        continuous[t], static[t] = compute_mask(
+        continuous[t] = compute_mask(
             mel_energies(np.abs(x[source]) ** 2, bank), mel_energies(np.abs(y[source]) ** 2, bank),
-            mel_energies(noise_stat[source], bank), threshold)
+            mel_energies(noise_stat[source], bank))
+        static[t] = continuous[t] > threshold
     delta = np.zeros_like(static)
     for t in range(2, len(inputs) - 2):
         delta[t] = np.prod(static[t - 2 : t + 3].astype(np.uint8), axis=0).astype(bool)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from arraysep.audio import AudioBuffer, open_wav, write_wav
-from arraysep.metrics import (EDGE_TRIM, QualityReport, SourceQuality, interference_ratio_db,
-                              measure_quality)
+from arraysep.metrics import (EDGE_TRIM, SourceQuality, interference_ratio_db, measure_quality,
+                              write_quality_report)
 from arraysep.simulate import synthesize, three_speaker_scene
 from helpers import noise_ratio_db
 
@@ -52,7 +52,7 @@ class TestRatios:
         assert interference_ratio_db(silent, a, [b]) is None
         assert noise_ratio_db(silent, a, np.stack([b, 0.5 * b])) is None
         rows = measure_quality([silent, b], [a, b], np.stack([b, 0.5 * b]), ["a", "b"])
-        QualityReport({"gss": rows}).to_csv(str(tmp_path / "q.csv"))
+        write_quality_report(str(tmp_path / "q.csv"), "gss", rows)
         assert (tmp_path / "q.csv").read_text().splitlines()[1] == "gss,a,nan,nan,nan"
 
     def test_known_mixture_ratio(self):
@@ -146,14 +146,11 @@ class TestMeasureQuality:
 
 
 def test_report_csv_format(tmp_path):
-    report = QualityReport({
-        "gss": [SourceQuality("a", 12.345, None)],
-        "gss+pf": [SourceQuality("a", 20.0, 30.0)],
-    })
     path = str(tmp_path / "q.csv")
-    report.to_csv(path)
+    write_quality_report(path, "gss+pf", [SourceQuality("a", 12.345, None),
+                                          SourceQuality("b", 20.0, 30.0)])
     lines = open(path).read().splitlines()
     assert lines[0] == "stage,source,input_sir_db,output_sir_db,output_snr_db"
-    assert lines[1] == "gss,a,nan,12.3450,nan"
-    assert lines[2] == "gss+pf,a,nan,20.0000,30.0000"
+    assert lines[1] == "gss+pf,a,nan,12.3450,nan"
+    assert lines[2] == "gss+pf,b,nan,20.0000,30.0000"
     assert len(lines) == 3

@@ -9,6 +9,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
@@ -28,7 +30,7 @@ from arraysep.geometry import steering_matrix
 from arraysep.errors import AudioIOError, StreamError
 from arraysep.features import (extract_features, mel_filterbank, write_features_binary,
                                write_features_csv)
-from arraysep.metrics import QualityReport, interference_ratio_db, measure_quality
+from arraysep.metrics import interference_ratio_db, measure_quality, write_quality_report
 from arraysep.formats import PostfilterDump
 from arraysep.masks import compute_mask, masks_from_records
 from arraysep.pipeline import (StageClock, StageLoop, _dump_gss_state, _Staging, bench_pipeline,
@@ -339,6 +341,18 @@ class TestRunPipeline:
         per_second = (peak(4.5) - peak(1.5)) / 3.0
         assert per_second < 8 * 8 * 48000, per_second
 
+    @pytest.mark.parametrize("adapt, postfilter, stage", [
+        (True, True, "gss+pf"), (True, False, "gss"), (False, True, "delay-and-sum+pf"),
+        (False, False, "delay-and-sum")])
+    def test_quality_report_labels_the_stages_that_ran(self, short_scene, scene_dir, tmp_path,
+                                                       adapt, postfilter, stage):
+        spec, _ = short_scene
+        config = write_config(tmp_path / "c.yaml", spec, scene_dir, tmp_path / "out",
+                              adapt=adapt, postfilter=postfilter)
+        with open(run_pipeline(config).report_csv, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[:2] for row in rows] == [[stage, s.source_id] for s in spec.sources]
+
     @pytest.mark.parametrize("noise_format", ["float32", "pcm16"])
     def test_quality_report_matches_fully_decoded_inputs(self, short_scene, scene_dir, tmp_path,
                                                          noise_format):
@@ -356,7 +370,7 @@ class TestRunPipeline:
                                read_wav(config.noise_wav).samples,
                                source_ids=[s.source_id for s in spec.sources])
         oracle = str(tmp_path / "oracle.csv")
-        QualityReport({"gss+pf": rows}).to_csv(oracle)
+        write_quality_report(oracle, "gss+pf", rows)
         assert open(result.report_csv, "rb").read() == open(oracle, "rb").read()
         assert all(row.output_snr_db is not None for row in rows)
         if os.path.exists("/proc/self/maps"):  # no input stays mapped after the run
@@ -581,11 +595,11 @@ class TestRunPipeline:
         config = pipeline_config_for_scene(spec, adapt=adapt, postfilter=postfilter)
         num_frames = frame_count(render.mixture.num_samples, config.fft_size, config.shift)
         assert num_frames % BLOCK_FRAMES  # the last block is a partial one
-        loop = StageLoop(config, num_frames)
+        loop = StageLoop(config, num_frames, None)
 
         def stepped():  # each block is synthesized before the next step reuses its buffer
             for frame in stft_analyze(render.mixture, config.fft_size, config.shift):
-                yield from loop.step(frame)
+                yield from loop.step(frame, time.perf_counter_ns())
             yield from loop.finish()
 
         by_hand = stft_synthesize(stepped(), config.shift, num_frames)
@@ -660,7 +674,7 @@ class TestRunPipeline:
 
         def adapting(state, frame, separated):
             alive.append(sum(nbytes for ref, nbytes in spectra if ref() is not None))
-            return adapt(state, frame, separated)
+            adapt(state, frame, separated)
 
         monkeypatch.setattr(np.fft, "rfft", transforming)
         monkeypatch.setattr(gss, "adapt", adapting)
@@ -678,7 +692,7 @@ class TestRunPipeline:
         def adapting(state, frame, separated):
             if not operators:
                 operators.extend(map(weakref.ref, state._steering_operators))
-            return adapt(state, frame, separated)
+            adapt(state, frame, separated)
 
         monkeypatch.setattr(gss, "adapt", adapting)
         loop = run_stages(render.mixture, config)
@@ -754,7 +768,7 @@ class TestRunPipeline:
             filtered = filter_frame(postfilter, separated)[0]
             band_noise = postfilter.noise.stationary @ weights
             band_out = (np.abs(filtered) ** 2) @ weights
-            expected.append(compute_mask(band_in, band_out, band_noise)[0])
+            expected.append(compute_mask(band_in, band_out, band_noise))
         assert loop.reliability.shape == (loop.num_frames, len(spec.sources), 24)
         assert np.array(expected).tobytes() == loop.reliability.tobytes()
 
@@ -1622,7 +1636,7 @@ class TestCli:
                                read_wav(noise).samples,
                                source_ids=[f"{s.source_id}_48k" for s in spec.sources])
         oracle = tmp_path / "oracle.csv"
-        QualityReport({"output": rows}).to_csv(str(oracle))
+        write_quality_report(str(oracle), "output", rows)
 
         csv = tmp_path / "q.csv"
         argv = ["score", "--output", *outputs, "--reference", *references, "--noise", noise,
@@ -1649,6 +1663,12 @@ class TestCli:
     def test_bench_zero_duration_empty_report(self, capsys):
         assert main(["bench", "--seconds", "0"]) == 0
         assert "nothing to measure" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seconds", ["-1", "nan"])
+    def test_bench_negative_or_nan_duration_refused(self, capsys, seconds):
+        assert main(["bench", "--seconds", seconds]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: duration_s must be a number in (0, inf)")
 
     def test_bench_runs(self, capsys):
         assert main(["bench", "--seconds", "1.0", "--preset", "trio-50deg"]) == 0
@@ -1680,6 +1700,27 @@ class TestCli:
         assert main(["simulate", "--preset", name, "--duration", "0.25",
                      "--output-dir", str(tmp_path / name)]) == 0
         assert (tmp_path / name / "mixture.wav").exists()
+
+
+def test_exit_codes_as_a_shell_sees_them(tmp_path):
+    # the codes README promises to scripts, through the module's __main__ line
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "arraysep.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    done = run("bench", "--seconds", "0")
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "bench: empty input, nothing to measure\n", "")
+    missing = str(tmp_path / "missing")
+    for argv, code in [(["separate", "--config", missing + ".yaml"], 2),
+                       (["features", "--input", missing + ".wav", "--output-dir",
+                         str(tmp_path / "out")], 3)]:
+        done = run(*argv)
+        assert (done.returncode, done.stdout) == (code, "")
+        assert done.stderr.startswith("error: ") and missing in done.stderr
+    assert os.listdir(tmp_path) == []
 
 
 def test_public_names_resolve():
