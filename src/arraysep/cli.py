@@ -174,8 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
+    # the package logger's level and one stderr handler hold for this call
+    # only, so each call in a process logs as its own -v says
+    log = logging.getLogger("arraysep")
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         return args.func(args)
     except ArraySepError as exc:
@@ -184,6 +190,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # an output location that cannot be created or written
         print(f"error: {exc}", file=sys.stderr)
         return AudioIOError.exit_code
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -5,6 +5,9 @@ dimensions is just dropping their per-dimension factors, so a binary
 reliability mask turns the full density into the marginal one directly.
 Scores are unnormalized across different mask cardinalities and are only
 ever compared between models under the same mask.
+
+Scoring, the EM E-step and k-means distances are matrix products over
+(n, D) rows and (M, D) parameters; no (n, M, D) temporary is built.
 """
 
 from __future__ import annotations
@@ -69,14 +72,25 @@ class LabeledFeatureSet:
             raise ValueError("labels and features disagree on frame count")
 
 
-def _log_factors(x: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """(n, M, D) per-dimension Gaussian log factors of rows ``x`` (n, D)
-    under components of ``means`` and diagonal ``variances`` (M, D)."""
-    out = np.subtract(x[:, np.newaxis, :], means[np.newaxis, :, :])
-    np.multiply(out, out, out=out)
-    np.divide(out, variances[np.newaxis, :, :], out=out)
-    np.add(_LOG_2PI + np.log(variances)[np.newaxis, :, :], out, out=out)
-    np.multiply(-0.5, out, out=out)
+def _log_joint(x: np.ndarray, squares: np.ndarray, reliable: np.ndarray | None,
+               model: GmmModel) -> np.ndarray:
+    """(n, M) log prior plus Gaussian log-likelihood of each row under each
+    component, summed over the dimensions ``reliable`` (n, D) marks, or
+    over all of them when it is None.
+
+    ``x`` and ``squares`` are the rows and their squares with unreliable
+    entries zeroed.  With p = 1/variance each component's sum is
+    -1/2 x^2.p + x.(mean p) - 1/2 b.(mean^2 p + log 2 pi variance).
+    """
+    precision = 1.0 / model.variances
+    constant = model.means * model.means * precision + (_LOG_2PI + np.log(model.variances))
+    out = squares @ (-0.5 * precision).T
+    out += x @ (model.means * precision).T
+    if reliable is None:
+        out -= 0.5 * constant.sum(axis=1)
+    else:
+        out -= reliable @ (0.5 * constant).T
+    out += np.log(model.priors)
     return out
 
 
@@ -91,32 +105,29 @@ def marginal_log_likelihoods(model: GmmModel, features: np.ndarray,
     if x.shape[1] != model.num_dims:
         raise ValueError(f"features have {x.shape[1]} dims, model expects {model.num_dims}")
     if masks is None:
-        masks = np.ones_like(x, dtype=bool)
+        return logsumexp(_log_joint(x, x * x, None, model), axis=1)
     masks = np.atleast_2d(np.asarray(masks, dtype=bool))
     if masks.shape != x.shape:
         raise ValueError(f"mask shape {masks.shape} does not match features {x.shape}")
-
-    log_dim = _log_factors(x, model.means, model.variances)
-    np.multiply(log_dim, masks[:, np.newaxis, :], out=log_dim)
-    component_ll = np.sum(log_dim, axis=2)
-    return logsumexp(component_ll + np.log(model.priors)[np.newaxis, :], axis=1)
+    reliable = masks.astype(np.float64)
+    kept = reliable * x
+    return logsumexp(_log_joint(kept, kept * x, reliable, model), axis=1)
 
 
 def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = x[rng.choice(x.shape[0], size=k, replace=False)]
-    squares = np.empty((x.shape[0], k, x.shape[1]))
-    distances = np.empty((x.shape[0], k))
+    clusters = np.arange(k)
     for _ in range(KMEANS_ITERATIONS):
-        np.subtract(x[:, np.newaxis, :], centers[np.newaxis, :, :], out=squares)
-        np.square(squares, out=squares)
-        np.sum(squares, axis=2, out=distances)
-        assignment = np.argmin(distances, axis=1)
+        # |x - c|^2 less |x|^2, which is the same for every center
+        distances = np.sum(centers * centers, axis=1) - 2.0 * (x @ centers.T)
+        members = np.argmin(distances, axis=1)[:, np.newaxis] == clusters  # (n, k)
+        counts = members.sum(axis=0)
+        sums = members.T.astype(np.float64) @ x
         for j in range(k):
-            members = x[assignment == j]
-            if members.shape[0] == 0:  # re-seed an empty cluster
+            if counts[j] == 0:  # re-seed an empty cluster
                 centers[j] = x[rng.integers(x.shape[0])]
             else:
-                centers[j] = members.mean(axis=0)
+                centers[j] = sums[j] / counts[j]
     return centers
 
 
@@ -128,28 +139,29 @@ def _fit_single_class(x: np.ndarray, num_components: int, rng: np.random.Generat
         variance = np.maximum(x.var(axis=0), VARIANCE_FLOOR)
         return GmmModel(np.ones(1), x.mean(axis=0, keepdims=True), variance[np.newaxis, :])
 
-    means = _kmeans(x, num_components, rng)
-    variances = np.tile(np.maximum(x.var(axis=0), VARIANCE_FLOOR), (num_components, 1))
-    priors = np.full(num_components, 1.0 / num_components)
-
+    squares = x * x
+    model = GmmModel(np.full(num_components, 1.0 / num_components),
+                     _kmeans(x, num_components, rng),
+                     np.tile(np.maximum(x.var(axis=0), VARIANCE_FLOOR), (num_components, 1)))
     previous = -np.inf
     for _ in range(EM_MAX_ITER):
-        weighted = np.sum(_log_factors(x, means, variances), axis=2) + np.log(priors)
-        frame_ll = logsumexp(weighted, axis=1)
-        total = float(frame_ll.sum())
-
-        responsibility = np.exp(weighted - frame_ll[:, np.newaxis])  # (n, M)
+        weighted = _log_joint(x, squares, None, model)
+        peak = weighted.max(axis=1, keepdims=True)
+        responsibility = np.exp(weighted - peak)  # (n, M), normalized below
+        evidence = responsibility.sum(axis=1, keepdims=True)
+        total = float(np.sum(np.log(evidence) + peak))
+        responsibility /= evidence
         counts = responsibility.sum(axis=0)
         counts = np.maximum(counts, 1e-12)
-        priors = counts / counts.sum()
         means = (responsibility.T @ x) / counts[:, np.newaxis]
-        second = (responsibility.T @ (x * x)) / counts[:, np.newaxis]
-        variances = np.maximum(second - means * means, VARIANCE_FLOOR)
+        second = (responsibility.T @ squares) / counts[:, np.newaxis]
+        model = GmmModel(counts / counts.sum(), means,
+                         np.maximum(second - means * means, VARIANCE_FLOOR))
 
         if total - previous < EM_TOL * n and np.isfinite(previous):
             break
         previous = total
-    return GmmModel(priors, means, variances)
+    return model
 
 
 def train_gmm(dataset: LabeledFeatureSet, num_components: int,

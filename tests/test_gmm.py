@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,11 +306,23 @@ def expression_log_factors(x, means, variances):
                    + diff * diff / variances[np.newaxis, :, :])
 
 
+def expression_scores(model, x, masks=None):
+    """Marginal log-likelihoods from the (n, M, D) factors, masked factor by factor."""
+    factors = expression_log_factors(x, model.means, model.variances)
+    if masks is not None:
+        factors = factors * masks[:, np.newaxis, :]
+    return logsumexp(factors.sum(axis=2) + np.log(model.priors), axis=1)
+
+
+def expression_assignment(x, centers):
+    return np.argmin(np.sum((x[:, np.newaxis, :] - centers[np.newaxis, :, :]) ** 2, axis=2),
+                     axis=1)
+
+
 def expression_kmeans(x, k, rng):
     centers = x[rng.choice(x.shape[0], size=k, replace=False)]
     for _ in range(gmm.KMEANS_ITERATIONS):
-        distances = np.sum((x[:, np.newaxis, :] - centers[np.newaxis, :, :]) ** 2, axis=2)
-        assignment = np.argmin(distances, axis=1)
+        assignment = expression_assignment(x, centers)
         for j in range(k):
             members = x[assignment == j]
             centers[j] = (x[rng.integers(x.shape[0])] if members.shape[0] == 0
@@ -317,8 +330,18 @@ def expression_kmeans(x, k, rng):
     return centers
 
 
-class TestInPlaceArithmetic:
-    """The in-place steps give the bits of the plain expressions."""
+def train_rows(seed):
+    """Three blobs in 6 dims, one dim nearly constant so the variance floor binds."""
+    rng = np.random.default_rng(seed)
+    centers = rng.standard_normal((3, 6)) * 3.0
+    rows = np.concatenate([rng.normal(c, rng.uniform(0.2, 2.0, 6), (200, 6)) for c in centers])
+    rows[:, 5] = 0.5 + 1e-4 * rng.standard_normal(600)
+    return rows
+
+
+class TestProductKernel:
+    """Scores and k-means as matrix products agree with the per-dimension
+    expressions to rounding."""
 
     def _data(self, seed):
         rng = np.random.default_rng(seed)
@@ -328,23 +351,98 @@ class TestInPlaceArithmetic:
         return x, means, variances
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_log_factors(self, seed):
+    def test_scores_match_per_dimension_form(self, seed):
         x, means, variances = self._data(seed)
-        got = gmm._log_factors(x, means, variances)
-        np.testing.assert_array_equal(got, expression_log_factors(x, means, variances))
+        model = GmmModel(np.full(8, 0.125), means, variances)
+        masks = np.random.default_rng(seed + 5).random(x.shape) < 0.6
+        np.testing.assert_allclose(marginal_log_likelihoods(model, x),
+                                   expression_scores(model, x), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(marginal_log_likelihoods(model, x, masks),
+                                   expression_scores(model, x, masks), rtol=1e-12, atol=0)
+
+    def test_stress_scores_match_per_dimension_form(self):
+        rng = np.random.default_rng(4)
+        means = rng.standard_normal((8, 48)) * 5.0
+        variances = np.full((8, 48), gmm.VARIANCE_FLOOR)
+        variances[::2] = rng.uniform(gmm.VARIANCE_FLOOR, 1e-3, (4, 48))
+        model = GmmModel(rng.dirichlet(np.ones(8)), means, variances)
+        spread = np.sqrt(variances.max(axis=0))
+        # 1e3 standard deviations of the widest component from every mean
+        far = means[rng.integers(8, size=300)] + 1e3 * spread * rng.choice([-1.0, 1.0], (300, 48))
+        masks = rng.random(far.shape) < 0.5
+        masks[:20] = False
+        np.testing.assert_allclose(marginal_log_likelihoods(model, far),
+                                   expression_scores(model, far), rtol=1e-12, atol=0)
+        got = marginal_log_likelihoods(model, far, masks)
+        np.testing.assert_allclose(got[20:], expression_scores(model, far, masks)[20:],
+                                   rtol=1e-12, atol=0)
+        assert np.all(np.abs(got[:20]) < 1e-12)  # all-zero mask rows score log 1
+
+        # one reliable dimension, near a mean: the score itself can pass
+        # through 0, so the error is bounded by the size of the summed terms
+        near = means[rng.integers(8, size=300)] + spread * rng.standard_normal((300, 48))
+        single = np.zeros(near.shape, bool)
+        single[np.arange(300), rng.integers(48, size=300)] = True
+        terms = ((near[:, np.newaxis, :] ** 2 + means ** 2) / variances
+                 + np.abs(np.log(2.0 * np.pi * variances))) * single[:, np.newaxis, :]
+        expected = expression_scores(model, near, single)
+        error = np.abs(marginal_log_likelihoods(model, near, single) - expected)
+        assert np.all(error <= 1e-12 * np.maximum(np.abs(expected), terms.sum(axis=2).max(axis=1)))
 
     @pytest.mark.parametrize("k", [1, 4, 8])
-    def test_kmeans(self, k):
+    def test_kmeans_matches_expression_form(self, k):
         x = self._data(2)[0]
         got = gmm._kmeans(x, k, np.random.default_rng(3))
-        np.testing.assert_array_equal(got, expression_kmeans(x, k, np.random.default_rng(3)))
+        expected = expression_kmeans(x, k, np.random.default_rng(3))
+        np.testing.assert_array_equal(expression_assignment(x, got),
+                                      expression_assignment(x, expected))
+        # relative per coordinate, or to the data's scale where a center sits near 0
+        np.testing.assert_allclose(got, expected, rtol=1e-12,
+                                   atol=1e-12 * np.abs(x).max())
 
-    def test_masked_scores(self):
-        x, means, variances = self._data(4)
-        model = GmmModel(np.full(8, 0.125), means, variances)
-        masks = np.random.default_rng(5).random(x.shape) < 0.6
-        masks[0] = False
-        component_ll = np.sum(expression_log_factors(x, means, variances)
-                              * masks[:, np.newaxis, :], axis=2)
-        expected = logsumexp(component_ll + np.log(model.priors)[np.newaxis, :], axis=1)
-        np.testing.assert_array_equal(marginal_log_likelihoods(model, x, masks), expected)
+
+class TestTrainingInvariants:
+    """Properties of EM that hold whatever the arithmetic."""
+
+    def test_em_log_likelihood_never_falls(self, monkeypatch):
+        totals = []
+        kernel = gmm._log_joint
+
+        def recording(x, squares, reliable, model):
+            out = kernel(x, squares, reliable, model)
+            totals.append(float(logsumexp(out, axis=1).sum()))
+            return out
+
+        monkeypatch.setattr(gmm, "_log_joint", recording)
+        rows = train_rows(11)
+        train_gmm(LabeledFeatureSet(rows, np.array(["c"] * rows.shape[0])), 4, seed=5)
+        assert len(totals) > 2
+        steps = np.diff(totals)
+        assert np.all(steps >= -1e-9 * np.abs(totals[1:])), steps.min()
+
+    def test_one_component_is_sample_mean_and_floored_variance(self):
+        rows = train_rows(12)
+        model = train_gmm(LabeledFeatureSet(rows, np.array(["c"] * rows.shape[0])), 1,
+                          seed=0)["c"]
+        assert model.num_components == 1 and model.priors[0] == 1.0
+        np.testing.assert_allclose(model.means[0], rows.mean(axis=0), rtol=1e-12)
+        variance = rows.var(axis=0)
+        assert variance[5] < gmm.VARIANCE_FLOOR
+        np.testing.assert_allclose(model.variances[0],
+                                   np.maximum(variance, gmm.VARIANCE_FLOOR), rtol=1e-12)
+
+    def test_scoring_builds_no_frame_by_component_by_dim_array(self):
+        rng = np.random.default_rng(13)
+        model = GmmModel(np.full(8, 0.125), rng.standard_normal((8, 48)),
+                         rng.uniform(0.5, 2.0, (8, 48)))
+        frames = rng.standard_normal((4000, 48))
+        masks = rng.random(frames.shape) < 0.5
+        cube_bytes = frames.shape[0] * model.num_components * frames.shape[1] * 8
+        for scored_masks in (None, masks):
+            tracemalloc.start()
+            try:
+                marginal_log_likelihoods(model, frames, scored_masks)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < cube_bytes, (peak, cube_bytes)

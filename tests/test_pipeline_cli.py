@@ -1010,6 +1010,32 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "sep" / "center_48k.wav").exists()
 
+    def test_verbose_flag_holds_for_its_own_call(self, tmp_path, caplog, capsys):
+        # the first call in the process is not verbose; each later call
+        # logs as its own -v says, whatever the calls before it did
+        scene_out = tmp_path / "scene"
+        assert main(["simulate", "--preset", "trio-90deg", "--duration", "0.5",
+                     "--seed", "7", "--output-dir", str(scene_out)]) == 0
+        config = pipeline_config_for_scene(three_speaker_scene(90.0, duration_s=0.5, seed=7),
+                                           features=False)
+        config.input_wav = str(scene_out / "mixture.wav")
+        config.output_dir = str(tmp_path / "sep")
+        serialize_config(config, str(tmp_path / "cfg.yaml"))
+        separate = ["separate", "--config", str(tmp_path / "cfg.yaml")]
+
+        caplog.clear()
+        capsys.readouterr()
+        assert main(["-v", *separate]) == 0
+        headers = [m for m in caplog.messages if m.startswith("run config: ")]
+        assert len(headers) == 1
+        assert capsys.readouterr().err.count("INFO arraysep.pipeline: run config: ") == 1
+
+        caplog.clear()
+        assert main(separate) == 0
+        assert not [r for r in caplog.records if r.levelno <= logging.INFO]
+        assert "INFO" not in capsys.readouterr().err
+        assert logging.getLogger("arraysep").handlers == []
+
     def test_simulate_same_seed_byte_identical(self, tmp_path):
         for name in ("one", "two"):
             assert main(["simulate", "--preset", "trio-30deg", "--duration", "0.5",
