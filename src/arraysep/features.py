@@ -133,7 +133,7 @@ def extract_features(audio: AudioBuffer, lifter: bool = True,
         np.abs(windowed_rfft(frames[start : start + POWER_BLOCK_FRAMES], window), out=block)
         np.square(block, out=block)
     energies = mel_energies(power, mel_filterbank())
-    del power
+    del power, block  # the last block is a view of the spectra: both go before the cepstra
     floor = max(float(energies.max()) * RELATIVE_FLOOR, _LOG_FLOOR)
     log_mel = np.log(np.maximum(energies, floor))
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import AudioIOError
 from .formats import write_records
@@ -94,6 +93,12 @@ def _log_joint(x: np.ndarray, squares: np.ndarray, reliable: np.ndarray | None,
     return out
 
 
+def _shifted_exp(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(joint - peak) and peak, (n, 1), each row's maximum: no exponent is positive."""
+    peak = joint.max(axis=1, keepdims=True)
+    return np.exp(joint - peak), peak
+
+
 def marginal_log_likelihoods(model: GmmModel, features: np.ndarray,
                              masks: np.ndarray | None = None) -> np.ndarray:
     """Log-density of each frame over its reliable dimensions, (n,).
@@ -104,14 +109,15 @@ def marginal_log_likelihoods(model: GmmModel, features: np.ndarray,
     x = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if x.shape[1] != model.num_dims:
         raise ValueError(f"features have {x.shape[1]} dims, model expects {model.num_dims}")
-    if masks is None:
-        return logsumexp(_log_joint(x, x * x, None, model), axis=1)
-    masks = np.atleast_2d(np.asarray(masks, dtype=bool))
-    if masks.shape != x.shape:
-        raise ValueError(f"mask shape {masks.shape} does not match features {x.shape}")
-    reliable = masks.astype(np.float64)
-    kept = reliable * x
-    return logsumexp(_log_joint(kept, kept * x, reliable, model), axis=1)
+    kept, reliable = x, None
+    if masks is not None:
+        masks = np.atleast_2d(np.asarray(masks, dtype=bool))
+        if masks.shape != x.shape:
+            raise ValueError(f"mask shape {masks.shape} does not match features {x.shape}")
+        reliable = masks.astype(np.float64)
+        kept = reliable * x
+    terms, peak = _shifted_exp(_log_joint(kept, kept * x, reliable, model))
+    return np.log(terms.sum(axis=1)) + peak[:, 0]
 
 
 def _kmeans(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -146,8 +152,7 @@ def _fit_single_class(x: np.ndarray, num_components: int, rng: np.random.Generat
     previous = -np.inf
     for _ in range(EM_MAX_ITER):
         weighted = _log_joint(x, squares, None, model)
-        peak = weighted.max(axis=1, keepdims=True)
-        responsibility = np.exp(weighted - peak)  # (n, M), normalized below
+        responsibility, peak = _shifted_exp(weighted)  # (n, M), normalized below
         evidence = responsibility.sum(axis=1, keepdims=True)
         total = float(np.sum(np.log(evidence) + peak))
         responsibility /= evidence

@@ -128,7 +128,9 @@ def _gradients(state: SeparationState, x: np.ndarray,
     grad_dec, grad_geo = np.empty((2,) + state.demix.shape, dtype=np.complex128)
     power = y.real ** 2 + y.imag ** 2
     ey = y * (np.sum(power, axis=1, keepdims=True) - power)
-    grad_dec[...] = (4.0 * ey)[:, :, np.newaxis]  # then times x^H in place: no ufunc buffers
+    # times x^H in place: no (n_bins, M, N) temporary, though numpy allocates its
+    # 8192-element ufunc buffer for each broadcast product, here and in adapt
+    grad_dec[...] = (4.0 * ey)[:, :, np.newaxis]
     grad_dec *= x.T.conj()[:, np.newaxis, :]
     a_op, a_h_op = state._steering_operators
     residual = np.matmul(state.demix.view(np.float64), a_op)

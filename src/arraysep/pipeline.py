@@ -4,9 +4,9 @@ Frames stream stage to stage in order; per-source audio, feature and mask
 files are written once the whole stream processed cleanly.  Every artifact,
 the streamed post-filter dumps included, keeps a temporary name until all
 are written, so a failing run leaves no partial outputs.  Each input is
-decoded only while a stage needs it: the mixture for the stage loop, the
-references and the noise (checked up front) for the quality report at the
-end.  Identical config and inputs give byte-identical outputs.
+decoded only while a stage needs it: the mixture one hop at a time for the
+stage loop, the references and the noise (checked up front) for the
+quality report at the end.  Identical config and inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -335,7 +335,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     try:
         with staged_outputs(config.output_dir) as staging:
             with contextlib.closing(PostfilterDump(config.output_dir, ids, staging)) as dump:
-                output = run_stages(read_wav(config.input_wav, BLOCK_FRAMES * config.shift),
+                output = run_stages(read_wav(config.input_wav, config.shift),
                                     config, dump if config.dump_diagnostics else None)
             result = _emit(config, output, ids, staging)
     except OSError as exc:

@@ -164,7 +164,7 @@ def _gain_core(upsilon: np.ndarray, gamma: np.ndarray,
     Every bin is evaluated, then bins whose upsilon is not above 0 get gain
     0.  Non-finite gains count as faults and are replaced by GAIN_FLOOR.
     """
-    gain, a, b = np.empty((3,) + upsilon.shape)
+    gain, (a, b) = np.empty(upsilon.shape), np.empty((2,) + upsilon.shape)  # gain outlives a, b
     with np.errstate(all="ignore"):
         if exponent == 1.0:
             # Scaled-Bessel evaluation of the spectral-amplitude estimator:

@@ -37,9 +37,10 @@ def sqrt_hann_window(size: int) -> np.ndarray:
     return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * n / size))
 
 
-# Frames the stage loop handles together: analysis reads their samples into
-# one buffer, the post-filter runs its non-recursive tail over them in one
-# pass and synthesis inverts its filtered block in one irfft.
+# Frames the stage loop handles together: the post-filter runs its
+# non-recursive tail over them in one pass and synthesis inverts its
+# filtered block in one irfft.  Analysis does not wait for them; it yields
+# each frame as soon as its samples are in.
 BLOCK_FRAMES = 8
 
 
@@ -70,40 +71,31 @@ def stft_analyze(audio: AudioBuffer | WavFile, fft_size: int,
     """Yield sqrt-Hann windowed half-spectrum frames from ``audio``, one at a
     time, over the frames of ``analysis_frames``.
 
-    The samples arrive as ``audio.blocks()`` of any size and are copied,
-    at their own precision, into one buffer of BLOCK_FRAMES frames, whose
-    last ``fft_size - shift`` samples carry over to the next.  Each frame
-    is tapered and transformed as it is yielded, and the generator keeps
-    no reference to it, so one frame's spectra are alive at a time if the
-    consumer drops each before it asks for the next.  Every block is read,
-    trailing samples included, so a stream is scanned to its end.
+    The samples arrive as ``audio.blocks()`` of any size and are copied, at
+    their own precision, into one (channels, fft_size) buffer; each frame is
+    tapered and transformed as soon as its last sample is in, and the buffer
+    then shifts by ``shift``.  The generator keeps no reference to a yielded
+    frame, so one frame's spectra are alive at a time if the consumer drops
+    each before it asks for the next.  Every block is read, trailing samples
+    included, so a stream is scanned to its end.
     """
     _check_framing(fft_size, shift)
     window = sqrt_hann_window(fft_size)
-    span = (BLOCK_FRAMES - 1) * shift + fft_size
     carry = fft_size - shift
-    buffer, filled, first = None, 0, 0
-
-    def transform(samples):  # the frames of ``samples``, each transformed as it is yielded
-        for t in range(frame_count(samples.shape[1], fft_size, shift)):
-            frame = samples[:, t * shift : t * shift + fft_size]
-            yield SpectralFrame(windowed_rfft(frame, window), first + t)
-
+    buffer, filled, index = None, 0, 0
     for block in audio.blocks():
         if buffer is None:
-            buffer = np.empty((audio.num_channels, span), block.dtype)
+            buffer = np.empty((audio.num_channels, fft_size), block.dtype)
         while block.shape[1]:
-            taken = block[:, : span - filled]
+            taken = block[:, : fft_size - filled]
             buffer[:, filled : filled + taken.shape[1]] = taken
             filled += taken.shape[1]
             block = block[:, taken.shape[1] :]
-            if filled == span:
-                yield from transform(buffer)
-                first += BLOCK_FRAMES
-                buffer[:, :carry] = buffer[:, span - carry :]
+            if filled == fft_size:
+                yield SpectralFrame(windowed_rfft(buffer, window), index)
+                index += 1
+                buffer[:, :carry] = buffer[:, shift:]
                 filled = carry
-    if filled:
-        yield from transform(buffer[:, :filled])
 
 
 def stft_synthesize(blocks: Iterable[np.ndarray], shift: int, num_frames: int) -> np.ndarray:

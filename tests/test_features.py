@@ -4,11 +4,13 @@ import io
 import struct
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from scipy import fft as sfft
 
+from arraysep import features
 from arraysep.audio import AudioBuffer
 from arraysep.errors import ConfigError
 from arraysep.features import (FEATURE_FFT_SIZE, FEATURE_RECORD, FEATURE_SHIFT,
@@ -237,6 +239,23 @@ class TestPipeline:
         held_beyond_output(1)  # lazy imports and caches
         (short, short_frames), (long, long_frames) = held_beyond_output(10), held_beyond_output(60)
         assert (long - short) / (long_frames - short_frames) <= 3 * 1024
+
+    def test_power_spectra_are_freed_before_the_cepstra(self, monkeypatch):
+        # the (T, 201) power spectra are dead once banded: no view of them,
+        # such as the last block they were computed in, outlives the banding
+        banded, dct = [], sfft.dct
+
+        def banding(power, weights):
+            banded.append(weakref.ref(power))
+            return mel_energies(power, weights)
+
+        def transforming(*args, **kwargs):
+            assert len(banded) == 1 and banded[0]() is None
+            return dct(*args, **kwargs)
+
+        monkeypatch.setattr(features, "mel_energies", banding)
+        monkeypatch.setattr(sfft, "dct", transforming)
+        assert len(extract_features(noise_utterance(3))) > POWER_BLOCK_FRAMES
 
     def test_shorter_than_one_frame_gives_no_features(self):
         features = extract_features(AudioBuffer(np.ones(399), 16000))

@@ -21,7 +21,7 @@ import pytest
 import yaml
 from scipy.io import wavfile
 
-from arraysep import audio, cli, gss, pipeline
+from arraysep import audio, cli, gss, pipeline, stft
 from arraysep.audio import AudioBuffer, read_wav, resample_48k_to_16k, write_wav
 from arraysep.cli import main
 from arraysep.config import (PipelineConfig, SourceDirection, parse_scene_file, scene_to_dict,
@@ -681,6 +681,46 @@ class TestRunPipeline:
         num_frames = run_stages(render.mixture, config).num_frames
         assert len(alive) == num_frames > BLOCK_FRAMES
         assert max(alive) <= render.mixture.num_channels * (config.fft_size // 2 + 1) * 16
+
+    def test_analysis_holds_one_frame_of_samples_and_one_decoded_hop(self, short_scene, scene_dir,
+                                                                     tmp_path, monkeypatch):
+        # when GSS adapts on a frame, the samples analysis holds are one
+        # (channels, fft_size) frame's, and of the mixture WAV at most one
+        # hop is decoded
+        spec, _ = short_scene
+        config = write_config(tmp_path / "c.yaml", spec, scene_dir, tmp_path / "out")
+        decode, transform, adapt = audio._decode, stft.windowed_rfft, gss.adapt
+        decoded, analyzed, alive = {}, {}, []  # id -> (weak reference, bytes)
+
+        def owner(array):
+            while array.base is not None:
+                array = array.base
+            return array
+
+        def decoding(*args, **kwargs):
+            samples = decode(*args, **kwargs)
+            decoded[id(samples)] = weakref.ref(samples), samples.nbytes
+            return samples
+
+        def transforming(frames, window):
+            samples = owner(frames)  # one buffer, analyzed frame after frame
+            analyzed[id(samples)] = weakref.ref(samples), samples.nbytes
+            return transform(frames, window)
+
+        def adapting(state, frame, separated):
+            alive.append([sum(nbytes for ref, nbytes in held.values() if ref() is not None)
+                          for held in (analyzed, decoded)])
+            adapt(state, frame, separated)
+
+        monkeypatch.setattr(audio, "_decode", decoding)
+        monkeypatch.setattr(stft, "windowed_rfft", transforming)
+        monkeypatch.setattr(gss, "adapt", adapting)
+        result = run_pipeline(config)
+        assert len(alive) == result.frames_processed > BLOCK_FRAMES
+        itemsize = read_wav(config.input_wav).samples.itemsize
+        channels = len(config.mic_positions_m)
+        assert max(samples for samples, _ in alive) == channels * config.fft_size * itemsize
+        assert 0 < max(hops for _, hops in alive) <= channels * config.shift * itemsize
 
     def test_the_loop_ends_without_the_steering_operators(self, short_scene, monkeypatch):
         # adapt caches A and A^H as real operators on the state; the adapted

@@ -297,6 +297,17 @@ class TestGain:
         assert faults == np.count_nonzero(bad) > 0
         assert np.array_equal(gain, expected)
 
+    @pytest.mark.parametrize("exponent", [1.0, 2.0, 1.5])
+    def test_the_gain_owns_its_memory(self, exponent):
+        # the post-filter keeps each frame's gain as prev_gain: a view would
+        # keep the scratch arrays it was allocated with alive beside it
+        upsilon = np.linspace(0.0, 40.0, 2 * 513).reshape(2, 513)
+        gain, _ = _gain_core(upsilon, upsilon + 1.0, exponent)
+        assert gain.base is None and gain.nbytes == upsilon.nbytes
+        pf = PostFilter(2, 513, PipelineConfig(spectral_exponent=exponent))
+        pf.process(SpectralFrame(upsilon + 1j, 0))
+        assert pf.gains.prev_gain.base is None
+
     def test_monotone_in_prior_snr(self):
         gamma = np.full(200, 3.0)
         xi = np.linspace(0.01, 30.0, 200)

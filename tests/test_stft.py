@@ -1,5 +1,6 @@
 """Analysis/synthesis behavior of the shared STFT."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -56,18 +57,19 @@ def _noise(channels, samples, rate, seed=0, scale=0.1):
 
 class Chunked:
     """``samples`` (channels, n) handed out in blocks of ``sizes``, cycled,
-    the way ``WavFile.blocks`` hands out a file's."""
+    the way ``WavFile.blocks`` hands out a file's; ``read`` counts the
+    samples handed out so far."""
 
     def __init__(self, samples, rate, sizes):
-        self.samples, self.rate, self.sizes = samples, rate, sizes
+        self.samples, self.rate, self.sizes, self.read = samples, rate, sizes, 0
         self.num_channels, self.num_samples = samples.shape
 
     def blocks(self):
-        start, k = 0, 0
-        while start < self.num_samples:
-            size = self.sizes[k % len(self.sizes)]
-            yield self.samples[:, start : start + size]
-            start, k = start + size, k + 1
+        for size in itertools.cycle(self.sizes):
+            if self.read == self.num_samples:
+                return
+            start, self.read = self.read, min(self.read + size, self.num_samples)
+            yield self.samples[:, start : self.read]
 
 
 class TestAnalyze:
@@ -75,15 +77,23 @@ class TestAnalyze:
     def test_chunked_input_gives_the_whole_buffer_frames(self, fft_size, shift):
         # oracle: each frame of the whole buffer tapered and transformed on
         # its own; lengths short of one frame, of exactly one, and of a
-        # frame count that is not a multiple of the analysis block
+        # frame count that is not a multiple of the analysis block.  No
+        # frame waits for later frames' samples: frame t comes before the
+        # block after the one holding sample fft_size + t * shift - 1 is read
         rng = np.random.default_rng(fft_size + shift)
         window = sqrt_hann_window(fft_size)
         for length in (fft_size - 1, fft_size, 19 * shift + fft_size + 7):
             x = _noise(3, length, 48000, seed=length)
             frames = analysis_frames(x.samples, fft_size, shift)
             oracle = [np.fft.rfft(frames[:, t] * window, axis=-1) for t in range(frames.shape[1])]
-            for sizes in ([1], [shift - 1], list(rng.integers(1, 3 * fft_size, 16)), [length]):
-                got = list(stft_analyze(Chunked(x.samples, 48000, sizes), fft_size, shift))
+            for sizes in ([1], [shift - 1], [shift], [4096], list(rng.integers(1, 3 * fft_size, 16)),
+                          [length]):
+                chunked, got = Chunked(x.samples, 48000, sizes), []
+                ends = np.minimum(np.cumsum(np.resize(sizes, length)), length)  # of each block
+                for frame in stft_analyze(chunked, fft_size, shift):
+                    last = fft_size + len(got) * shift  # the samples up to the frame's end
+                    assert chunked.read == ends[np.searchsorted(ends, last)], (sizes, len(got))
+                    got.append(frame)
                 assert [f.frame_index for f in got] == list(range(len(oracle))), sizes
                 for frame, bins in zip(got, oracle):
                     assert frame.bins.tobytes() == bins.tobytes(), (sizes, frame.frame_index)
