@@ -177,6 +177,12 @@ def _slow_envelope(rng: np.random.Generator, n: int, rate: int) -> np.ndarray:
         max(6, int(np.ceil(n * ENVELOPE_RATE_HZ / (3.0 * rate))) + 4))
     pause = np.interp(np.linspace(0, len(pause_ctrl) - 1, n), np.arange(len(pause_ctrl)), pause_ctrl)
     gate = np.clip((pause + 0.4) * 6.0, 0.0, 1.0)
+    if not gate.any():
+        # A track below the threshold throughout would leave the talker
+        # silent: mirror it about the threshold instead, so the talker
+        # speaks where it was deepest in pause.  No draw is added, and
+        # every gate that opens anywhere keeps its bits.
+        gate = np.clip((-0.4 - pause) * 6.0, 0.0, 1.0)
 
     envelope *= gate
     return envelope / max(envelope.mean(), 1e-6)

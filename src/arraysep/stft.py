@@ -40,8 +40,11 @@ def sqrt_hann_window(size: int) -> np.ndarray:
 # Frames the stage loop handles together: the post-filter runs its
 # non-recursive tail over them in one pass and synthesis inverts its
 # filtered block in one irfft.  Analysis does not wait for them; it yields
-# each frame as soon as its samples are in.
-BLOCK_FRAMES = 8
+# each frame as soon as its samples are in.  A frame is filtered when its
+# block is full, up to BLOCK_FRAMES - 1 hops after it arrived, and the
+# post-filter's block buffers grow with the block; where the flushes fall
+# changes no output bit.
+BLOCK_FRAMES = 4
 
 
 def _check_framing(fft_size: int, shift: int) -> None:

@@ -8,6 +8,7 @@ the first verified run and committed as regression bounds.
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,7 +344,7 @@ class TestCriterion9Hygiene:
                     if name == "effective_config.yaml":
                         continue  # holds run-specific paths by design
                     path = os.path.join(root, name)
-                    listing[name] = open(path, "rb").read()
+                    listing[name] = Path(path).read_bytes()
             digests.append(listing)
         assert digests[0].keys() == digests[1].keys()
         for name in digests[0]:

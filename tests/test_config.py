@@ -172,7 +172,7 @@ class TestSceneFiles:
         spec = three_speaker_scene(40.0, duration_s=1.0, seed=5)
         path = str(tmp_path / "scene.yaml")
         write_scene_file(spec, path)
-        data = yaml.safe_load(open(path))
+        data = yaml.safe_load(Path(path).read_text())
         assert "duration_s" in data and "noise_level_db" in data
         assert "azimuth_deg" in data["sources"][0]
 

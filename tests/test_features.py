@@ -5,6 +5,7 @@ import struct
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from arraysep.features import (FEATURE_FFT_SIZE, FEATURE_RECORD, FEATURE_SHIFT,
                                read_features_binary, write_features_binary,
                                write_features_csv, zero_lifter)
 from arraysep.formats import _encode_cells, write_csv
-from arraysep.stft import stft_analyze
+from arraysep.stft import BLOCK_FRAMES, stft_analyze
 
 
 @pytest.fixture(scope="module")
@@ -93,9 +94,9 @@ class TestMelEnergies:
         # on how many frames one call takes, nor on where a block is split.
         bank = mel_filterbank(1024, 48000)
         rng = np.random.default_rng(sources)
-        shape = (3, 8, sources, 513)  # (kinds, BLOCK_FRAMES, M, K)
+        shape = (3, BLOCK_FRAMES, sources, 513)  # (kinds, frames, M, K)
         buffer = rng.random(shape) * 10.0 ** rng.integers(-20, 10, shape)
-        for k in range(1, 9):
+        for k in range(1, BLOCK_FRAMES + 1):
             powers = buffer[:, :k]
             stacked = mel_energies(powers, bank)
             assert stacked.shape == (3, k, sources, 24)
@@ -359,7 +360,7 @@ class TestFeatureFiles:
 
         for features in (hand_built_features(), no_features()):
             write_features_binary(path, features)
-            assert open(path, "rb").read() == feature_file_bytes(features)
+            assert Path(path).read_bytes() == feature_file_bytes(features)
             loaded = read_features_binary(path)
             assert loaded.dtype == np.dtype((np.record, FEATURE_RECORD))
             assert len(loaded) == len(features)
@@ -374,14 +375,14 @@ class TestFeatureFiles:
         features = extract_features(noise_utterance(10, seconds=0.5))
         path = str(tmp_path / "f.csv")
         write_features_csv(path, features)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0].startswith("frame,has_delta,static_0")
         assert len(lines) == len(features) + 1
         assert len(lines[1].split(",")) == 2 + 48
 
         for features in (hand_built_features(), no_features()):
             write_features_csv(path, features)
-            assert open(path, "rb").read() == feature_csv_text(features).encode()
+            assert Path(path).read_bytes() == feature_csv_text(features).encode()
 
 
 def printf_rows(table, fmt):

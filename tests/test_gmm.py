@@ -217,7 +217,8 @@ class TestModelFiles:
         models = {"c": toy_model()}
         path = str(tmp_path / "m.gmm")
         save_models(path, models)
-        header = open(path, "rb").read(64).split(b"\n\n")[0].decode("ascii")
+        with open(path, "rb") as file:
+            header = file.read(64).split(b"\n\n")[0].decode("ascii")
         assert header.splitlines()[0] == "gmmset 1"
         assert "classes c" in header
 

@@ -1,6 +1,7 @@
 """Reliability mask computation, invariants and file formats."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,7 +269,7 @@ class TestMaskFiles:
 
         for mask in (hand_built_mask(), empty_mask()):
             write_mask_binary(path, mask)
-            assert open(path, "rb").read() == mask_file_bytes(mask)
+            assert Path(path).read_bytes() == mask_file_bytes(mask)
             loaded = read_mask_binary(path)
             want32 = mask.continuous.astype(np.float32).astype(np.float64)
             np.testing.assert_array_equal(loaded.continuous, want32)
@@ -315,10 +316,10 @@ class TestMaskFiles:
         mask = masks_from_records(band_reliability(synthetic_bands(num_frames=6, seed=6)), 0)
         path = str(tmp_path / "m.csv")
         write_mask_csv(path, mask)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert len(lines) == 7
         assert len(lines[1].split(",")) == 1 + 3 * 24
 
         for mask in (hand_built_mask(), empty_mask()):
             write_mask_csv(path, mask)
-            assert open(path, "rb").read() == mask_csv_text(mask).encode()
+            assert Path(path).read_bytes() == mask_csv_text(mask).encode()

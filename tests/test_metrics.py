@@ -1,6 +1,7 @@
 """Quality metrics against an independently scripted projection oracle."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,7 +150,7 @@ def test_report_csv_format(tmp_path):
     path = str(tmp_path / "q.csv")
     write_quality_report(path, "gss+pf", [SourceQuality("a", 12.345, None),
                                           SourceQuality("b", 20.0, 30.0)])
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "stage,source,input_sir_db,output_sir_db,output_snr_db"
     assert lines[1] == "gss+pf,a,nan,12.3450,nan"
     assert lines[2] == "gss+pf,b,nan,20.0000,30.0000"

@@ -15,13 +15,14 @@ import time
 import tracemalloc
 import weakref
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from scipy.io import wavfile
 
-from arraysep import audio, cli, gss, pipeline, stft
+from arraysep import audio, cli, gss, pipeline, postfilter, stft
 from arraysep.audio import AudioBuffer, read_wav, resample_48k_to_16k, write_wav
 from arraysep.cli import main
 from arraysep.config import (PipelineConfig, SourceDirection, parse_scene_file, scene_to_dict,
@@ -67,7 +68,7 @@ def tree(root):
     for parent, dirs, files in os.walk(root):
         listing.update({os.path.relpath(os.path.join(parent, d), root): None for d in dirs})
         listing.update({os.path.relpath(os.path.join(parent, f), root):
-                        open(os.path.join(parent, f), "rb").read() for f in files})
+                        Path(os.path.join(parent, f)).read_bytes() for f in files})
     return listing
 
 
@@ -126,8 +127,8 @@ class TestRunPipeline:
             write_features_csv(str(tmp_path / "f.csv"), expected)
             write_features_binary(str(tmp_path / "f.bin"), expected)
             files = result.feature_files[source_id]
-            assert open(files["csv"], "rb").read() == (tmp_path / "f.csv").read_bytes()
-            assert open(files["binary"], "rb").read() == (tmp_path / "f.bin").read_bytes()
+            assert Path(files["csv"]).read_bytes() == (tmp_path / "f.csv").read_bytes()
+            assert Path(files["binary"]).read_bytes() == (tmp_path / "f.bin").read_bytes()
 
     def test_byte_determinism(self, short_scene, scene_dir, tmp_path):
         spec, _ = short_scene
@@ -140,7 +141,7 @@ class TestRunPipeline:
             for root, _, files in os.walk(result.output_dir):
                 for file in files:
                     path = os.path.join(root, file)
-                    listing[os.path.relpath(path, result.output_dir)] = open(path, "rb").read()
+                    listing[os.path.relpath(path, result.output_dir)] = Path(path).read_bytes()
             outputs.append(listing)
         assert outputs[0].keys() == outputs[1].keys()
         for name in outputs[0]:
@@ -371,10 +372,10 @@ class TestRunPipeline:
                                source_ids=[s.source_id for s in spec.sources])
         oracle = str(tmp_path / "oracle.csv")
         write_quality_report(oracle, "gss+pf", rows)
-        assert open(result.report_csv, "rb").read() == open(oracle, "rb").read()
+        assert Path(result.report_csv).read_bytes() == Path(oracle).read_bytes()
         assert all(row.output_snr_db is not None for row in rows)
         if os.path.exists("/proc/self/maps"):  # no input stays mapped after the run
-            maps = open("/proc/self/maps").read()
+            maps = Path("/proc/self/maps").read_text()
             for path in [config.input_wav, config.noise_wav, *config.reference_wavs]:
                 assert os.path.realpath(path) not in maps
 
@@ -451,7 +452,7 @@ class TestRunPipeline:
         assert os.path.exists(tmp_path / "out" / "gss_state.csv")
         dump = tmp_path / "out" / "center_postfilter.csv"
         assert os.path.exists(dump)
-        header = open(dump).readline().strip()
+        header = dump.read_text().split("\n", 1)[0]
         assert header == "frame,bin,noise_stat,noise_leak,snr_prior,presence,gain"
 
 
@@ -759,10 +760,10 @@ class TestRunPipeline:
         spec, render = short_scene
         config = pipeline_config_for_scene(spec)
         fft_size, shift = config.fft_size, config.shift
-        n = fft_size + (10 * BLOCK_FRAMES + 4) * shift + extra  # 85 frames: a partial last block
+        n = fft_size + (10 * BLOCK_FRAMES + 4) * shift + extra  # a partial last block
         whole = run_stages(render.mixture, config)
         cut = run_stages(AudioBuffer(render.mixture.samples[:, :n], 48000), config)
-        assert cut.num_frames == frame_count(n, fft_size, shift) == 85
+        assert cut.num_frames == frame_count(n, fft_size, shift) == 10 * BLOCK_FRAMES + 5
         assert n - cut.separated.num_samples == extra  # fewer than shift: no output
         final = cut.separated.num_samples - (fft_size - shift)
         assert np.array_equal(cut.separated.samples[:, :final],
@@ -783,6 +784,32 @@ class TestRunPipeline:
             assert np.array_equal(got.continuous, expected.continuous)
             assert np.array_equal(got.static, expected.static)
             assert np.array_equal(got.delta[:-2], expected.delta[:-2])
+
+    def test_artifacts_do_not_depend_on_the_block_size(self, tmp_path, monkeypatch):
+        # 139 frames leave a partial last block at 3, 4 and 8; the general
+        # exponent's gains and the post-filter dump are on
+        spec = three_speaker_scene(90.0, duration_s=1.5, seed=7)
+        render = synthesize(spec)
+        write_wav(str(tmp_path / "mixture.wav"), render.mixture)
+        for source, reference in zip(spec.sources, render.clean_references):
+            write_wav(str(tmp_path / f"{source.source_id}_ref.wav"), AudioBuffer(reference, 48000))
+        write_wav(str(tmp_path / "noise.wav"), AudioBuffer(render.noise, 48000))
+        outputs = {}
+        for block_frames in (BLOCK_FRAMES, 1, 3, 8):
+            for module in (stft, postfilter, pipeline):
+                monkeypatch.setattr(module, "BLOCK_FRAMES", block_frames)
+            out = tmp_path / f"out{block_frames}"
+            config = write_config(tmp_path / "c.yaml", spec, tmp_path, out,
+                                  spectral_exponent=1.5, dump_diagnostics=True)
+            result = run_pipeline(config)
+            assert result.frames_processed == 139
+            flushes = result.clock.totals["postfilter.flush"][1]
+            assert flushes == -(-139 // block_frames)
+            outputs[block_frames] = tree(out)
+            del outputs[block_frames]["effective_config.yaml"]
+        assert len(outputs[BLOCK_FRAMES]) == 3 * 7 + 2  # 7 per source, the report, the GSS dump
+        for block_frames in (1, 3, 8):
+            assert outputs[block_frames] == outputs[BLOCK_FRAMES], block_frames
 
     @pytest.mark.parametrize("dump_diagnostics", [False, True])
     def test_reliability_record_is_that_of_bands_rebuilt_frame_by_frame(self, short_scene,
@@ -1080,8 +1107,8 @@ class TestCli:
         for name in ("one", "two"):
             assert main(["simulate", "--preset", "trio-30deg", "--duration", "0.5",
                          "--seed", "3", "--output-dir", str(tmp_path / name)]) == 0
-        a = open(tmp_path / "one" / "mixture.wav", "rb").read()
-        b = open(tmp_path / "two" / "mixture.wav", "rb").read()
+        a = (tmp_path / "one" / "mixture.wav").read_bytes()
+        b = (tmp_path / "two" / "mixture.wav").read_bytes()
         assert a == b
 
     def test_unknown_preset_exit_code_and_listing(self, tmp_path, capsys):
@@ -1656,7 +1683,7 @@ class TestCli:
                      "--reference", str(tmp_path / "ref_a.wav"), str(tmp_path / "ref_b.wav"),
                      "--csv", str(tmp_path / "q.csv")])
         assert code == 0
-        lines = open(tmp_path / "q.csv").read().splitlines()
+        lines = (tmp_path / "q.csv").read_text().splitlines()
         assert len(lines) == 3
 
     def test_score_ids_and_stage_labels_round_trip_through_csv(self, tmp_path):

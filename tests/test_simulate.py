@@ -69,6 +69,39 @@ class TestSignals:
         frame_rms = np.sqrt(np.mean(signal[: 48000 * 5].reshape(-1, 4800) ** 2, axis=1))
         assert frame_rms.min() < 0.1 * frame_rms.max()
 
+    def test_every_talker_of_a_shut_gate_scene_speaks(self):
+        # perfbench's trio-diag-b15 seed 3912, scene 1 (SeedSequence((3912, 1))):
+        # the pause track of `right` stays below the gate's threshold throughout
+        spec = preset_scene("trio-90deg", duration_s=1.5, seed=232668997)
+        for source, clean in zip(spec.sources, synthesize(spec).clean_references):
+            assert np.sqrt(np.mean(clean**2)) == pytest.approx(0.05, rel=1e-6), source.source_id
+
+    @pytest.mark.parametrize("seconds, shut", [(1.0, [2044, 3303, 3866]), (1.5, [1013, 3972]),
+                                               (3.0, [919, 1804])])
+    def test_only_a_gate_shut_throughout_changes(self, seconds, shut):
+        # ``shut`` holds every seed of 0-3999 whose gate, as drawn, is shut
+        # at every sample: each opens; the open gates of seeds 0-9 keep the
+        # bits of the formula as it stood before shut gates were mirrored
+        n = int(48000 * seconds)
+        for seed in [*shut, *range(10)]:
+            got = simulate._slow_envelope(np.random.default_rng(seed), n, 48000)
+            rng = np.random.default_rng(seed)
+            control = rng.standard_normal(max(8, int(np.ceil(n * simulate.ENVELOPE_RATE_HZ
+                                                             / 48000)) + 4))
+            dense = np.interp(np.linspace(0, len(control) - 1, n), np.arange(len(control)),
+                              control)
+            pause_ctrl = rng.standard_normal(max(6, int(np.ceil(
+                n * simulate.ENVELOPE_RATE_HZ / (3.0 * 48000))) + 4))
+            pause = np.interp(np.linspace(0, len(pause_ctrl) - 1, n), np.arange(len(pause_ctrl)),
+                              pause_ctrl)
+            envelope = (np.maximum(dense, 0.0) + 0.05) * np.clip((pause + 0.4) * 6.0, 0.0, 1.0)
+            assert envelope.any() == (seed not in shut), seed
+            if seed in shut:
+                assert got.mean() == pytest.approx(1.0)
+                assert np.count_nonzero(got) > 0.5 * n
+            else:
+                assert got.tobytes() == (envelope / max(envelope.mean(), 1e-6)).tobytes()
+
 
 def long_double_harmonic_train(spec, rng, n, rate=48000):
     """One sine per harmonic, summed in long double, over the float64 phase
